@@ -22,7 +22,7 @@ from .linalg import (
     Matrix, SpanBuilder, Subspace, frac, is_zero_vector, kernel, kron,
     vadd, vector, vscale, vzero,
 )
-from .reporting import CheckReport
+from .reporting import CheckReport, InvariantError
 
 
 def format_element(names: Sequence[str], coords) -> str:
@@ -468,7 +468,9 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
 
     def express(img: Matrix):
         c = span.coords(img.flatten())
-        assert c is not None, "dual is closed under its actions"
+        if c is None:
+            raise InvariantError("the %s dual is not closed under its "
+                                 "actions" % side)
         return tuple(c)
 
     d = len(eval_mats)

@@ -12,12 +12,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, closure_under_maps, kernel, kron, restrict_to_kernel,
-    vadd, vscale, vzero,
+    ZERO, Matrix, Subspace, closure_under_maps, kernel, rank, vadd,
 )
-from .algebra import Algebra, Bimodule, BimoduleMap, bimodule_map_space, \
-    check_bimodule_map
-from .reporting import CheckReport
+from .algebra import Algebra, Bimodule, BimoduleMap, check_bimodule_map
+from .reporting import CheckReport, InvariantError
 
 
 class DifferentialCalculus:
@@ -54,10 +52,6 @@ class UniversalCalculus(DifferentialCalculus):
         """Kernel coordinates -> A (x) A coordinates."""
         return self.one_forms.element(w)
 
-    def from_ambient(self, v):
-        """A (x) A coordinates -> kernel coordinates (None if outside)."""
-        return self.one_forms.coords(v)
-
 
 def check_leibniz(c: DifferentialCalculus) -> CheckReport:
     """d(e_i e_j) = d(e_i).e_j + e_i.d(e_j) for every basis pair."""
@@ -76,34 +70,49 @@ def check_leibniz(c: DifferentialCalculus) -> CheckReport:
 
 
 def universal_calculus(a: Algebra) -> UniversalCalculus:
-    """Kernel of multiplication with du f = 1 (x) f - f (x) 1."""
+    """Kernel of multiplication with du f = 1 (x) f - f (x) 1.
+
+    A tensor w = sum w_ij e_i (x) e_j is handled as the n x n matrix W, so
+    that f.w is L_f W and w.g is W R_g^T.  An image v lies in the kernel
+    exactly when m(v) = 0, and then its coordinates on the canonical basis
+    are its entries at the basis pivots.
+    """
     n = a.dim
     ker = kernel(a.mult_matrix())
     k = ker.dim
-    i_n = Matrix.identity(n)
 
-    def restricted(amb_act: Matrix) -> Matrix:
-        cols = []
-        for b in ker.basis:
-            c = ker.coords(amb_act.apply(b))
-            assert c is not None, "kernel of multiplication is a sub-bimodule"
-            cols.append(tuple(c))
-        return Matrix.from_cols(cols, nrows=k)
+    def coords(v, what):
+        prod = [ZERO] * n
+        for ij, c in enumerate(v):
+            if c:
+                for t, x in enumerate(a.sc[ij // n][ij % n]):
+                    if x:
+                        prod[t] += c * x
+        if any(prod):
+            raise InvariantError(what)
+        return tuple(v[pc] for pc in ker.pivots)
 
-    left = tuple(restricted(kron(a.lmul[i], i_n)) for i in range(n))
-    right = tuple(restricted(kron(i_n, a.rmul[i])) for i in range(n))
+    forms = [Matrix.from_flat(b, n, n) for b in ker.basis]
+    closed = "kernel of multiplication is not closed under the actions"
+
+    def restricted(images) -> Matrix:
+        return Matrix.from_cols([coords(v.flatten(), closed) for v in images],
+                                nrows=k)
+
+    left = tuple(restricted(lm @ w for w in forms) for lm in a.lmul)
+    right = tuple(restricted(w @ rt for w in forms)
+                  for rt in (r.transpose() for r in a.rmul))
     bim = Bimodule(a, k, left, right)
 
     d_cols = []
     for j in range(n):
-        v = list(vzero(n * n))
+        v = [ZERO] * (n * n)
         for i, u in enumerate(a.unit):
             if u != 0:
                 v[i * n + j] += u      # 1 (x) e_j
                 v[j * n + i] -= u      # e_j (x) 1
-        c = ker.coords(v)
-        assert c is not None, "du lands in the kernel of multiplication"
-        d_cols.append(tuple(c))
+        d_cols.append(coords(v, "du(%s) is not in the kernel of "
+                                "multiplication" % a.basis_names[j]))
     du = Matrix.from_cols(d_cols, nrows=k)
     return UniversalCalculus(a, bim, du, ker)
 
@@ -114,7 +123,8 @@ def factor_through_universal(c: DifferentialCalculus,
 
     Returns (phi, report).  The report lists factorisation or intertwining
     failures (none are expected for a Leibniz calculus) and certifies
-    uniqueness by solving for the full space of candidate maps.
+    uniqueness: a bimodule map killing du kills every f.du(g), and these
+    span the one-forms (Omega_u = A.du(A)), so phi is the only solution.
     """
     a = c.algebra
     u = universal if universal is not None else universal_calculus(a)
@@ -135,14 +145,14 @@ def factor_through_universal(c: DifferentialCalculus,
     if phi @ u.d != c.d:
         rep.add("factorization-equation", (),
                 "phi o du differs from d")
-    # uniqueness: any bimodule map psi with psi o du = d differs from phi
-    # by a map killing du; solve for that space explicitly
-    maps = bimodule_map_space(u.bimodule, m)
-    du_constraint = kron(Matrix.identity(m.dim), u.d.transpose())
-    null_maps = restrict_to_kernel(maps, du_constraint)
-    if null_maps.dim != 0:
+    k = u.bimodule.dim
+    gens = []
+    for li in u.bimodule.left:
+        gens.extend((li @ u.d).cols())
+    spanned = rank(Matrix.from_cols(gens, nrows=k))
+    if spanned != k:
         rep.add("factorization-uniqueness", (),
-                "solution space has dimension %d" % null_maps.dim)
+                "A.du(A) spans %d of %d one-form dimensions" % (spanned, k))
     return phi_map, rep
 
 

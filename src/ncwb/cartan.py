@@ -8,9 +8,14 @@ N, subject to two laws checked on basis vectors:
 
 Pairs and calculi convert into each other through duals: the right dual of
 a calculus bimodule acts by X -> <X, d(.)>, and a pair induces a calculus
-valued in the left dual of N.  The co-universal pair is the one derived
-from the universal calculus; factorization of arbitrary pairs through it
-is solved for explicitly and reported, never assumed.
+valued in the left dual of N.
+
+The co-universal pair is the right dual of the universal one-forms.  It is
+built in closed form: X_u is {D in End(A) : D(1) = 0}, with X_D acting as
+-D, f.D = L_f o D and D.g = D o L_g - L_{D(g)}.  The generic route,
+right_dual of the universal bimodule, stays only as a test oracle.
+Factorization of an arbitrary pair through X_u is a coordinate read-off
+of its action, and its existence is reported, never assumed.
 """
 
 from __future__ import annotations
@@ -19,18 +24,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, is_zero_vector, kernel, rank, restrict_to_kernel,
-    solve, vsub,
+    ZERO, Echelon, Matrix, Subspace, is_zero_vector, kernel, rank, solve,
+    vsub,
 )
 from .algebra import (
-    Algebra, Bimodule, BimoduleMap, DualBimodule, bimodule_map_space,
-    check_bimodule_map, left_dual, right_dual,
+    Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
+    left_dual, right_dual,
 )
 from .calculus import (
     DifferentialCalculus, UniversalCalculus, is_spanned_by_differential,
     universal_calculus,
 )
-from .reporting import CheckReport
+from .reporting import CheckReport, InvariantError
 
 
 class CartanPair:
@@ -172,10 +177,83 @@ class CoUniversalPair(CartanPair):
 def co_universal_pair(a: Algebra,
                       universal: Optional[UniversalCalculus] = None
                       ) -> CoUniversalPair:
+    """The right dual of the universal one-forms, in closed form.
+
+    Every right module map Omega_u -> A is X_D(sum w_ij e_i (x) e_j) =
+    sum w_ij D(e_i) e_j for exactly one D in End(A) with D(1) = 0, so X_u
+    is {D : D(1) = 0}, of dimension n(n-1).  X_D acts on A as
+    f -> X_D(du f) = -D(f), and the bimodule actions become f.D = L_f o D
+    and D.g = D o L_g - L_{D(g)}.  The evaluation matrices of the X_D over
+    a basis of {D(1) = 0} are row reduced to the canonical basis that
+    right_dual(universal.bimodule) gives; that generic route is kept only
+    as a test oracle.
+    """
     u = universal if universal is not None else universal_calculus(a)
-    d = right_dual(u.bimodule)
-    action = tuple(e @ u.d for e in d.eval_mats)
-    return CoUniversalPair(u, d, action)
+    n, k = a.dim, u.bimodule.dim
+    nk = n * k
+    if a.right_mult_matrix(a.unit) != Matrix.identity(n):
+        raise InvariantError("the unit is not a right unit")
+    # evals[m*n + i]: flattened evaluation matrix of X_E for the matrix
+    # unit E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j
+    evals = []
+    for m in range(n):
+        for i in range(n):
+            ev = [ZERO] * nk
+            for c, b in enumerate(u.one_forms.basis):
+                for j in range(n):
+                    w = b[i * n + j]
+                    if w:
+                        for r, x in enumerate(a.sc[m][j]):
+                            if x:
+                                ev[r * k + c] += w * x
+            evals.append(ev)
+    # {D : D(1) = 0} as flattened n x n matrices
+    unit_rows = [tuple(a.unit[i] if r == m else ZERO
+                       for r in range(n) for i in range(n))
+                 for m in range(n)]
+    dspace = kernel(Matrix(unit_rows, ncols=n * n))
+    # eliminate (X_D | D) together: the left parts come out as the
+    # canonical evaluation basis, the right parts as its D's
+    ech = Echelon(nk + n * n)
+    for dv in dspace.basis:
+        row = [ZERO] * nk
+        for mi, x in enumerate(dv):
+            if x:
+                row = [r + x * y for r, y in zip(row, evals[mi])]
+        ech.insert(tuple(row) + dv)
+    if any(pc >= nk for pc in ech.pivots):
+        raise InvariantError("D -> X_D is not injective on {D : D(1) = 0}")
+    rows = ech.frac_rows()
+    eval_mats = [Matrix.from_flat(r[:nk], n, k) for r in rows]
+    dmats = [Matrix.from_flat(r[nk:], n, n) for r in rows]
+    # coordinates of X_D are the entries of its evaluation at the pivots
+    at_pivots = [[(t, ev[pc]) for t, pc in enumerate(ech.pivots) if ev[pc]]
+                 for ev in evals]
+    q = len(rows)
+
+    def coords(dm: Matrix, what: str):
+        if not is_zero_vector(dm.apply(a.unit)):
+            raise InvariantError("%s does not kill the unit" % what)
+        out = [ZERO] * q
+        for mi, x in enumerate(dm.flatten()):
+            if x:
+                for t, y in at_pivots[mi]:
+                    out[t] += x * y
+        return tuple(out)
+
+    left_mats, right_mats = [], []
+    for i in range(n):
+        li = a.lmul[i]
+        left_mats.append(Matrix.from_cols(
+            [coords(li @ dm, "L_f o D") for dm in dmats],
+            nrows=q))
+        right_mats.append(Matrix.from_cols(
+            [coords(dm @ li - a.left_mult_matrix(dm.col(i)),
+                    "D o L_g - L_D(g)") for dm in dmats],
+            nrows=q))
+    dual = DualBimodule(u.bimodule, "right",
+                        Bimodule(a, q, left_mats, right_mats), eval_mats)
+    return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats))
 
 
 @dataclass
@@ -191,61 +269,34 @@ class CoUniversalFactorization:
 def co_universal_factorization(p: CartanPair,
                                couniv: Optional[CoUniversalPair] = None
                                ) -> CoUniversalFactorization:
-    """Search for the unique bimodule map into the co-universal pair.
+    """Read off the unique bimodule map into the co-universal pair.
 
-    The candidate space is the full space of bimodule maps N -> X_u; the
-    action equation is imposed on it as an affine system.  Existence is a
-    finding, not an assumption: for pairs not derived from a calculus the
-    general existence question is open machinery, so the computed answer
-    is simply reported.
+    The co-universal action is injective (X_D acts as -D), so column t of
+    Phi is the only solution of action_u Phi_t = X_t, and it exists iff
+    X_t lies in the span of the co-universal actions, that is X_t(1) = 0.
+    The factorization exists iff this Phi is a bimodule map; it is then
+    unique and homogeneous_dim is 0.  Existence is a finding, not an
+    assumption.  The general solve over bimodule_map_space(N, X_u) is kept
+    only as a test oracle.
     """
     cu = couniv if couniv is not None else co_universal_pair(p.algebra)
     rep = CheckReport("co-universal factorization")
-    maps = bimodule_map_space(p.bimodule, cu.bimodule)
-    q, pn = cu.bimodule.dim, p.bimodule.dim
-    n2 = p.algebra.dim ** 2
-    # action_u o Phi = action, as linear conditions on flattened Phi
-    cond_cols = []
-    for flat_idx in range(q * pn):
-        k, t = divmod(flat_idx, pn)
-        v = [0] * (n2 * pn)
-        for r, x in enumerate(cu.action[k].flatten()):
-            v[t * n2 + r] = x
-        cond_cols.append(tuple(v))
-    cond = Matrix.from_cols(cond_cols, nrows=n2 * pn)
-    target = []
-    for t in range(pn):
-        target.extend(p.action[t].flatten())
-    if maps.dim == 0:
-        if is_zero_vector(target):
-            phi_flat = (0,) * (q * pn)
-        else:
-            phi_flat = None
-    else:
-        basis_mat = Matrix.from_cols(
-            [maps.element(tuple(1 if s == r else 0 for s in range(maps.dim)))
-             for r in range(maps.dim)], nrows=q * pn)
-        coeffs = solve(cond @ basis_mat, target)
-        phi_flat = basis_mat.apply(coeffs) if coeffs is not None else None
-    hom = restrict_to_kernel(maps, cond)
-    exists = phi_flat is not None
+    action_u = Matrix.from_cols([m.flatten() for m in cu.action],
+                                nrows=p.algebra.dim ** 2)
+    if rank(action_u) != cu.bimodule.dim:
+        raise InvariantError("the co-universal action is not injective")
+    cols = [solve(action_u, x.flatten()) for x in p.action]
+    phi_map = None
+    if all(c is not None for c in cols):
+        phi_map = BimoduleMap(p.bimodule, cu.bimodule,
+                              Matrix.from_cols(cols, nrows=cu.bimodule.dim))
+        if not check_bimodule_map(phi_map).ok:
+            phi_map = None
+    exists = phi_map is not None
     if not exists:
         rep.add("factorization-exists", (),
                 "no bimodule map matches the action")
-        phi_map = None
-    else:
-        phi_map = BimoduleMap(p.bimodule, cu.bimodule,
-                              Matrix.from_flat(phi_flat, q, pn))
-        rep.extend(check_bimodule_map(phi_map))
-        for t in range(pn):
-            xt = tuple(1 if s == t else 0 for s in range(pn))
-            if cu.action_of(phi_map.apply(xt)) != p.action[t]:
-                rep.add("factorization-equation", (t,))
-    unique = exists and hom.dim == 0
-    if exists and hom.dim != 0:
-        rep.add("factorization-uniqueness", (),
-                "homogeneous solutions of dimension %d" % hom.dim)
-    return CoUniversalFactorization(phi_map, exists, unique, hom.dim, rep)
+    return CoUniversalFactorization(phi_map, exists, exists, 0, rep)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .catalog import builtin as catalog_builtin
 from .connections import check_connection, check_covariant_axioms
 from .diffops import check_ccr, find_relations, fock_check, \
     generate_diffop_algebra
-from .reporting import CheckReport
+from .reporting import CheckReport, InvariantError
 from .workspace import (
     SCHEMA, WorkspaceError, algebra_decl, bimodule_decl, calculus_decl,
     canonical_text, cartan_pair_decl, load_workspace, matrix_rows,
@@ -60,19 +60,23 @@ def _check_lines(label: str, rep: CheckReport) -> list:
     return lines
 
 
-def _checks_for(wo) -> dict:
+def _run(checker, obj) -> CheckReport:
+    return checker(obj)
+
+
+def _checks_for(wo, run=_run) -> dict:
     """The axiom checkers that gate the exit code, by object kind."""
     kind, obj = wo.kind, wo.obj
     if kind == "algebra":
-        return {"algebra": check_algebra(obj)}
+        return {"algebra": run(check_algebra, obj)}
     if kind == "bimodule":
-        return {"bimodule": check_bimodule(obj)}
+        return {"bimodule": run(check_bimodule, obj)}
     if kind == "calculus":
-        return {"leibniz": check_leibniz(obj)}
+        return {"leibniz": run(check_leibniz, obj)}
     if kind == "cartan_pair":
-        return {"cartan": check_cartan(obj)}
+        return {"cartan": run(check_cartan, obj)}
     if kind == "connection":
-        return {"connection": check_connection(obj)}
+        return {"connection": run(check_connection, obj)}
     return {}
 
 
@@ -117,19 +121,52 @@ def _emit(args, doc: dict, summary: str) -> int:
     return 0
 
 
+# what each derivation takes as input
+_DERIVE_INPUT = {"dual": "bimodule", "pair": "calculus",
+                 "calculus": "cartan_pair", "universal": "algebra",
+                 "couniversal": "algebra", "diffops": "cartan_pair",
+                 "relations": "cartan_pair", "factorization": "cartan_pair"}
+# derivations that run on their input as given, lawful or not
+_UNGATED = ("diffops", "relations")
+
+
+def _law_reports(kind, obj, run=_run) -> list:
+    """Checkers of an object, of its algebra and of its bimodule; a
+    connection answers for its calculus."""
+    if kind == "algebra":
+        return [run(check_algebra, obj)]
+    if kind == "connection":
+        return _law_reports("calculus", obj.calculus, run) \
+            + [run(check_connection, obj)]
+    reps = [run(check_algebra, obj.algebra)]
+    reps.append(run(check_bimodule,
+                    obj if kind == "bimodule" else obj.bimodule))
+    if kind == "calculus":
+        reps.append(run(check_leibniz, obj))
+    elif kind == "cartan_pair":
+        reps.append(run(check_cartan, obj))
+    return reps
+
+
 def cmd_derive(args) -> int:
     ws = load_workspace(args.file)
     wo = ws.get(args.name)
     kind, obj = wo.kind, wo.obj
     what = args.what
-
-    def need(expected):
-        if kind != expected:
-            raise WorkspaceError("derive %s needs a %s, but %r is a %s"
-                                 % (what, expected, args.name, kind))
+    expected = _DERIVE_INPUT[what]
+    if kind != expected:
+        raise WorkspaceError("derive %s needs a %s, but %r is a %s"
+                             % (what, expected, args.name, kind))
+    if what not in _UNGATED:
+        failed = [rep for rep in _law_reports(kind, obj) if not rep.ok]
+        if failed:
+            for rep in failed:
+                sys.stderr.write("%s\n" % rep)
+            sys.stderr.write("derive %s: %r breaks the laws above\n"
+                             % (what, args.name))
+            return 1
 
     if what == "dual":
-        need("bimodule")
         d = right_dual(obj)
         doc = {"schema": SCHEMA, "objects": {
             "algebra": algebra_decl(obj.algebra),
@@ -139,7 +176,6 @@ def cmd_derive(args) -> int:
                      % (args.name, d.dim))
 
     if what == "pair":
-        need("calculus")
         p = pair_from_calculus(obj)
         doc = {"schema": SCHEMA, "objects": {
             "algebra": algebra_decl(obj.algebra),
@@ -150,7 +186,6 @@ def cmd_derive(args) -> int:
                      % (args.name, p.bimodule.dim))
 
     if what == "calculus":
-        need("cartan_pair")
         c, _ = calculus_from_pair(obj)
         doc = {"schema": SCHEMA, "objects": {
             "algebra": algebra_decl(obj.algebra),
@@ -161,7 +196,6 @@ def cmd_derive(args) -> int:
                      % (args.name, c.bimodule.dim))
 
     if what == "universal":
-        need("algebra")
         u = universal_calculus(obj)
         doc = {"schema": SCHEMA, "objects": {
             "algebra": algebra_decl(obj),
@@ -172,7 +206,6 @@ def cmd_derive(args) -> int:
                      % (args.name, u.bimodule.dim))
 
     if what == "couniversal":
-        need("algebra")
         cu = co_universal_pair(obj)
         doc = {"schema": SCHEMA, "objects": {
             "algebra": algebra_decl(obj),
@@ -183,7 +216,6 @@ def cmd_derive(args) -> int:
                      % (args.name, cu.bimodule.dim))
 
     if what == "diffops":
-        need("cartan_pair")
         alg = generate_diffop_algebra(obj)
         n = obj.algebra.dim
         doc = {"schema": SCHEMA, "objects": {}, "derived": {
@@ -195,7 +227,6 @@ def cmd_derive(args) -> int:
                      % (args.name, alg.dim))
 
     if what == "relations":
-        need("cartan_pair")
         max_len = _max_word_len()
         rs = find_relations(obj, max_len=max_len)
         doc = {"schema": SCHEMA, "objects": {}, "derived": {
@@ -207,8 +238,7 @@ def cmd_derive(args) -> int:
         return _emit(args, doc, "relations of %s: %d among %d words"
                      % (args.name, rs.space.dim, len(rs.words)))
 
-    assert what == "factorization"
-    need("cartan_pair")
+    # what == "factorization"
     fact = co_universal_factorization(obj)
     doc = {"schema": SCHEMA, "objects": {}, "derived": {
         "kind": "factorization",
@@ -227,6 +257,13 @@ class _Analytics:
     def __init__(self):
         self._couniv = {}
         self._pairs = {}
+        self._checks = {}
+
+    def check(self, checker, obj) -> CheckReport:
+        key = (checker, id(obj))
+        if key not in self._checks:
+            self._checks[key] = checker(obj)
+        return self._checks[key]
 
     def couniversal(self, a):
         if id(a) not in self._couniv:
@@ -241,12 +278,15 @@ class _Analytics:
 
 def _report_object(wo, analytics, max_len):
     """(checks dict, info list, json analysis dict) for one object."""
-    checks = _checks_for(wo)
+    checks = _checks_for(wo, analytics.check)
     info = []
     analysis = {}
     kind, obj = wo.kind, wo.obj
-    ok = all(rep.ok for rep in checks.values())
-    if kind == "algebra":
+    # the analysis runs only on an object whose own laws and whose
+    # algebra's and bimodule's laws hold; the failing object is reported
+    # (and fails the run) under its own name
+    ok = all(rep.ok for rep in _law_reports(kind, obj, analytics.check))
+    if kind == "algebra" and ok:
         u = universal_calculus(obj)
         cu = analytics.couniversal(obj)
         analysis["universal_dim"] = u.bimodule.dim
@@ -421,6 +461,10 @@ def main(argv=None) -> int:
     except WorkspaceError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
+    except InvariantError as e:
+        sys.stderr.write("error: law violated during construction: %s\n"
+                         % e)
+        return 1
 
 
 if __name__ == "__main__":

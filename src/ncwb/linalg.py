@@ -131,12 +131,23 @@ class Matrix:
         return tuple(dot(r, v) for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product accumulated over the non-zero entries of both factors.
+
+        The work is proportional to the products of non-zero pairs, which
+        pays off on 0/1 structure constants and sparse kernel vectors and
+        costs one truth test per entry on dense input.
+        """
         assert self.ncols == other.nrows, "shape mismatch"
-        ocols = list(zip(*other.rows)) if other.rows else []
-        if not ocols:
-            return Matrix.zeros(self.nrows, other.ncols)
-        return Matrix(tuple(tuple(dot(r, c) for c in ocols) for r in self.rows),
-                      ncols=other.ncols)
+        orows = [[(j, y) for j, y in enumerate(r) if y] for r in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [ZERO] * other.ncols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in orows[k]:
+                        acc[j] += x * y
+            out.append(tuple(acc))
+        return Matrix(tuple(out), ncols=other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
@@ -378,11 +389,6 @@ class Subspace:
         for c, b in zip(coeffs, self.basis):
             v = vadd(v, vscale(c, b))
         return v
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim
-        return Subspace.from_vectors(self.ambient_dim,
-                                     list(self.basis) + list(other.basis))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) \

@@ -5,6 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class InvariantError(Exception):
+    """A construction met input that breaks a law it relies on.
+
+    Raised instead of returning a wrong object; run the checkers of the
+    input (check_algebra, check_bimodule, ...) for the witnesses.
+    """
+
+
 @dataclass(frozen=True)
 class Finding:
     """One violated law, with the basis indices that witness it."""

@@ -2,9 +2,9 @@
 
 A file carries a schema tag and a dictionary of declarations.  Rationals
 travel as integers or exact strings like "-3/7"; floats are refused.
-References are by name and must point at an earlier declaration, so a
-file reads top to bottom.  A builtin declaration expands into dotted
-child names (bundle.algebra, bundle.regular, ...) that later objects may
+References are by name and may point at any declaration in the file,
+whatever its position.  A builtin declaration expands into dotted child
+names (bundle.algebra, bundle.regular, ...) that other objects may
 reference.
 
 Loading only enforces shapes and reference integrity; mathematical laws

@@ -205,3 +205,178 @@ def zero_action_pair_z2() -> CartanPair:
     a = z2_group_algebra()
     z = Matrix.zeros(2, 2)
     return CartanPair(a, Bimodule.regular(a), (z, z))
+
+
+# ---- generic routes kept as oracles for the closed forms ---------------
+
+from ncwb.algebra import (  # noqa: E402
+    BimoduleMap, bimodule_map_space, check_bimodule_map, right_dual,
+)
+from ncwb.calculus import UniversalCalculus  # noqa: E402
+from ncwb.cartan import (  # noqa: E402
+    CoUniversalFactorization, CoUniversalPair,
+)
+from ncwb.linalg import (  # noqa: E402
+    is_zero_vector, kernel, kron, restrict_to_kernel, solve, vzero,
+)
+from ncwb.reporting import CheckReport  # noqa: E402
+
+
+def universal_calculus_by_kron(a) -> UniversalCalculus:
+    """Kernel of multiplication with the actions kron(L_i, I), kron(I, R_i)
+    restricted by solving for kernel coordinates."""
+    n = a.dim
+    ker = kernel(a.mult_matrix())
+    i_n = Matrix.identity(n)
+
+    def restricted(amb_act):
+        cols = [ker.coords(amb_act.apply(b)) for b in ker.basis]
+        assert all(c is not None for c in cols)
+        return Matrix.from_cols([tuple(c) for c in cols], nrows=ker.dim)
+
+    left = tuple(restricted(kron(a.lmul[i], i_n)) for i in range(n))
+    right = tuple(restricted(kron(i_n, a.rmul[i])) for i in range(n))
+    d_cols = []
+    for j in range(n):
+        v = list(vzero(n * n))
+        for i, u in enumerate(a.unit):
+            v[i * n + j] += u
+            v[j * n + i] -= u
+        d_cols.append(tuple(ker.coords(v)))
+    return UniversalCalculus(a, Bimodule(a, ker.dim, left, right),
+                             Matrix.from_cols(d_cols, nrows=ker.dim), ker)
+
+
+def universal_uniqueness_by_solve(c, u) -> int:
+    """Dimension of the bimodule maps Omega_u -> M that kill du."""
+    maps = bimodule_map_space(u.bimodule, c.bimodule)
+    du_constraint = kron(Matrix.identity(c.bimodule.dim), u.d.transpose())
+    return restrict_to_kernel(maps, du_constraint).dim
+
+
+def co_universal_pair_by_right_dual(a, u) -> CoUniversalPair:
+    """The right dual of the universal one-forms acting by X -> X(du .)."""
+    d = right_dual(u.bimodule)
+    return CoUniversalPair(u, d, tuple(e @ u.d for e in d.eval_mats))
+
+
+def co_universal_factorization_by_solve(p, cu) -> CoUniversalFactorization:
+    """Solve action = action_u o Phi over the whole space of bimodule maps
+    N -> X_u, with its homogeneous solutions."""
+    rep = CheckReport("co-universal factorization")
+    maps = bimodule_map_space(p.bimodule, cu.bimodule)
+    q, pn = cu.bimodule.dim, p.bimodule.dim
+    n2 = p.algebra.dim ** 2
+    cond_cols = []
+    for flat_idx in range(q * pn):
+        k, t = divmod(flat_idx, pn)
+        v = [0] * (n2 * pn)
+        for r, x in enumerate(cu.action[k].flatten()):
+            v[t * n2 + r] = x
+        cond_cols.append(tuple(v))
+    cond = Matrix.from_cols(cond_cols, nrows=n2 * pn)
+    target = []
+    for t in range(pn):
+        target.extend(p.action[t].flatten())
+    if maps.dim == 0:
+        phi_flat = (0,) * (q * pn) if is_zero_vector(target) else None
+    else:
+        basis_mat = Matrix.from_cols(
+            [maps.element(tuple(1 if s == r else 0 for s in range(maps.dim)))
+             for r in range(maps.dim)], nrows=q * pn)
+        coeffs = solve(cond @ basis_mat, target)
+        phi_flat = basis_mat.apply(coeffs) if coeffs is not None else None
+    hom = restrict_to_kernel(maps, cond)
+    phi_map = None
+    if phi_flat is None:
+        rep.add("factorization-exists", (),
+                "no bimodule map matches the action")
+    else:
+        phi_map = BimoduleMap(p.bimodule, cu.bimodule,
+                              Matrix.from_flat(phi_flat, q, pn))
+        rep.extend(check_bimodule_map(phi_map))
+        for t in range(pn):
+            xt = tuple(1 if s == t else 0 for s in range(pn))
+            if cu.action_of(phi_map.apply(xt)) != p.action[t]:
+                rep.add("factorization-equation", (t,))
+        if hom.dim != 0:
+            rep.add("factorization-uniqueness", (),
+                    "homogeneous solutions of dimension %d" % hom.dim)
+    exists = phi_map is not None
+    return CoUniversalFactorization(phi_map, exists, exists and hom.dim == 0,
+                                    hom.dim, rep)
+
+
+# ---- change of basis ---------------------------------------------------
+
+from hypothesis import strategies as st  # noqa: E402
+
+
+def unimodular_matrices(n: int):
+    """Hypothesis strategy for n x n unimodular integer matrices."""
+    size = n * (n - 1) // 2
+    entries = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    return st.builds(lambda lower, upper: unimodular(n, lower, upper),
+                     entries, entries)
+
+
+def unimodular(n: int, lower, upper) -> Matrix:
+    """L U from unit triangular integer matrices; lower and upper list the
+    n(n-1)/2 entries below and above the diagonal.  Determinant 1."""
+    below, above = iter(lower), iter(upper)
+    l_mat = Matrix([[1 if i == j else next(below) if j < i else 0
+                     for j in range(n)] for i in range(n)], ncols=n)
+    u_mat = Matrix([[1 if i == j else next(above) if j > i else 0
+                     for j in range(n)] for i in range(n)], ncols=n)
+    return l_mat @ u_mat
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Gauss-Jordan inverse of an invertible matrix."""
+    n = m.nrows
+    aug = [list(r) + [F(int(i == j)) for j in range(n)]
+           for i, r in enumerate(m.rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return Matrix([row[n:] for row in aug], ncols=n)
+
+
+class BasisChange:
+    """New bases: the columns of p for the algebra, of q for a module."""
+
+    def __init__(self, p: Matrix, q: Matrix):
+        self.p, self.pinv = p, inverse(p)
+        self.q, self.qinv = q, inverse(q)
+
+    def algebra(self, a) -> Algebra:
+        n = a.dim
+        lmul = [self.pinv @ a.left_mult_matrix(self.p.col(i)) @ self.p
+                for i in range(n)]
+        sc = [[lmul[i].col(j) for j in range(n)] for i in range(n)]
+        return Algebra(tuple("b%d" % i for i in range(n)), sc,
+                       self.pinv.apply(a.unit))
+
+    def bimodule(self, m, new_algebra) -> Bimodule:
+        def conj(act):
+            return self.qinv @ act @ self.q
+        cols = [self.p.col(i) for i in range(new_algebra.dim)]
+        return Bimodule(new_algebra, m.dim,
+                        [conj(m.left_of(c)) for c in cols],
+                        [conj(m.right_of(c)) for c in cols])
+
+    def calculus(self, c, new_algebra) -> DifferentialCalculus:
+        return DifferentialCalculus(new_algebra,
+                                    self.bimodule(c.bimodule, new_algebra),
+                                    self.qinv @ c.d @ self.p)
+
+    def pair(self, pair, new_algebra) -> CartanPair:
+        acts = [self.pinv @ pair.action_of(self.q.col(t)) @ self.p
+                for t in range(pair.bimodule.dim)]
+        return CartanPair(new_algebra,
+                          self.bimodule(pair.bimodule, new_algebra), acts)

@@ -39,8 +39,6 @@ from ncwb.workspace import SCHEMA
 PARAMS = {"truncated_poly": (4,), "quantum_plane_trunc": (2, 2)}
 
 _pairs_from_calculus: dict = {}
-_universals: dict = {}
-_couniversals: dict = {}
 
 
 def bundle(name):
@@ -51,19 +49,6 @@ def derived_pair(name):
     if name not in _pairs_from_calculus:
         _pairs_from_calculus[name] = pair_from_calculus(bundle(name).calculus)
     return _pairs_from_calculus[name]
-
-
-def universal(name):
-    if name not in _universals:
-        _universals[name] = universal_calculus(bundle(name).algebra)
-    return _universals[name]
-
-
-def couniversal(name):
-    if name not in _couniversals:
-        _couniversals[name] = co_universal_pair(bundle(name).algebra,
-                                                universal(name))
-    return _couniversals[name]
 
 
 def calculus_names():
@@ -114,21 +99,22 @@ def test_criterion_02_regular_dual_is_the_algebra():
 
 def test_criterion_03_universal_calculus_dimension_and_factorization():
     with criterion("03 universal one-forms: dimension and unique factor"):
+        universals = {}
         for name in BUILTIN_NAMES:
             a = bundle(name).algebra
-            u = universal(name)
+            u = universals[name] = universal_calculus(a)
             mult_rank = SpanBuilder(a.dim)
             for i in range(a.dim):
                 for j in range(a.dim):
                     mult_rank.insert(a.sc[i][j])
             assert u.bimodule.dim == a.dim * a.dim - mult_rank.dim, name
-        assert universal("dual_numbers").bimodule.dim == 2
-        assert universal("matrix_2").bimodule.dim == 12
+        assert universals["dual_numbers"].bimodule.dim == 2
+        assert universals["matrix_2"].bimodule.dim == 12
         for name in calculus_names():
             c = bundle(name).calculus
-            phi, rep = factor_through_universal(c, universal=universal(name))
+            phi, rep = factor_through_universal(c, universal=universals[name])
             assert rep.ok, "%s: %s" % (name, rep)
-            assert phi.matrix @ universal(name).d == c.d, name
+            assert phi.matrix @ universals[name].d == c.d, name
 
 
 def test_criterion_04_couniversal_factorization_is_the_transpose():
@@ -139,7 +125,8 @@ def test_criterion_04_couniversal_factorization_is_the_transpose():
             if p.source_calculus is None or p.dual is None:
                 continue
             count += 1
-            cu = couniversal(name)
+            u = universal_calculus(p.algebra)
+            cu = co_universal_pair(p.algebra, u)
             fact = co_universal_factorization(p, cu)
             assert fact.exists and fact.unique, name
             assert fact.report.ok, "%s: %s" % (name, fact.report)
@@ -148,7 +135,7 @@ def test_criterion_04_couniversal_factorization_is_the_transpose():
                 image = cu.action_of(fact.phi.matrix.col(t))
                 assert image == p.action[t], (name, t)
             phi, rep = factor_through_universal(p.source_calculus,
-                                                universal=universal(name))
+                                                universal=u)
             assert rep.ok, name
             expected = transpose(phi, cu.dual, p.dual)
             assert fact.phi.matrix == expected.matrix, name

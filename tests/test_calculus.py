@@ -1,18 +1,22 @@
 """Leibniz checks, universal one-forms, factorization, generation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import Bimodule, check_bimodule, direct_sum
 from ncwb.calculus import (
     DifferentialCalculus, check_leibniz, factor_through_universal,
     is_spanned_by_differential, universal_calculus,
 )
+from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.linalg import Matrix, is_zero_vector
 
 from helpers import (
-    dual_numbers, inner_calculus, kahler_dual_numbers, kahler_truncated,
-    matrix_2, quantum_plane, theta_z2, truncated_polynomials,
-    upper_triangular_2, z2_group_algebra, zero_calculus,
+    BasisChange, dual_numbers, inner_calculus, kahler_dual_numbers,
+    kahler_truncated, matrix_2, quantum_plane, theta_z2,
+    truncated_polynomials, unimodular_matrices, universal_calculus_by_kron,
+    universal_uniqueness_by_solve, upper_triangular_2, z2_group_algebra,
+    zero_calculus,
 )
 
 
@@ -117,3 +121,55 @@ def test_zero_calculus_spans_trivially():
     assert is_spanned_by_differential(c)
     phi, rep = factor_through_universal(c)
     assert rep.ok and phi.matrix.nrows == 0
+
+
+# ---- closed forms against the generic routes ---------------------------
+
+def assert_universal_matches_oracle(a, calculi):
+    u = universal_calculus(a)
+    ref = universal_calculus_by_kron(a)
+    assert u.one_forms == ref.one_forms
+    assert u.bimodule.left == ref.bimodule.left
+    assert u.bimodule.right == ref.bimodule.right
+    assert u.d == ref.d
+    for c in calculi:
+        phi, rep = factor_through_universal(c, universal=u)
+        assert phi.matrix @ u.d == c.d
+        unique = "factorization-uniqueness" not in [f.law
+                                                    for f in rep.findings]
+        assert unique == (universal_uniqueness_by_solve(c, u) == 0)
+        assert rep.ok
+
+
+@pytest.mark.parametrize("name,params",
+                         [(name, ()) for name in BUILTIN_NAMES]
+                         + [("truncated_poly", (5,))],
+                         ids=lambda v: str(v))
+def test_universal_closed_form_matches_kron_route(name, params):
+    b = builtin(name, params)
+    assert_universal_matches_oracle(
+        b.algebra, [b.calculus] if b.calculus is not None else [])
+
+
+@st.composite
+def transported_bundles(draw):
+    """A builtin algebra of dimension <= 4 and its calculus, if any, after
+    unimodular basis changes of the algebra and of the one-forms."""
+    b = builtin(draw(st.sampled_from([name for name in BUILTIN_NAMES
+                                      if builtin(name).algebra.dim <= 4])))
+    module_dim = b.calculus.bimodule.dim if b.calculus is not None else 0
+    change = BasisChange(draw(unimodular_matrices(b.algebra.dim)),
+                         draw(unimodular_matrices(module_dim)))
+    a = change.algebra(b.algebra)
+    if b.calculus is None:
+        return a, []
+    return a, [change.calculus(b.calculus, a)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_bundles())
+def test_universal_matches_oracle_after_basis_change(bundle):
+    a, calculi = bundle
+    for c in calculi:
+        assert check_leibniz(c).ok
+    assert_universal_matches_oracle(a, calculi)

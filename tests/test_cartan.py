@@ -1,6 +1,7 @@
 """Cartan pairs: duality with calculi, co-universal pair, roundtrips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import Bimodule, check_bimodule, direct_sum, transpose
 from ncwb.calculus import check_leibniz, factor_through_universal, \
@@ -10,11 +11,17 @@ from ncwb.cartan import (
     co_universal_factorization, co_universal_pair, pair_from_calculus,
     reflexive_roundtrip, spanning_kernel_diagnostic,
 )
+from ncwb.catalog import (
+    BUILTIN_NAMES, builtin, naive_derivative_fixture,
+    vacuum_violation_fixture,
+)
 from ncwb.linalg import Matrix
 
 from helpers import (
-    dual_numbers, inner_calculus, kahler_dual_numbers, kahler_truncated,
-    matrix_2, theta_z2, upper_triangular_2, z2_group_algebra, zero_calculus,
+    BasisChange, co_universal_factorization_by_solve,
+    co_universal_pair_by_right_dual, dual_numbers, inner_calculus,
+    kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,
+    unimodular_matrices, upper_triangular_2, z2_group_algebra, zero_calculus,
 )
 
 
@@ -158,3 +165,63 @@ def test_factorization_composite_action_matches():
     for t in range(p.bimodule.dim):
         xt = tuple(1 if s == t else 0 for s in range(p.bimodule.dim))
         assert cu.action_of(fact.phi.apply(xt)) == p.action[t]
+
+
+# ---- closed forms against the generic routes ---------------------------
+
+def factorization_facts(f):
+    return (f.phi.matrix if f.phi is not None else None, f.exists,
+            f.unique, f.homogeneous_dim, [str(x) for x in f.report.findings])
+
+
+def assert_closed_forms_match_oracle(a, pairs):
+    u = universal_calculus(a)
+    cu = co_universal_pair(a, u)
+    ref = co_universal_pair_by_right_dual(a, u)
+    assert cu.dual.eval_mats == ref.dual.eval_mats
+    assert cu.bimodule.left == ref.bimodule.left
+    assert cu.bimodule.right == ref.bimodule.right
+    assert cu.action == ref.action
+    for p in pairs:
+        assert factorization_facts(co_universal_factorization(p, cu)) \
+            == factorization_facts(co_universal_factorization_by_solve(p, ref))
+
+
+@pytest.mark.parametrize("name,params",
+                         [(name, ()) for name in BUILTIN_NAMES]
+                         + [("truncated_poly", (5,))],
+                         ids=lambda v: str(v))
+def test_co_universal_closed_form_matches_right_dual(name, params):
+    b = builtin(name, params)
+    assert_closed_forms_match_oracle(b.algebra, [b.pair])
+
+
+@pytest.mark.parametrize("make", [naive_derivative_fixture,
+                                  lambda: naive_derivative_fixture(3),
+                                  vacuum_violation_fixture],
+                         ids=["naive-4", "naive-3", "vacuum"])
+def test_missing_factorization_matches_oracle(make):
+    p = make()
+    assert_closed_forms_match_oracle(p.algebra, [p])
+    fact = co_universal_factorization(p)
+    assert factorization_facts(fact) == (
+        None, False, False, 0,
+        ["factorization-exists at (): no bimodule map matches the action"])
+
+
+@st.composite
+def transported_pairs(draw):
+    """A builtin pair over an algebra of dimension <= 4 after unimodular
+    basis changes of the algebra and of the pair bimodule."""
+    b = builtin(draw(st.sampled_from([name for name in BUILTIN_NAMES
+                                      if builtin(name).algebra.dim <= 4])))
+    change = BasisChange(draw(unimodular_matrices(b.algebra.dim)),
+                         draw(unimodular_matrices(b.pair.bimodule.dim)))
+    return change.pair(b.pair, change.algebra(b.algebra))
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs())
+def test_closed_forms_match_oracle_after_basis_change(p):
+    assert check_cartan(p).ok
+    assert_closed_forms_match_oracle(p.algebra, [p])

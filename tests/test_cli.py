@@ -235,3 +235,71 @@ def test_console_entry_runs_as_subprocess(tmp_path):
     assert r.returncode == 0
     assert r.stdout == r2.stdout
     assert "result: ok" in r.stdout
+
+
+def lawless_objects():
+    # B is unital but not associative: (x*x)*x = 0, x*(x*x) = x;
+    # M over the dual numbers has a right action of x that does not
+    # square to zero
+    return {
+        "B": {"kind": "algebra", "basis": ["1", "x", "y"],
+              "products": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                           [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+                           [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+              "unit": [1, 0, 0]},
+        "A": {"kind": "algebra", "basis": ["1", "x"],
+              "products": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+              "unit": [1, 0]},
+        "M": {"kind": "bimodule", "algebra": "A", "dim": 2,
+              "left": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
+              "right": [[[1, 0], [0, 1]], [[-1, -1], [-1, -1]]]},
+    }
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("name,what,law", [
+    ("B", "universal", "associativity at (1,1,1)"),
+    ("B", "couniversal", "associativity at (1,1,1)"),
+    ("M", "dual", "right-action-product at (1,1)"),
+])
+def test_derive_on_lawless_input_exits_one_with_findings(
+        tmp_path, optimize, name, what, law):
+    path = write_ws(tmp_path, lawless_objects())
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "derive", path, name, what],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert law in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_report_on_non_associative_algebra_exits_one(tmp_path, capsys):
+    path = write_ws(tmp_path, {"B": lawless_objects()["B"]})
+    assert main(["report", path]) == 1
+    out = capsys.readouterr().out
+    assert "associativity at (1,1,1)" in out
+    assert out.rstrip().endswith("result: FAIL")
+
+
+def test_report_skips_lawful_looking_objects_over_a_lawless_algebra(
+        tmp_path, capsys):
+    # the zero calculus and the pair without fields over B pass their own
+    # checks trivially; their analysis would build the universal calculus
+    # of the non-associative B
+    objects = {"B": lawless_objects()["B"],
+               "N": {"kind": "bimodule", "algebra": "B", "dim": 0,
+                     "left": [[], [], []], "right": [[], [], []]},
+               "zero_calculus": {"kind": "calculus", "algebra": "B",
+                                 "module": "N", "d": []},
+               "empty_pair": {"kind": "cartan_pair", "algebra": "B",
+                              "module": "N", "action": []}}
+    path = write_ws(tmp_path, objects)
+    assert main(["report", path]) == 1
+    out = capsys.readouterr().out
+    assert "associativity at (1,1,1)" in out
+    assert "  leibniz: ok" in out
+    assert "  cartan: ok" in out
+    assert "factors through" not in out
+    assert "co-universal factorization" not in out
+    assert out.rstrip().endswith("result: FAIL")

@@ -1,0 +1,38 @@
+"""The demos run to completion and print what they promise."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from ncwb.catalog import BUILTIN_NAMES, builtin
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+
+def run_demo(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(DEMOS / name)],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_exits_zero(name):
+    r = run_demo(name)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout
+
+
+def test_universal_factorization_demo_matches_the_transpose():
+    r = run_demo("universal_factorization.py")
+    assert r.returncode == 0, r.stderr
+    derived = [name for name in BUILTIN_NAMES
+               if builtin(name).pair.source_calculus is not None]
+    verdicts = [line.strip() for line in r.stdout.splitlines()
+                if line.strip().startswith("Phi == transpose(phi):")]
+    assert verdicts == ["Phi == transpose(phi): True"] * len(derived)

@@ -161,6 +161,24 @@ def test_rank_nullity_and_sympy_agreement(m):
         == [list(r) for r in ours.rows]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_product_matches_sympy_on_sparse_and_empty_shapes(nr, inner, nc,
+                                                         data):
+    # @ skips zero entries, so half the drawn entries are zero and every
+    # dimension may be empty
+    entry = st.one_of(st.just(F(0)), small_rationals)
+
+    def draw(r, c):
+        return Matrix([[data.draw(entry) for _ in range(c)]
+                       for _ in range(r)], ncols=c)
+
+    a, b = draw(nr, inner), draw(inner, nc)
+    p = a @ b
+    assert (p.nrows, p.ncols) == (nr, nc)
+    assert to_sympy(p) == to_sympy(a) * to_sympy(b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrix(), st.data())
 def test_solve_matches_matrix_action(m, data):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
-    Matrix, SpanBuilder, Subspace, frac, is_zero_vector, kernel, kron,
-    vadd, vector, vscale, vzero,
+    Matrix, Subspace, frac, intertwiner_rows, is_zero_vector, kernel, kron,
+    linear_combination, vadd, vector, vscale, vzero,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -97,18 +97,10 @@ class Algebra:
         return out
 
     def left_mult_matrix(self, f) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(f):
-            if c != 0:
-                out = out + self.lmul[i].scale(c)
-        return out
+        return linear_combination(f, self.lmul, self.dim, self.dim)
 
     def right_mult_matrix(self, f) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(f):
-            if c != 0:
-                out = out + self.rmul[i].scale(c)
-        return out
+        return linear_combination(f, self.rmul, self.dim, self.dim)
 
     def mult_matrix(self) -> Matrix:
         """Multiplication A (x) A -> A as a dim x dim^2 matrix; tensor basis
@@ -229,18 +221,10 @@ class Bimodule:
         return cls(a, 0, (z,) * a.dim, (z,) * a.dim)
 
     def left_of(self, f) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(f):
-            if c != 0:
-                out = out + self.left[i].scale(c)
-        return out
+        return linear_combination(f, self.left, self.dim, self.dim)
 
     def right_of(self, f) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(f):
-            if c != 0:
-                out = out + self.right[i].scale(c)
-        return out
+        return linear_combination(f, self.right, self.dim, self.dim)
 
     def act_left(self, f, m):
         return self.left_of(f).apply(m)
@@ -280,15 +264,9 @@ def check_bimodule(m: Bimodule) -> CheckReport:
     n = a.dim
     for i in range(n):
         for j in range(n):
-            lij = Matrix.zeros(m.dim, m.dim)
-            rij = Matrix.zeros(m.dim, m.dim)
-            for k, c in enumerate(a.sc[i][j]):
-                if c != 0:
-                    lij = lij + m.left[k].scale(c)
-                    rij = rij + m.right[k].scale(c)
-            if lij != m.left[i] @ m.left[j]:
+            if m.left_of(a.sc[i][j]) != m.left[i] @ m.left[j]:
                 rep.add("left-action-product", (i, j))
-            if rij != m.right[j] @ m.right[i]:
+            if m.right_of(a.sc[i][j]) != m.right[j] @ m.right[i]:
                 rep.add("right-action-product", (i, j))
             if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]:
                 rep.add("action-commutation", (i, j))
@@ -320,11 +298,7 @@ class LeftModule:
         return cls(a, a.dim * rank_, mats)
 
     def left_of(self, f) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(f):
-            if c != 0:
-                out = out + self.left[i].scale(c)
-        return out
+        return linear_combination(f, self.left, self.dim, self.dim)
 
     def __repr__(self):
         return "LeftModule(dim %d over %r)" % (self.dim, self.algebra)
@@ -335,11 +309,7 @@ def check_left_module(e: LeftModule) -> CheckReport:
     a = e.algebra
     for i in range(a.dim):
         for j in range(a.dim):
-            lij = Matrix.zeros(e.dim, e.dim)
-            for k, c in enumerate(a.sc[i][j]):
-                if c != 0:
-                    lij = lij + e.left[k].scale(c)
-            if lij != e.left[i] @ e.left[j]:
+            if e.left_of(a.sc[i][j]) != e.left[i] @ e.left[j]:
                 rep.add("left-action-product", (i, j))
     if e.left_of(a.unit) != Matrix.identity(e.dim):
         rep.add("left-unital", ())
@@ -373,24 +343,14 @@ def check_bimodule_map(alpha: BimoduleMap) -> CheckReport:
 
 
 def bimodule_map_space(m: Bimodule, n: Bimodule) -> Subspace:
-    """All bimodule maps m -> n, as flattened (n.dim x m.dim) matrices.
-
-    Row-major flattening: a map phi obeys vec(A phi) = kron(A, I) vec(phi)
-    and vec(phi B) = kron(I, B^T) vec(phi).
-    """
+    """All bimodule maps m -> n, as row-major flattened (n.dim x m.dim)
+    matrices phi with phi L_i = L'_i phi and phi R_i = R'_i phi."""
     assert m.algebra is n.algebra
-    p, q = n.dim, m.dim
     rows = []
-    iq = Matrix.identity(q)
-    ip = Matrix.identity(p)
     for i in range(m.algebra.dim):
-        c1 = kron(ip, m.left[i].transpose()) - kron(n.left[i], iq)
-        c2 = kron(ip, m.right[i].transpose()) - kron(n.right[i], iq)
-        rows.extend(c1.rows)
-        rows.extend(c2.rows)
-    if not rows:
-        return Subspace.full(p * q)
-    return kernel(Matrix(rows, ncols=p * q))
+        rows.extend(intertwiner_rows(m.left[i], n.left[i]))
+        rows.extend(intertwiner_rows(m.right[i], n.right[i]))
+    return kernel(Matrix(rows, ncols=n.dim * m.dim))
 
 
 class DualBimodule:
@@ -415,22 +375,18 @@ class DualBimodule:
         a = base.algebra
         for e in self.eval_mats:
             assert e.nrows == a.dim and e.ncols == base.dim
-        self._span = SpanBuilder(a.dim * base.dim)
-        for e in self.eval_mats:
-            grew = self._span.insert(e.flatten())
-            assert grew, "evaluation matrices must be independent"
+        self._span = Subspace.from_vectors(
+            a.dim * base.dim, (e.flatten() for e in self.eval_mats))
+        if self._span.dim != len(self.eval_mats):
+            raise InvariantError("evaluation matrices must be independent")
 
     @property
     def dim(self) -> int:
         return self.bimodule.dim
 
     def eval_of(self, xcoords) -> Matrix:
-        a = self.base.algebra
-        out = Matrix.zeros(a.dim, self.base.dim)
-        for k, c in enumerate(xcoords):
-            if c != 0:
-                out = out + self.eval_mats[k].scale(c)
-        return out
+        return linear_combination(xcoords, self.eval_mats,
+                                  self.base.algebra.dim, self.base.dim)
 
     def pairing(self, xcoords, mcoords) -> AlgebraElement:
         """<X, m> = X(m) in the base algebra."""
@@ -447,27 +403,18 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
     a = m.algebra
     n, md = a.dim, m.dim
     rows = []
-    im = Matrix.identity(md)
-    i_n = Matrix.identity(n)
     for j in range(n):
         if side == "right":
             # X (m.g) = X(m) g  <=>  X R_j = Rr_j X
-            c = kron(i_n, m.right[j].transpose()) - kron(a.rmul[j], im)
+            rows.extend(intertwiner_rows(m.right[j], a.rmul[j]))
         else:
             # X (f.m) = f X(m)  <=>  X L_j = Ll_j X
-            c = kron(i_n, m.left[j].transpose()) - kron(a.lmul[j], im)
-        rows.extend(c.rows)
-    if rows:
-        sol = kernel(Matrix(rows, ncols=n * md))
-    else:
-        sol = Subspace.full(n * md)
+            rows.extend(intertwiner_rows(m.left[j], a.lmul[j]))
+    sol = kernel(Matrix(rows, ncols=n * md))
     eval_mats = [Matrix.from_flat(v, n, md) for v in sol.basis]
-    span = SpanBuilder(n * md)
-    for e in eval_mats:
-        span.insert(e.flatten())
 
     def express(img: Matrix):
-        c = span.coords(img.flatten())
+        c = sol.coords(img.flatten())
         if c is None:
             raise InvariantError("the %s dual is not closed under its "
                                  "actions" % side)
@@ -588,8 +535,9 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
         # balancing is stable under the left action, else the quotient
         # action would be ill defined
         for rv in rel.basis:
-            assert rel.contains(amb_act.apply(rv)), \
-                "left action does not preserve balancing relations"
+            if not rel.contains(amb_act.apply(rv)):
+                raise InvariantError("left action does not preserve "
+                                     "balancing relations")
         left_mats.append(projection @ amb_act @ lift)
     quotient = LeftModule(a, qdim, left_mats)
     return TensorProductOverA((m, e), quotient, projection, lift, rel)

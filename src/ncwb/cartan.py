@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    ZERO, Echelon, Matrix, Subspace, is_zero_vector, kernel, rank, solve,
-    vsub,
+    ZERO, Echelon, Matrix, Subspace, is_zero_vector, kernel,
+    linear_combination, rank, solve, vadd, vsub,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -56,11 +56,8 @@ class CartanPair:
         self.dual = dual
 
     def action_of(self, xcoords) -> Matrix:
-        out = Matrix.zeros(self.algebra.dim, self.algebra.dim)
-        for t, c in enumerate(xcoords):
-            if c != 0:
-                out = out + self.action[t].scale(c)
-        return out
+        return linear_combination(xcoords, self.action, self.algebra.dim,
+                                  self.algebra.dim)
 
     def act(self, xcoords, fcoords):
         return self.action_of(xcoords).apply(fcoords)
@@ -78,24 +75,17 @@ def check_cartan(p: CartanPair) -> CheckReport:
     n, m = a.dim, nb.dim
     for i in range(n):
         for t in range(m):
-            lhs = Matrix.zeros(n, n)
-            for s, c in enumerate(nb.left[i].col(t)):
-                if c != 0:
-                    lhs = lhs + p.action[s].scale(c)
-            if lhs != a.lmul[i] @ p.action[t]:
+            if p.action_of(nb.left[i].col(t)) != a.lmul[i] @ p.action[t]:
                 rep.add("action-linearity", (i, t),
                         "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
     for t in range(m):
         at = p.action[t]
         for i in range(n):
             ai = at.col(i)
+            shifted = p.action_of(nb.right[i].col(t))   # X_t.e_i
             for j in range(n):
                 lhs = at.apply(a.sc[i][j])
-                rhs = a.rmul[j].apply(ai)
-                for s, c in enumerate(nb.right[i].col(t)):
-                    if c != 0:
-                        rhs = tuple(x + c * y for x, y in
-                                    zip(rhs, p.action[s].col(j)))
+                rhs = vadd(a.rmul[j].apply(ai), shifted.col(j))
                 if lhs != rhs:
                     defect = vsub(lhs, rhs)
                     rep.add("twisted-leibniz", (t, i, j),
@@ -193,8 +183,8 @@ def co_universal_pair(a: Algebra,
     nk = n * k
     if a.right_mult_matrix(a.unit) != Matrix.identity(n):
         raise InvariantError("the unit is not a right unit")
-    # evals[m*n + i]: flattened evaluation matrix of X_E for the matrix
-    # unit E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j
+    # evals[m*n + i]: evaluation matrix of X_E for the matrix unit
+    # E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j
     evals = []
     for m in range(n):
         for i in range(n):
@@ -206,7 +196,7 @@ def co_universal_pair(a: Algebra,
                         for r, x in enumerate(a.sc[m][j]):
                             if x:
                                 ev[r * k + c] += w * x
-            evals.append(ev)
+            evals.append(Matrix.from_flat(ev, n, k))
     # {D : D(1) = 0} as flattened n x n matrices
     unit_rows = [tuple(a.unit[i] if r == m else ZERO
                        for r in range(n) for i in range(n))
@@ -214,13 +204,9 @@ def co_universal_pair(a: Algebra,
     dspace = kernel(Matrix(unit_rows, ncols=n * n))
     # eliminate (X_D | D) together: the left parts come out as the
     # canonical evaluation basis, the right parts as its D's
-    ech = Echelon(nk + n * n)
-    for dv in dspace.basis:
-        row = [ZERO] * nk
-        for mi, x in enumerate(dv):
-            if x:
-                row = [r + x * y for r, y in zip(row, evals[mi])]
-        ech.insert(tuple(row) + dv)
+    ech = Echelon(nk + n * n,
+                  (linear_combination(dv, evals, n, k).flatten() + dv
+                   for dv in dspace.basis))
     if any(pc >= nk for pc in ech.pivots):
         raise InvariantError("D -> X_D is not injective on {D : D(1) = 0}")
     rows = ech.frac_rows()
@@ -228,7 +214,7 @@ def co_universal_pair(a: Algebra,
     dmats = [Matrix.from_flat(r[nk:], n, n) for r in rows]
     # coordinates of X_D are the entries of its evaluation at the pivots
     at_pivots = [[(t, ev[pc]) for t, pc in enumerate(ech.pivots) if ev[pc]]
-                 for ev in evals]
+                 for ev in (e.flatten() for e in evals)]
     q = len(rows)
 
     def coords(dm: Matrix, what: str):

@@ -19,7 +19,7 @@ from .algebra import (
 from .calculus import DifferentialCalculus, check_leibniz
 from .cartan import CartanPair, check_cartan, pair_from_calculus
 from .connections import Connection, trivial_connection
-from .reporting import CheckReport
+from .reporting import InvariantError
 
 MAX_PARAM = 6
 
@@ -44,15 +44,18 @@ class ExampleBundle:
 
 
 def _validated(bundle: ExampleBundle) -> ExampleBundle:
-    assert check_algebra(bundle.algebra).ok
-    for b in bundle.bimodules.values():
-        assert check_bimodule(b).ok
+    """The bundle itself, once every piece passes its checker."""
+    reports = [check_algebra(bundle.algebra)]
+    reports += [check_bimodule(b) for b in bundle.bimodules.values()]
     if bundle.calculus is not None:
-        assert check_bimodule(bundle.calculus.bimodule).ok
-        assert check_leibniz(bundle.calculus).ok
+        reports += [check_bimodule(bundle.calculus.bimodule),
+                    check_leibniz(bundle.calculus)]
     if bundle.pair is not None:
-        assert check_bimodule(bundle.pair.bimodule).ok
-        assert check_cartan(bundle.pair).ok
+        reports += [check_bimodule(bundle.pair.bimodule),
+                    check_cartan(bundle.pair)]
+    for rep in reports:
+        if not rep.ok:
+            raise InvariantError("builtin %s: %s" % (bundle.name, rep))
     return bundle
 
 

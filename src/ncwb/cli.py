@@ -60,23 +60,18 @@ def _check_lines(label: str, rep: CheckReport) -> list:
     return lines
 
 
-def _run(checker, obj) -> CheckReport:
-    return checker(obj)
-
-
-def _checks_for(wo, run=_run) -> dict:
+def _checks_for(kind, obj) -> dict:
     """The axiom checkers that gate the exit code, by object kind."""
-    kind, obj = wo.kind, wo.obj
     if kind == "algebra":
-        return {"algebra": run(check_algebra, obj)}
+        return {"algebra": check_algebra(obj)}
     if kind == "bimodule":
-        return {"bimodule": run(check_bimodule, obj)}
+        return {"bimodule": check_bimodule(obj)}
     if kind == "calculus":
-        return {"leibniz": run(check_leibniz, obj)}
+        return {"leibniz": check_leibniz(obj)}
     if kind == "cartan_pair":
-        return {"cartan": run(check_cartan, obj)}
+        return {"cartan": check_cartan(obj)}
     if kind == "connection":
-        return {"connection": run(check_connection, obj)}
+        return {"connection": check_connection(obj)}
     return {}
 
 
@@ -94,7 +89,7 @@ def cmd_check(args) -> int:
     failed = False
     for name in wanted:
         wo = ws.objects[name]
-        checks = _checks_for(wo)
+        checks = _checks_for(wo.kind, wo.obj)
         if not checks:
             sys.stdout.write("%s: bundle\n" % name)
             continue
@@ -130,22 +125,18 @@ _DERIVE_INPUT = {"dual": "bimodule", "pair": "calculus",
 _UNGATED = ("diffops", "relations")
 
 
-def _law_reports(kind, obj, run=_run) -> list:
-    """Checkers of an object, of its algebra and of its bimodule; a
-    connection answers for its calculus."""
+def _law_subjects(kind, obj) -> list:
+    """(kind, object) for an object, its algebra and its bimodule, whose
+    laws the object relies on; a connection answers for its calculus."""
     if kind == "algebra":
-        return [run(check_algebra, obj)]
+        return [(kind, obj)]
     if kind == "connection":
-        return _law_reports("calculus", obj.calculus, run) \
-            + [run(check_connection, obj)]
-    reps = [run(check_algebra, obj.algebra)]
-    reps.append(run(check_bimodule,
-                    obj if kind == "bimodule" else obj.bimodule))
-    if kind == "calculus":
-        reps.append(run(check_leibniz, obj))
-    elif kind == "cartan_pair":
-        reps.append(run(check_cartan, obj))
-    return reps
+        return _law_subjects("calculus", obj.calculus) + [(kind, obj)]
+    subjects = [("algebra", obj.algebra),
+                ("bimodule", obj if kind == "bimodule" else obj.bimodule)]
+    if kind in ("calculus", "cartan_pair"):
+        subjects.append((kind, obj))
+    return subjects
 
 
 def cmd_derive(args) -> int:
@@ -158,7 +149,8 @@ def cmd_derive(args) -> int:
         raise WorkspaceError("derive %s needs a %s, but %r is a %s"
                              % (what, expected, args.name, kind))
     if what not in _UNGATED:
-        failed = [rep for rep in _law_reports(kind, obj) if not rep.ok]
+        failed = [rep for k, o in _law_subjects(kind, obj)
+                  for rep in _checks_for(k, o).values() if not rep.ok]
         if failed:
             for rep in failed:
                 sys.stderr.write("%s\n" % rep)
@@ -251,44 +243,35 @@ def cmd_derive(args) -> int:
                  % (args.name, fact.exists, fact.unique))
 
 
-class _Analytics:
-    """Derived data shared across a report run, cached per object id."""
-
-    def __init__(self):
-        self._couniv = {}
-        self._pairs = {}
-        self._checks = {}
-
-    def check(self, checker, obj) -> CheckReport:
-        key = (checker, id(obj))
-        if key not in self._checks:
-            self._checks[key] = checker(obj)
-        return self._checks[key]
-
-    def couniversal(self, a):
-        if id(a) not in self._couniv:
-            self._couniv[id(a)] = co_universal_pair(a)
-        return self._couniv[id(a)]
-
-    def derived_pair(self, c):
-        if id(c) not in self._pairs:
-            self._pairs[id(c)] = pair_from_calculus(c)
-        return self._pairs[id(c)]
+def _prepare_report(objects):
+    """Each object's own checks, run once per report, and one universal
+    calculus with its co-universal pair per lawful algebra, both keyed by
+    object id; objects' algebras and bimodules are included."""
+    checks, universals = {}, {}
+    for wo in objects:
+        for kind, obj in _law_subjects(wo.kind, wo.obj):
+            if id(obj) in checks:
+                continue
+            checks[id(obj)] = _checks_for(kind, obj)
+            if kind == "algebra" and checks[id(obj)]["algebra"].ok:
+                u = universal_calculus(obj)
+                universals[id(obj)] = (u, co_universal_pair(obj, u))
+    return checks, universals
 
 
-def _report_object(wo, analytics, max_len):
+def _report_object(wo, checks_by_id, universals, max_len):
     """(checks dict, info list, json analysis dict) for one object."""
-    checks = _checks_for(wo, analytics.check)
     info = []
     analysis = {}
     kind, obj = wo.kind, wo.obj
     # the analysis runs only on an object whose own laws and whose
     # algebra's and bimodule's laws hold; the failing object is reported
     # (and fails the run) under its own name
-    ok = all(rep.ok for rep in _law_reports(kind, obj, analytics.check))
+    ok = all(rep.ok for _, o in _law_subjects(kind, obj)
+             for rep in checks_by_id[id(o)].values())
+    checks = dict(checks_by_id[id(obj)])
     if kind == "algebra" and ok:
-        u = universal_calculus(obj)
-        cu = analytics.couniversal(obj)
+        u, cu = universals[id(obj)]
         analysis["universal_dim"] = u.bimodule.dim
         analysis["couniversal_dim"] = cu.bimodule.dim
         info.append("universal one-forms dim %d" % u.bimodule.dim)
@@ -300,7 +283,8 @@ def _report_object(wo, analytics, max_len):
                     % (obj.dim, "yes" if obj.is_symmetric() else "no"))
     elif kind == "calculus" and ok:
         spanned = is_spanned_by_differential(obj)
-        _phi, cert = factor_through_universal(obj)
+        u, _ = universals[id(obj.algebra)]
+        _phi, cert = factor_through_universal(obj, universal=u)
         analysis["spanned_by_differentials"] = spanned
         analysis["universal_factorization_ok"] = cert.ok
         info.append("spanned by differentials: %s"
@@ -311,7 +295,7 @@ def _report_object(wo, analytics, max_len):
         fock = fock_check(obj)
         ccr = check_ccr(obj)
         diag = spanning_kernel_diagnostic(obj)
-        cu = analytics.couniversal(obj.algebra)
+        _, cu = universals[id(obj.algebra)]
         fact = co_universal_factorization(obj, cu)
         ops = generate_diffop_algebra(obj)
         rs = find_relations(obj, max_len=max_len)
@@ -344,9 +328,8 @@ def _report_object(wo, analytics, max_len):
         info.append("relations: %d among %d words (length <= %d)"
                     % (rs.space.dim, len(rs.words), max_len))
     elif kind == "connection" and ok:
-        pair = analytics.derived_pair(obj.calculus)
-        axioms = check_covariant_axioms(obj, pair)
-        checks["covariant-axioms"] = axioms
+        pair = pair_from_calculus(obj.calculus)
+        checks["covariant-axioms"] = check_covariant_axioms(obj, pair)
         analysis["rank"] = obj.module.dim // obj.calculus.algebra.dim \
             if obj.calculus.algebra.dim else 0
     return checks, info, analysis
@@ -354,8 +337,9 @@ def _report_object(wo, analytics, max_len):
 
 def cmd_report(args) -> int:
     ws = load_workspace(args.file)
-    analytics = _Analytics()
     max_len = _max_word_len()
+    checks_by_id, universals = _prepare_report(
+        [wo for wo in ws.objects.values() if wo.kind != "builtin"])
     failed = False
     json_doc = {"schema": SCHEMA, "report": {}}
     lines = []
@@ -371,7 +355,8 @@ def cmd_report(args) -> int:
                                         "builtin": wo.obj.name,
                                         "params": [str(p) for p in wo.params]}
             continue
-        checks, info, analysis = _report_object(wo, analytics, max_len)
+        checks, info, analysis = _report_object(wo, checks_by_id,
+                                                universals, max_len)
         lines.append("== %s: %s" % (name, wo.kind))
         entry = {"kind": wo.kind, "checks": {}, "analysis": analysis}
         for label, rep in checks.items():

@@ -8,7 +8,8 @@ laws checked here extend the Cartan pair laws from A to E.
 
 Contraction against the M leg is well defined on the balanced quotient
 because right dual elements are right module maps; the construction still
-asserts that fact numerically on the relation subspace.
+checks that fact on the relation subspace and raises InvariantError if it
+fails.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, is_zero_vector, kernel, kron, solve, vector,
+    Matrix, Subspace, intertwiner_rows, is_zero_vector, kernel, solve, vadd,
+    vector,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
 )
 from .calculus import DifferentialCalculus
 from .cartan import CartanPair
-from .reporting import CheckReport
+from .reporting import CheckReport, InvariantError
 
 
 class Connection:
@@ -69,7 +71,7 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
 
     On a simple tensor m (x) xi this is <X, m>.xi.  The ambient version
     must kill every balancing relation, which comes down to X being a
-    right module map; asserted below rather than trusted.
+    right module map; checked below rather than trusted.
     """
     m, e = t.factors
     assert dual.side == "right" and dual.base is m
@@ -81,8 +83,8 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
             cols.append(block.col(a2))
     ambient = Matrix.from_cols(cols, nrows=e.dim)
     for rv in t.relations.basis:
-        assert is_zero_vector(ambient.apply(rv)), \
-            "contraction is not balanced"
+        if not is_zero_vector(ambient.apply(rv)):
+            raise InvariantError("contraction is not balanced")
     return ambient @ t.lift
 
 
@@ -188,11 +190,8 @@ class ConnectionSpace:
     def element(self, coeffs) -> Connection:
         """particular plus a combination of the homogeneous basis."""
         assert self.particular is not None
-        flat = list(self.particular.matrix.flatten())
-        for c, b in zip(coeffs, self.homogeneous.basis):
-            for j, x in enumerate(b):
-                flat[j] += c * x
         p = self.particular
+        flat = vadd(p.matrix.flatten(), self.homogeneous.element(coeffs))
         q = self.tensor.module.dim
         return Connection(p.calculus, p.module, self.tensor,
                           Matrix.from_flat(flat, q, p.module.dim))
@@ -211,11 +210,8 @@ def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
     unknowns = q * e.dim
     rows = []
     rhs = []
-    iq = Matrix.identity(q)
-    ie = Matrix.identity(e.dim)
     for i in range(a.dim):
-        block = kron(iq, e.left[i].transpose()) - kron(t.module.left[i], ie)
-        rows.extend(block.rows)
+        rows.extend(intertwiner_rows(e.left[i], t.module.left[i]))
         target = []
         for a2 in range(e.dim):
             basis_xi = tuple(1 if s == a2 else 0 for s in range(e.dim))

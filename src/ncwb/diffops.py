@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .linalg import Matrix, Subspace, frac, is_zero_vector, kernel, \
-    span_closure
+    linear_combination, span_closure
 from .cartan import CartanPair
 from .reporting import CheckReport
 
@@ -164,25 +164,14 @@ def format_word_sum(pair: CartanPair, w: FreeWord,
     return out
 
 
-def left_mult_op(pair: CartanPair, fcoords) -> Matrix:
-    """f as the operator g -> f g."""
-    return pair.algebra.left_mult_matrix(fcoords)
-
-
-def action_op(pair: CartanPair, xcoords) -> Matrix:
-    """A bimodule vector as its action operator."""
-    return pair.action_of(xcoords)
-
-
 def evaluate_mu(pair: CartanPair, w) -> Matrix:
     """Realise a word combination as an operator on A."""
-    n = pair.algebra.dim
     if isinstance(w, FreeWord):
         assert w.pair is pair
-        out = Matrix.zeros(n, n)
-        for word, c in w.terms.items():
-            out = out + _word_operator(pair, word).scale(c)
-        return out
+        n = pair.algebra.dim
+        return linear_combination(
+            w.terms.values(), (_word_operator(pair, word) for word in w.terms),
+            n, n)
     return _word_operator(pair, tuple(w))
 
 

@@ -2,9 +2,13 @@
 
 The scalar type is fractions.Fraction throughout; nothing here ever rounds.
 Vectors are tuples of Fractions, matrices are immutable row-major tuples of
-such tuples.  Row reduction runs on integer-scaled rows (cross multiplication
-with gcd renormalisation when entries grow) and converts back to Fractions at
-the end, which keeps Fraction gcd churn out of the elimination inner loop.
+such tuples.  Each idea has one routine: linear_combination sums scaled
+matrices, intertwiner_rows writes out the system X A = B X without kron,
+and every row reduction goes through Echelon.  Echelon works on
+integer-scaled rows (cross multiplication with gcd renormalisation when
+entries grow), reduces each inserted row forward only, and runs the one
+backward pass when the canonical basis is read; converting back to
+Fractions at the end keeps Fraction gcd churn out of the inner loop.
 
 Every subspace is stored in fully reduced row echelon form, so two subspaces
 are equal exactly when their stored bases are equal componentwise.
@@ -192,6 +196,46 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(rows), ncols=a.ncols * b.ncols)
 
 
+def linear_combination(coeffs, terms: Iterable[Matrix], nrows: int,
+                       ncols: int) -> Matrix:
+    """sum_k coeffs[k] * terms[k], an nrows x ncols matrix.
+
+    The empty sum is the zero matrix.  Terms with a zero coefficient are
+    never read, and only their non-zero entries are accumulated.
+    """
+    acc = [[ZERO] * ncols for _ in range(nrows)]
+    for c, t in zip(coeffs, terms):
+        if c:
+            for arow, trow in zip(acc, t.rows):
+                for j, x in enumerate(trow):
+                    if x:
+                        arow[j] += c * x
+    return Matrix(acc, ncols=ncols)
+
+
+def intertwiner_rows(a: Matrix, b: Matrix) -> list:
+    """Rows of the linear system X a - b X = 0 for an unknown p x q matrix
+    X, where a is q x q and b is p x p.
+
+    X is flattened row-major (X[r][s] at r*q + s), so these are the rows
+    of kron(I_p, a^T) - kron(b, I_q) in order, built without forming
+    either product: row (r, s) holds a's column s in block r and -b[r][t]
+    at t*q + s.
+    """
+    q, p = a.ncols, b.nrows
+    a_cols = a.cols()
+    rows = []
+    for r, brow in enumerate(b.rows):
+        for s in range(q):
+            row = [ZERO] * (p * q)
+            row[r * q:(r + 1) * q] = a_cols[s]
+            for t, x in enumerate(brow):
+                if x:
+                    row[t * q + s] -= x
+            rows.append(row)
+    return rows
+
+
 def _scale_to_int(row: Sequence[Fraction]) -> list:
     den = 1
     for x in row:
@@ -216,20 +260,21 @@ def _gcd_normalize(row: list) -> list:
 
 
 class Echelon:
-    """Incremental integer row echelon.
+    """Incremental integer row echelon of a span in Q^width.
 
-    With back_reduce=True the stored rows are a full reduced echelon at every
-    moment, so membership coordinates can be read off row by row.  Without it
-    rows are only reduced against earlier pivots and finalize() runs the
-    single backward pass; that is the cheap mode for batch reductions.
+    insert reduces a new row against the stored pivots only and keeps the
+    rows sorted by pivot column.  The backward pass that turns them into
+    the reduced echelon runs on demand, once per batch of inserts, when
+    frac_rows or subspace asks for the canonical basis.
     """
 
-    def __init__(self, width: int, back_reduce: bool = False):
+    def __init__(self, width: int, rows: Iterable = ()):
         self.width = width
-        self.back_reduce = back_reduce
         self.rows: list = []      # integer rows, sorted by pivot column
         self.pivots: list = []
-        self._finalized = False
+        self._finalized = True
+        for r in rows:
+            self.insert(r)
 
     @property
     def dim(self) -> int:
@@ -246,29 +291,22 @@ class Echelon:
                     row = _gcd_normalize(row)
         return row
 
-    def insert(self, fracrow: Sequence[Fraction]) -> bool:
-        """Add a vector to the span; True if the dimension grew."""
-        assert len(fracrow) == self.width
-        row = self._reduced(_scale_to_int(fracrow))
+    def insert(self, v) -> bool:
+        """Add a vector (any entries vector() takes) to the span; True if
+        the dimension grew."""
+        v = vector(v)
+        assert len(v) == self.width
+        row = self._reduced(_scale_to_int(v))
         piv = None
-        for j, v in enumerate(row):
-            if v:
+        for j, x in enumerate(row):
+            if x:
                 piv = j
                 break
         if piv is None:
             return False
         row = _gcd_normalize(row)
         if row[piv] < 0:
-            row = [-v for v in row]
-        if self.back_reduce:
-            p = row[piv]
-            for k in range(len(self.rows)):
-                c = self.rows[k][piv]
-                if c:
-                    # the stored pivot entry only gets scaled here, never hit:
-                    # row has a zero at every stored pivot column
-                    self.rows[k] = _gcd_normalize(
-                        [p * a - c * b for a, b in zip(self.rows[k], row)])
+            row = [-x for x in row]
         at = 0
         while at < len(self.pivots) and self.pivots[at] < piv:
             at += 1
@@ -281,57 +319,31 @@ class Echelon:
         """Backward pass; afterwards rows form the reduced echelon."""
         if self._finalized:
             return
-        if not self.back_reduce:
-            for k in range(len(self.rows) - 1, -1, -1):
-                row, piv = self.rows[k], self.pivots[k]
-                p = row[piv]
-                for j in range(k):
-                    c = self.rows[j][piv]
-                    if c:
-                        self.rows[j] = _gcd_normalize(
-                            [p * a - c * b for a, b in zip(self.rows[j], row)])
+        for k in range(len(self.rows) - 1, -1, -1):
+            row, piv = self.rows[k], self.pivots[k]
+            p = row[piv]
+            for j in range(k):
+                c = self.rows[j][piv]
+                if c:
+                    self.rows[j] = _gcd_normalize(
+                        [p * a - c * b for a, b in zip(self.rows[j], row)])
         self._finalized = True
 
     def frac_rows(self) -> tuple:
-        """Canonical basis: reduced rows scaled to pivot 1."""
+        """Canonical basis: reduced rows scaled to pivot 1.
+
+        Zero entries all share ZERO, which keeps mostly-zero bases (kernels,
+        duals) small for as long as they are held.
+        """
         self.finalize()
         out = []
         for row, piv in zip(self.rows, self.pivots):
             p = Fraction(row[piv])
-            out.append(tuple(Fraction(v) / p for v in row))
+            out.append(tuple(Fraction(v) / p if v else ZERO for v in row))
         return tuple(out)
 
-    def residual(self, v: Sequence[Fraction]) -> Vector:
-        """Reduce v against the current rows (Fraction arithmetic)."""
-        v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                q = c / row[pc]
-                v = [a - q * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vector(self.residual(v))
-
-    def coords(self, v: Sequence[Fraction]) -> Optional[list]:
-        """Coefficients of v over frac_rows(), or None if v is outside.
-
-        Requires reduced state (back_reduce mode, or after finalize).
-        """
-        if not self.back_reduce:
-            self.finalize()
-        v = list(v)
-        out = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            out.append(c * Fraction(1) if isinstance(c, Fraction) else Fraction(c))
-            if c:
-                q = c / row[pc]
-                v = [a - q * b for a, b in zip(v, row)]
-        if not is_zero_vector(v):
-            return None
-        return out
+    def subspace(self) -> "Subspace":
+        return Subspace(self.width, self.frac_rows(), self.pivots)
 
 
 class Subspace:
@@ -346,10 +358,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        ech = Echelon(ambient_dim)
-        for v in vectors:
-            ech.insert(vector(v))
-        return cls(ambient_dim, ech.frac_rows(), ech.pivots)
+        return Echelon(ambient_dim, vectors).subspace()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -402,31 +411,19 @@ class Subspace:
         return "Subspace(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    """Canonical bases make this a plain comparison."""
-    return a == b
-
-
 def rref(m: Matrix):
     """Reduced row echelon form of m, as (Matrix, pivot columns)."""
-    ech = Echelon(m.ncols)
-    for r in m.rows:
-        ech.insert(r)
+    ech = Echelon(m.ncols, m.rows)
     return Matrix(ech.frac_rows(), ncols=m.ncols), tuple(ech.pivots)
 
 
 def rank(m: Matrix) -> int:
-    ech = Echelon(m.ncols)
-    for r in m.rows:
-        ech.insert(r)
-    return ech.dim
+    return Echelon(m.ncols, m.rows).dim
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} with canonical basis."""
-    ech = Echelon(m.ncols)
-    for r in m.rows:
-        ech.insert(r)
+    ech = Echelon(m.ncols, m.rows)
     rows = ech.frac_rows()
     pivset = set(ech.pivots)
     free = [j for j in range(m.ncols) if j not in pivset]
@@ -444,9 +441,7 @@ def solve(m: Matrix, b) -> Optional[Vector]:
     """One exact solution of m x = b (free variables zero), or None."""
     b = vector(b)
     assert len(b) == m.nrows
-    ech = Echelon(m.ncols + 1)
-    for r, bi in zip(m.rows, b):
-        ech.insert(tuple(r) + (bi,))
+    ech = Echelon(m.ncols + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
     if m.ncols in ech.pivots:
         return None
     rows = ech.frac_rows()
@@ -467,34 +462,6 @@ def restrict_to_kernel(space: Subspace, m: Matrix) -> Subspace:
                                  [space.element(c) for c in coeffs.basis])
 
 
-class SpanBuilder:
-    """Fraction-facing incremental span with membership coordinates."""
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self._ech = Echelon(ambient_dim, back_reduce=True)
-
-    @property
-    def dim(self) -> int:
-        return self._ech.dim
-
-    def insert(self, v) -> bool:
-        return self._ech.insert(vector(v))
-
-    def contains(self, v) -> bool:
-        return self._ech.contains(vector(v))
-
-    def coords(self, v) -> Optional[list]:
-        return self._ech.coords(vector(v))
-
-    def basis(self) -> tuple:
-        return self._ech.frac_rows()
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.ambient_dim, self._ech.frac_rows(),
-                        self._ech.pivots)
-
-
 def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
     """Smallest subspace containing seed and closed under the bilinear step.
 
@@ -502,12 +469,12 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
     vectors, so a worklist over generator pairs terminates once the
     dimension stops growing.
     """
-    sb = SpanBuilder(ambient_dim)
+    ech = Echelon(ambient_dim)
     gens = []
     work = []
     for v in seed:
         v = vector(v)
-        if sb.insert(v):
+        if ech.insert(v):
             gens.append(v)
             work.append(v)
     while work:
@@ -515,25 +482,25 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
         for h in list(gens):
             for prod in (step(g, h), step(h, g)):
                 prod = vector(prod)
-                if sb.insert(prod):
+                if ech.insert(prod):
                     gens.append(prod)
                     work.append(prod)
-    return sb.subspace()
+    return ech.subspace()
 
 
 def closure_under_maps(seed: Iterable, mats: Sequence[Matrix],
                        ambient_dim: int) -> Subspace:
     """Smallest subspace containing seed and stable under the given maps."""
-    sb = SpanBuilder(ambient_dim)
+    ech = Echelon(ambient_dim)
     work = []
     for v in seed:
         v = vector(v)
-        if sb.insert(v):
+        if ech.insert(v):
             work.append(v)
     while work:
         g = work.pop()
         for m in mats:
             img = m.apply(g)
-            if sb.insert(img):
+            if ech.insert(img):
                 work.append(img)
-    return sb.subspace()
+    return ech.subspace()

@@ -396,12 +396,12 @@ def builtin_decl(bundle: ExampleBundle, params=()) -> dict:
     return out
 
 
-def _decl_for(ws: Workspace, wo: WorkspaceObject) -> dict:
+def _decl_for(wo: WorkspaceObject, refs: dict) -> dict:
+    """Declaration of one object; refs maps object identities to names."""
     if wo.kind == "builtin":
         return builtin_decl(wo.obj, wo.params)
     if wo.kind == "algebra":
         return algebra_decl(wo.obj)
-    refs = _reference_names(ws)
     if wo.kind == "bimodule":
         return bimodule_decl(wo.obj, refs[id(wo.obj.algebra)])
     if wo.kind == "calculus":
@@ -428,6 +428,7 @@ def canonical_text(doc: dict) -> str:
 
 def export_workspace(ws: Workspace) -> str:
     doc = {"schema": SCHEMA, "objects": {}}
+    refs = _reference_names(ws)
     for name in sorted(ws.declared_names()):
-        doc["objects"][name] = _decl_for(ws, ws.objects[name])
+        doc["objects"][name] = _decl_for(ws.objects[name], refs)
     return canonical_text(doc)

@@ -222,6 +222,13 @@ from ncwb.linalg import (  # noqa: E402
 from ncwb.reporting import CheckReport  # noqa: E402
 
 
+def intertwiner_rows_by_kron(a, b) -> tuple:
+    """Rows of X a - b X = 0 for a p x q unknown X, flattened row-major:
+    kron(I_p, a^T) - kron(b, I_q)."""
+    return (kron(Matrix.identity(b.nrows), a.transpose())
+            - kron(b, Matrix.identity(a.ncols))).rows
+
+
 def universal_calculus_by_kron(a) -> UniversalCalculus:
     """Kernel of multiplication with the actions kron(L_i, I), kron(I, R_i)
     restricted by solving for kernel coordinates."""

@@ -4,6 +4,7 @@ Each test prints exactly one PASS/FAIL line so a batch run reads as a
 checklist.  Everything is exact rational arithmetic with zero tolerance.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -33,12 +34,16 @@ from ncwb.diffops import (
     FreeWord, check_ccr, evaluate_mu, fock_check, generate_diffop_algebra,
     normal_form,
 )
-from ncwb.linalg import Matrix, SpanBuilder, rank
+from ncwb.linalg import Echelon, Matrix, rank
 from ncwb.workspace import SCHEMA
 
 PARAMS = {"truncated_poly": (4,), "quantum_plane_trunc": (2, 2)}
 
-_pairs_from_calculus: dict = {}
+# SHA-256 of `ncwb report` stdout on the workspace of all builtins above
+REPORT_TEXT_SHA256 = \
+    "e53db21ba2c95c0de610513f62af437af23bc4dd2b37cf13a9e9085df7dcdd00"
+REPORT_JSON_SHA256 = \
+    "02a91d71d9bb8a6376fb44e26a622b04f2a8a6e176901b68a84e812d27137797"
 
 
 def bundle(name):
@@ -46,9 +51,11 @@ def bundle(name):
 
 
 def derived_pair(name):
-    if name not in _pairs_from_calculus:
-        _pairs_from_calculus[name] = pair_from_calculus(bundle(name).calculus)
-    return _pairs_from_calculus[name]
+    """The pair of the bundle's calculus; most bundles carry it already."""
+    b = bundle(name)
+    if b.pair.source_calculus is b.calculus:
+        return b.pair
+    return pair_from_calculus(b.calculus)
 
 
 def calculus_names():
@@ -103,10 +110,8 @@ def test_criterion_03_universal_calculus_dimension_and_factorization():
         for name in BUILTIN_NAMES:
             a = bundle(name).algebra
             u = universals[name] = universal_calculus(a)
-            mult_rank = SpanBuilder(a.dim)
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    mult_rank.insert(a.sc[i][j])
+            mult_rank = Echelon(a.dim, (a.sc[i][j] for i in range(a.dim)
+                                        for j in range(a.dim)))
             assert u.bimodule.dim == a.dim * a.dim - mult_rank.dim, name
         assert universals["dual_numbers"].bimodule.dim == 2
         assert universals["matrix_2"].bimodule.dim == 12
@@ -236,7 +241,7 @@ def test_criterion_06_free_words_normalize_soundly():
                 for b2 in basis:
                     assert ops.contains(b1 @ b2), name
         p = bundle("dual_numbers").pair
-        oracle = SpanBuilder(4)
+        oracle = Echelon(4)
         gens = [p.algebra.lmul[i] for i in range(2)] + [p.action[0]]
         frontier = [Matrix.identity(2)] + gens
         for g in frontier:
@@ -244,7 +249,7 @@ def test_criterion_06_free_words_normalize_soundly():
         grew = True
         while grew:
             grew = False
-            current = [Matrix.from_flat(b, 2, 2) for b in oracle.basis()]
+            current = [Matrix.from_flat(b, 2, 2) for b in oracle.frac_rows()]
             for x in current:
                 for g in gens:
                     if oracle.insert((x @ g).flatten()):
@@ -356,6 +361,13 @@ def test_criterion_11_batch_report_is_deterministic(tmp_path):
             assert r.returncode == 0, r.stderr.decode()
             runs.append(r.stdout)
         assert runs[0] == runs[1]
+        # the bytes of both formats are pinned, not only their stability
+        assert hashlib.sha256(runs[0]).hexdigest() == REPORT_TEXT_SHA256
+        r = subprocess.run(
+            [sys.executable, "-m", "ncwb.cli", "report", str(path),
+             "--format", "json"], capture_output=True)
+        assert r.returncode == 0, r.stderr.decode()
+        assert hashlib.sha256(r.stdout).hexdigest() == REPORT_JSON_SHA256
         text = runs[0].decode()
         for name in BUILTIN_NAMES:
             assert "== %s: bundle %s" % (name, name) in text

@@ -1,6 +1,9 @@
 """Builtin bundles: validity, cross-checks against independently typed
 tables, parameter handling, planted fixtures."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ncwb.algebra import check_algebra, check_bimodule
@@ -173,3 +176,23 @@ def test_noncommuting_bimodule_fixture():
 def test_broken_connection_fixture():
     rep = check_connection(broken_connection_fixture())
     assert [f.witness for f in rep.findings] == [(1, 0)]
+
+
+def test_validation_rejects_a_planted_broken_bundle_under_optimize():
+    # python -O strips asserts; the validation must still refuse
+    code = (
+        "from ncwb.catalog import ExampleBundle, _validated, "
+        "noncommuting_bimodule_fixture\n"
+        "from ncwb.reporting import InvariantError\n"
+        "m = noncommuting_bimodule_fixture()\n"
+        "try:\n"
+        "    _validated(ExampleBundle('planted', m.algebra, {'bad': m}))\n"
+        "except InvariantError as e:\n"
+        "    print('rejected:', e)\n"
+        "else:\n"
+        "    print('accepted')\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("rejected: builtin planted: bimodule:"), \
+        r.stdout

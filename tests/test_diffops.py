@@ -10,7 +10,7 @@ from ncwb.cartan import CartanPair, check_cartan, pair_from_calculus
 from ncwb.diffops import (
     FreeWord, check_ccr, evaluate_mu, find_relations, fock_check,
     format_word_sum, generate_diffop_algebra, is_normal_form_word,
-    left_mult_op, action_op, normal_form,
+    normal_form,
 )
 from ncwb.linalg import Matrix
 
@@ -102,8 +102,8 @@ def test_forged_rewrite_is_caught_by_mu():
 
 def test_operator_helpers():
     p = quantum_plane_pair()
-    assert left_mult_op(p, p.algebra.unit) == Matrix.identity(6)
-    assert action_op(p, (1, 0)) == p.action[0]
+    assert p.algebra.left_mult_matrix(p.algebra.unit) == Matrix.identity(6)
+    assert p.action_of((1, 0)) == p.action[0]
 
 
 def oracle_closure_dim(mats, n):

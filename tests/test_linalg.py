@@ -6,10 +6,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from ncwb.linalg import (
-    Matrix, Subspace, SpanBuilder, frac, kernel, kron, rank, rref, solve,
-    span_closure, closure_under_maps, restrict_to_kernel, subspace_equal,
-    vector,
+    Echelon, Matrix, Subspace, frac, intertwiner_rows, kernel, kron,
+    linear_combination, rank, rref, solve, span_closure, closure_under_maps,
+    restrict_to_kernel, vector,
 )
+
+from helpers import intertwiner_rows_by_kron
 
 F = Fraction
 
@@ -64,7 +66,7 @@ def test_subspace_canonical_under_reordering():
     vs = [(1, 2, 3), (0, 1, 1), (1, 3, 4)]
     a = Subspace.from_vectors(3, vs)
     b = Subspace.from_vectors(3, list(reversed(vs)))
-    assert subspace_equal(a, b)
+    assert a == b
     c = Subspace.from_vectors(3, [vector(v) for v in [(2, 4, 6), (0, 3, 3)]])
     assert a == c
 
@@ -95,7 +97,7 @@ def test_span_closure_idempotent():
 
     s = span_closure([e12, e21], step, 4)
     again = span_closure(list(s.basis), step, 4)
-    assert subspace_equal(s, again)
+    assert s == again
 
 
 def test_closure_under_maps():
@@ -111,17 +113,14 @@ def test_restrict_to_kernel():
     assert r.dim == 1 and r.contains((1, -1, 0))
 
 
-def test_span_builder_coords():
-    sb = SpanBuilder(3)
-    sb.insert((1, 1, 0))
-    sb.insert((0, 0, 2))
-    c = sb.coords((3, 3, 4))
-    basis = sb.basis()
+def test_echelon_span_coords():
+    span = Echelon(3, [(1, 1, 0), (0, 0, 2)]).subspace()
+    c = span.coords((3, 3, 4))
     got = [F(0)] * 3
-    for ci, b in zip(c, basis):
+    for ci, b in zip(c, span.basis):
         got = [g + ci * x for g, x in zip(got, b)]
     assert tuple(got) == (F(3), F(3), F(4))
-    assert sb.coords((1, 0, 0)) is None
+    assert span.coords((1, 0, 0)) is None
 
 
 def test_kron_shapes_and_values():
@@ -134,6 +133,15 @@ def test_kron_shapes_and_values():
 
 small_rationals = st.fractions(min_value=-4, max_value=4,
                                max_denominator=3).map(F)
+
+
+# half the drawn entries are zero, so the zero-skipping paths get exercised
+sparse_entries = st.one_of(st.just(F(0)), small_rationals)
+
+
+def draw_matrix(data, nr, nc):
+    return Matrix([[data.draw(sparse_entries) for _ in range(nc)]
+                   for _ in range(nr)], ncols=nc)
 
 
 @st.composite
@@ -165,15 +173,8 @@ def test_rank_nullity_and_sympy_agreement(m):
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
 def test_product_matches_sympy_on_sparse_and_empty_shapes(nr, inner, nc,
                                                          data):
-    # @ skips zero entries, so half the drawn entries are zero and every
-    # dimension may be empty
-    entry = st.one_of(st.just(F(0)), small_rationals)
-
-    def draw(r, c):
-        return Matrix([[data.draw(entry) for _ in range(c)]
-                       for _ in range(r)], ncols=c)
-
-    a, b = draw(nr, inner), draw(inner, nc)
+    # @ skips zero entries; every dimension may be empty
+    a, b = draw_matrix(data, nr, inner), draw_matrix(data, inner, nc)
     p = a @ b
     assert (p.nrows, p.ncols) == (nr, nc)
     assert to_sympy(p) == to_sympy(a) * to_sympy(b)
@@ -187,3 +188,43 @@ def test_solve_matches_matrix_action(m, data):
     got = solve(m, b)
     assert got is not None
     assert m.apply(got) == tuple(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_intertwiner_rows_match_the_kron_form(p, q, data):
+    a, b = draw_matrix(data, q, q), draw_matrix(data, p, p)
+    rows = intertwiner_rows(a, b)
+    assert [tuple(r) for r in rows] == list(intertwiner_rows_by_kron(a, b))
+    # and they cut out exactly the p x q matrices with X a = b X
+    x = draw_matrix(data, p, q)
+    flat = x.flatten()
+    holds = all(sum(c * v for c, v in zip(r, flat)) == 0 for r in rows)
+    assert holds == (x @ a == b @ x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.data())
+def test_linear_combination_is_a_sum_of_scaled_matrices(nr, nc, k, data):
+    terms = [draw_matrix(data, nr, nc) for _ in range(k)]
+    coeffs = [data.draw(sparse_entries) for _ in range(k)]
+    expected = Matrix.zeros(nr, nc)
+    for c, t in zip(coeffs, terms):
+        expected = expected + t.scale(c)
+    assert linear_combination(coeffs, terms, nr, nc) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_echelon_matches_sympy_rref(nr, width, data):
+    m = draw_matrix(data, nr, width)
+    ech = Echelon(width)
+    for r in m.rows:
+        ech.insert(r)
+        if data.draw(st.booleans()):
+            ech.frac_rows()      # reading between inserts changes nothing
+    srref, spiv = to_sympy(m).rref()
+    trimmed = [r for r in srref.tolist() if any(x != 0 for x in r)]
+    assert tuple(ech.pivots) == tuple(spiv)
+    assert [list(r) for r in ech.frac_rows()] \
+        == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
-    Matrix, Subspace, frac, intertwiner_rows, is_zero_vector, kernel, kron,
-    linear_combination, vadd, vector, vscale, vzero,
+    ONE, ZERO, Matrix, Subspace, frac, intertwiner_rows, is_zero_vector,
+    kernel, kron, linear_combination, vadd, vector, vscale, vzero,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -489,7 +489,9 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     ambient coordinates away from the relation pivots.
     """
     a = m.algebra
-    assert e.algebra is a
+    if e.algebra is not a:
+        raise ValueError("the bimodule and the module are over different "
+                         "algebras")
     amb = m.dim * e.dim
     rels = []
     for j in range(a.dim):
@@ -510,34 +512,42 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     pivset = set(rel.pivots)
     qcols = [j for j in range(amb) if j not in pivset]
     qdim = len(qcols)
-
-    def project_vec(v):
-        v = list(v)
-        for row, pc in zip(rel.basis, rel.pivots):
-            c = v[pc]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return tuple(v[j] for j in qcols)
-
-    proj_cols = []
-    for t in range(amb):
-        unit_vec = tuple(1 if j == t else 0 for j in range(amb))
-        proj_cols.append(project_vec(unit_vec))
+    # the projection reduces modulo the relations and keeps the quotient
+    # coordinates: a quotient coordinate maps to itself, the pivot of a
+    # relation row r to -r read at the quotient coordinates
+    proj_cols = [None] * amb
+    for k, qc in enumerate(qcols):
+        proj_cols[qc] = tuple(ONE if j == k else ZERO for j in range(qdim))
+    for row, pc in zip(rel.basis, rel.pivots):
+        proj_cols[pc] = tuple(-row[qc] for qc in qcols)
     projection = Matrix.from_cols(proj_cols, nrows=qdim)
     lift_cols = [tuple(1 if j == qc else 0 for j in range(amb))
                  for qc in qcols]
     lift = Matrix.from_cols(lift_cols, nrows=amb)
 
-    ir = Matrix.identity(e.dim)
+    proj_nz = [[(q, x) for q, x in enumerate(col) if x] for col in proj_cols]
     left_mats = []
     for i in range(a.dim):
-        amb_act = kron(m.left[i], ir)
+        # P_i = projection (L_i (x) I): column (s, t) is
+        # sum_s2 L_i[s2][s] * projection column (s2, t)
+        p_cols = []
+        for lcol in m.left[i].cols():
+            coeffs = [(s2, c) for s2, c in enumerate(lcol) if c]
+            for t in range(e.dim):
+                col = [ZERO] * qdim
+                for s2, c in coeffs:
+                    for q, x in proj_nz[s2 * e.dim + t]:
+                        col[q] += c * x
+                p_cols.append(col)
         # balancing is stable under the left action, else the quotient
-        # action would be ill defined
+        # action would be ill defined; the projection kills exactly the
+        # relations, so stability reads P_i r = 0
+        p_i = Matrix.from_cols(p_cols, nrows=qdim)
         for rv in rel.basis:
-            if not rel.contains(amb_act.apply(rv)):
+            if not is_zero_vector(p_i.apply(rv)):
                 raise InvariantError("left action does not preserve "
                                      "balancing relations")
-        left_mats.append(projection @ amb_act @ lift)
+        left_mats.append(Matrix.from_cols([p_cols[qc] for qc in qcols],
+                                          nrows=qdim))
     quotient = LeftModule(a, qdim, left_mats)
     return TensorProductOverA((m, e), quotient, projection, lift, rel)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, intertwiner_rows, is_zero_vector, kernel, solve, vadd,
-    vector,
+    Matrix, Subspace, affine_solutions, intertwiner_rows, is_zero_vector,
+    linear_combination, vadd, vector,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
@@ -35,11 +35,16 @@ class Connection:
 
     def __init__(self, calculus: DifferentialCalculus, module: LeftModule,
                  tensor: TensorProductOverA, matrix: Matrix):
-        assert module.algebra is calculus.algebra
-        assert tensor.factors[0] is calculus.bimodule
-        assert tensor.factors[1] is module
-        assert matrix.nrows == tensor.module.dim
-        assert matrix.ncols == module.dim
+        if module.algebra is not calculus.algebra:
+            raise ValueError("the module is not over the calculus' algebra")
+        mfac, efac = tensor.factors
+        if mfac is not calculus.bimodule or efac is not module:
+            raise ValueError("the tensor product is not M (x)_A E for the "
+                             "calculus' one-forms M and the module E")
+        if (matrix.nrows, matrix.ncols) != (tensor.module.dim, module.dim):
+            raise ValueError("a connection matrix must be %dx%d, not %dx%d"
+                             % (tensor.module.dim, module.dim, matrix.nrows,
+                                matrix.ncols))
         self.calculus = calculus
         self.module = module
         self.tensor = tensor
@@ -74,7 +79,9 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
     right module map; checked below rather than trusted.
     """
     m, e = t.factors
-    assert dual.side == "right" and dual.base is m
+    if dual.side != "right" or dual.base is not m:
+        raise ValueError("contraction needs the right dual of the tensor "
+                         "product's first factor")
     ev = dual.eval_of(xcoords)
     cols = []
     for s in range(m.dim):
@@ -88,8 +95,10 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
     return ambient @ t.lift
 
 
-def contract(dual: DualBimodule, t: TensorProductOverA, xcoords, tcoords):
-    return contraction_matrix(dual, t, xcoords).apply(tcoords)
+def _mismatch(lhs, rhs) -> str:
+    """The coordinates where two vectors differ, as 'k: lhs vs rhs'."""
+    return ", ".join("%d: %s vs %s" % (k, x, y)
+                     for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
 
 
 def check_connection(conn: Connection) -> CheckReport:
@@ -100,6 +109,7 @@ def check_connection(conn: Connection) -> CheckReport:
     e = conn.module
     tmod = conn.tensor.module
     for i in range(a.dim):
+        f = a.basis_names[i]
         shifted = conn.matrix @ e.left[i]
         scaled = tmod.left[i] @ conn.matrix
         for t in range(e.dim):
@@ -109,7 +119,10 @@ def check_connection(conn: Connection) -> CheckReport:
             lhs = shifted.col(t)
             rhs = tuple(x + y for x, y in zip(scaled.col(t), extra))
             if lhs != rhs:
-                rep.add("connection-leibniz", (i, t))
+                rep.add("connection-leibniz", (i, t),
+                        "nabla(%s.xi_%d) != %s.nabla(xi_%d) + d(%s) (x) xi_%d"
+                        " at tensor coordinates %s"
+                        % (f, t, f, t, f, t, _mismatch(lhs, rhs)))
     return rep
 
 
@@ -136,36 +149,56 @@ def covariant_derivative(conn: Connection, pair: CartanPair,
 def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:
     """The covariant derivative versions of the pair laws, on all basis
     triples: direction linearity nabla_{f.X} = f.nabla_X and the twisted
-    Leibniz rule nabla_X(f.xi) = X(f).xi + nabla_{X.f}(xi)."""
+    Leibniz rule nabla_X(f.xi) = X(f).xi + nabla_{X.f}(xi).
+
+    X -> nabla_X is linear, so it is built once per basis field and
+    nabla_{f.X}, nabla_{X.f} are combinations of those."""
     if not _pair_matches(conn, pair):
         raise ValueError("pair is not derived from the connection's calculus")
     rep = CheckReport("covariant axioms")
     a = conn.calculus.algebra
     e = conn.module
     nb = pair.bimodule
-    for t in range(nb.dim):
-        xt = tuple(1 if s == t else 0 for s in range(nb.dim))
-        dx = covariant_derivative(conn, pair, xt)
+    derivs = [covariant_derivative(conn, pair,
+                                   tuple(1 if s == t else 0
+                                         for s in range(nb.dim)))
+              for t in range(nb.dim)]
+
+    def nabla(xcoords):
+        return linear_combination(xcoords, derivs, e.dim, e.dim)
+
+    for t, dx in enumerate(derivs):
         for i in range(a.dim):
-            dfx = covariant_derivative(conn, pair, nb.left[i].col(t))
+            f = a.basis_names[i]
+            dfx = nabla(nb.left[i].col(t))
             scaled = e.left[i] @ dx
             for a2 in range(e.dim):
-                if dfx.col(a2) != scaled.col(a2):
-                    rep.add("action-linearity", (i, t, a2))
-            dxf = covariant_derivative(conn, pair, nb.right[i].col(t))
+                lhs, rhs = dfx.col(a2), scaled.col(a2)
+                if lhs != rhs:
+                    rep.add("action-linearity", (i, t, a2),
+                            "nabla_(%s.X_%d)(xi_%d) != %s.nabla_X_%d(xi_%d) "
+                            "at module coordinates %s"
+                            % (f, t, a2, f, t, a2, _mismatch(lhs, rhs)))
+            dxf = nabla(nb.right[i].col(t))
             shifted = dx @ e.left[i]
             mult = e.left_of(pair.action[t].col(i))
             for a2 in range(e.dim):
+                lhs = shifted.col(a2)
                 rhs = tuple(x + y for x, y in
                             zip(mult.col(a2), dxf.col(a2)))
-                if shifted.col(a2) != rhs:
-                    rep.add("twisted-leibniz", (t, i, a2))
+                if lhs != rhs:
+                    rep.add("twisted-leibniz", (t, i, a2),
+                            "nabla_X_%d(%s.xi_%d) != X_%d(%s).xi_%d + "
+                            "nabla_(X_%d.%s)(xi_%d) at module coordinates %s"
+                            % (t, f, a2, t, f, a2, t, f, a2,
+                               _mismatch(lhs, rhs)))
     return rep
 
 
 def trivial_connection(c: DifferentialCalculus, rank_: int = 1) -> Connection:
     """On the free module A^r: nabla(f.e_a) = df (x) e_a."""
-    assert rank_ >= 0
+    if rank_ < 0:
+        raise ValueError("rank must be nonnegative, not %d" % rank_)
     a = c.algebra
     e = LeftModule.free(a, rank_)
     t = tensor_over_A(c.bimodule, e)
@@ -189,7 +222,9 @@ class ConnectionSpace:
 
     def element(self, coeffs) -> Connection:
         """particular plus a combination of the homogeneous basis."""
-        assert self.particular is not None
+        if self.particular is None:
+            raise ValueError("the Leibniz constraint has no solution, so "
+                             "there is no connection to pick")
         p = self.particular
         flat = vadd(p.matrix.flatten(), self.homogeneous.element(coeffs))
         q = self.tensor.module.dim
@@ -218,9 +253,7 @@ def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
             target.append(simple_tensor(t, c.d.col(i), basis_xi))
         # row-major flatten of the matrix whose columns are the targets
         rhs.extend(target[a2][r] for r in range(q) for a2 in range(e.dim))
-    big = Matrix(rows, ncols=unknowns)
-    sol = solve(big, rhs)
-    homog = kernel(big)
+    sol, homog = affine_solutions(Matrix(rows, ncols=unknowns), rhs)
     if sol is None:
         return ConnectionSpace(t, False, None, homog)
     part = Connection(c, e, t, Matrix.from_flat(sol, q, e.dim))

@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, stored densely.
 
 The scalar type is fractions.Fraction throughout; nothing here ever rounds.
 Vectors are tuples of Fractions, matrices are immutable row-major tuples of
-such tuples.  Each idea has one routine: linear_combination sums scaled
-matrices, intertwiner_rows writes out the system X A = B X without kron,
-and every row reduction goes through Echelon.  Echelon works on
-integer-scaled rows (cross multiplication with gcd renormalisation when
-entries grow), reduces each inserted row forward only, and runs the one
-backward pass when the canonical basis is read; converting back to
-Fractions at the end keeps Fraction gcd churn out of the inner loop.
+such tuples.  Storage is dense, but the work is not: @, Matrix.apply and
+Subspace.coords accumulate over non-zero entries only.  Each idea has one
+routine: linear_combination sums scaled matrices, intertwiner_rows writes
+out the system X A = B X without kron, affine_solutions reads a particular
+solution and the null space from one elimination (kernel and solve are
+its two halves), and every row reduction goes through Echelon.  Echelon
+works on integer-scaled rows (cross multiplication with gcd
+renormalisation when entries grow), reduces each inserted row forward
+only, and runs the one backward pass when the canonical basis is read;
+converting back to Fractions at the end keeps Fraction gcd churn out of
+the inner loop.
 
 Every subspace is stored in fully reduced row echelon form, so two subspaces
 are equal exactly when their stored bases are equal componentwise.
@@ -64,13 +68,6 @@ def vscale(c, v) -> Vector:
 
 def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)
-
-
-def dot(u, v) -> Fraction:
-    s = ZERO
-    for a, b in zip(u, v):
-        s += a * b
-    return s
 
 
 class Matrix:
@@ -131,8 +128,21 @@ class Matrix:
         return tuple(x for r in self.rows for x in r)
 
     def apply(self, v: Sequence) -> Vector:
-        assert len(v) == self.ncols, "shape mismatch"
-        return tuple(dot(r, v) for r in self.rows)
+        """self v, accumulated over the non-zero entries of v and of self,
+        like @."""
+        if len(v) != self.ncols:
+            raise ValueError("shape mismatch: %s applied to a vector of "
+                             "length %d" % (self, len(v)))
+        nz = [(k, y) for k, y in enumerate(v) if y]
+        out = []
+        for r in self.rows:
+            s = ZERO
+            for k, y in nz:
+                x = r[k]
+                if x:
+                    s += x * y
+            out.append(s)
+        return tuple(out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product accumulated over the non-zero entries of both factors.
@@ -382,13 +392,17 @@ class Subspace:
     def coords(self, v) -> Optional[list]:
         """Coefficients over self.basis, or None if v lies outside."""
         v = list(vector(v))
-        assert len(v) == self.ambient_dim
+        if len(v) != self.ambient_dim:
+            raise ValueError("shape mismatch: a vector of length %d against "
+                             "%s" % (len(v), self))
         out = []
         for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
             out.append(c)
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                for j, b in enumerate(row):
+                    if b:
+                        v[j] -= c * b
         if not is_zero_vector(v):
             return None
         return out
@@ -421,34 +435,48 @@ def rank(m: Matrix) -> int:
     return Echelon(m.ncols, m.rows).dim
 
 
+def affine_solutions(m: Matrix, b) -> tuple:
+    """All solutions of m x = b from one elimination of (m | b).
+
+    Returns one exact solution (free variables zero), or None if there is
+    none, and the null space {v : m v = 0} with canonical basis.  The rows
+    of the reduced (m | b) with a pivot inside m are the reduced m.
+    """
+    b = vector(b)
+    if len(b) != m.nrows:
+        raise ValueError("shape mismatch: %d right hand sides for %s"
+                         % (len(b), m))
+    n = m.ncols
+    ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
+    rows, pivots = ech.frac_rows(), list(ech.pivots)
+    if pivots and pivots[-1] == n:
+        x = None
+        rows, pivots = rows[:-1], pivots[:-1]
+    else:
+        x = [ZERO] * n
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[n]
+        x = tuple(x)
+    pivset = set(pivots)
+    basis = []
+    for f in range(n):
+        if f not in pivset:
+            v = [ZERO] * n
+            v[f] = ONE
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[f]
+            basis.append(tuple(v))
+    return x, Subspace.from_vectors(n, basis)
+
+
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} with canonical basis."""
-    ech = Echelon(m.ncols, m.rows)
-    rows = ech.frac_rows()
-    pivset = set(ech.pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.ncols
-        v[f] = ONE
-        for row, pc in zip(rows, ech.pivots):
-            v[pc] = -row[f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.ncols, basis)
+    return affine_solutions(m, vzero(m.nrows))[1]
 
 
 def solve(m: Matrix, b) -> Optional[Vector]:
     """One exact solution of m x = b (free variables zero), or None."""
-    b = vector(b)
-    assert len(b) == m.nrows
-    ech = Echelon(m.ncols + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
-    if m.ncols in ech.pivots:
-        return None
-    rows = ech.frac_rows()
-    x = [ZERO] * m.ncols
-    for row, pc in zip(rows, ech.pivots):
-        x[pc] = row[-1]
-    return tuple(x)
+    return affine_solutions(m, b)[0]
 
 
 def restrict_to_kernel(space: Subspace, m: Matrix) -> Subspace:

@@ -1,21 +1,28 @@
 """Connections: Leibniz law, contraction, covariant derivative laws."""
 
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import Bimodule, LeftModule, tensor_over_A
 from ncwb.calculus import universal_calculus
-from ncwb.cartan import pair_from_calculus
+from ncwb.cartan import CartanPair, pair_from_calculus
+from ncwb.catalog import BUILTIN_NAMES, broken_connection_fixture, builtin
 from ncwb.connections import (
     Connection, ConnectionSpace, check_connection, check_covariant_axioms,
-    connection_space, contract, contraction_matrix, covariant_derivative,
+    connection_space, contraction_matrix, covariant_derivative,
     simple_tensor, trivial_connection,
 )
 from ncwb.linalg import Matrix, frac, kron
 
 from helpers import (
-    dual_numbers, inner_calculus, kahler_dual_numbers, kahler_truncated,
-    matrix_2, quantum_plane_pair, theta_z2, truncated_polynomials,
-    upper_triangular_2, zero_calculus,
+    BasisChange, check_covariant_axioms_per_field, dual_numbers,
+    inner_calculus, kahler_dual_numbers, kahler_truncated, matrix_2,
+    quantum_plane_pair, tensor_over_A_by_kron, theta_z2,
+    truncated_polynomials, unimodular_matrices, upper_triangular_2,
+    zero_calculus,
 )
 
 
@@ -49,7 +56,7 @@ def test_contract_unit_tensor_is_pairing():
     conn = trivial_connection(c, 1)
     pair = pair_from_calculus(c)
     t = simple_tensor(conn.tensor, (1,), (1, 0))     # w (x) 1
-    got = contract(pair.dual, conn.tensor, (1,), t)
+    got = contraction_matrix(pair.dual, conn.tensor, (1,)).apply(t)
     assert tuple(got) == (0, 1)                      # <X0, w> = x
 
 
@@ -58,7 +65,7 @@ def test_contract_zero():
     conn = trivial_connection(c, 1)
     pair = pair_from_calculus(c)
     assert all(x == 0 for x in
-               contract(pair.dual, conn.tensor, (1,), (0,)))
+               contraction_matrix(pair.dual, conn.tensor, (1,)).apply((0,)))
 
 
 def test_contraction_kills_relations():
@@ -203,3 +210,170 @@ def test_universal_calculus_connection():
     assert check_connection(conn).ok
     pair = pair_from_calculus(u)
     assert check_covariant_axioms(conn, pair).ok
+
+
+# ---- the kron-free tensor product and the per-basis-field axioms -------
+
+def assert_tensor_matches_oracle(m, e):
+    t, ref = tensor_over_A(m, e), tensor_over_A_by_kron(m, e)
+    assert t.factors == ref.factors
+    assert t.relations == ref.relations
+    assert t.projection == ref.projection
+    assert t.lift == ref.lift
+    assert t.module.left == ref.module.left
+
+
+def law_witnesses(rep):
+    return [(f.law, f.witness) for f in rep.findings]
+
+
+def assert_covariant_axioms_match_oracle(conn, pair):
+    rep = check_covariant_axioms(conn, pair)
+    assert law_witnesses(rep) == \
+        law_witnesses(check_covariant_axioms_per_field(conn, pair))
+    return rep
+
+
+def perturbed(conn, row, col, by):
+    """conn with one matrix entry shifted; usually not a connection."""
+    rows = [list(r) for r in conn.matrix.rows]
+    rows[row][col] += by
+    return Connection(conn.calculus, conn.module, conn.tensor,
+                      Matrix(rows, ncols=conn.matrix.ncols))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("rank_", [1, 2])
+def test_tensor_and_axioms_match_oracles_on_builtins(name, rank_):
+    b = builtin(name)
+    e = LeftModule.free(b.algebra, rank_)
+    mods = list(b.bimodules.values())
+    if b.calculus is not None:
+        mods.append(b.calculus.bimodule)
+    for m in mods:
+        assert_tensor_matches_oracle(m, e)
+    if b.calculus is not None:
+        conn = trivial_connection(b.calculus, rank_)
+        pair = pair_from_calculus(b.calculus)
+        assert assert_covariant_axioms_match_oracle(conn, pair).ok
+        if conn.matrix.nrows:
+            bad = perturbed(conn, 0, rank_ - 1, 1)
+            assert_covariant_axioms_match_oracle(bad, pair)
+
+
+@st.composite
+def transported_connections(draw):
+    """The trivial connection of rank 1..2 on a builtin calculus over an
+    algebra of dimension <= 4, after unimodular basis changes of the
+    algebra and of the one-forms, with one matrix entry to perturb."""
+    b = builtin(draw(st.sampled_from(
+        [name for name in BUILTIN_NAMES
+         if builtin(name).calculus is not None
+         and builtin(name).algebra.dim <= 4])))
+    c = b.calculus
+    change = BasisChange(draw(unimodular_matrices(c.algebra.dim)),
+                         draw(unimodular_matrices(c.bimodule.dim)))
+    conn = trivial_connection(change.calculus(c, change.algebra(c.algebra)),
+                              draw(st.integers(1, 2)))
+    shape = conn.matrix.nrows, conn.matrix.ncols
+    entry = (draw(st.integers(0, shape[0] - 1)) if shape[0] else 0,
+             draw(st.integers(0, shape[1] - 1)),
+             draw(st.sampled_from([-2, -1, 1, 3])))
+    return conn, entry
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_connections())
+def test_tensor_and_axioms_match_oracles_after_basis_change(drawn):
+    conn, (row, col, by) = drawn
+    c = conn.calculus
+    assert_tensor_matches_oracle(c.bimodule, conn.module)
+    pair = pair_from_calculus(c)
+    assert assert_covariant_axioms_match_oracle(conn, pair).ok
+    if conn.matrix.nrows:
+        bad = perturbed(conn, row, col, by)
+        assert_covariant_axioms_match_oracle(bad, pair)
+
+
+def test_findings_name_the_element_the_vector_and_the_coordinates():
+    bad = broken_connection_fixture()
+    assert [str(f) for f in check_connection(bad).findings] == [
+        "connection-leibniz at (1,0): nabla(x.xi_0) != x.nabla(xi_0) "
+        "+ d(x) (x) xi_0 at tensor coordinates 0: 0 vs 1"]
+    pair = pair_from_calculus(bad.calculus)
+    rep = assert_covariant_axioms_match_oracle(bad, pair)
+    assert [str(f) for f in rep.findings] == [
+        "twisted-leibniz at (0,1,0): nabla_X_0(x.xi_0) != X_0(x).xi_0 "
+        "+ nabla_(X_0.x)(xi_0) at module coordinates 1: 0 vs 1"]
+
+
+def test_action_linearity_finding_on_a_planted_left_action():
+    # x acts on the vector field X_0 = x d/dx as the identity instead of
+    # as zero, so nabla_(x.X_0)(x) = x while x.nabla_X_0(x) = x^2 = 0
+    c = broken_connection_fixture().calculus
+    conn = trivial_connection(c, 1)
+    good = pair_from_calculus(c)
+    nb = good.bimodule
+    ident = Matrix.identity(nb.dim)
+    planted = CartanPair(c.algebra, Bimodule(c.algebra, nb.dim,
+                                             (ident, ident), nb.right),
+                         good.action, source_calculus=c, dual=good.dual)
+    rep = assert_covariant_axioms_match_oracle(conn, planted)
+    linearity = [str(f) for f in rep.findings
+                 if f.law == "action-linearity"]
+    assert linearity == [
+        "action-linearity at (1,0,1): nabla_(x.X_0)(xi_1) != "
+        "x.nabla_X_0(xi_1) at module coordinates 1: 1 vs 0"]
+
+
+# ---- input validation without assert -----------------------------------
+
+VALIDATION_CASES = """
+from ncwb.algebra import LeftModule, left_dual
+from ncwb.cartan import pair_from_calculus
+from ncwb.catalog import builtin
+from ncwb.connections import (
+    Connection, ConnectionSpace, contraction_matrix, trivial_connection)
+from ncwb.linalg import Matrix, Subspace
+
+c = builtin("dual_numbers").calculus
+conn = trivial_connection(c, 1)
+other = trivial_connection(builtin("matrix_2").calculus, 1)
+cases = {
+    "apply": lambda: Matrix([[1, 2]]).apply((1,)),
+    "coords": lambda: Subspace.full(2).coords((1, 2, 3)),
+    "connection-shape": lambda: Connection(
+        c, conn.module, conn.tensor, Matrix.zeros(2, 2)),
+    "connection-algebra": lambda: Connection(
+        c, other.module, conn.tensor, conn.matrix),
+    "connection-tensor": lambda: Connection(
+        c, LeftModule.free(c.algebra, 1), conn.tensor, conn.matrix),
+    "contraction-side": lambda: contraction_matrix(
+        left_dual(c.bimodule), conn.tensor, (1,)),
+    "contraction-base": lambda: contraction_matrix(
+        pair_from_calculus(c).dual, other.tensor, (1,)),
+    "rank": lambda: trivial_connection(c, -1),
+    "element": lambda: ConnectionSpace(
+        conn.tensor, False, None, Subspace.zero(0)).element(()),
+}
+for name, case in cases.items():
+    try:
+        case()
+    except ValueError:
+        print(name, "ValueError")
+    else:
+        print(name, "accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_invalid_input_raises_value_error(flags):
+    # python -O strips asserts; every check below must still raise
+    r = subprocess.run([sys.executable] + flags + ["-c", VALIDATION_CASES],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:-1] == [
+        name + " ValueError" for name in (
+            "apply", "coords", "connection-shape", "connection-algebra",
+            "connection-tensor", "contraction-side", "contraction-base",
+            "rank", "element")]

@@ -5,13 +5,15 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from ncwb.linalg import (
-    Echelon, Matrix, Subspace, frac, intertwiner_rows, kernel, kron,
-    linear_combination, rank, rref, solve, span_closure, closure_under_maps,
-    restrict_to_kernel, vector,
+    Echelon, Matrix, Subspace, affine_solutions, frac, intertwiner_rows,
+    kernel, kron, linear_combination, rank, rref, solve, span_closure,
+    closure_under_maps, restrict_to_kernel, vector,
 )
 
-from helpers import intertwiner_rows_by_kron
+from helpers import apply_dense, coords_dense, intertwiner_rows_by_kron
 
 F = Fraction
 
@@ -228,3 +230,62 @@ def test_echelon_matches_sympy_rref(nr, width, data):
     assert tuple(ech.pivots) == tuple(spiv)
     assert [list(r) for r in ech.frac_rows()] \
         == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]
+
+
+# vectors mix Fractions, plain ints and zeros; apply takes all of them
+vector_entries = st.one_of(sparse_entries, st.integers(-3, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_apply_matches_the_dense_route(nr, nc, data):
+    m = draw_matrix(data, nr, nc)
+    v = [data.draw(vector_entries) for _ in range(nc)]
+    got = m.apply(v)
+    assert got == apply_dense(m, v)
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_coords_match_the_dense_route(k, width, inside, data):
+    space = Subspace.from_vectors(width, draw_matrix(data, k, width).rows)
+    if inside:
+        coeffs = [data.draw(vector_entries) for _ in range(space.dim)]
+        v = space.element(coeffs)
+    else:
+        v = [data.draw(vector_entries) for _ in range(width)]
+    got = space.coords(v)
+    assert got == coords_dense(space, v)
+    assert space.contains(v) == (got is not None)
+    if inside:
+        assert got == [frac(c) for c in coeffs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_affine_solutions_match_sympy(nr, nc, consistent, data):
+    m = draw_matrix(data, nr, nc)
+    if consistent:
+        b = m.apply([data.draw(vector_entries) for _ in range(nc)])
+    else:
+        b = [data.draw(vector_entries) for _ in range(nr)]
+    x, null = affine_solutions(m, b)
+    sm, sb = to_sympy(m), sympy.Matrix(nr, 1, [sympy.Rational(v) for v in b])
+    solvable = sm.rank() == sm.row_join(sb).rank()
+    assert (x is not None) == solvable
+    if x is not None:
+        assert m.apply(x) == vector(b)
+    expected = Subspace.from_vectors(
+        nc, [[F(int(y.p), int(y.q)) for y in v] for v in sm.nullspace()])
+    assert null == expected == kernel(m)
+    assert solve(m, b) == x
+
+
+def test_shape_mismatches_raise_value_error():
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).apply((1,))
+    with pytest.raises(ValueError):
+        Subspace.full(2).coords((1, 2, 3))
+    with pytest.raises(ValueError):
+        affine_solutions(Matrix([[1, 2]]), (1, 2))

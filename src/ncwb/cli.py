@@ -24,6 +24,7 @@ from .catalog import builtin as catalog_builtin
 from .connections import check_connection, check_covariant_axioms
 from .diffops import check_ccr, find_relations, fock_check, \
     generate_diffop_algebra
+from .linalg import ZERO
 from .reporting import CheckReport, InvariantError
 from .workspace import (
     SCHEMA, WorkspaceError, algebra_decl, bimodule_decl, calculus_decl,
@@ -225,7 +226,10 @@ def cmd_derive(args) -> int:
             "kind": "relation_basis",
             "max_word_len": max_len,
             "words": [[[k, i] for k, i in w] for w in rs.words],
-            "basis": [[str(x) for x in b] for b in rs.space.basis],
+            # null-space bases share one ZERO, and the identity test
+            # spares a Fraction.__bool__ call on each of their zeros
+            "basis": [["0" if x is ZERO or not x else str(x) for x in b]
+                      for b in rs.space.basis],
         }}
         return _emit(args, doc, "relations of %s: %d among %d words"
                      % (args.name, rs.space.dim, len(rs.words)))

@@ -269,17 +269,35 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     kernel of mu on their span is exactly the set of relations visible at
     this length.  Truncation is honest: longer relations stay unseen.
     """
-    assert max_len >= 1
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1, got %r" % (max_len,))
+    words, cols = _word_columns(pair, max_len)
     n = pair.algebra.dim
-    p = pair.bimodule.dim
-    words = []
-    for k in range(max_len):
-        for i in range(n):
-            for mw in itertools.product(range(p), repeat=k):
-                words.append((("a", i),) + tuple(("m", t) for t in mw))
-    cols = [_word_operator(pair, w).flatten() for w in words]
     space = kernel(Matrix.from_cols(cols, nrows=n * n))
     return RelationSearch(tuple(words), space, max_len)
+
+
+def _word_columns(pair: CartanPair, max_len: int) -> tuple:
+    """The words of find_relations in coordinate order, and mu of each,
+    flattened.
+
+    The operator X_1...X_k of each module word is one product from that of
+    its prefix, and each column one more, l(f) X_1...X_k.
+    """
+    n, p = pair.algebra.dim, pair.bimodule.dim
+    lmul, action = pair.algebra.lmul, pair.action
+    mops = {(): Matrix.identity(n)}
+    words, cols = [], []
+    for k in range(max_len):
+        level = list(itertools.product(range(p), repeat=k))
+        if k:
+            for mw in level:
+                mops[mw] = mops[mw[:-1]] @ action[mw[-1]]
+        for i in range(n):
+            for mw in level:
+                words.append((("a", i),) + tuple(("m", t) for t in mw))
+                cols.append((lmul[i] @ mops[mw]).flatten())
+    return words, cols
 
 
 def check_ccr(pair: CartanPair) -> CheckReport:

@@ -6,9 +6,11 @@ such tuples.  Storage is dense, but the work is not: @, Matrix.apply and
 Subspace.coords accumulate over non-zero entries only.  Each idea has one
 routine: linear_combination sums scaled matrices, intertwiner_rows writes
 out the system X A = B X without kron, affine_solutions reads a particular
-solution and the null space from one elimination (kernel and solve are
-its two halves), and every row reduction goes through Echelon.  Echelon
-works on integer-scaled rows (cross multiplication with gcd
+solution from one elimination of (m | b) and the canonical null space from
+a re-reduction of its r reduced rows with the column order reversed, so
+the null-space vectors are written once and never eliminated (kernel and
+solve are its two halves), and every row reduction goes through Echelon.
+Echelon works on integer-scaled rows (cross multiplication with gcd
 renormalisation when entries grow), reduces each inserted row forward
 only, and runs the one backward pass when the canonical basis is read;
 converting back to Fractions at the end keeps Fraction gcd churn out of
@@ -79,12 +81,16 @@ class Matrix:
         rows = tuple(tuple(frac(x) for x in r) for r in rows)
         if rows:
             w = len(rows[0])
-            for r in rows:
-                assert len(r) == w, "ragged matrix"
-            if ncols is not None:
-                assert ncols == w
+            for i, r in enumerate(rows):
+                if len(r) != w:
+                    raise ValueError("ragged matrix: row 0 has %d entries, "
+                                     "row %d has %d" % (w, i, len(r)))
+            if ncols is not None and ncols != w:
+                raise ValueError("rows of %d entries, but ncols=%d"
+                                 % (w, ncols))
         else:
-            assert ncols is not None, "empty matrix needs explicit ncols"
+            if ncols is None:
+                raise ValueError("an empty matrix needs an explicit ncols")
             w = ncols
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
@@ -105,16 +111,24 @@ class Matrix:
     @classmethod
     def from_cols(cls, cols: Sequence[Vector], nrows: Optional[int] = None) -> "Matrix":
         cols = [tuple(frac(x) for x in c) for c in cols]
-        if cols:
+        if nrows is None:
+            if not cols:
+                raise ValueError("an empty column list needs an explicit "
+                                 "nrows")
             nrows = len(cols[0])
-        assert nrows is not None, "empty column list needs explicit nrows"
+        for j, c in enumerate(cols):
+            if len(c) != nrows:
+                raise ValueError("column %d has %d entries, expected %d"
+                                 % (j, len(c), nrows))
         return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)),
                    ncols=len(cols))
 
     @classmethod
     def from_flat(cls, flat: Sequence, nrows: int, ncols: int) -> "Matrix":
         flat = list(flat)
-        assert len(flat) == nrows * ncols
+        if len(flat) != nrows * ncols:
+            raise ValueError("%d entries do not fill a %dx%d matrix"
+                             % (len(flat), nrows, ncols))
         return cls(tuple(tuple(frac(flat[i * ncols + j]) for j in range(ncols))
                          for i in range(nrows)), ncols=ncols)
 
@@ -151,7 +165,8 @@ class Matrix:
         pays off on 0/1 structure constants and sparse kernel vectors and
         costs one truth test per entry on dense input.
         """
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch: %s @ %s" % (self, other))
         orows = [[(j, y) for j, y in enumerate(r) if y] for r in other.rows]
         out = []
         for r in self.rows:
@@ -164,7 +179,8 @@ class Matrix:
         return Matrix(tuple(out), ncols=other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch: %s + %s" % (self, other))
         return Matrix(tuple(tuple(a + b for a, b in zip(r, s))
                             for r, s in zip(self.rows, other.rows)),
                       ncols=self.ncols)
@@ -305,8 +321,14 @@ class Echelon:
         """Add a vector (any entries vector() takes) to the span; True if
         the dimension grew."""
         v = vector(v)
-        assert len(v) == self.width
-        row = self._reduced(_scale_to_int(v))
+        if len(v) != self.width:
+            raise ValueError("a vector of length %d inserted into an echelon "
+                             "of width %d" % (len(v), self.width))
+        return self._insert_int(_scale_to_int(v))
+
+    def _insert_int(self, introw: list) -> bool:
+        """insert for a row of width integers."""
+        row = self._reduced(introw)
         piv = None
         for j, x in enumerate(row):
             if x:
@@ -363,7 +385,7 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis, pivots):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(x for x in r) for r in basis)
+        self.basis = tuple(map(tuple, basis))
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -440,7 +462,8 @@ def affine_solutions(m: Matrix, b) -> tuple:
 
     Returns one exact solution (free variables zero), or None if there is
     none, and the null space {v : m v = 0} with canonical basis.  The rows
-    of the reduced (m | b) with a pivot inside m are the reduced m.
+    of the reduced (m | b) with a pivot inside m are the reduced m; the
+    null space is read off them by _null_space.
     """
     b = vector(b)
     if len(b) != m.nrows:
@@ -448,25 +471,48 @@ def affine_solutions(m: Matrix, b) -> tuple:
                          % (len(b), m))
     n = m.ncols
     ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
-    rows, pivots = ech.frac_rows(), list(ech.pivots)
+    ech.finalize()
+    rows, pivots = ech.rows, ech.pivots
     if pivots and pivots[-1] == n:
         x = None
-        rows, pivots = rows[:-1], pivots[:-1]
+        rows = rows[:-1]
     else:
         x = [ZERO] * n
         for row, pc in zip(rows, pivots):
-            x[pc] = row[n]
+            if row[n]:
+                x[pc] = Fraction(row[n], row[pc])
         x = tuple(x)
-    pivset = set(pivots)
-    basis = []
-    for f in range(n):
-        if f not in pivset:
-            v = [ZERO] * n
-            v[f] = ONE
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[f]
-            basis.append(tuple(v))
-    return x, Subspace.from_vectors(n, basis)
+    return x, _null_space(n, rows)
+
+
+def _null_space(n: int, rows: Sequence) -> Subspace:
+    """Canonical basis of {v in Q^n : r v = 0 for the rows r}, read off
+    linearly independent integer rows (only their first n entries count)
+    without eliminating the basis vectors themselves.
+
+    The reduced echelon basis of a null space has its pivots at the
+    columns f whose column lies in the span of the columns to their right,
+    and the vector for such an f is e_f minus the coordinates of column f
+    over the other columns, the "right pivots".  Both come from one
+    reduction of the rows with the column order reversed: a reversed
+    pivot is a right pivot, and the reduced row of right pivot q holds
+    those coordinates at the reversed free columns.
+    """
+    rev = Echelon(n)
+    for row in rows:
+        rev._insert_int(row[n - 1::-1])
+    rev.finalize()
+    free = sorted(set(range(n)) - {n - 1 - pc for pc in rev.pivots})
+    vecs = {}
+    for f in free:
+        v = vecs[f] = [ZERO] * n
+        v[f] = ONE
+    for row, pc in zip(rev.rows, rev.pivots):
+        q, p = n - 1 - pc, row[pc]
+        for j, c in enumerate(row):
+            if c and j != pc:
+                vecs[n - 1 - j][q] = Fraction(-c, p)
+    return Subspace(n, [tuple(vecs[f]) for f in free], free)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -481,7 +527,9 @@ def solve(m: Matrix, b) -> Optional[Vector]:
 
 def restrict_to_kernel(space: Subspace, m: Matrix) -> Subspace:
     """{v in space : m v = 0}."""
-    assert m.ncols == space.ambient_dim
+    if m.ncols != space.ambient_dim:
+        raise ValueError("shape mismatch: %s restricted to the kernel of %s"
+                         % (space, m))
     if space.is_zero():
         return space
     imgs = [m.apply(bv) for bv in space.basis]

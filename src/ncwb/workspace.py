@@ -18,6 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .linalg import Matrix
@@ -423,7 +425,62 @@ def _reference_names(ws: Workspace) -> dict:
 
 
 def canonical_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n".
+
+    Documents hold dicts with string keys, lists, tuples, strings, ints,
+    bools and None.  The stdlib's indenting encoder is pure Python; this
+    writer quotes with its C string encoder and joins a list of strings
+    (the bulk of a relation basis) in one go.
+    """
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, nl: str, out: list) -> None:
+    """Append o's JSON text to out; nl is a newline plus the indent of the
+    line o starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError("JSON keys must be str, not %r" % (k,))
+            out.append(sep + _quote(k) + ": ")
+            _write_json(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(map(isinstance, o, repeat(str))):
+            out.append("[" + inner + ("," + inner).join(map(_quote, o))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError("%r is not JSON serializable" % (o,))
 
 
 def export_workspace(ws: Workspace) -> str:

@@ -389,12 +389,42 @@ class BasisChange:
                           self.bimodule(pair.bimodule, new_algebra), acts)
 
 
-# ---- dense and per-field routes kept as oracles for the connections ----
+# ---- dense, re-eliminating and per-field routes kept as oracles ----
 
 from ncwb.algebra import LeftModule, TensorProductOverA  # noqa: E402
 from ncwb.connections import covariant_derivative  # noqa: E402
-from ncwb.linalg import Subspace, vector  # noqa: E402
+from ncwb.linalg import Echelon, Subspace, vector  # noqa: E402
 from ncwb.reporting import InvariantError  # noqa: E402
+
+
+def affine_solutions_by_reelimination(m, b) -> tuple:
+    """One solution of m x = b (free variables zero) or None, and the null
+    space: the reduced (m | b) gives one vector per free column, and
+    Subspace.from_vectors eliminates those again for the canonical
+    basis."""
+    n = m.ncols
+    ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, vector(b))))
+    rows, pivots = ech.frac_rows(), list(ech.pivots)
+    if pivots and pivots[-1] == n:
+        x = None
+        rows, pivots = rows[:-1], pivots[:-1]
+    else:
+        x = [F(0)] * n
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[n]
+        x = tuple(x)
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return x, Subspace.from_vectors(n, basis)
+
+
+def kernel_by_reelimination(m) -> Subspace:
+    return affine_solutions_by_reelimination(m, (0,) * m.nrows)[1]
 
 
 def apply_dense(m, v) -> tuple:

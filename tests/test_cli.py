@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, derived documents, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,6 +114,27 @@ def test_derive_relations_respects_word_length_env(tmp_path, capsys,
     assert main(["derive", path, "dn.pair", "relations"]) == 2
     monkeypatch.setenv("NCWB_MAX_WORD_LEN", "lots")
     assert main(["derive", path, "dn.pair", "relations"]) == 2
+
+
+# SHA-256 of the stdout of derive <export> pair relations at word length 4
+RELATIONS_SHA256 = {
+    "matrix_2":
+        "13193a9aadb5c5488cccb08b620f059725571280b7ef324f0a1c35190bfc621e",
+    "truncated_poly 6":
+        "d9ee7764ff3bf82a37e1131c5d9ce15d7688de72b2083949db28ed8a8263599c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RELATIONS_SHA256))
+def test_derive_relations_bytes_are_pinned(tmp_path, capsys, monkeypatch,
+                                           spec):
+    path = str(tmp_path / "ws.json")
+    assert main(["builtin"] + spec.split() + ["-o", path]) == 0
+    monkeypatch.setenv("NCWB_MAX_WORD_LEN", "4")
+    capsys.readouterr()
+    assert main(["derive", path, "pair", "relations"]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == RELATIONS_SHA256[spec]
 
 
 def test_derive_dual_of_zero_bimodule(tmp_path, capsys):

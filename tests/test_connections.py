@@ -334,7 +334,8 @@ from ncwb.cartan import pair_from_calculus
 from ncwb.catalog import builtin
 from ncwb.connections import (
     Connection, ConnectionSpace, contraction_matrix, trivial_connection)
-from ncwb.linalg import Matrix, Subspace
+from ncwb.diffops import find_relations
+from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
 
 c = builtin("dual_numbers").calculus
 conn = trivial_connection(c, 1)
@@ -355,6 +356,19 @@ cases = {
     "rank": lambda: trivial_connection(c, -1),
     "element": lambda: ConnectionSpace(
         conn.tensor, False, None, Subspace.zero(0)).element(()),
+    "matrix-ragged": lambda: Matrix([[1, 2], [3]]),
+    "matrix-ncols": lambda: Matrix([[1, 2]], ncols=3),
+    "matrix-empty": lambda: Matrix([]),
+    "from-cols-ragged": lambda: Matrix.from_cols([(1, 2), (3,)]),
+    "from-cols-nrows": lambda: Matrix.from_cols([(1, 2)], nrows=3),
+    "from-cols-empty": lambda: Matrix.from_cols([]),
+    "from-flat": lambda: Matrix.from_flat((1, 2, 3), 2, 2),
+    "matmul": lambda: Matrix([[1, 2]]) @ Matrix([[1, 2]]),
+    "add": lambda: Matrix([[1, 2]]) + Matrix([[1, 2, 3]]),
+    "echelon-insert": lambda: Echelon(2).insert((1, 2, 3)),
+    "restrict": lambda: restrict_to_kernel(Subspace.full(2),
+                                           Matrix([[1, 2, 3]])),
+    "max-len": lambda: find_relations(builtin("dual_numbers").pair, 0),
 }
 for name, case in cases.items():
     try:
@@ -376,4 +390,7 @@ def test_invalid_input_raises_value_error(flags):
         name + " ValueError" for name in (
             "apply", "coords", "connection-shape", "connection-algebra",
             "connection-tensor", "contraction-side", "contraction-base",
-            "rank", "element")]
+            "rank", "element", "matrix-ragged", "matrix-ncols",
+            "matrix-empty", "from-cols-ragged", "from-cols-nrows",
+            "from-cols-empty", "from-flat", "matmul", "add",
+            "echelon-insert", "restrict", "max-len")]

@@ -3,20 +3,23 @@
 import itertools
 import random
 
+import pytest
 import sympy
 
 from ncwb.algebra import Bimodule
 from ncwb.cartan import CartanPair, check_cartan, pair_from_calculus
+from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.diffops import (
-    FreeWord, check_ccr, evaluate_mu, find_relations, fock_check,
-    format_word_sum, generate_diffop_algebra, is_normal_form_word,
-    normal_form,
+    FreeWord, _word_columns, _word_operator, check_ccr, evaluate_mu,
+    find_relations, fock_check, format_word_sum, generate_diffop_algebra,
+    is_normal_form_word, normal_form,
 )
 from ncwb.linalg import Matrix
 
 from helpers import (
-    kahler_dual_numbers, kahler_truncated, naive_derivative_pair,
-    quantum_plane_pair, theta_z2, zero_action_pair_z2,
+    kahler_dual_numbers, kahler_truncated, kernel_by_reelimination,
+    naive_derivative_pair, quantum_plane_pair, theta_z2,
+    zero_action_pair_z2,
 )
 
 
@@ -179,6 +182,24 @@ def test_relation_vectors_actually_vanish():
         for b in rs.space.basis[:10]:
             fw = rs.freeword(pair, b)
             assert evaluate_mu(pair, fw) == Matrix.zeros(n, n)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_word_columns_are_the_word_operators(name):
+    # one product per word, against one product per letter
+    pair = builtin(name).pair
+    n, p = pair.algebra.dim, pair.bimodule.dim
+    words, cols = _word_columns(pair, 3)
+    assert words == [(("a", i),) + tuple(("m", t) for t in mw)
+                     for k in range(3) for i in range(n)
+                     for mw in itertools.product(range(p), repeat=k)]
+    for w, col in zip(words, cols):
+        assert col == _word_operator(pair, w).flatten()
+    rs = find_relations(pair, max_len=3)
+    assert rs.words == tuple(words)
+    oracle = kernel_by_reelimination(Matrix.from_cols(cols, nrows=n * n))
+    assert (rs.space.basis, rs.space.pivots) \
+        == (oracle.basis, oracle.pivots)
 
 
 def test_ccr_commutative_symmetric_pairs_are_clean():

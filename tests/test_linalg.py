@@ -13,7 +13,10 @@ from ncwb.linalg import (
     closure_under_maps, restrict_to_kernel, vector,
 )
 
-from helpers import apply_dense, coords_dense, intertwiner_rows_by_kron
+from helpers import (
+    affine_solutions_by_reelimination, apply_dense, coords_dense,
+    intertwiner_rows_by_kron, kernel_by_reelimination,
+)
 
 F = Fraction
 
@@ -280,6 +283,64 @@ def test_affine_solutions_match_sympy(nr, nc, consistent, data):
         nc, [[F(int(y.p), int(y.q)) for y in v] for v in sm.nullspace()])
     assert null == expected == kernel(m)
     assert solve(m, b) == x
+
+
+def draw_shaped_matrix(data) -> Matrix:
+    """A half-zero matrix that is wide (up to 4 x 12), tall (up to 10 x 4)
+    or rank-deficient: rows and columns of a smaller one repeated, some
+    scaled."""
+    shape = data.draw(st.sampled_from(("wide", "tall", "deficient")))
+    if shape == "wide":
+        return draw_matrix(data, data.draw(st.integers(0, 4)),
+                           data.draw(st.integers(0, 12)))
+    if shape == "tall":
+        return draw_matrix(data, data.draw(st.integers(5, 10)),
+                           data.draw(st.integers(0, 4)))
+    base = draw_matrix(data, data.draw(st.integers(1, 3)),
+                       data.draw(st.integers(1, 4)))
+    rows = [list(r) for r in base.rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        c = data.draw(small_rationals)
+        rows.append([c * x for x in data.draw(st.sampled_from(rows))])
+    for _ in range(data.draw(st.integers(0, 4))):
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        c = data.draw(small_rationals)
+        at = data.draw(st.integers(0, len(rows[0])))
+        for r in rows:
+            r.insert(at, c * r[j])
+    return Matrix(rows)
+
+
+def sympy_null_space(m: Matrix) -> Subspace:
+    return Subspace.from_vectors(
+        m.ncols, [[F(int(y.p), int(y.q)) for y in v]
+                  for v in to_sympy(m).nullspace()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_reelimination_oracle_and_sympy(data):
+    m = draw_shaped_matrix(data)
+    got, oracle = kernel(m), kernel_by_reelimination(m)
+    assert got.basis == oracle.basis
+    assert got.pivots == oracle.pivots
+    assert got == sympy_null_space(m)
+    assert rank(m) + got.dim == m.ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_affine_solutions_match_the_reelimination_oracle(consistent, data):
+    m = draw_shaped_matrix(data)
+    if consistent:
+        b = m.apply([data.draw(vector_entries) for _ in range(m.ncols)])
+    else:
+        b = [data.draw(vector_entries) for _ in range(m.nrows)]
+    x, null = affine_solutions(m, b)
+    ox, onull = affine_solutions_by_reelimination(m, b)
+    assert x == ox
+    assert solve(m, b) == ox
+    assert (null.basis, null.pivots) == (onull.basis, onull.pivots)
 
 
 def test_shape_mismatches_raise_value_error():

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import check_bimodule
 from ncwb.cartan import check_cartan
@@ -239,3 +240,25 @@ def test_notes_field_is_tolerated():
     doc["objects"]["A"]["notes"] = "base ring of the example"
     ws = parse_workspace(json.dumps(doc))
     assert ws.get("A").obj.dim == 2
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+json_strings = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d49c'),
+    st.characters()), max_size=8)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 40, 10 ** 40), json_strings)
+json_docs = st.recursive(
+    st.one_of(json_scalars, st.lists(json_strings, max_size=4)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(json_strings, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs)
+def test_canonical_text_is_the_stdlib_encoding(doc):
+    assert canonical_text(doc) \
+        == json.dumps(doc, indent=2, sort_keys=True) + "\n"

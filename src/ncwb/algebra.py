@@ -59,7 +59,9 @@ class Algebra:
                  unit):
         self.basis_names = tuple(str(s) for s in basis_names)
         n = len(self.basis_names)
-        assert n >= 1, "algebra needs at least the unit"
+        if n < 1:
+            raise ValueError("an algebra needs at least the unit in its "
+                             "basis")
         self.dim = n
         sc = tuple(tuple(vector(v) for v in row) for row in structure_constants)
         if len(sc) != n or any(len(row) != n for row in sc) \
@@ -109,11 +111,6 @@ class Algebra:
         return Matrix.from_cols([self.sc[i][j] for i in range(n)
                                  for j in range(n)], nrows=n)
 
-    def is_commutative(self) -> bool:
-        n = self.dim
-        return all(self.sc[i][j] == self.sc[j][i]
-                   for i in range(n) for j in range(n))
-
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, vector(coords))
 
@@ -136,11 +133,16 @@ class AlgebraElement:
     def __init__(self, algebra: Algebra, coords):
         self.algebra = algebra
         self.coords = vector(coords)
-        assert len(self.coords) == algebra.dim
+        if len(self.coords) != algebra.dim:
+            raise ValueError("%d coordinates for an element of an algebra "
+                             "of dimension %d" % (len(self.coords),
+                                                  algebra.dim))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            assert other.algebra is self.algebra
+            if other.algebra is not self.algebra:
+                raise ValueError("elements of different algebras cannot be "
+                                 "multiplied")
             return AlgebraElement(self.algebra,
                                   self.algebra.multiply(self.coords, other.coords))
         return AlgebraElement(self.algebra, vscale(frac(other), self.coords))
@@ -149,7 +151,10 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, vscale(frac(other), self.coords))
 
     def __add__(self, other):
-        assert isinstance(other, AlgebraElement) and other.algebra is self.algebra
+        if not isinstance(other, AlgebraElement) \
+                or other.algebra is not self.algebra:
+            raise ValueError("only elements of the same algebra can be "
+                             "added")
         return AlgebraElement(self.algebra, vadd(self.coords, other.coords))
 
     def __sub__(self, other):
@@ -198,6 +203,17 @@ def check_algebra(a: Algebra) -> CheckReport:
     return rep
 
 
+def _check_actions(side: str, mats: tuple, algebra: Algebra, dim: int):
+    """One dim x dim action matrix per algebra basis vector."""
+    if len(mats) != algebra.dim:
+        raise ValueError("%d %s action matrices for an algebra of "
+                         "dimension %d" % (len(mats), side, algebra.dim))
+    for i, m in enumerate(mats):
+        if m.nrows != dim or m.ncols != dim:
+            raise ValueError("%s action %d is %dx%d, expected %dx%d"
+                             % (side, i, m.nrows, m.ncols, dim, dim))
+
+
 class Bimodule:
     """Bimodule over an algebra: left[i], right[i] act for basis vector e_i."""
 
@@ -207,9 +223,8 @@ class Bimodule:
         self.dim = dim
         self.left = tuple(left)
         self.right = tuple(right)
-        assert len(self.left) == algebra.dim and len(self.right) == algebra.dim
-        for m in self.left + self.right:
-            assert m.nrows == dim and m.ncols == dim
+        _check_actions("left", self.left, algebra, dim)
+        _check_actions("right", self.right, algebra, dim)
 
     @classmethod
     def regular(cls, a: Algebra) -> "Bimodule":
@@ -240,7 +255,8 @@ class Bimodule:
 
 
 def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
-    assert m.algebra is n.algebra
+    if m.algebra is not n.algebra:
+        raise ValueError("a direct sum needs bimodules over one algebra")
     d = m.dim + n.dim
 
     def block(a: Matrix, b: Matrix) -> Matrix:
@@ -285,9 +301,7 @@ class LeftModule:
         self.algebra = algebra
         self.dim = dim
         self.left = tuple(left)
-        assert len(self.left) == algebra.dim
-        for m in self.left:
-            assert m.nrows == dim and m.ncols == dim
+        _check_actions("left", self.left, algebra, dim)
 
     @classmethod
     def free(cls, a: Algebra, rank_: int) -> "LeftModule":
@@ -324,8 +338,13 @@ class BimoduleMap:
     matrix: Matrix
 
     def __post_init__(self):
-        assert self.matrix.nrows == self.target.dim
-        assert self.matrix.ncols == self.source.dim
+        if self.matrix.nrows != self.target.dim \
+                or self.matrix.ncols != self.source.dim:
+            raise ValueError("a map from dimension %d to %d needs a %dx%d "
+                             "matrix, not %dx%d" % (
+                                 self.source.dim, self.target.dim,
+                                 self.target.dim, self.source.dim,
+                                 self.matrix.nrows, self.matrix.ncols))
 
     def apply(self, m):
         return self.matrix.apply(m)
@@ -345,7 +364,8 @@ def check_bimodule_map(alpha: BimoduleMap) -> CheckReport:
 def bimodule_map_space(m: Bimodule, n: Bimodule) -> Subspace:
     """All bimodule maps m -> n, as row-major flattened (n.dim x m.dim)
     matrices phi with phi L_i = L'_i phi and phi R_i = R'_i phi."""
-    assert m.algebra is n.algebra
+    if m.algebra is not n.algebra:
+        raise ValueError("bimodule maps need bimodules over one algebra")
     rows = []
     for i in range(m.algebra.dim):
         rows.extend(intertwiner_rows(m.left[i], n.left[i]))
@@ -361,24 +381,31 @@ class DualBimodule:
     side 'left': left module maps X(f.m) = f X(m), carrying
         (f.X.g)(m) = X(m.f) g.
 
-    basis element k is stored as its evaluation matrix eval_mats[k], mapping
-    module coordinates to algebra coordinates.
+    The dual is built from span, the canonical subspace of the flattened
+    (row-major) evaluation matrices: basis element k is span.basis[k],
+    stored as its evaluation matrix eval_mats[k], mapping module coordinates
+    to algebra coordinates.  A canonical basis is independent, so nothing
+    is eliminated here.
     """
 
     def __init__(self, base: Bimodule, side: str, bimodule: Bimodule,
-                 eval_mats: Sequence[Matrix]):
-        assert side in ("right", "left")
+                 span: Subspace):
+        if side not in ("right", "left"):
+            raise ValueError("a dual is taken on the right or the left, "
+                             "not %r" % (side,))
+        n, md = base.algebra.dim, base.dim
+        if span.ambient_dim != n * md:
+            raise ValueError("evaluation matrices on a bimodule of "
+                             "dimension %d flatten into Q^%d, not Q^%d"
+                             % (md, n * md, span.ambient_dim))
+        if span.dim != bimodule.dim:
+            raise ValueError("%d evaluation matrices for a dual bimodule of "
+                             "dimension %d" % (span.dim, bimodule.dim))
         self.base = base
         self.side = side
         self.bimodule = bimodule
-        self.eval_mats = tuple(eval_mats)
-        a = base.algebra
-        for e in self.eval_mats:
-            assert e.nrows == a.dim and e.ncols == base.dim
-        self._span = Subspace.from_vectors(
-            a.dim * base.dim, (e.flatten() for e in self.eval_mats))
-        if self._span.dim != len(self.eval_mats):
-            raise InvariantError("evaluation matrices must be independent")
+        self.span = span
+        self.eval_mats = tuple(Matrix.from_flat(v, n, md) for v in span.basis)
 
     @property
     def dim(self) -> int:
@@ -393,7 +420,7 @@ class DualBimodule:
         return self.base.algebra.element(self.eval_of(xcoords).apply(mcoords))
 
     def coords_of_map(self, e: Matrix) -> Optional[list]:
-        return self._span.coords(e.flatten())
+        return self.span.coords(e.flatten())
 
     def __repr__(self):
         return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
@@ -436,7 +463,7 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
         left_mats.append(Matrix.from_cols(lcols, nrows=d))
         right_mats.append(Matrix.from_cols(rcols, nrows=d))
     dual_bim = Bimodule(a, d, left_mats, right_mats)
-    return DualBimodule(m, side, dual_bim, eval_mats)
+    return DualBimodule(m, side, dual_bim, sol)
 
 
 def right_dual(m: Bimodule) -> DualBimodule:
@@ -457,9 +484,13 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
     target; the composite lands in the source dual exactly when alpha is a
     bimodule map.
     """
-    assert source_dual.base is alpha.source
-    assert target_dual.base is alpha.target
-    assert source_dual.side == target_dual.side
+    if source_dual.base is not alpha.source \
+            or target_dual.base is not alpha.target:
+        raise ValueError("the duals must be taken over the source and the "
+                         "target of the map")
+    if source_dual.side != target_dual.side:
+        raise ValueError("a %s dual and a %s dual have no transpose map"
+                         % (source_dual.side, target_dual.side))
     cols = []
     for e in target_dual.eval_mats:
         c = source_dual.coords_of_map(e @ alpha.matrix)

@@ -22,8 +22,12 @@ class DifferentialCalculus:
     """d maps algebra coordinates to module coordinates, column per basis."""
 
     def __init__(self, algebra: Algebra, bimodule: Bimodule, d: Matrix):
-        assert bimodule.algebra is algebra
-        assert d.nrows == bimodule.dim and d.ncols == algebra.dim
+        if bimodule.algebra is not algebra:
+            raise ValueError("the bimodule of a calculus must be over its "
+                             "algebra")
+        if d.nrows != bimodule.dim or d.ncols != algebra.dim:
+            raise ValueError("d is %dx%d, expected %dx%d (module x algebra)"
+                             % (d.nrows, d.ncols, bimodule.dim, algebra.dim))
         self.algebra = algebra
         self.bimodule = bimodule
         self.d = d
@@ -160,5 +164,6 @@ def is_spanned_by_differential(c: DifferentialCalculus) -> bool:
     """Does the image of d generate the bimodule under both actions?"""
     m = c.bimodule
     seed = [c.d.col(j) for j in range(c.algebra.dim)]
-    closure = closure_under_maps(seed, list(m.left) + list(m.right), m.dim)
+    closure = closure_under_maps(seed, [x.apply for x in m.left + m.right],
+                                 m.dim)
     return closure.dim == m.dim

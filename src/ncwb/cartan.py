@@ -12,8 +12,9 @@ valued in the left dual of N.
 
 The co-universal pair is the right dual of the universal one-forms.  It is
 built in closed form: X_u is {D in End(A) : D(1) = 0}, with X_D acting as
--D, f.D = L_f o D and D.g = D o L_g - L_{D(g)}.  The generic route,
-right_dual of the universal bimodule, stays only as a test oracle.
+-D, f.D = L_f o D and D.g = D o L_g - L_{D(g)}, each read into coordinates
+by one linear map.  The generic route, right_dual of the universal
+bimodule, stays only as a test oracle.
 Factorization of an arbitrary pair through X_u is a coordinate read-off
 of its action, and its existence is reported, never assumed.
 """
@@ -44,13 +45,20 @@ class CartanPair:
     def __init__(self, algebra: Algebra, bimodule: Bimodule, action,
                  source_calculus: Optional[DifferentialCalculus] = None,
                  dual: Optional[DualBimodule] = None):
-        assert bimodule.algebra is algebra
+        if bimodule.algebra is not algebra:
+            raise ValueError("the bimodule of a pair must be over its "
+                             "algebra")
         self.algebra = algebra
         self.bimodule = bimodule
         self.action = tuple(action)
-        assert len(self.action) == bimodule.dim
-        for m in self.action:
-            assert m.nrows == algebra.dim and m.ncols == algebra.dim
+        n = algebra.dim
+        if len(self.action) != bimodule.dim:
+            raise ValueError("%d action matrices for a bimodule of dimension "
+                             "%d" % (len(self.action), bimodule.dim))
+        for t, m in enumerate(self.action):
+            if m.nrows != n or m.ncols != n:
+                raise ValueError("action %d is %dx%d on an algebra of "
+                                 "dimension %d" % (t, m.nrows, m.ncols, n))
         # provenance when derived from a calculus; purely informational
         self.source_calculus = source_calculus
         self.dual = dual
@@ -120,7 +128,9 @@ def calculus_from_pair(p: CartanPair):
         ev = Matrix.from_cols([p.action[t].col(j) for t in range(p.bimodule.dim)],
                               nrows=a.dim)
         c = ld.coords_of_map(ev)
-        assert c is not None, "evaluation of the action is left linear"
+        if c is None:
+            raise InvariantError("the evaluation of the action at %s is not "
+                                 "left linear" % a.basis_names[j])
         cols.append(tuple(c))
     d = Matrix.from_cols(cols, nrows=ld.dim)
     return DifferentialCalculus(a, ld.bimodule, d), ld
@@ -177,6 +187,11 @@ def co_universal_pair(a: Algebra,
     a basis of {D(1) = 0} are row reduced to the canonical basis that
     right_dual(universal.bimodule) gives; that generic route is kept only
     as a test oracle.
+
+    Both products kill 1 once the unit is a right unit, which is checked
+    first: (L_f o D)(1) = f D(1) = 0 and (D o L_g - L_{D(g)})(1) =
+    D(g 1) - D(g) 1 = 0.  So each one lies in {D(1) = 0}, and its
+    coordinates are one linear read of its flattened matrix.
     """
     u = universal if universal is not None else universal_calculus(a)
     n, k = a.dim, u.bimodule.dim
@@ -210,18 +225,19 @@ def co_universal_pair(a: Algebra,
     if any(pc >= nk for pc in ech.pivots):
         raise InvariantError("D -> X_D is not injective on {D : D(1) = 0}")
     rows = ech.frac_rows()
-    eval_mats = [Matrix.from_flat(r[:nk], n, k) for r in rows]
+    # every pivot lies in the left parts, so they are reduced already
+    span = Subspace(nk, [r[:nk] for r in rows], ech.pivots)
     dmats = [Matrix.from_flat(r[nk:], n, n) for r in rows]
-    # coordinates of X_D are the entries of its evaluation at the pivots
+    # the coordinates of X_D are the entries of its evaluation at the
+    # pivots, linear in flat(D): entry m*n + i adds that of X_E for E the
+    # matrix unit e_i -> e_m
     at_pivots = [[(t, ev[pc]) for t, pc in enumerate(ech.pivots) if ev[pc]]
                  for ev in (e.flatten() for e in evals)]
     q = len(rows)
 
-    def coords(dm: Matrix, what: str):
-        if not is_zero_vector(dm.apply(a.unit)):
-            raise InvariantError("%s does not kill the unit" % what)
+    def coords(flat_d) -> tuple:
         out = [ZERO] * q
-        for mi, x in enumerate(dm.flatten()):
+        for mi, x in enumerate(flat_d):
             if x:
                 for t, y in at_pivots[mi]:
                     out[t] += x * y
@@ -231,14 +247,13 @@ def co_universal_pair(a: Algebra,
     for i in range(n):
         li = a.lmul[i]
         left_mats.append(Matrix.from_cols(
-            [coords(li @ dm, "L_f o D") for dm in dmats],
-            nrows=q))
+            [coords((li @ dm).flatten()) for dm in dmats], nrows=q))
         right_mats.append(Matrix.from_cols(
-            [coords(dm @ li - a.left_mult_matrix(dm.col(i)),
-                    "D o L_g - L_D(g)") for dm in dmats],
-            nrows=q))
+            [coords(vsub((dm @ li).flatten(),
+                         a.left_mult_matrix(dm.col(i)).flatten()))
+             for dm in dmats], nrows=q))
     dual = DualBimodule(u.bimodule, "right",
-                        Bimodule(a, q, left_mats, right_mats), eval_mats)
+                        Bimodule(a, q, left_mats, right_mats), span)
     return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats))
 
 
@@ -311,7 +326,9 @@ def reflexive_roundtrip(c: DifferentialCalculus) -> ReflexiveRoundtrip:
         ev = Matrix.from_cols([md.eval_mats[t].col(j) for t in range(md.dim)],
                               nrows=a.dim)
         coords = ld.coords_of_map(ev)
-        assert coords is not None, "evaluation at a module vector is left linear"
+        if coords is None:
+            raise InvariantError("the evaluation at module vector %d is not "
+                                 "left linear" % j)
         cols.append(tuple(coords))
     kappa_mat = Matrix.from_cols(cols, nrows=ld.dim)
     kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)

@@ -9,12 +9,21 @@ a letter equal to 1 drops out; module runs stay as tensor factors.
 mu realises words as operators on A (algebra letters as left
 multiplication, module letters through the pair action) and is a
 homomorphism from concatenation to composition.  normal_form pushes every
-algebra letter to the front with the two rewriting moves
+algebra letter to the front with the one rewriting move
 
-    f * X   ->  (f.X)                 (inside the module letter)
     X * f   ->  (X.f) + (X(f))        (module letter, then algebra letter)
 
-which mu sends to identities, so rewriting never changes the operator.
+besides the merges and unit deletions, and mu sends it to an identity, so
+rewriting never changes the operator.  The move f * X -> (f.X) is not
+applied: a leading algebra letter stays in front of the module letters, so
+on dual_numbers x*X0 is a normal form although x.X0 = 0.  mu kills
+f * X - (f.X) by action linearity, so that difference lies in the kernel
+of the Fock representation, and find_relations reports it as a relation.
+
+The operator algebra generated by the left multiplications and the action
+is the closure of the identity under right composition with those n + p
+generators: every product of generators extends a shorter one on the
+right.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .linalg import Matrix, Subspace, frac, is_zero_vector, kernel, \
-    linear_combination, span_closure
+from .linalg import Matrix, Subspace, closure_under_maps, frac, \
+    is_zero_vector, kernel, linear_combination
 from .cartan import CartanPair
 from .reporting import CheckReport
 
@@ -101,7 +110,9 @@ class FreeWord:
                           for t, c in enumerate(coords) if c != 0})
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        assert other.pair is self.pair
+        if other.pair is not self.pair:
+            raise ValueError("words over different pairs cannot be "
+                             "multiplied")
         prod: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -110,7 +121,8 @@ class FreeWord:
         return FreeWord(self.pair, prod)
 
     def __add__(self, other: "FreeWord") -> "FreeWord":
-        assert other.pair is self.pair
+        if other.pair is not self.pair:
+            raise ValueError("words over different pairs cannot be added")
         s = dict(self.terms)
         for w, c in other.terms.items():
             s[w] = s.get(w, Fraction(0)) + c
@@ -167,7 +179,8 @@ def format_word_sum(pair: CartanPair, w: FreeWord,
 def evaluate_mu(pair: CartanPair, w) -> Matrix:
     """Realise a word combination as an operator on A."""
     if isinstance(w, FreeWord):
-        assert w.pair is pair
+        if w.pair is not pair:
+            raise ValueError("the word combination is over another pair")
         n = pair.algebra.dim
         return linear_combination(
             w.terms.values(), (_word_operator(pair, word) for word in w.terms),
@@ -223,23 +236,25 @@ class OperatorAlgebra:
 
 
 def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
-    """Close identity, left multiplications and the action under
-    composition."""
+    """The algebra generated by the identity, the left multiplications and
+    the action, as the closure of the identity under right composition
+    with the n + p generators.
+
+    A product of generators is a shorter product composed with one more
+    generator on the right, so this closure is the span of all products,
+    lawful pair or not, after D (n + p) compositions for an algebra of
+    dimension D.
+    """
     n = pair.algebra.dim
-    seed = [Matrix.identity(n).flatten()]
-    gens = ["id"]
-    for i in range(n):
-        seed.append(pair.algebra.lmul[i].flatten())
-        gens.append("l(%s)" % pair.algebra.basis_names[i])
-    for t in range(pair.bimodule.dim):
-        seed.append(pair.action[t].flatten())
-        gens.append("act(X%d)" % t)
+    gens = (["id"] + ["l(%s)" % name for name in pair.algebra.basis_names]
+            + ["act(X%d)" % t for t in range(pair.bimodule.dim)])
 
-    def compose(u, v):
-        return (Matrix.from_flat(u, n, n) @ Matrix.from_flat(v, n, n)).flatten()
+    def right_composition(g: Matrix):
+        return lambda v: (Matrix.from_flat(v, n, n) @ g).flatten()
 
-    return OperatorAlgebra(tuple(gens),
-                           span_closure(seed, compose, n * n))
+    maps = [right_composition(g) for g in pair.algebra.lmul + pair.action]
+    return OperatorAlgebra(tuple(gens), closure_under_maps(
+        [Matrix.identity(n).flatten()], maps, n * n))
 
 
 @dataclass

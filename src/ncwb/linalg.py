@@ -9,7 +9,8 @@ out the system X A = B X without kron, affine_solutions reads a particular
 solution from one elimination of (m | b) and the canonical null space from
 a re-reduction of its r reduced rows with the column order reversed, so
 the null-space vectors are written once and never eliminated (kernel and
-solve are its two halves), and every row reduction goes through Echelon.
+solve are its two halves), closure_under_maps closes a span under
+linear maps, and every row reduction goes through Echelon.
 Echelon works on integer-scaled rows (cross multiplication with gcd
 renormalisation when entries grow), reduces each inserted row forward
 only, and runs the one backward pass when the canonical basis is read;
@@ -110,7 +111,7 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector], nrows: Optional[int] = None) -> "Matrix":
-        cols = [tuple(frac(x) for x in c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if nrows is None:
             if not cols:
                 raise ValueError("an empty column list needs an explicit "
@@ -129,7 +130,7 @@ class Matrix:
         if len(flat) != nrows * ncols:
             raise ValueError("%d entries do not fill a %dx%d matrix"
                              % (len(flat), nrows, ncols))
-        return cls(tuple(tuple(frac(flat[i * ncols + j]) for j in range(ncols))
+        return cls(tuple(tuple(flat[i * ncols:(i + 1) * ncols])
                          for i in range(nrows)), ncols=ncols)
 
     def col(self, j: int) -> Vector:
@@ -543,7 +544,9 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
 
     Closure under a bilinear map only needs to be checked on spanning
     vectors, so a worklist over generator pairs terminates once the
-    dimension stops growing.
+    dimension stops growing.  Nothing in the package calls it: it is kept
+    as the test oracle for generate_diffop_algebra (the pair-composition
+    route) and as a trace target of the benchmark.
     """
     ech = Echelon(ambient_dim)
     gens = []
@@ -564,9 +567,14 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
     return ech.subspace()
 
 
-def closure_under_maps(seed: Iterable, mats: Sequence[Matrix],
+def closure_under_maps(seed: Iterable, maps: Sequence[Callable],
                        ambient_dim: int) -> Subspace:
-    """Smallest subspace containing seed and stable under the given maps."""
+    """Smallest subspace containing seed and stable under the given linear
+    maps, each a callable from vectors to vectors.
+
+    Stability under a linear map only needs to be checked on spanning
+    vectors, so each vector that grows the span is mapped once by each map.
+    """
     ech = Echelon(ambient_dim)
     work = []
     for v in seed:
@@ -575,8 +583,8 @@ def closure_under_maps(seed: Iterable, mats: Sequence[Matrix],
             work.append(v)
     while work:
         g = work.pop()
-        for m in mats:
-            img = m.apply(g)
+        for m in maps:
+            img = m(g)
             if ech.insert(img):
                 work.append(img)
     return ech.subspace()

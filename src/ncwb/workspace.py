@@ -100,7 +100,9 @@ class Workspace:
         self.objects: dict = {}    # name -> WorkspaceObject, load order
 
     def add(self, wo: WorkspaceObject):
-        assert wo.name not in self.objects
+        if wo.name in self.objects:
+            raise ValueError("the workspace already holds an object named %r"
+                             % wo.name)
         self.objects[wo.name] = wo
 
     def get(self, name: str) -> WorkspaceObject:
@@ -151,7 +153,7 @@ def _build_algebra(ws, decl, where):
     unit = _vector_from(decl.get("unit"), n, "%s unit" % where)
     try:
         return Algebra(basis, sc, unit)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         raise WorkspaceError("%s: %s" % (where, e))
 
 
@@ -172,7 +174,7 @@ def _build_bimodule(ws, decl, where):
             for i in range(a.dim))
     try:
         return Bimodule(a, dim, mats["left"], mats["right"])
-    except AssertionError as e:
+    except ValueError as e:
         raise WorkspaceError("%s: %s" % (where, e))
 
 
@@ -382,7 +384,8 @@ def cartan_pair_decl(p: CartanPair, algebra_ref: str,
 
 def connection_decl(conn: Connection, calculus_ref: str) -> dict:
     rank_, rem = divmod(conn.module.dim, conn.calculus.algebra.dim)
-    assert rem == 0, "only free modules are serialized"
+    if rem:
+        raise ValueError("only connections on free modules are serialized")
     return {
         "kind": "connection",
         "calculus": calculus_ref,
@@ -412,7 +415,9 @@ def _decl_for(wo: WorkspaceObject, refs: dict) -> dict:
     if wo.kind == "cartan_pair":
         return cartan_pair_decl(wo.obj, refs[id(wo.obj.algebra)],
                                 refs[id(wo.obj.bimodule)])
-    assert wo.kind == "connection"
+    if wo.kind != "connection":
+        raise ValueError("no declaration for an object of kind %r"
+                         % (wo.kind,))
     return connection_decl(wo.obj, refs[id(wo.obj.calculus)])
 
 

@@ -217,7 +217,8 @@ from ncwb.cartan import (  # noqa: E402
     CoUniversalFactorization, CoUniversalPair,
 )
 from ncwb.linalg import (  # noqa: E402
-    is_zero_vector, kernel, kron, restrict_to_kernel, solve, vzero,
+    Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
+    span_closure, vzero,
 )
 from ncwb.reporting import CheckReport  # noqa: E402
 
@@ -314,6 +315,27 @@ def co_universal_factorization_by_solve(p, cu) -> CoUniversalFactorization:
                                     hom.dim, rep)
 
 
+def diffop_algebra_by_pairs(pair):
+    """The operator algebra by composing every pair of generators through
+    span_closure, seeded with the identity, the left multiplications and
+    the action."""
+    n = pair.algebra.dim
+    seed = [Matrix.identity(n).flatten()]
+    seed += [m.flatten() for m in pair.algebra.lmul + pair.action]
+
+    def compose(u, v):
+        return (Matrix.from_flat(u, n, n) @ Matrix.from_flat(v, n, n)).flatten()
+
+    return span_closure(seed, compose, n * n)
+
+
+def dual_span_by_reelimination(d):
+    """The span of a dual's flattened evaluation matrices, row reduced
+    afresh."""
+    return Subspace.from_vectors(d.base.algebra.dim * d.base.dim,
+                                 [e.flatten() for e in d.eval_mats])
+
+
 # ---- change of basis ---------------------------------------------------
 
 from hypothesis import strategies as st  # noqa: E402
@@ -352,6 +374,16 @@ def inverse(m: Matrix) -> Matrix:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     return Matrix([row[n:] for row in aug], ncols=n)
+
+
+@st.composite
+def transported_pairs(draw, pairs):
+    """One of the given pairs after unimodular basis changes of its
+    algebra and of its bimodule."""
+    p = draw(st.sampled_from(pairs))
+    change = BasisChange(draw(unimodular_matrices(p.algebra.dim)),
+                         draw(unimodular_matrices(p.bimodule.dim)))
+    return change.pair(p, change.algebra(p.algebra))
 
 
 class BasisChange:
@@ -393,7 +425,7 @@ class BasisChange:
 
 from ncwb.algebra import LeftModule, TensorProductOverA  # noqa: E402
 from ncwb.connections import covariant_derivative  # noqa: E402
-from ncwb.linalg import Echelon, Subspace, vector  # noqa: E402
+from ncwb.linalg import Echelon, vector  # noqa: E402
 from ncwb.reporting import InvariantError  # noqa: E402
 
 

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncwb.algebra import Bimodule, check_bimodule, direct_sum, transpose
+from ncwb.algebra import (
+    Bimodule, check_bimodule, direct_sum, left_dual, right_dual, transpose,
+)
 from ncwb.calculus import check_leibniz, factor_through_universal, \
     universal_calculus
 from ncwb.cartan import (
@@ -18,11 +20,15 @@ from ncwb.catalog import (
 from ncwb.linalg import Matrix
 
 from helpers import (
-    BasisChange, co_universal_factorization_by_solve,
-    co_universal_pair_by_right_dual, dual_numbers, inner_calculus,
+    co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
+    dual_span_by_reelimination, dual_numbers, inner_calculus,
     kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,
-    unimodular_matrices, upper_triangular_2, z2_group_algebra, zero_calculus,
+    transported_pairs, upper_triangular_2, z2_group_algebra, zero_calculus,
 )
+
+# builtin pairs over algebras of dimension <= 4, for basis-change draws
+SMALL_PAIRS = [builtin(name).pair for name in BUILTIN_NAMES
+               if builtin(name).algebra.dim <= 4]
 
 
 def all_calculi():
@@ -209,19 +215,62 @@ def test_missing_factorization_matches_oracle(make):
         ["factorization-exists at (): no bimodule map matches the action"])
 
 
-@st.composite
-def transported_pairs(draw):
-    """A builtin pair over an algebra of dimension <= 4 after unimodular
-    basis changes of the algebra and of the pair bimodule."""
-    b = builtin(draw(st.sampled_from([name for name in BUILTIN_NAMES
-                                      if builtin(name).algebra.dim <= 4])))
-    change = BasisChange(draw(unimodular_matrices(b.algebra.dim)),
-                         draw(unimodular_matrices(b.pair.bimodule.dim)))
-    return change.pair(b.pair, change.algebra(b.algebra))
-
-
 @settings(max_examples=15, deadline=None)
-@given(transported_pairs())
+@given(transported_pairs(SMALL_PAIRS))
 def test_closed_forms_match_oracle_after_basis_change(p):
     assert check_cartan(p).ok
     assert_closed_forms_match_oracle(p.algebra, [p])
+
+
+# ---- the unit check that co_universal_pair leaves out ------------------
+
+def assert_co_universal_products_kill_unit(a):
+    """Every L_f o D and D o L_g - L_{D(g)} over basis vectors f, g and the
+    co-universal basis D (which acts as -D) kills 1."""
+    cu = co_universal_pair(a)
+    for x in cu.action:
+        dm = x.scale(-1)
+        assert not any(dm.apply(a.unit))
+        for li in a.lmul:
+            assert not any((li @ dm).apply(a.unit))
+        for g in range(a.dim):
+            shifted = dm @ a.lmul[g] - a.left_mult_matrix(dm.col(g))
+            assert not any(shifted.apply(a.unit))
+
+
+@pytest.mark.parametrize("name,params",
+                         [(name, ()) for name in BUILTIN_NAMES]
+                         + [("truncated_poly", (5,)),
+                            ("quantum_plane_trunc", (2, 3))],
+                         ids=lambda v: str(v))
+def test_co_universal_products_kill_the_unit(name, params):
+    assert_co_universal_products_kill_unit(builtin(name, params).algebra)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs(SMALL_PAIRS))
+def test_co_universal_products_kill_the_unit_after_basis_change(p):
+    assert_co_universal_products_kill_unit(p.algebra)
+
+
+# ---- duals hold the canonical span of their evaluation matrices --------
+
+def builtin_bimodules(name):
+    b = builtin(name)
+    mods = list(b.bimodules.values())
+    if b.calculus is not None:
+        mods.append(b.calculus.bimodule)
+    if b.pair is not None:
+        mods.append(b.pair.bimodule)
+    return mods
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_dual_span_is_the_reduced_span_of_its_evaluations(name):
+    duals = [co_universal_pair(builtin(name).algebra).dual]
+    for m in builtin_bimodules(name):
+        duals += [right_dual(m), left_dual(m)]
+    for d in duals:
+        assert d.span == dual_span_by_reelimination(d)
+        assert d.span.dim == d.dim == len(d.eval_mats)
+        assert tuple(e.flatten() for e in d.eval_mats) == d.span.basis

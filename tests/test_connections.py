@@ -1,11 +1,14 @@
 """Connections: Leibniz law, contraction, covariant derivative laws."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncwb.linalg
 from ncwb.algebra import Bimodule, LeftModule, tensor_over_A
 from ncwb.calculus import universal_calculus
 from ncwb.cartan import CartanPair, pair_from_calculus
@@ -329,17 +332,40 @@ def test_action_linearity_finding_on_a_planted_left_action():
 # ---- input validation without assert -----------------------------------
 
 VALIDATION_CASES = """
-from ncwb.algebra import LeftModule, left_dual
-from ncwb.cartan import pair_from_calculus
+from ncwb.algebra import (
+    Algebra, AlgebraElement, Bimodule, BimoduleMap, DualBimodule,
+    LeftModule, bimodule_map_space, direct_sum, left_dual, right_dual,
+    tensor_over_A, transpose)
+from ncwb.calculus import DifferentialCalculus
+from ncwb.cartan import CartanPair, calculus_from_pair, pair_from_calculus
 from ncwb.catalog import builtin
 from ncwb.connections import (
     Connection, ConnectionSpace, contraction_matrix, trivial_connection)
-from ncwb.diffops import find_relations
+from ncwb.diffops import FreeWord, evaluate_mu, find_relations
 from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
+from ncwb.reporting import InvariantError
+from ncwb.workspace import (
+    Workspace, WorkspaceObject, _decl_for, connection_decl)
 
 c = builtin("dual_numbers").calculus
 conn = trivial_connection(c, 1)
 other = trivial_connection(builtin("matrix_2").calculus, 1)
+a, m2 = c.algebra, builtin("matrix_2").algebra
+pair, m2_pair = builtin("dual_numbers").pair, builtin("matrix_2").pair
+reg, m2_reg = Bimodule.regular(a), Bimodule.regular(m2)
+i1, i2, i3 = (Matrix.identity(n) for n in (1, 2, 3))
+x_kills = LeftModule(a, 1, (i1, Matrix.zeros(1, 1)))
+odd = Connection(c, x_kills, tensor_over_A(c.bimodule, x_kills),
+                 Matrix.zeros(tensor_over_A(c.bimodule, x_kills).module.dim,
+                              1))
+
+
+def add_twice():
+    ws = Workspace()
+    for _ in range(2):
+        ws.add(WorkspaceObject("A", "algebra", a, True))
+
+
 cases = {
     "apply": lambda: Matrix([[1, 2]]).apply((1,)),
     "coords": lambda: Subspace.full(2).coords((1, 2, 3)),
@@ -369,12 +395,43 @@ cases = {
     "restrict": lambda: restrict_to_kernel(Subspace.full(2),
                                            Matrix([[1, 2, 3]])),
     "max-len": lambda: find_relations(builtin("dual_numbers").pair, 0),
+    "algebra-empty": lambda: Algebra((), (), ()),
+    "element-length": lambda: AlgebraElement(a, (1, 2, 3)),
+    "element-mul": lambda: a.one() * m2.one(),
+    "element-add": lambda: a.one() + m2.one(),
+    "bimodule-count": lambda: Bimodule(a, 2, (i3, i3), (i2,)),
+    "bimodule-shape": lambda: Bimodule(a, 2, (i2, i2), (i2, i3)),
+    "direct-sum": lambda: direct_sum(reg, m2_reg),
+    "left-module": lambda: LeftModule(a, 2, (i2, i3)),
+    "bimodule-map": lambda: BimoduleMap(reg, reg, i3),
+    "map-space": lambda: bimodule_map_space(reg, m2_reg),
+    "transpose-base": lambda: transpose(
+        BimoduleMap(reg, reg, i2), right_dual(m2_reg), right_dual(reg)),
+    "transpose-side": lambda: transpose(
+        BimoduleMap(reg, reg, i2), left_dual(reg), right_dual(reg)),
+    "dual-side": lambda: DualBimodule(reg, "middle", reg, Subspace.full(4)),
+    "dual-ambient": lambda: DualBimodule(reg, "right", reg, Subspace.full(3)),
+    "dual-dim": lambda: DualBimodule(reg, "right", reg, Subspace.full(4)),
+    "calculus-algebra": lambda: DifferentialCalculus(m2, reg, i2),
+    "calculus-shape": lambda: DifferentialCalculus(a, reg, Matrix.zeros(2, 3)),
+    "pair-algebra": lambda: CartanPair(m2, reg, (i2, i2)),
+    "pair-count": lambda: CartanPair(a, reg, (i3,)),
+    "pair-shape": lambda: CartanPair(a, pair.bimodule, (i3,)),
+    "word-mul": lambda: FreeWord.one(pair) * FreeWord.one(m2_pair),
+    "word-add": lambda: FreeWord.one(pair) + FreeWord.one(m2_pair),
+    "mu": lambda: evaluate_mu(pair, FreeWord.one(m2_pair)),
+    "workspace-add": add_twice,
+    "connection-decl": lambda: connection_decl(odd, "calculus"),
+    "decl-kind": lambda: _decl_for(WorkspaceObject("A", "spline", a, True),
+                                   {}),
+    "left-linear": lambda: calculus_from_pair(CartanPair(
+        a, reg, (Matrix.zeros(2, 2), Matrix([[0, 0], [0, 1]])))),
 }
 for name, case in cases.items():
     try:
         case()
-    except ValueError:
-        print(name, "ValueError")
+    except (ValueError, InvariantError) as e:
+        print(name, type(e).__name__)
     else:
         print(name, "accepted")
 """
@@ -393,4 +450,23 @@ def test_invalid_input_raises_value_error(flags):
             "rank", "element", "matrix-ragged", "matrix-ncols",
             "matrix-empty", "from-cols-ragged", "from-cols-nrows",
             "from-cols-empty", "from-flat", "matmul", "add",
-            "echelon-insert", "restrict", "max-len")]
+            "echelon-insert", "restrict", "max-len", "algebra-empty",
+            "element-length", "element-mul", "element-add", "bimodule-count",
+            "bimodule-shape", "direct-sum", "left-module", "bimodule-map",
+            "map-space", "transpose-base", "transpose-side", "dual-side",
+            "dual-ambient", "dual-dim", "calculus-algebra", "calculus-shape",
+            "pair-algebra", "pair-count", "pair-shape", "word-mul",
+            "word-add", "mu", "workspace-add", "connection-decl",
+            "decl-kind")] + ["left-linear InvariantError"]
+
+
+def test_package_source_has_no_assert():
+    # python -O strips assert statements, so the package never validates
+    # with them
+    root = pathlib.Path(ncwb.linalg.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

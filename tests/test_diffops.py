@@ -5,10 +5,14 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from ncwb.algebra import Bimodule
 from ncwb.cartan import CartanPair, check_cartan, pair_from_calculus
-from ncwb.catalog import BUILTIN_NAMES, builtin
+from ncwb.catalog import (
+    BUILTIN_NAMES, builtin, naive_derivative_fixture,
+    vacuum_violation_fixture,
+)
 from ncwb.diffops import (
     FreeWord, _word_columns, _word_operator, check_ccr, evaluate_mu,
     find_relations, fock_check, format_word_sum, generate_diffop_algebra,
@@ -17,9 +21,9 @@ from ncwb.diffops import (
 from ncwb.linalg import Matrix
 
 from helpers import (
-    kahler_dual_numbers, kahler_truncated, kernel_by_reelimination,
-    naive_derivative_pair, quantum_plane_pair, theta_z2,
-    zero_action_pair_z2,
+    diffop_algebra_by_pairs, kahler_dual_numbers, kahler_truncated,
+    kernel_by_reelimination, naive_derivative_pair, quantum_plane_pair,
+    theta_z2, transported_pairs, zero_action_pair_z2,
 )
 
 
@@ -150,6 +154,31 @@ def test_diffop_algebra_closed_under_composition():
     for a in ops[:4]:
         for b in ops[:4]:
             assert alg.contains(a @ b)
+
+
+LAWLESS_PAIRS = {"naive-derivative": naive_derivative_fixture,
+                 "vacuum-violation": vacuum_violation_fixture}
+
+
+@pytest.mark.parametrize("case", list(BUILTIN_NAMES)
+                         + ["truncated_poly 6", "quantum_plane_trunc 2 3"]
+                         + list(LAWLESS_PAIRS))
+def test_diffop_algebra_is_the_pair_composition_closure(case):
+    # right composition with the generators spans what composing every
+    # pair of spanning operators spans, lawless pairs included
+    if case in LAWLESS_PAIRS:
+        p = LAWLESS_PAIRS[case]()
+    else:
+        name, *params = case.split()
+        p = builtin(name, tuple(int(x) for x in params)).pair
+    assert generate_diffop_algebra(p).space == diffop_algebra_by_pairs(p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs([builtin(name).pair for name in BUILTIN_NAMES
+                          if builtin(name).algebra.dim <= 4]))
+def test_diffop_algebra_is_the_pair_composition_closure_after_basis_change(p):
+    assert generate_diffop_algebra(p).space == diffop_algebra_by_pairs(p)
 
 
 def test_relations_dual_numbers_idempotent_field():

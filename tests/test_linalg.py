@@ -107,7 +107,7 @@ def test_span_closure_idempotent():
 
 def test_closure_under_maps():
     shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    s = closure_under_maps([(1, 0, 0)], [shift], 3)
+    s = closure_under_maps([(1, 0, 0)], [shift.apply], 3)
     assert s.dim == 3
 
 

@@ -82,17 +82,12 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     are its entries at the basis pivots.
     """
     n = a.dim
-    ker = kernel(a.mult_matrix())
+    mult = a.mult_matrix()
+    ker = kernel(mult)
     k = ker.dim
 
     def coords(v, what):
-        prod = [ZERO] * n
-        for ij, c in enumerate(v):
-            if c:
-                for t, x in enumerate(a.sc[ij // n][ij % n]):
-                    if x:
-                        prod[t] += c * x
-        if any(prod):
+        if any(mult.apply(v)):
             raise InvariantError(what)
         return tuple(v[pc] for pc in ker.pivots)
 

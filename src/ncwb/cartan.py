@@ -165,13 +165,18 @@ def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
 
 
 class CoUniversalPair(CartanPair):
-    """Pair derived from the universal calculus."""
+    """Pair derived from the universal calculus.
+
+    read, when given, is the q x n^2 matrix taking flat(D) to the
+    coordinates of X_D over the canonical basis of the dual.
+    """
 
     def __init__(self, universal: UniversalCalculus, dual: DualBimodule,
-                 action):
+                 action, read: Optional[Matrix] = None):
         super().__init__(universal.algebra, dual.bimodule, action,
                          source_calculus=universal, dual=dual)
         self.universal = universal
+        self.read = read
 
 
 def co_universal_pair(a: Algebra,
@@ -191,7 +196,8 @@ def co_universal_pair(a: Algebra,
     Both products kill 1 once the unit is a right unit, which is checked
     first: (L_f o D)(1) = f D(1) = 0 and (D o L_g - L_{D(g)})(1) =
     D(g 1) - D(g) 1 = 0.  So each one lies in {D(1) = 0}, and its
-    coordinates are one linear read of its flattened matrix.
+    coordinates are one linear read of its flattened matrix, a read that
+    is zero on every L_{D(g)}.
     """
     u = universal if universal is not None else universal_calculus(a)
     n, k = a.dim, u.bimodule.dim
@@ -229,32 +235,26 @@ def co_universal_pair(a: Algebra,
     span = Subspace(nk, [r[:nk] for r in rows], ech.pivots)
     dmats = [Matrix.from_flat(r[nk:], n, n) for r in rows]
     # the coordinates of X_D are the entries of its evaluation at the
-    # pivots, linear in flat(D): entry m*n + i adds that of X_E for E the
-    # matrix unit e_i -> e_m
-    at_pivots = [[(t, ev[pc]) for t, pc in enumerate(ech.pivots) if ev[pc]]
-                 for ev in (e.flatten() for e in evals)]
+    # pivots, linear in flat(D): column m*n + i of read holds those of X_E
+    # for E the matrix unit e_i -> e_m
+    flat_evals = [e.flatten() for e in evals]
+    read = Matrix([[ev[pc] for ev in flat_evals] for pc in ech.pivots],
+                  ncols=n * n)
     q = len(rows)
-
-    def coords(flat_d) -> tuple:
-        out = [ZERO] * q
-        for mi, x in enumerate(flat_d):
-            if x:
-                for t, y in at_pivots[mi]:
-                    out[t] += x * y
-        return tuple(out)
-
+    # D.g = D o L_g - L_{D(g)}, but the read kills every left
+    # multiplication: on an associative algebra X_{L_h}(w) =
+    # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
+    # of m.  So D.g is read as D o L_g alone.
     left_mats, right_mats = [], []
-    for i in range(n):
-        li = a.lmul[i]
+    for li in a.lmul:
         left_mats.append(Matrix.from_cols(
-            [coords((li @ dm).flatten()) for dm in dmats], nrows=q))
+            [read.apply((li @ dm).flatten()) for dm in dmats], nrows=q))
         right_mats.append(Matrix.from_cols(
-            [coords(vsub((dm @ li).flatten(),
-                         a.left_mult_matrix(dm.col(i)).flatten()))
-             for dm in dmats], nrows=q))
+            [read.apply((dm @ li).flatten()) for dm in dmats], nrows=q))
     dual = DualBimodule(u.bimodule, "right",
                         Bimodule(a, q, left_mats, right_mats), span)
-    return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats))
+    return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats),
+                           read=read)
 
 
 @dataclass

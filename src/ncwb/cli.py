@@ -28,8 +28,8 @@ from .linalg import ZERO
 from .reporting import CheckReport, InvariantError
 from .workspace import (
     SCHEMA, WorkspaceError, algebra_decl, bimodule_decl, calculus_decl,
-    canonical_text, cartan_pair_decl, load_workspace, matrix_rows,
-    parse_rational,
+    canonical_parts, canonical_text, cartan_pair_decl, load_workspace,
+    matrix_rows, parse_rational,
 )
 
 MAX_WORD_LEN_DEFAULT = 4
@@ -107,12 +107,12 @@ def cmd_check(args) -> int:
 
 
 def _emit(args, doc: dict, summary: str) -> int:
-    text = canonical_text(doc)
+    parts = canonical_parts(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     sys.stderr.write(summary + "\n")
     return 0
 

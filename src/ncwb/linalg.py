@@ -2,20 +2,27 @@
 
 The scalar type is fractions.Fraction throughout; nothing here ever rounds.
 Vectors are tuples of Fractions, matrices are immutable row-major tuples of
-such tuples.  Storage is dense, but the work is not: @, Matrix.apply and
-Subspace.coords accumulate over non-zero entries only.  Each idea has one
-routine: linear_combination sums scaled matrices, intertwiner_rows writes
-out the system X A = B X without kron, affine_solutions reads a particular
-solution from one elimination of (m | b) and the canonical null space from
-a re-reduction of its r reduced rows with the column order reversed, so
-the null-space vectors are written once and never eliminated (kernel and
-solve are its two halves), closure_under_maps closes a span under
-linear maps, and every row reduction goes through Echelon.
-Echelon works on integer-scaled rows (cross multiplication with gcd
-renormalisation when entries grow), reduces each inserted row forward
-only, and runs the one backward pass when the canonical basis is read;
-converting back to Fractions at the end keeps Fraction gcd churn out of
-the inner loop.
+such tuples.  Storage is dense, but the work is not, and it is done on
+integers: Matrix.int_rows is the matrix as a common denominator over the
+sparse integer numerators of each row, computed on first use and kept (a
+Matrix never changes).  @, Matrix.apply and linear_combination accumulate
+Python ints over those rows, after scaling a vector or the coefficients to
+integers once, and build one Fraction per non-zero output entry; zeros are
+the shared ZERO.  Subspace.coords reads the coefficients at the pivots and
+tests membership by an integer residual over the basis held the same way.
+
+Each idea has one routine: linear_combination sums scaled matrices,
+intertwiner_rows writes out the system X A = B X without kron,
+affine_solutions reads a particular solution from one elimination of
+(m | b) and the canonical null space from a re-reduction of its r reduced
+rows with the column order reversed, so the null-space vectors are written
+once and never eliminated (kernel and solve are its two halves),
+closure_under_maps closes a span under linear maps, and every row
+reduction goes through Echelon.  Echelon works on integer-scaled rows
+(cross multiplication with gcd renormalisation when entries grow),
+reduces each inserted row forward only, and runs the one backward pass
+when the canonical basis is read; converting back to Fractions at the end
+keeps Fraction gcd churn out of the inner loop.
 
 Every subspace is stored in fully reduced row echelon form, so two subspaces
 are equal exactly when their stored bases are equal componentwise.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple
@@ -52,6 +60,53 @@ def vector(xs) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
+def _exact(xs):
+    """xs as a tuple or list of ints and Fractions, unchanged when it is one
+    already; otherwise through vector (strings are parsed, floats raise
+    TypeError)."""
+    if not isinstance(xs, (tuple, list)):
+        xs = tuple(xs)
+    if all(map(isinstance, xs, repeat((int, Fraction)))):
+        return xs
+    return vector(xs)
+
+
+def _common_denominator(xs) -> int:
+    """lcm of the denominators of ints and Fractions."""
+    den = 1
+    for x in xs:
+        d = x.denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+    return den
+
+
+def _int_vector(xs) -> tuple:
+    """(den, nums) with xs[k] == nums[k] / den, den the lcm of the
+    denominators of the exact entries of xs."""
+    xs = _exact(xs)
+    den = _common_denominator(xs)
+    if den == 1:
+        return 1, [x.numerator for x in xs]
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _fractions(nums, den: int) -> Vector:
+    """The Fractions nums[k] / den, zeros as the shared ZERO."""
+    if den == 1:
+        return tuple(Fraction(v) if v else ZERO for v in nums)
+    return tuple(Fraction(v, den) if v else ZERO for v in nums)
+
+
+def _sparse_int_rows(rows) -> tuple:
+    """(den, rows) for rows of ints and Fractions: rows[r] holds (j, num)
+    for each non-zero entry of row r, as an integer numerator over the
+    common denominator den."""
+    den = _common_denominator(x for r in rows for x in r)
+    return den, tuple(tuple((j, x.numerator * (den // x.denominator))
+                            for j, x in enumerate(r) if x) for r in rows)
+
+
 def vzero(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -76,7 +131,7 @@ def is_zero_vector(v) -> bool:
 class Matrix:
     """Immutable exact matrix.  rows is a tuple of equal-length tuples."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_int_rows")
 
     def __init__(self, rows, ncols: Optional[int] = None):
         rows = tuple(tuple(frac(x) for x in r) for r in rows)
@@ -96,6 +151,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", w)
+        object.__setattr__(self, "_int_rows", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -142,42 +198,55 @@ class Matrix:
     def flatten(self) -> Vector:
         return tuple(x for r in self.rows for x in r)
 
+    def int_rows(self) -> tuple:
+        """(den, rows): rows[r] lists (j, num) for the non-zero entries of
+        row r, each equal to num / den, where den is the lcm of all the
+        denominators.  Built on first use and kept."""
+        cached = self._int_rows
+        if cached is None:
+            cached = _sparse_int_rows(self.rows)
+            object.__setattr__(self, "_int_rows", cached)
+        return cached
+
     def apply(self, v: Sequence) -> Vector:
-        """self v, accumulated over the non-zero entries of v and of self,
-        like @."""
+        """self v, accumulated in integers over the non-zero entries of
+        self, with v scaled to integers once."""
         if len(v) != self.ncols:
             raise ValueError("shape mismatch: %s applied to a vector of "
                              "length %d" % (self, len(v)))
-        nz = [(k, y) for k, y in enumerate(v) if y]
+        dm, rows = self.int_rows()
+        dv, iv = _int_vector(v)
         out = []
-        for r in self.rows:
-            s = ZERO
-            for k, y in nz:
-                x = r[k]
-                if x:
-                    s += x * y
+        for r in rows:
+            s = 0
+            for j, x in r:
+                s += x * iv[j]
             out.append(s)
-        return tuple(out)
+        return _fractions(out, dm * dv)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Product accumulated over the non-zero entries of both factors.
+        """Product accumulated in integers over the non-zero entries of
+        both factors' int_rows.
 
         The work is proportional to the products of non-zero pairs, which
-        pays off on 0/1 structure constants and sparse kernel vectors and
-        costs one truth test per entry on dense input.
+        pays off on 0/1 structure constants and sparse kernel vectors, and
+        each output entry becomes one Fraction.
         """
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %s @ %s" % (self, other))
-        orows = [[(j, y) for j, y in enumerate(r) if y] for r in other.rows]
+        da, arows = self.int_rows()
+        db, brows = other.int_rows()
+        den, w = da * db, other.ncols
         out = []
-        for r in self.rows:
-            acc = [ZERO] * other.ncols
-            for k, x in enumerate(r):
-                if x:
-                    for j, y in orows[k]:
-                        acc[j] += x * y
-            out.append(tuple(acc))
-        return Matrix(tuple(out), ncols=other.ncols)
+        for r in arows:
+            acc = [0] * w
+            for k, x in r:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+            out.append(_fractions(acc, den))
+        return Matrix(out, ncols=w)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -228,16 +297,18 @@ def linear_combination(coeffs, terms: Iterable[Matrix], nrows: int,
     """sum_k coeffs[k] * terms[k], an nrows x ncols matrix.
 
     The empty sum is the zero matrix.  Terms with a zero coefficient are
-    never read, and only their non-zero entries are accumulated.
+    never read; the others are accumulated in integers over the lcm of
+    coefficient times term denominators, non-zero entries only.
     """
-    acc = [[ZERO] * ncols for _ in range(nrows)]
-    for c, t in zip(coeffs, terms):
-        if c:
-            for arow, trow in zip(acc, t.rows):
-                for j, x in enumerate(trow):
-                    if x:
-                        arow[j] += c * x
-    return Matrix(acc, ncols=ncols)
+    picked = [(c, t.int_rows()) for c, t in zip(_exact(coeffs), terms) if c]
+    den = math.lcm(*(c.denominator * td for c, (td, _) in picked))
+    acc = [[0] * ncols for _ in range(nrows)]
+    for c, (td, trows) in picked:
+        f = c.numerator * (den // (c.denominator * td))
+        for arow, trow in zip(acc, trows):
+            for j, x in trow:
+                arow[j] += f * x
+    return Matrix([_fractions(r, den) for r in acc], ncols=ncols)
 
 
 def intertwiner_rows(a: Matrix, b: Matrix) -> list:
@@ -263,18 +334,9 @@ def intertwiner_rows(a: Matrix, b: Matrix) -> list:
     return rows
 
 
-def _scale_to_int(row: Sequence[Fraction]) -> list:
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // math.gcd(den, d)
-    out = [x.numerator * (den // x.denominator) for x in row]
-    g = 0
-    for v in out:
-        g = math.gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+def _scale_to_int(row: Sequence) -> list:
+    """The primitive integer multiple of a row of exact entries."""
+    return _gcd_normalize(_int_vector(row)[1])
 
 
 def _gcd_normalize(row: list) -> list:
@@ -321,7 +383,7 @@ class Echelon:
     def insert(self, v) -> bool:
         """Add a vector (any entries vector() takes) to the span; True if
         the dimension grew."""
-        v = vector(v)
+        v = _exact(v)
         if len(v) != self.width:
             raise ValueError("a vector of length %d inserted into an echelon "
                              "of width %d" % (len(v), self.width))
@@ -382,12 +444,13 @@ class Echelon:
 class Subspace:
     """A subspace of Q^n held by its reduced-echelon basis (canonical)."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_int_basis")
 
     def __init__(self, ambient_dim: int, basis, pivots):
         self.ambient_dim = ambient_dim
         self.basis = tuple(map(tuple, basis))
         self.pivots = tuple(pivots)
+        self._int_basis = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
@@ -413,22 +476,29 @@ class Subspace:
         return self.coords(v) is not None
 
     def coords(self, v) -> Optional[list]:
-        """Coefficients over self.basis, or None if v lies outside."""
-        v = list(vector(v))
+        """Coefficients over self.basis, or None if v lies outside.
+
+        The basis is reduced, so the coefficients are v at the pivots, and
+        v lies in the span exactly when it equals their combination of the
+        basis; that residual is formed in integers.
+        """
+        v = _exact(v)
         if len(v) != self.ambient_dim:
             raise ValueError("shape mismatch: a vector of length %d against "
                              "%s" % (len(v), self))
-        out = []
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            out.append(c)
+        if self._int_basis is None:
+            self._int_basis = _sparse_int_rows(self.basis)
+        bden, brows = self._int_basis
+        _, iv = _int_vector(v)
+        res = [bden * x for x in iv]
+        for row, pc in zip(brows, self.pivots):
+            c = iv[pc]
             if c:
-                for j, b in enumerate(row):
-                    if b:
-                        v[j] -= c * b
-        if not is_zero_vector(v):
+                for j, b in row:
+                    res[j] -= c * b
+        if any(res):
             return None
-        return out
+        return [frac(v[pc]) for pc in self.pivots]
 
     def element(self, coeffs) -> Vector:
         v = vzero(self.ambient_dim)

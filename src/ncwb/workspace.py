@@ -430,7 +430,13 @@ def _reference_names(ws: Workspace) -> dict:
 
 
 def canonical_text(doc: dict) -> str:
-    """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n".
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"."""
+    return "".join(canonical_parts(doc))
+
+
+def canonical_parts(doc: dict) -> list:
+    """canonical_text(doc) as a list of strings, for writelines: a large
+    document is never held a second time as one joined string.
 
     Documents hold dicts with string keys, lists, tuples, strings, ints,
     bools and None.  The stdlib's indenting encoder is pure Python; this
@@ -440,7 +446,7 @@ def canonical_text(doc: dict) -> str:
     out = []
     _write_json(doc, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _write_json(o, nl: str, out: list) -> None:

@@ -470,6 +470,34 @@ def apply_dense(m, v) -> tuple:
     return tuple(out)
 
 
+def matmul_dense(a, b) -> Matrix:
+    """a @ b as Fraction multiply-adds over the non-zero entries of both
+    factors."""
+    brows = [[(j, y) for j, y in enumerate(r) if y] for r in b.rows]
+    out = []
+    for r in a.rows:
+        acc = [F(0)] * b.ncols
+        for k, x in enumerate(r):
+            if x:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return Matrix(out, ncols=b.ncols)
+
+
+def linear_combination_dense(coeffs, terms, nrows, ncols) -> Matrix:
+    """sum_k coeffs[k] * terms[k] as Fraction multiply-adds over the
+    non-zero entries of the terms."""
+    acc = [[F(0)] * ncols for _ in range(nrows)]
+    for c, t in zip(coeffs, terms):
+        if c:
+            for arow, trow in zip(acc, t.rows):
+                for j, x in enumerate(trow):
+                    if x:
+                        arow[j] += c * x
+    return Matrix(acc, ncols=ncols)
+
+
 def coords_dense(space, v):
     """Coefficients of v over space.basis by whole-row subtraction, or None
     if v lies outside."""

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import (
-    Bimodule, check_bimodule, direct_sum, left_dual, right_dual, transpose,
+    Algebra, Bimodule, check_bimodule, direct_sum, left_dual, right_dual,
+    transpose,
 )
 from ncwb.calculus import check_leibniz, factor_through_universal, \
     universal_calculus
@@ -18,6 +19,7 @@ from ncwb.catalog import (
     vacuum_violation_fixture,
 )
 from ncwb.linalg import Matrix
+from ncwb.reporting import InvariantError
 
 from helpers import (
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
@@ -251,6 +253,44 @@ def test_co_universal_products_kill_the_unit(name, params):
 @given(transported_pairs(SMALL_PAIRS))
 def test_co_universal_products_kill_the_unit_after_basis_change(p):
     assert_co_universal_products_kill_unit(p.algebra)
+
+
+# ---- the coordinate read kills left multiplications --------------------
+
+def assert_read_kills_left_multiplications(a):
+    """X_{L_h}(w) = h m(w) = 0 on the one-forms, so the read that gives
+    co-universal coordinates is zero on flat(L_h) for every basis h; this
+    is why D.g is read as D o L_g without the L_{D(g)} term."""
+    cu = co_universal_pair(a)
+    assert (cu.read.nrows, cu.read.ncols) == (cu.bimodule.dim, a.dim ** 2)
+    for li in a.lmul:
+        assert not any(cu.read.apply(li.flatten()))
+    # and it reads every co-universal basis field D (acting as -D) as e_t
+    for t, x in enumerate(cu.action):
+        assert cu.read.apply(x.scale(-1).flatten()) \
+            == tuple(int(s == t) for s in range(cu.bimodule.dim))
+
+
+@pytest.mark.parametrize("name,params",
+                         [(name, ()) for name in BUILTIN_NAMES]
+                         + [("truncated_poly", (5,)),
+                            ("quantum_plane_trunc", (2, 3))],
+                         ids=lambda v: str(v))
+def test_co_universal_read_kills_left_multiplications(name, params):
+    assert_read_kills_left_multiplications(builtin(name, params).algebra)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs(SMALL_PAIRS))
+def test_co_universal_read_kills_left_multiplications_after_basis_change(p):
+    assert_read_kills_left_multiplications(p.algebra)
+
+
+def test_co_universal_pair_needs_a_right_unit():
+    # e e = e, e y = y, y e = y y = 0: e is a left unit only
+    a = Algebra(("e", "y"), [[(1, 0), (0, 1)], [(0, 0), (0, 0)]], (1, 0))
+    with pytest.raises(InvariantError, match="the unit is not a right unit"):
+        co_universal_pair(a, universal_calculus(dual_numbers()))
 
 
 # ---- duals hold the canonical span of their evaluation matrices --------

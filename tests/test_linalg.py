@@ -14,8 +14,9 @@ from ncwb.linalg import (
 )
 
 from helpers import (
-    affine_solutions_by_reelimination, apply_dense, coords_dense,
+    affine_solutions_by_reelimination, apply_dense, coords_dense, inverse,
     intertwiner_rows_by_kron, kernel_by_reelimination,
+    linear_combination_dense, matmul_dense, unimodular_matrices,
 )
 
 F = Fraction
@@ -350,3 +351,117 @@ def test_shape_mismatches_raise_value_error():
         Subspace.full(2).coords((1, 2, 3))
     with pytest.raises(ValueError):
         affine_solutions(Matrix([[1, 2]]), (1, 2))
+
+
+# ---- integer kernels against the Fraction loops they replaced ----------
+
+# denominators up to 12 in one matrix, so no common denominator is 1
+mixed_entries = st.one_of(
+    st.just(F(0)), st.integers(-5, 5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).map(F))
+
+
+def draw_mixed(data, nr, nc):
+    return Matrix([[data.draw(mixed_entries) for _ in range(nc)]
+                   for _ in range(nr)], ncols=nc)
+
+
+def all_fractions(m: Matrix) -> bool:
+    return all(type(x) is Fraction for r in m.rows for x in r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_kernels_match_the_fraction_loops_on_unimodular_draws(n, data):
+    p, q = data.draw(unimodular_matrices(n)), data.draw(unimodular_matrices(n))
+    pinv = inverse(p)
+    c = data.draw(mixed_entries)
+    for a, b in ((p, q), (pinv, q.scale(c)), (q, pinv)):
+        prod = a @ b
+        assert prod == matmul_dense(a, b)
+        assert all_fractions(prod)
+    assert pinv @ p == Matrix.identity(n)
+    v = [data.draw(mixed_entries) for _ in range(n)]
+    assert p.apply(v) == apply_dense(p, v)
+    coeffs = [data.draw(mixed_entries) for _ in range(3)]
+    terms = [p, pinv, q]
+    got = linear_combination(coeffs, terms, n, n)
+    assert got == linear_combination_dense(coeffs, terms, n, n)
+    assert all_fractions(got)
+    space = Subspace.from_vectors(n, p.rows[:data.draw(st.integers(0, n))])
+    assert space.coords(v) == coords_dense(space, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_kernels_match_the_fraction_loops_on_mixed_denominators(nr, inner,
+                                                               nc, data):
+    a, b = draw_mixed(data, nr, inner), draw_mixed(data, inner, nc)
+    prod = a @ b
+    assert prod == matmul_dense(a, b)
+    assert all_fractions(prod)
+    v = [data.draw(mixed_entries) for _ in range(inner)]
+    got = a.apply(v)
+    assert got == apply_dense(a, v)
+    assert all(type(x) is Fraction for x in got)
+    k = data.draw(st.integers(0, 3))
+    terms = [draw_mixed(data, nr, nc) for _ in range(k)]
+    coeffs = [data.draw(mixed_entries) for _ in range(k)]
+    lc = linear_combination(coeffs, terms, nr, nc)
+    assert lc == linear_combination_dense(coeffs, terms, nr, nc)
+    assert all_fractions(lc)
+    space = Subspace.from_vectors(inner, draw_mixed(data, k, inner).rows)
+    w = space.element([data.draw(mixed_entries) for _ in range(space.dim)])
+    for x in (v, w):
+        assert space.coords(x) == coords_dense(space, x)
+    assert space.coords(w) is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_a_reused_operand_keeps_its_integer_rows(n, data):
+    m = draw_mixed(data, n, n)
+    cached = m.int_rows()
+    den, rows = cached
+    assert [[F(num, den) for _, num in r] for r in rows] \
+        == [[x for x in r if x] for r in m.rows]
+    assert [[j for j, _ in r] for r in rows] \
+        == [[j for j, x in enumerate(r) if x] for r in m.rows]
+    for _ in range(6):
+        other = draw_mixed(data, n, n)
+        assert m @ other == matmul_dense(m, other)
+        assert other @ m == matmul_dense(other, m)
+        assert m @ m == matmul_dense(m, m)
+        v = [data.draw(mixed_entries) for _ in range(n)]
+        assert m.apply(v) == apply_dense(m, v)
+        coeffs = [data.draw(mixed_entries) for _ in range(3)]
+        assert linear_combination(coeffs, [m, other, m], n, n) \
+            == linear_combination_dense(coeffs, [m, other, m], n, n)
+    assert m.int_rows() is cached
+
+
+def test_floats_raise_type_error_in_every_kernel():
+    m = Matrix([[1, F(1, 2)], [0, 3]])
+    space = Subspace.from_vectors(2, [(1, 2)])
+    with pytest.raises(TypeError):
+        m @ 0.5
+    with pytest.raises(TypeError):
+        m.apply((0.5, 1))
+    with pytest.raises(TypeError):
+        m.apply((0.0, 1))
+    with pytest.raises(TypeError):
+        linear_combination((0.5,), (m,), 2, 2)
+    with pytest.raises(TypeError):
+        space.coords((0.5, 1))
+    with pytest.raises(TypeError):
+        Echelon(2).insert((0.5, 1))
+    with pytest.raises(TypeError):
+        Matrix([[1, 0.5]])
+
+
+def test_echelon_insert_takes_ints_fractions_and_strings():
+    ech = Echelon(3)
+    assert ech.insert(("1/2", 1, F(3, 4)))
+    assert not ech.insert((2, 4, 3))
+    assert ech.insert(iter((0, "0", F(-2, 3))))
+    assert ech.frac_rows() == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))

@@ -33,8 +33,8 @@ def main():
     print("vacuum check:", fock_check(p))
 
     rs = find_relations(p, max_len=3)
-    print("\nrelations among words of length <= 3:", rs.space.dim)
-    rel = rs.freeword(p, rs.space.basis[0])
+    print("\nrelations among words of length <= 3:", len(rs.rules))
+    rel = rs.freeword(p, rs.space().basis[0])
     print("one relation, as a word combination:", rel)
     print("it realizes to zero:",
           evaluate_mu(p, rel) == evaluate_mu(p, FreeWord(p)))

@@ -272,25 +272,54 @@ def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
                     tuple(block(a, b) for a, b in zip(m.right, n.right)))
 
 
+def _first_difference(lhs: Matrix, rhs: Matrix) -> str:
+    """Where two different action matrices of one shape first differ: the
+    first basis vector m<s> they send to different images, the first
+    coordinate m<r> of those images that differs, and both values."""
+    for s in range(lhs.ncols):
+        for r in range(lhs.nrows):
+            x, y = lhs.rows[r][s], rhs.rows[r][s]
+            if x != y:
+                return "on m%d, coordinate m%d: %s != %s" % (s, r, x, y)
+
+
 def check_bimodule(m: Bimodule) -> CheckReport:
     """Left action is a unital homomorphism, right action a unital
-    antihomomorphism, and the two commute; all on basis vectors."""
+    antihomomorphism, and the two commute; all on basis vectors.  The
+    module basis vectors are named m0, m1, ..."""
     rep = CheckReport("bimodule")
     a = m.algebra
     n = a.dim
+    names = a.basis_names
     for i in range(n):
         for j in range(n):
-            if m.left_of(a.sc[i][j]) != m.left[i] @ m.left[j]:
-                rep.add("left-action-product", (i, j))
-            if m.right_of(a.sc[i][j]) != m.right[j] @ m.right[i]:
-                rep.add("right-action-product", (i, j))
-            if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]:
-                rep.add("action-commutation", (i, j))
+            lhs, rhs = m.left_of(a.sc[i][j]), m.left[i] @ m.left[j]
+            if lhs != rhs:
+                rep.add("left-action-product", (i, j),
+                        "(%s*%s).m != %s.(%s.m) %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+            lhs, rhs = m.right_of(a.sc[i][j]), m.right[j] @ m.right[i]
+            if lhs != rhs:
+                rep.add("right-action-product", (i, j),
+                        "m.(%s*%s) != (m.%s).%s %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+            lhs, rhs = m.left[i] @ m.right[j], m.right[j] @ m.left[i]
+            if lhs != rhs:
+                rep.add("action-commutation", (i, j),
+                        "%s.(m.%s) != (%s.m).%s %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
     ident = Matrix.identity(m.dim)
-    if m.left_of(a.unit) != ident:
-        rep.add("left-unital", ())
-    if m.right_of(a.unit) != ident:
-        rep.add("right-unital", ())
+    lhs = m.left_of(a.unit)
+    if lhs != ident:
+        rep.add("left-unital", (), "1.m != m %s"
+                % _first_difference(lhs, ident))
+    lhs = m.right_of(a.unit)
+    if lhs != ident:
+        rep.add("right-unital", (), "m.1 != m %s"
+                % _first_difference(lhs, ident))
     return rep
 
 
@@ -319,14 +348,23 @@ class LeftModule:
 
 
 def check_left_module(e: LeftModule) -> CheckReport:
+    """The action is a unital homomorphism, on basis vectors m0, m1, ..."""
     rep = CheckReport("left module")
     a = e.algebra
+    names = a.basis_names
     for i in range(a.dim):
         for j in range(a.dim):
-            if e.left_of(a.sc[i][j]) != e.left[i] @ e.left[j]:
-                rep.add("left-action-product", (i, j))
-    if e.left_of(a.unit) != Matrix.identity(e.dim):
-        rep.add("left-unital", ())
+            lhs, rhs = e.left_of(a.sc[i][j]), e.left[i] @ e.left[j]
+            if lhs != rhs:
+                rep.add("left-action-product", (i, j),
+                        "(%s*%s).m != %s.(%s.m) %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+    ident = Matrix.identity(e.dim)
+    lhs = e.left_of(a.unit)
+    if lhs != ident:
+        rep.add("left-unital", (), "1.m != m %s"
+                % _first_difference(lhs, ident))
     return rep
 
 
@@ -351,13 +389,22 @@ class BimoduleMap:
 
 
 def check_bimodule_map(alpha: BimoduleMap) -> CheckReport:
+    """alpha commutes with both actions, on source basis vectors m0, m1, ...
+    (the coordinates are those of the target)."""
     rep = CheckReport("bimodule map")
     src, tgt = alpha.source, alpha.target
+    names = src.algebra.basis_names
     for i in range(src.algebra.dim):
-        if alpha.matrix @ src.left[i] != tgt.left[i] @ alpha.matrix:
-            rep.add("left-intertwine", (i,))
-        if alpha.matrix @ src.right[i] != tgt.right[i] @ alpha.matrix:
-            rep.add("right-intertwine", (i,))
+        lhs, rhs = alpha.matrix @ src.left[i], tgt.left[i] @ alpha.matrix
+        if lhs != rhs:
+            rep.add("left-intertwine", (i,),
+                    "alpha(%s.m) != %s.alpha(m) %s" % (
+                        names[i], names[i], _first_difference(lhs, rhs)))
+        lhs, rhs = alpha.matrix @ src.right[i], tgt.right[i] @ alpha.matrix
+        if lhs != rhs:
+            rep.add("right-intertwine", (i,),
+                    "alpha(m.%s) != alpha(m).%s %s" % (
+                        names[i], names[i], _first_difference(lhs, rhs)))
     return rep
 
 

@@ -24,12 +24,12 @@ from .catalog import builtin as catalog_builtin
 from .connections import check_connection, check_covariant_axioms
 from .diffops import check_ccr, find_relations, fock_check, \
     generate_diffop_algebra
-from .linalg import ZERO
+from .linalg import ONE
 from .reporting import CheckReport, InvariantError
 from .workspace import (
-    SCHEMA, WorkspaceError, algebra_decl, bimodule_decl, calculus_decl,
-    canonical_parts, canonical_text, cartan_pair_decl, load_workspace,
-    matrix_rows, parse_rational,
+    SCHEMA, SparseRows, WorkspaceError, algebra_decl, bimodule_decl,
+    calculus_decl, canonical_parts, canonical_text, cartan_pair_decl,
+    load_workspace, matrix_rows, parse_rational,
 )
 
 MAX_WORD_LEN_DEFAULT = 4
@@ -225,14 +225,12 @@ def cmd_derive(args) -> int:
         doc = {"schema": SCHEMA, "objects": {}, "derived": {
             "kind": "relation_basis",
             "max_word_len": max_len,
-            "words": [[[k, i] for k, i in w] for w in rs.words],
-            # null-space bases share one ZERO, and the identity test
-            # spares a Fraction.__bool__ call on each of their zeros
-            "basis": [["0" if x is ZERO or not x else str(x) for x in b]
-                      for b in rs.space.basis],
+            "words": rs.words,
+            "basis": SparseRows(len(rs.words), [((f, ONE),) + terms
+                                                for f, terms in rs.rules]),
         }}
         return _emit(args, doc, "relations of %s: %d among %d words"
-                     % (args.name, rs.space.dim, len(rs.words)))
+                     % (args.name, len(rs.rules), len(rs.words)))
 
     # what == "factorization"
     fact = co_universal_factorization(obj)
@@ -312,7 +310,7 @@ def _report_object(wo, checks_by_id, universals, max_len):
             "homogeneous_dim": fact.homogeneous_dim,
         }
         analysis["diffop_dim"] = ops.dim
-        analysis["relations"] = {"count": rs.space.dim,
+        analysis["relations"] = {"count": len(rs.rules),
                                  "words": len(rs.words),
                                  "max_word_len": max_len}
         info.append("vacuum: %s" % ("ok" if fock.ok else "violated"))
@@ -330,7 +328,7 @@ def _report_object(wo, checks_by_id, universals, max_len):
                     % (fact.exists, fact.unique))
         info.append("operator algebra dim %d" % ops.dim)
         info.append("relations: %d among %d words (length <= %d)"
-                    % (rs.space.dim, len(rs.words), max_len))
+                    % (len(rs.rules), len(rs.words), max_len))
     elif kind == "connection" and ok:
         pair = pair_from_calculus(obj.calculus)
         checks["covariant-axioms"] = check_covariant_axioms(obj, pair)

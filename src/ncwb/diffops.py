@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .linalg import Matrix, Subspace, closure_under_maps, frac, \
-    is_zero_vector, kernel, linear_combination
+from .linalg import Echelon, Matrix, Subspace, closure_under_maps, frac, \
+    is_zero_vector, linear_combination, null_rules
 from .cartan import CartanPair
 from .reporting import CheckReport
 
@@ -259,10 +259,26 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
 
 @dataclass
 class RelationSearch:
-    """Kernel of mu on the span of short normal-form words."""
+    """Kernel of mu on the span of short normal-form words, held sparsely.
+
+    rules has one entry (f, ((q, c), ...)) per relation, in increasing f:
+    the relation words[f] + sum c words[q] = 0, that is the rewriting rule
+    words[f] -> -sum c words[q], with non-zero c and increasing q > f.
+    These are the vectors of the canonical (reduced echelon) basis of the
+    relation space by their non-zero entries: each vector starts with a 1
+    at its pivot f, and is zero at every other pivot.  The words q are the
+    right pivots, those whose operator is not in the span of the operators
+    of the words after them, and the operator of f is a combination of
+    theirs.  len(rules) is the number of relations; space() writes the
+    basis out densely, W entries per relation for W words.
+    """
     words: tuple            # coordinate order of the word span
-    space: Subspace         # relations, inside that span
+    rules: tuple            # one (f, ((q, c), ...)) per relation
     max_len: int
+
+    def space(self) -> Subspace:
+        """The relations as a subspace of Q^W, canonical basis."""
+        return Subspace.from_rules(len(self.words), self.rules)
 
     def freeword(self, pair: CartanPair, coeffs) -> FreeWord:
         terms = {}
@@ -283,13 +299,17 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     These words are linearly independent in the free product, so the
     kernel of mu on their span is exactly the set of relations visible at
     this length.  Truncation is honest: longer relations stay unseen.
+
+    The n^2 rows of the word-column matrix (one per entry of an operator
+    on A) are eliminated once, and null_rules reads the relations off
+    them as rules; no W-wide vector is built.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1, got %r" % (max_len,))
     words, cols = _word_columns(pair, max_len)
-    n = pair.algebra.dim
-    space = kernel(Matrix.from_cols(cols, nrows=n * n))
-    return RelationSearch(tuple(words), space, max_len)
+    w = len(words)
+    ech = Echelon(w, zip(*cols))
+    return RelationSearch(tuple(words), null_rules(w, ech.rows), max_len)
 
 
 def _word_columns(pair: CartanPair, max_len: int) -> tuple:

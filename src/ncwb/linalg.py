@@ -15,8 +15,10 @@ Each idea has one routine: linear_combination sums scaled matrices,
 intertwiner_rows writes out the system X A = B X without kron,
 affine_solutions reads a particular solution from one elimination of
 (m | b) and the canonical null space from a re-reduction of its r reduced
-rows with the column order reversed, so the null-space vectors are written
-once and never eliminated (kernel and solve are its two halves),
+rows with the column order reversed, so the null-space vectors are never
+eliminated (kernel and solve are its two halves; null_rules is that
+re-reduction, giving each basis vector by its non-zero entries, and
+Subspace.from_rules writes them out densely),
 closure_under_maps closes a span under linear maps, and every row
 reduction goes through Echelon.  Echelon works on integer-scaled rows
 (cross multiplication with gcd renormalisation when entries grow),
@@ -457,6 +459,19 @@ class Subspace:
         return Echelon(ambient_dim, vectors).subspace()
 
     @classmethod
+    def from_rules(cls, ambient_dim: int, rules) -> "Subspace":
+        """The subspace whose canonical basis null_rules gives sparsely:
+        the vector of rule (f, ((q, c), ...)) is e_f + sum c e_q."""
+        basis = []
+        for f, terms in rules:
+            v = [ZERO] * ambient_dim
+            v[f] = ONE
+            for q, c in terms:
+                v[q] = c
+            basis.append(tuple(v))
+        return cls(ambient_dim, basis, [f for f, _ in rules])
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, (), ())
 
@@ -518,12 +533,6 @@ class Subspace:
         return "Subspace(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form of m, as (Matrix, pivot columns)."""
-    ech = Echelon(m.ncols, m.rows)
-    return Matrix(ech.frac_rows(), ncols=m.ncols), tuple(ech.pivots)
-
-
 def rank(m: Matrix) -> int:
     return Echelon(m.ncols, m.rows).dim
 
@@ -534,7 +543,7 @@ def affine_solutions(m: Matrix, b) -> tuple:
     Returns one exact solution (free variables zero), or None if there is
     none, and the null space {v : m v = 0} with canonical basis.  The rows
     of the reduced (m | b) with a pivot inside m are the reduced m; the
-    null space is read off them by _null_space.
+    null space is read off them by null_rules.
     """
     b = vector(b)
     if len(b) != m.nrows:
@@ -553,13 +562,16 @@ def affine_solutions(m: Matrix, b) -> tuple:
             if row[n]:
                 x[pc] = Fraction(row[n], row[pc])
         x = tuple(x)
-    return x, _null_space(n, rows)
+    return x, Subspace.from_rules(n, null_rules(n, rows))
 
 
-def _null_space(n: int, rows: Sequence) -> Subspace:
-    """Canonical basis of {v in Q^n : r v = 0 for the rows r}, read off
-    linearly independent integer rows (only their first n entries count)
-    without eliminating the basis vectors themselves.
+def null_rules(n: int, rows: Sequence) -> tuple:
+    """The null space {v in Q^n : r v = 0 for the rows r}, sparse, read off
+    linearly independent integer rows (only their first n entries count).
+
+    One entry (f, ((q, c), ...)) per free column f, in increasing f, for
+    the canonical basis vector e_f + sum c e_q; its q are increasing and
+    all greater than f.  Subspace.from_rules writes the vectors out.
 
     The reduced echelon basis of a null space has its pivots at the
     columns f whose column lies in the span of the columns to their right,
@@ -567,23 +579,23 @@ def _null_space(n: int, rows: Sequence) -> Subspace:
     over the other columns, the "right pivots".  Both come from one
     reduction of the rows with the column order reversed: a reversed
     pivot is a right pivot, and the reduced row of right pivot q holds
-    those coordinates at the reversed free columns.
+    those coordinates at the reversed free columns, all left of q.
     """
     rev = Echelon(n)
     for row in rows:
         rev._insert_int(row[n - 1::-1])
     rev.finalize()
-    free = sorted(set(range(n)) - {n - 1 - pc for pc in rev.pivots})
-    vecs = {}
-    for f in free:
-        v = vecs[f] = [ZERO] * n
-        v[f] = ONE
-    for row, pc in zip(rev.rows, rev.pivots):
+    right = {n - 1 - pc for pc in rev.pivots}
+    free = [f for f in range(n) if f not in right]
+    terms = {f: [] for f in free}
+    # reversed pivots in decreasing order are right pivots in increasing q
+    for row, pc in zip(reversed(rev.rows), reversed(rev.pivots)):
         q, p = n - 1 - pc, row[pc]
-        for j, c in enumerate(row):
-            if c and j != pc:
-                vecs[n - 1 - j][q] = Fraction(-c, p)
-    return Subspace(n, [tuple(vecs[f]) for f in free], free)
+        for j in range(pc + 1, n):
+            c = row[j]
+            if c:
+                terms[n - 1 - j].append((q, Fraction(-c, p)))
+    return tuple((f, tuple(terms[f])) for f in free)
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import Matrix
 from .algebra import Algebra, Bimodule, LeftModule, tensor_over_A
@@ -429,69 +429,136 @@ def _reference_names(ws: Workspace) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class SparseRows:
+    """A list of rows of width exact values each, written as JSON lists of
+    their strings: rows[k] holds (column, value) pairs in increasing column
+    for its non-zero cells, and every other cell reads "0".  A relation
+    basis is W entries wide with a handful of them non-zero, so the writer
+    copies the zeros from one all-"0" row text."""
+    width: int
+    rows: Sequence
+
+
 def canonical_text(doc: dict) -> str:
-    """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"."""
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n", with
+    each SparseRows written as the list of its dense rows."""
     return "".join(canonical_parts(doc))
 
 
-def canonical_parts(doc: dict) -> list:
-    """canonical_text(doc) as a list of strings, for writelines: a large
-    document is never held a second time as one joined string.
+def canonical_parts(doc: dict):
+    """canonical_text(doc) as an iterator of strings, for writelines: a
+    large document goes out as it is formatted and is never held as one
+    string.
 
     Documents hold dicts with string keys, lists, tuples, strings, ints,
-    bools and None.  The stdlib's indenting encoder is pure Python; this
-    writer quotes with its C string encoder and joins a list of strings
-    (the bulk of a relation basis) in one go.
+    bools, None and SparseRows.  The stdlib's indenting encoder is pure
+    Python; this writer quotes with its C string encoder and formats a
+    value with no dict or SparseRows inside as one string.
     """
-    out = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return out
+    yield from _json_parts(doc, "\n")
+    yield "\n"
 
 
-def _write_json(o, nl: str, out: list) -> None:
-    """Append o's JSON text to out; nl is a newline plus the indent of the
-    line o starts on."""
+def _inline_text(o, nl: str) -> Optional[str]:
+    """The JSON text of o when it is a scalar (string, None, bool, int) or
+    a list or tuple of such values, nested to any depth; None when o holds
+    anything else.  nl is a newline plus the indent of the line o starts
+    on."""
     if isinstance(o, str):
-        out.append(_quote(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        return _quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        texts = []
+        for x in o:
+            # strings and ints, the usual entries, without a call
+            if isinstance(x, str):
+                text = _quote(x)
+            elif type(x) is int:
+                text = int.__repr__(x)
+            else:
+                text = _inline_text(x, inner)
+                if text is None:
+                    return None
+            texts.append(text)
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return None
+
+
+def _json_parts(o, nl: str):
+    """o's JSON text in pieces; nl is a newline plus the indent of the line
+    o starts on.  A value without dicts or SparseRows inside is one
+    piece."""
+    text = _inline_text(o, nl)
+    if text is not None:
+        yield text
     elif isinstance(o, dict):
         if not o:
-            out.append("{}")
+            yield "{}"
             return
         inner = nl + "  "
         sep = "{" + inner
         for k in sorted(o):
             if not isinstance(k, str):
                 raise TypeError("JSON keys must be str, not %r" % (k,))
-            out.append(sep + _quote(k) + ": ")
-            _write_json(o[k], inner, out)
+            yield sep + _quote(k) + ": "
+            yield from _json_parts(o[k], inner)
             sep = "," + inner
-        out.append(nl + "}")
+        yield nl + "}"
+    elif isinstance(o, SparseRows):
+        yield from _sparse_rows_parts(o, nl)
     elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
         inner = nl + "  "
-        if all(map(isinstance, o, repeat(str))):
-            out.append("[" + inner + ("," + inner).join(map(_quote, o))
-                       + nl + "]")
-            return
         sep = "[" + inner
         for x in o:
-            out.append(sep)
-            _write_json(x, inner, out)
+            yield sep
+            yield from _json_parts(x, inner)
             sep = "," + inner
-        out.append(nl + "]")
+        yield nl + "]"
     else:
         raise TypeError("%r is not JSON serializable" % (o,))
+
+
+def _sparse_rows_parts(o: SparseRows, nl: str):
+    """The JSON text of o's dense rows, one piece per row: the all-"0" row
+    text with the row's non-zero cells spliced in."""
+    if not o.rows:
+        yield "[]"
+        return
+    inner = nl + "  "
+    cell = inner + "  "
+    if o.width:
+        zeros = "[" + cell + ("," + cell).join(repeat('"0"', o.width)) \
+            + inner + "]"
+    else:
+        zeros = "[]"
+    first, step = 1 + len(cell), 4 + len(cell)
+    sep = "[" + inner
+    for row in o.rows:
+        pieces = [sep]
+        at = 0
+        for j, x in row:
+            s = first + j * step
+            if s < at or j >= o.width:
+                raise ValueError("row columns must increase from 0 to at "
+                                 "most %d, got %r" % (o.width - 1, j))
+            pieces.append(zeros[at:s])
+            pieces.append(_quote(str(x)))
+            at = s + 3
+        pieces.append(zeros[at:])
+        yield "".join(pieces)
+        sep = "," + inner
+    yield nl + "]"
 
 
 def export_workspace(ws: Workspace) -> str:

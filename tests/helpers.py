@@ -429,6 +429,12 @@ from ncwb.linalg import Echelon, vector  # noqa: E402
 from ncwb.reporting import InvariantError  # noqa: E402
 
 
+def rref(m):
+    """Reduced row echelon form of m, as (Matrix, pivot columns)."""
+    ech = Echelon(m.ncols, m.rows)
+    return Matrix(ech.frac_rows(), ncols=m.ncols), tuple(ech.pivots)
+
+
 def affine_solutions_by_reelimination(m, b) -> tuple:
     """One solution of m x = b (free variables zero) or None, and the null
     space: the reduced (m | b) gives one vector per free column, and

@@ -234,3 +234,49 @@ def test_free_left_module_laws():
     a = quantum_plane()
     e = LeftModule.free(a, 2)
     assert check_left_module(e).ok
+
+
+def _details(rep):
+    return {(f.law, f.witness): f.detail for f in rep.findings}
+
+
+def test_bimodule_findings_name_the_first_differing_entry():
+    a = dual_numbers()
+    ident, two = Matrix.identity(2), Matrix([[2, 0], [0, 2]])
+    lx, rx = Matrix([[0, 0], [1, 0]]), Matrix([[-1, -1], [-1, -1]])
+    # the unit acts as 2 on the left, and x acts on the right by a matrix
+    # whose square is not zero and which does not commute with x on the left
+    got = _details(check_bimodule(Bimodule(a, 2, (two, lx), (ident, rx))))
+    assert got[("left-action-product", (0, 1))] \
+        == "(1*x).m != 1.(x.m) on m0, coordinate m1: 1 != 2"
+    assert got[("right-action-product", (1, 1))] \
+        == "m.(x*x) != (m.x).x on m0, coordinate m0: 0 != 2"
+    assert got[("action-commutation", (1, 1))] \
+        == "x.(m.x) != (x.m).x on m0, coordinate m0: 0 != -1"
+    assert got[("left-unital", ())] \
+        == "1.m != m on m0, coordinate m0: 2 != 1"
+    got = _details(check_bimodule(Bimodule(a, 2, (ident, lx), (two, lx))))
+    assert got[("right-unital", ())] \
+        == "m.1 != m on m0, coordinate m0: 2 != 1"
+
+
+def test_left_module_findings_name_the_first_differing_entry():
+    a = dual_numbers()
+    e = LeftModule(a, 2, (Matrix([[1, 0], [0, 2]]),
+                          Matrix([[0, 0], [1, 0]])))
+    got = _details(check_left_module(e))
+    assert got[("left-action-product", (0, 0))] \
+        == "(1*1).m != 1.(1.m) on m1, coordinate m1: 2 != 4"
+    assert got[("left-unital", ())] \
+        == "1.m != m on m1, coordinate m1: 2 != 1"
+
+
+def test_bimodule_map_findings_name_the_first_differing_entry():
+    a = dual_numbers()
+    reg = Bimodule.regular(a)
+    swap = BimoduleMap(reg, reg, Matrix([[0, 1], [1, 0]]))
+    got = _details(check_bimodule_map(swap))
+    assert got[("left-intertwine", (1,))] \
+        == "alpha(x.m) != x.alpha(m) on m0, coordinate m0: 1 != 0"
+    assert got[("right-intertwine", (1,))] \
+        == "alpha(m.x) != alpha(m).x on m0, coordinate m0: 1 != 0"

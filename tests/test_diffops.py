@@ -5,7 +5,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import Bimodule
 from ncwb.cartan import CartanPair, check_cartan, pair_from_calculus
@@ -18,7 +18,7 @@ from ncwb.diffops import (
     find_relations, fock_check, format_word_sum, generate_diffop_algebra,
     is_normal_form_word, normal_form,
 )
-from ncwb.linalg import Matrix
+from ncwb.linalg import Matrix, kernel
 
 from helpers import (
     diffop_algebra_by_pairs, kahler_dual_numbers, kahler_truncated,
@@ -188,19 +188,19 @@ def test_relations_dual_numbers_idempotent_field():
     vec = [0] * len(rs.words)
     vec[rs.word_index((("a", 0), ("m", 0), ("m", 0)))] = 1
     vec[rs.word_index((("a", 0), ("m", 0)))] = -1
-    assert rs.space.contains(vec)
+    assert rs.space().contains(vec)
     # and x^l o X = 0: the word x*X alone is a relation
     vec2 = [0] * len(rs.words)
     vec2[rs.word_index((("a", 1), ("m", 0)))] = 1
-    assert rs.space.contains(vec2)
+    assert rs.space().contains(vec2)
 
 
 def test_relations_zero_action_pair():
     p = zero_action_pair_z2()
     rs = find_relations(p, max_len=2)
     assert len(rs.words) == 6
-    assert rs.space.dim == 4    # every word with a module letter dies
-    for w, c in rs.freeword(p, rs.space.basis[0]).sorted_terms():
+    assert len(rs.rules) == 4    # every word with a module letter dies
+    for w, c in rs.freeword(p, rs.space().basis[0]).sorted_terms():
         assert any(kind == "m" for kind, _ in w)
 
 
@@ -208,7 +208,7 @@ def test_relation_vectors_actually_vanish():
     for pair in (dn_pair(), quantum_plane_pair()):
         rs = find_relations(pair, max_len=3)
         n = pair.algebra.dim
-        for b in rs.space.basis[:10]:
+        for b in rs.space().basis[:10]:
             fw = rs.freeword(pair, b)
             assert evaluate_mu(pair, fw) == Matrix.zeros(n, n)
 
@@ -227,8 +227,38 @@ def test_word_columns_are_the_word_operators(name):
     rs = find_relations(pair, max_len=3)
     assert rs.words == tuple(words)
     oracle = kernel_by_reelimination(Matrix.from_cols(cols, nrows=n * n))
-    assert (rs.space.basis, rs.space.pivots) \
+    space = rs.space()
+    assert (space.basis, space.pivots) \
         == (oracle.basis, oracle.pivots)
+
+
+def assert_rules_are_the_generic_kernel(pair, max_len):
+    n = pair.algebra.dim
+    words, cols = _word_columns(pair, max_len)
+    rs = find_relations(pair, max_len)
+    generic = kernel(Matrix.from_cols(cols, nrows=n * n))
+    space = rs.space()
+    assert (space.basis, space.pivots) == (generic.basis, generic.pivots)
+    assert len(rs.rules) == generic.dim
+    for f, terms in rs.rules:
+        qs = [q for q, _ in terms]
+        assert qs == sorted(qs) and all(q > f for q in qs)
+        assert all(c for _, c in terms)
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_relation_rules_are_the_generic_kernel(name, max_len):
+    assert_rules_are_the_generic_kernel(builtin(name).pair, max_len)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs([builtin(name).pair for name in BUILTIN_NAMES
+                          if builtin(name).algebra.dim <= 4]),
+       st.integers(1, 3))
+def test_relation_rules_are_the_generic_kernel_after_basis_change(p,
+                                                                 max_len):
+    assert_rules_are_the_generic_kernel(p, max_len)
 
 
 def test_ccr_commutative_symmetric_pairs_are_clean():

@@ -9,14 +9,14 @@ import pytest
 
 from ncwb.linalg import (
     Echelon, Matrix, Subspace, affine_solutions, frac, intertwiner_rows,
-    kernel, kron, linear_combination, rank, rref, solve, span_closure,
+    kernel, kron, linear_combination, rank, solve, span_closure,
     closure_under_maps, restrict_to_kernel, vector,
 )
 
 from helpers import (
     affine_solutions_by_reelimination, apply_dense, coords_dense, inverse,
     intertwiner_rows_by_kron, kernel_by_reelimination,
-    linear_combination_dense, matmul_dense, unimodular_matrices,
+    linear_combination_dense, matmul_dense, rref, unimodular_matrices,
 )
 
 F = Fraction

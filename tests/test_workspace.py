@@ -9,8 +9,11 @@ from ncwb.algebra import check_bimodule
 from ncwb.cartan import check_cartan
 from ncwb.catalog import builtin
 from ncwb.connections import check_connection, trivial_connection
+from ncwb.diffops import find_relations
+from ncwb.linalg import ONE
 from ncwb.workspace import (
-    SCHEMA, WorkspaceError, algebra_decl, bimodule_decl, calculus_decl,
+    SCHEMA, SparseRows, WorkspaceError, algebra_decl, bimodule_decl,
+    calculus_decl,
     canonical_text, cartan_pair_decl, connection_decl, export_workspace,
     format_rational, parse_rational, parse_workspace,
 )
@@ -262,3 +265,86 @@ json_docs = st.recursive(
 def test_canonical_text_is_the_stdlib_encoding(doc):
     assert canonical_text(doc) \
         == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def dense_rows(rows: SparseRows) -> list:
+    out = []
+    for row in rows.rows:
+        cells = ["0"] * rows.width
+        for j, x in row:
+            cells[j] = str(x)
+        out.append(cells)
+    return out
+
+
+def stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# truncated_poly 6 has relation coefficients with denominators from length 4
+RELATION_CASES = [("truncated_poly", (6,), 4),
+                  ("quantum_plane_trunc", (2, 2), 3), ("matrix_2", (), 3)]
+
+
+@pytest.mark.parametrize("name,params,max_len", RELATION_CASES)
+def test_sparse_relation_rows_write_as_the_dense_basis(name, params,
+                                                       max_len):
+    rs = find_relations(builtin(name, params).pair, max_len)
+    rows = SparseRows(len(rs.words),
+                      [((f, ONE),) + terms for f, terms in rs.rules])
+    dense = [["0" if not x else str(x) for x in b]
+             for b in rs.space().basis]
+    assert dense_rows(rows) == dense
+    assert canonical_text({"basis": rows, "n": 1}) \
+        == stdlib_text({"basis": dense, "n": 1})
+
+
+def test_relation_coefficients_cover_signs_and_denominators():
+    coeffs = [c for name, params, max_len in RELATION_CASES
+              for _, terms in find_relations(builtin(name, params).pair,
+                                             max_len).rules
+              for _, c in terms]
+    assert any(c < 0 for c in coeffs)
+    assert any(c.denominator > 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("rows", [
+    SparseRows(4, []), SparseRows(0, []), SparseRows(0, [(), ()]),
+    SparseRows(1, [((0, Fraction(-3, 7)),), ()]),
+    SparseRows(3, [(), ((0, 1), (2, Fraction(1, 2)))]),
+])
+def test_sparse_rows_edge_shapes(rows):
+    doc = {"a": [rows, {"b": rows}], "z": rows}
+    dense = dense_rows(rows)
+    assert canonical_text(doc) \
+        == stdlib_text({"a": [dense, {"b": dense}], "z": dense})
+
+
+@pytest.mark.parametrize("rows", [
+    SparseRows(2, [((2, 1),)]), SparseRows(2, [((-1, 1),)]),
+    SparseRows(3, [((1, 1), (0, 1))]), SparseRows(3, [((1, 1), (1, 2))]),
+])
+def test_sparse_rows_out_of_order_or_range_are_refused(rows):
+    with pytest.raises(ValueError):
+        canonical_text({"basis": rows})
+
+
+@st.composite
+def sparse_rows(draw):
+    width = draw(st.integers(0, 6))
+    values = st.fractions(max_denominator=50).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = sorted(draw(st.sets(st.integers(0, width - 1)))) \
+            if width else []
+        rows.append(tuple((j, draw(values)) for j in cols))
+    return SparseRows(width, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.integers(0, 3))
+def test_sparse_rows_are_the_stdlib_encoding_of_dense_rows(rows, depth):
+    doc, dense = rows, dense_rows(rows)
+    for k in range(depth):
+        doc, dense = {"k%d" % k: [doc, 1]}, {"k%d" % k: [dense, 1]}
+    assert canonical_text({"d": doc}) == stdlib_text({"d": dense})

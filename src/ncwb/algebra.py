@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
-    ONE, ZERO, Matrix, Subspace, frac, intertwiner_rows, is_zero_vector,
-    kernel, kron, linear_combination, vadd, vector, vscale, vzero,
+    ONE, ZERO, Echelon, Matrix, Subspace, _fractions, frac, intertwiner_rows,
+    is_zero_vector, kernel, linear_combination, vadd, vector, vscale, vzero,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -334,11 +334,19 @@ class LeftModule:
 
     @classmethod
     def free(cls, a: Algebra, rank_: int) -> "LeftModule":
-        """A^rank with componentwise left multiplication."""
+        """A^rank with componentwise left multiplication: each action is
+        block diagonal, rank copies of the left multiplication."""
+        n = a.dim
         mats = []
-        for i in range(a.dim):
-            mats.append(kron(Matrix.identity(rank_), a.lmul[i]))
-        return cls(a, a.dim * rank_, mats)
+        for lm in a.lmul:
+            rows = []
+            for blk in range(rank_):
+                for r in lm.rows:
+                    row = [ZERO] * (n * rank_)
+                    row[blk * n:(blk + 1) * n] = r
+                    rows.append(row)
+            mats.append(Matrix(rows, ncols=n * rank_))
+        return cls(a, n * rank_, mats)
 
     def left_of(self, f) -> Matrix:
         return linear_combination(f, self.left, self.dim, self.dim)
@@ -570,62 +578,74 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     if e.algebra is not a:
         raise ValueError("the bimodule and the module are over different "
                          "algebras")
-    amb = m.dim * e.dim
-    rels = []
+    ed = e.dim
+    amb = m.dim * ed
+    ech = Echelon(amb)
     for j in range(a.dim):
+        dr, rrows = m.right[j].int_rows()
+        dl, lrows = e.left[j].int_rows()
+        # the columns of R_j and L_j by their non-zero numerators
+        rcols = [[] for _ in range(m.dim)]
+        for s2, r in enumerate(rrows):
+            for s, x in r:
+                rcols[s].append((s2, x))
+        lcols = [[] for _ in range(ed)]
+        for t2, r in enumerate(lrows):
+            for t, x in r:
+                lcols[t].append((t2, x))
         for s in range(m.dim):
-            rcol = m.right[j].col(s)
-            for t in range(e.dim):
-                lcol = e.left[j].col(t)
-                v = [Fraction(0)] * amb
-                for s2, c in enumerate(rcol):
-                    if c != 0:
-                        v[s2 * e.dim + t] += c
-                for t2, c in enumerate(lcol):
-                    if c != 0:
-                        v[s * e.dim + t2] -= c
-                if not is_zero_vector(v):
-                    rels.append(tuple(v))
-    rel = Subspace.from_vectors(amb, rels)
+            for t in range(ed):
+                # the relation of (s, t), times dr * dl
+                v = {s2 * ed + t: x * dl for s2, x in rcols[s]}
+                for t2, x in lcols[t]:
+                    k = s * ed + t2
+                    v[k] = v.get(k, 0) - x * dr
+                ech.insert_int(v)
+    rel = ech.subspace()
     pivset = set(rel.pivots)
     qcols = [j for j in range(amb) if j not in pivset]
     qdim = len(qcols)
+    qindex = {qc: k for k, qc in enumerate(qcols)}
     # the projection reduces modulo the relations and keeps the quotient
     # coordinates: a quotient coordinate maps to itself, the pivot of a
-    # relation row r to -r read at the quotient coordinates
-    proj_cols = [None] * amb
+    # relation row r to -r read at the quotient coordinates (a reduced row
+    # is non-zero away from its pivot only there)
+    proj = [[ZERO] * amb for _ in range(qdim)]
     for k, qc in enumerate(qcols):
-        proj_cols[qc] = tuple(ONE if j == k else ZERO for j in range(qdim))
-    for row, pc in zip(rel.basis, rel.pivots):
-        proj_cols[pc] = tuple(-row[qc] for qc in qcols)
-    projection = Matrix.from_cols(proj_cols, nrows=qdim)
-    lift_cols = [tuple(1 if j == qc else 0 for j in range(amb))
-                 for qc in qcols]
-    lift = Matrix.from_cols(lift_cols, nrows=amb)
+        proj[k][qc] = ONE
+    for row, pc in zip(ech.rows, rel.pivots):
+        p = row[pc]
+        for j, x in row.items():
+            if j != pc:
+                proj[qindex[j]][pc] = Fraction(-x, p)
+    projection = Matrix(proj, ncols=amb)
+    lift = Matrix([[ONE if j == qc else ZERO for qc in qcols]
+                   for j in range(amb)], ncols=qdim)
 
-    proj_nz = [[(q, x) for q, x in enumerate(col) if x] for col in proj_cols]
+    rel_cols = Matrix.from_cols(rel.basis, nrows=amb)
+    dp, prows = projection.int_rows()
     left_mats = []
     for i in range(a.dim):
-        # P_i = projection (L_i (x) I): column (s, t) is
-        # sum_s2 L_i[s2][s] * projection column (s2, t)
-        p_cols = []
-        for lcol in m.left[i].cols():
-            coeffs = [(s2, c) for s2, c in enumerate(lcol) if c]
-            for t in range(e.dim):
-                col = [ZERO] * qdim
-                for s2, c in coeffs:
-                    for q, x in proj_nz[s2 * e.dim + t]:
-                        col[q] += c * x
-                p_cols.append(col)
+        # P_i = projection (L_i (x) I): its entry at column (s, t) is
+        # sum_s2 projection[(s2, t)] * L_i[s2][s]
+        dl, lrows = m.left[i].int_rows()
+        accs = []
+        for pr in prows:
+            acc = [0] * amb
+            for col, y in pr:
+                s2, t = divmod(col, ed)
+                for s, x in lrows[s2]:
+                    acc[s * ed + t] += y * x
+            accs.append(acc)
+        den = dp * dl
         # balancing is stable under the left action, else the quotient
         # action would be ill defined; the projection kills exactly the
-        # relations, so stability reads P_i r = 0
-        p_i = Matrix.from_cols(p_cols, nrows=qdim)
-        for rv in rel.basis:
-            if not is_zero_vector(p_i.apply(rv)):
-                raise InvariantError("left action does not preserve "
-                                     "balancing relations")
-        left_mats.append(Matrix.from_cols([p_cols[qc] for qc in qcols],
-                                          nrows=qdim))
+        # relations, so stability reads P_i R = 0
+        p_i = Matrix([_fractions(acc, den) for acc in accs], ncols=amb)
+        if not (p_i @ rel_cols).is_zero():
+            raise InvariantError("left action does not preserve "
+                                 "balancing relations")
+        left_mats.append(Matrix([[r[qc] for qc in qcols] for r in p_i.rows],
+                                ncols=qdim))
     quotient = LeftModule(a, qdim, left_mats)
     return TensorProductOverA((m, e), quotient, projection, lift, rel)

@@ -1,7 +1,9 @@
 """Command line front end: check, derive, report, builtin.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
-usage error.  Documents go to stdout (or -o), human summaries to stderr,
+usage error, or a document that could not be written because the reader of
+stdout closed it early (a broken pipe; the rest of the output is dropped
+silently).  Documents go to stdout (or -o), human summaries to stderr,
 so derived output stays byte-stable and scriptable.
 """
 
@@ -444,7 +446,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except WorkspaceError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
@@ -452,6 +456,13 @@ def main(argv=None) -> int:
         sys.stderr.write("error: law violated during construction: %s\n"
                          % e)
         return 1
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull so
+        # the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ eliminated (kernel and solve are its two halves; null_rules is that
 re-reduction, giving each basis vector by its non-zero entries, and
 Subspace.from_rules writes them out densely),
 closure_under_maps closes a span under linear maps, and every row
-reduction goes through Echelon.  Echelon works on integer-scaled rows
-(cross multiplication with gcd renormalisation when entries grow),
-reduces each inserted row forward only, and runs the one backward pass
-when the canonical basis is read; converting back to Fractions at the end
-keeps Fraction gcd churn out of the inner loop.
+reduction goes through Echelon.  Echelon holds sparse primitive integer
+rows with a positive pivot and keeps them fully reduced after every
+insert, so an insert touches only the stored rows at the pivots the new
+row holds, each at its pivot and its non-pivot columns, and no backward
+pass is left for the read: frac_rows divides each row by its pivot.
 
 Every subspace is stored in fully reduced row echelon form, so two subspaces
 are equal exactly when their stored bases are equal componentwise.
@@ -41,9 +41,6 @@ Vector = tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# entries past this size trigger a gcd pass during elimination
-_GCD_TRIGGER = 1 << 96
 
 
 def frac(x) -> Fraction:
@@ -286,7 +283,12 @@ class Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; index (i,k),(j,l) -> (i*b.nrows+k, j*b.ncols+l)."""
+    """Kronecker product; index (i,k),(j,l) -> (i*b.nrows+k, j*b.ncols+l).
+
+    Nothing in the package calls it: intertwiner_rows, tensor_over_A and
+    LeftModule.free write their block structure out directly.  It is kept
+    for the test oracles and as a trace target of the benchmark.
+    """
     rows = []
     for ra in a.rows:
         for rb in b.rows:
@@ -336,51 +338,50 @@ def intertwiner_rows(a: Matrix, b: Matrix) -> list:
     return rows
 
 
-def _scale_to_int(row: Sequence) -> list:
-    """The primitive integer multiple of a row of exact entries."""
-    return _gcd_normalize(_int_vector(row)[1])
-
-
-def _gcd_normalize(row: list) -> list:
+def _primitive(row: dict, lead: int) -> dict:
+    """row divided by the gcd of its entries, signed so that its entry at
+    column lead is positive."""
     g = 0
-    for v in row:
-        g = math.gcd(g, v)
-    if g > 1:
-        row = [v // g for v in row]
-    return row
+    for x in row.values():
+        g = math.gcd(g, x)
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {j: x // g for j, x in row.items()}
 
 
 class Echelon:
-    """Incremental integer row echelon of a span in Q^width.
+    """Incremental integer reduced row echelon of a span in Q^width.
 
-    insert reduces a new row against the stored pivots only and keeps the
-    rows sorted by pivot column.  The backward pass that turns them into
-    the reduced echelon runs on demand, once per batch of inserts, when
-    frac_rows or subspace asks for the canonical basis.
+    A row is a dict from column to non-zero int.  Every stored row is
+    primitive, has a positive entry at its pivot (its first column) and is
+    zero at every other pivot, after every insert: it is the primitive
+    integer multiple of its row of the reduced echelon form, so the stored
+    rows do not depend on the order of the inserts.  A new row is reduced
+    at the pivots it holds only, each stored row costing at most
+    1 + width - dim entries, and its new pivot is then cleared from the
+    stored rows that hold it.
     """
 
     def __init__(self, width: int, rows: Iterable = ()):
         self.width = width
-        self.rows: list = []      # integer rows, sorted by pivot column
-        self.pivots: list = []
-        self._finalized = True
+        self._rows: dict = {}     # pivot column -> row
         for r in rows:
             self.insert(r)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduced(self, introw: list) -> list:
-        row = list(introw)
-        for prow, pc in zip(self.rows, self.pivots):
-            c = row[pc]
-            if c:
-                p = prow[pc]
-                row = [p * a - c * b for a, b in zip(row, prow)]
-                if max(map(abs, row)) > _GCD_TRIGGER:
-                    row = _gcd_normalize(row)
-        return row
+    @property
+    def pivots(self) -> list:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """The stored rows in increasing pivot order."""
+        return [self._rows[pc] for pc in sorted(self._rows)]
 
     def insert(self, v) -> bool:
         """Add a vector (any entries vector() takes) to the span; True if
@@ -389,54 +390,62 @@ class Echelon:
         if len(v) != self.width:
             raise ValueError("a vector of length %d inserted into an echelon "
                              "of width %d" % (len(v), self.width))
-        return self._insert_int(_scale_to_int(v))
+        return self.insert_int(
+            {j: x for j, x in enumerate(_int_vector(v)[1]) if x})
 
-    def _insert_int(self, introw: list) -> bool:
-        """insert for a row of width integers."""
-        row = self._reduced(introw)
-        piv = None
-        for j, x in enumerate(row):
-            if x:
-                piv = j
-                break
-        if piv is None:
+    def insert_int(self, row: dict) -> bool:
+        """insert for a row given as {column: int}, columns below width."""
+        stored = self._rows
+        hits = [(pc, c) for pc, c in row.items() if c and pc in stored]
+        if hits:
+            # the stored rows are zero at each other's pivots, so the
+            # reductions at the hit pivots are independent: subtract
+            # c / p times each stored row from the row scaled by the lcm
+            # of the p / gcd(p, c)
+            scale = 1
+            for pc, c in hits:
+                p = stored[pc][pc]
+                scale = math.lcm(scale, p // math.gcd(p, c))
+            acc = {j: scale * x for j, x in row.items()}
+            for pc, c in hits:
+                prow = stored[pc]
+                m = scale * c // prow[pc]
+                for j, b in prow.items():
+                    acc[j] = acc.get(j, 0) - m * b
+            row = acc
+        row = {j: x for j, x in row.items() if x}
+        if not row:
             return False
-        row = _gcd_normalize(row)
-        if row[piv] < 0:
-            row = [-x for x in row]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, row)
-        self.pivots.insert(at, piv)
-        self._finalized = False
+        piv = min(row)
+        row = _primitive(row, piv)
+        p = row[piv]
+        for pc, r in list(stored.items()):
+            c = r.get(piv)
+            if c:
+                g = math.gcd(p, c)
+                f, m = p // g, c // g
+                acc = {j: f * x for j, x in r.items()}
+                for j, b in row.items():
+                    acc[j] = acc.get(j, 0) - m * b
+                stored[pc] = _primitive({j: x for j, x in acc.items() if x},
+                                        pc)
+        stored[piv] = row
         return True
 
-    def finalize(self):
-        """Backward pass; afterwards rows form the reduced echelon."""
-        if self._finalized:
-            return
-        for k in range(len(self.rows) - 1, -1, -1):
-            row, piv = self.rows[k], self.pivots[k]
-            p = row[piv]
-            for j in range(k):
-                c = self.rows[j][piv]
-                if c:
-                    self.rows[j] = _gcd_normalize(
-                        [p * a - c * b for a, b in zip(self.rows[j], row)])
-        self._finalized = True
-
     def frac_rows(self) -> tuple:
-        """Canonical basis: reduced rows scaled to pivot 1.
+        """Canonical basis: the reduced rows scaled to pivot 1.
 
         Zero entries all share ZERO, which keeps mostly-zero bases (kernels,
         duals) small for as long as they are held.
         """
-        self.finalize()
         out = []
-        for row, piv in zip(self.rows, self.pivots):
-            p = Fraction(row[piv])
-            out.append(tuple(Fraction(v) / p if v else ZERO for v in row))
+        for pc in sorted(self._rows):
+            row = self._rows[pc]
+            p = row[pc]
+            v = [ZERO] * self.width
+            for j, x in row.items():
+                v[j] = Fraction(x, p)
+            out.append(tuple(v))
         return tuple(out)
 
     def subspace(self) -> "Subspace":
@@ -551,7 +560,6 @@ def affine_solutions(m: Matrix, b) -> tuple:
                          % (len(b), m))
     n = m.ncols
     ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
-    ech.finalize()
     rows, pivots = ech.rows, ech.pivots
     if pivots and pivots[-1] == n:
         x = None
@@ -559,7 +567,7 @@ def affine_solutions(m: Matrix, b) -> tuple:
     else:
         x = [ZERO] * n
         for row, pc in zip(rows, pivots):
-            if row[n]:
+            if n in row:
                 x[pc] = Fraction(row[n], row[pc])
         x = tuple(x)
     return x, Subspace.from_rules(n, null_rules(n, rows))
@@ -567,7 +575,7 @@ def affine_solutions(m: Matrix, b) -> tuple:
 
 def null_rules(n: int, rows: Sequence) -> tuple:
     """The null space {v in Q^n : r v = 0 for the rows r}, sparse, read off
-    linearly independent integer rows (only their first n entries count).
+    integer rows given as {column: int} (only the columns below n count).
 
     One entry (f, ((q, c), ...)) per free column f, in increasing f, for
     the canonical basis vector e_f + sum c e_q; its q are increasing and
@@ -583,17 +591,15 @@ def null_rules(n: int, rows: Sequence) -> tuple:
     """
     rev = Echelon(n)
     for row in rows:
-        rev._insert_int(row[n - 1::-1])
-    rev.finalize()
+        rev.insert_int({n - 1 - j: x for j, x in row.items() if j < n})
     right = {n - 1 - pc for pc in rev.pivots}
     free = [f for f in range(n) if f not in right]
     terms = {f: [] for f in free}
     # reversed pivots in decreasing order are right pivots in increasing q
     for row, pc in zip(reversed(rev.rows), reversed(rev.pivots)):
         q, p = n - 1 - pc, row[pc]
-        for j in range(pc + 1, n):
-            c = row[j]
-            if c:
+        for j, c in row.items():
+            if j != pc:
                 terms[n - 1 - j].append((q, Fraction(-c, p)))
     return tuple((f, tuple(terms[f])) for f in free)
 

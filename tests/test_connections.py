@@ -19,6 +19,7 @@ from ncwb.connections import (
     simple_tensor, trivial_connection,
 )
 from ncwb.linalg import Matrix, frac, kron
+from ncwb.reporting import InvariantError
 
 from helpers import (
     BasisChange, check_covariant_axioms_per_field, dual_numbers,
@@ -296,6 +297,22 @@ def test_tensor_and_axioms_match_oracles_after_basis_change(drawn):
     if conn.matrix.nrows:
         bad = perturbed(conn, row, col, by)
         assert_covariant_axioms_match_oracle(bad, pair)
+
+
+def test_unbalanced_actions_raise_in_tensor_and_oracle():
+    # the left action of x on M does not commute with its right action:
+    # (x.m0).x = m1.x = m0 but x.(m0.x) = 0.  For a lawful bimodule the
+    # balancing relations are stable under every left module E, so the
+    # check can only fire on such a lawless M.
+    a = dual_numbers()
+    i2 = Matrix.identity(2)
+    m = Bimodule(a, 2, (i2, Matrix([[0, 0], [1, 0]])),
+                 (i2, Matrix([[0, 1], [0, 0]])))
+    e = LeftModule.free(a, 1)
+    for build in (tensor_over_A, tensor_over_A_by_kron):
+        with pytest.raises(InvariantError, match="left action does not "
+                           "preserve balancing relations"):
+            build(m, e)
 
 
 def test_findings_name_the_element_the_vector_and_the_coordinates():

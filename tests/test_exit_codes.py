@@ -4,6 +4,7 @@ in a traceback, with or without python -O."""
 
 import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -152,3 +153,25 @@ def test_fixed_hostile_inputs_exit_cleanly(tmp_path, optimize, make,
                        + argv, capture_output=True, text=True)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
+
+
+# a document larger than one stdout buffer, and one that fits in it
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("argv", [["builtin", "truncated_poly", "6"],
+                                  ["builtin", "dual_numbers"]],
+                         ids=["large", "small"])
+def test_reader_closed_early_exits_two_without_traceback(optimize, argv):
+    """`ncwb builtin truncated_poly 6 | head -c 10`, with the reader gone
+    before the first byte: the document cannot be written, so exit 2, and
+    neither main nor the flush at exit prints a traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable] + optimize + ["-m", "ncwb.cli"]
+                           + argv, stdout=write, stderr=subprocess.PIPE,
+                           text=True)
+    finally:
+        os.close(write)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "Exception ignored" not in r.stderr

@@ -1,5 +1,6 @@
 """Exact linear algebra: hand-worked values plus sympy as a second route."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -234,6 +235,51 @@ def test_echelon_matches_sympy_rref(nr, width, data):
     assert tuple(ech.pivots) == tuple(spiv)
     assert [list(r) for r in ech.frac_rows()] \
         == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]
+
+
+# numerators up to 2^80 and half the entries zero
+big_rationals = st.builds(F, st.integers(-2 ** 80, 2 ** 80),
+                          st.integers(1, 2 ** 16))
+big_entries = st.one_of(st.just(F(0)), big_rationals)
+
+
+def assert_reduced_primitive(ech):
+    """Every stored row is primitive, starts at its pivot with a positive
+    entry and is zero at every other pivot."""
+    pivots = ech.pivots
+    for row, pc in zip(ech.rows, pivots):
+        assert all(row.values()) and min(row) == pc and row[pc] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in pivots if q != pc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 20), st.data())
+def test_echelon_on_large_redundant_draws(width, nr, data):
+    rows = []
+    for _ in range(nr):
+        if rows and data.draw(st.booleans()):
+            # a random combination of earlier rows
+            v = [F(0)] * width
+            for k in data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                        min_size=1, max_size=4)):
+                c = data.draw(big_rationals)
+                v = [x + c * y for x, y in zip(v, rows[k])]
+            rows.append(v)
+        else:
+            rows.append([data.draw(big_entries) for _ in range(width)])
+    ech = Echelon(width)
+    for r in rows:
+        ech.insert(r)
+        assert_reduced_primitive(ech)
+    srref, spiv = to_sympy(Matrix(rows, ncols=width)).rref()
+    trimmed = [r for r in srref.tolist() if any(x != 0 for x in r)]
+    assert tuple(ech.pivots) == tuple(spiv)
+    assert [list(r) for r in ech.frac_rows()] \
+        == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]
+    order = data.draw(st.permutations(range(nr)))
+    assert Echelon(width, [rows[k] for k in order]).frac_rows() \
+        == ech.frac_rows()
 
 
 # vectors mix Fractions, plain ints and zeros; apply takes all of them

@@ -88,15 +88,7 @@ class Algebra:
         return None
 
     def multiply(self, f, g):
-        out = vzero(self.dim)
-        for i, a in enumerate(f):
-            if a == 0:
-                continue
-            for j, b in enumerate(g):
-                if b == 0:
-                    continue
-                out = vadd(out, vscale(a * b, self.sc[i][j]))
-        return out
+        return self.left_mult_matrix(f).apply(g)
 
     def left_mult_matrix(self, f) -> Matrix:
         return linear_combination(f, self.lmul, self.dim, self.dim)
@@ -178,28 +170,31 @@ class AlgebraElement:
 
 
 def check_algebra(a: Algebra) -> CheckReport:
-    """Exhaustive associativity and two-sided unit check."""
+    """Exhaustive associativity and two-sided unit check.
+
+    Associativity is L_{e_i e_j} = L_i L_j: column k of the left side is
+    (e_i e_j) e_k, of the right side e_i (e_j e_k).  The units are read
+    off the columns of L_1 and R_1."""
     rep = CheckReport("algebra")
     n = a.dim
+    names = a.basis_names
     for i in range(n):
         for j in range(n):
-            u = a.sc[i][j]
+            lhs = a.left_mult_matrix(a.sc[i][j])
+            rhs = a.lmul[i] @ a.lmul[j]
             for k in range(n):
-                left = a.multiply(u, tuple(1 if t == k else 0 for t in range(n)))
-                right = a.multiply(tuple(1 if t == i else 0 for t in range(n)),
-                                   a.sc[j][k])
-                if left != right:
+                if lhs.col(k) != rhs.col(k):
                     rep.add("associativity", (i, j, k),
                             "(%s*%s)*%s != %s*(%s*%s)" % (
-                                a.basis_names[i], a.basis_names[j],
-                                a.basis_names[k], a.basis_names[i],
-                                a.basis_names[j], a.basis_names[k]))
+                                names[i], names[j], names[k], names[i],
+                                names[j], names[k]))
+    ident = Matrix.identity(n)
+    left, right = a.left_mult_matrix(a.unit), a.right_mult_matrix(a.unit)
     for j in range(n):
-        ej = tuple(1 if t == j else 0 for t in range(n))
-        if a.multiply(a.unit, ej) != vector(ej):
-            rep.add("left-unit", (j,), "1*%s" % a.basis_names[j])
-        if a.multiply(ej, a.unit) != vector(ej):
-            rep.add("right-unit", (j,), "%s*1" % a.basis_names[j])
+        if left.col(j) != ident.col(j):
+            rep.add("left-unit", (j,), "1*%s" % names[j])
+        if right.col(j) != ident.col(j):
+            rep.add("right-unit", (j,), "%s*1" % names[j])
     return rep
 
 
@@ -384,6 +379,9 @@ class BimoduleMap:
     matrix: Matrix
 
     def __post_init__(self):
+        if self.source.algebra is not self.target.algebra:
+            raise ValueError("a bimodule map needs bimodules over one "
+                             "algebra")
         if self.matrix.nrows != self.target.dim \
                 or self.matrix.ncols != self.source.dim:
             raise ValueError("a map from dimension %d to %d needs a %dx%d "

@@ -126,6 +126,8 @@ def factor_through_universal(c: DifferentialCalculus,
     span the one-forms (Omega_u = A.du(A)), so phi is the only solution.
     """
     a = c.algebra
+    if universal is not None and universal.algebra is not a:
+        raise ValueError("the universal calculus is over another algebra")
     u = universal if universal is not None else universal_calculus(a)
     m = c.bimodule
     # phi(f (x) g) = f.dg, restricted to the kernel

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .linalg import (
     ZERO, Echelon, Matrix, Subspace, is_zero_vector, kernel,
-    linear_combination, rank, solve, vadd, vsub,
+    linear_combination, rank, vadd, vsub,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -59,7 +59,8 @@ class CartanPair:
             if m.nrows != n or m.ncols != n:
                 raise ValueError("action %d is %dx%d on an algebra of "
                                  "dimension %d" % (t, m.nrows, m.ncols, n))
-        # provenance when derived from a calculus; purely informational
+        # the calculus and right dual the pair comes from, if any:
+        # covariant_derivative contracts connections through them
         self.source_calculus = source_calculus
         self.dual = dual
 
@@ -165,14 +166,16 @@ def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
 
 
 class CoUniversalPair(CartanPair):
-    """Pair derived from the universal calculus.
+    """The right dual of the universal one-forms, X_u = {D : D(1) = 0}.
 
-    read, when given, is the q x n^2 matrix taking flat(D) to the
-    coordinates of X_D over the canonical basis of the dual.
+    read is the q x n^2 matrix taking flat(D), for D(1) = 0, to the
+    coordinates of X_D over the canonical basis of the dual.  Since X_D
+    acts as -D, an operator X with X(1) = 0 is the action of exactly one
+    vector of X_u, read.apply(flat(-X)).
     """
 
     def __init__(self, universal: UniversalCalculus, dual: DualBimodule,
-                 action, read: Optional[Matrix] = None):
+                 action, read: Matrix):
         super().__init__(universal.algebra, dual.bimodule, action,
                          source_calculus=universal, dual=dual)
         self.universal = universal
@@ -205,19 +208,12 @@ def co_universal_pair(a: Algebra,
     if a.right_mult_matrix(a.unit) != Matrix.identity(n):
         raise InvariantError("the unit is not a right unit")
     # evals[m*n + i]: evaluation matrix of X_E for the matrix unit
-    # E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j
-    evals = []
-    for m in range(n):
-        for i in range(n):
-            ev = [ZERO] * nk
-            for c, b in enumerate(u.one_forms.basis):
-                for j in range(n):
-                    w = b[i * n + j]
-                    if w:
-                        for r, x in enumerate(a.sc[m][j]):
-                            if x:
-                                ev[r * k + c] += w * x
-            evals.append(Matrix.from_flat(ev, n, k))
+    # E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j,
+    # that is L_m F_i with column c of F_i the row i of b_c
+    forms = u.one_forms.basis
+    f_rows = [Matrix([[b[i * n + j] for b in forms] for j in range(n)],
+                     ncols=k) for i in range(n)]
+    evals = [lm @ f for lm in a.lmul for f in f_rows]
     # {D : D(1) = 0} as flattened n x n matrices
     unit_rows = [tuple(a.unit[i] if r == m else ZERO
                        for r in range(n) for i in range(n))
@@ -259,7 +255,7 @@ def co_universal_pair(a: Algebra,
 
 @dataclass
 class CoUniversalFactorization:
-    """Solution of action = action_u o Phi over bimodule maps N -> X_u."""
+    """The bimodule map Phi: N -> X_u with action = action_u o Phi."""
     phi: Optional[BimoduleMap]
     exists: bool
     unique: bool
@@ -272,23 +268,22 @@ def co_universal_factorization(p: CartanPair,
                                ) -> CoUniversalFactorization:
     """Read off the unique bimodule map into the co-universal pair.
 
-    The co-universal action is injective (X_D acts as -D), so column t of
-    Phi is the only solution of action_u Phi_t = X_t, and it exists iff
-    X_t lies in the span of the co-universal actions, that is X_t(1) = 0.
-    The factorization exists iff this Phi is a bimodule map; it is then
-    unique and homogeneous_dim is 0.  Existence is a finding, not an
-    assumption.  The general solve over bimodule_map_space(N, X_u) is kept
-    only as a test oracle.
+    X_D acts as -D, so the co-universal actions are exactly the operators
+    that kill 1, each the action of one vector of X_u.  A field X_t with
+    X_t(1) != 0 has no preimage and nothing factors; otherwise column t of
+    Phi is cu.read.apply(flat(-X_t)).  The factorization exists iff this
+    Phi is a bimodule map; it is then unique and homogeneous_dim is 0.
+    Existence is a finding, not an assumption.  The general solve over
+    bimodule_map_space(N, X_u) is kept only as a test oracle.
     """
-    cu = couniv if couniv is not None else co_universal_pair(p.algebra)
+    a = p.algebra
+    if couniv is not None and couniv.algebra is not a:
+        raise ValueError("the co-universal pair is over another algebra")
+    cu = couniv if couniv is not None else co_universal_pair(a)
     rep = CheckReport("co-universal factorization")
-    action_u = Matrix.from_cols([m.flatten() for m in cu.action],
-                                nrows=p.algebra.dim ** 2)
-    if rank(action_u) != cu.bimodule.dim:
-        raise InvariantError("the co-universal action is not injective")
-    cols = [solve(action_u, x.flatten()) for x in p.action]
     phi_map = None
-    if all(c is not None for c in cols):
+    if not any(any(x.apply(a.unit)) for x in p.action):
+        cols = [cu.read.apply(x.scale(-1).flatten()) for x in p.action]
         phi_map = BimoduleMap(p.bimodule, cu.bimodule,
                               Matrix.from_cols(cols, nrows=cu.bimodule.dim))
         if not check_bimodule_map(phi_map).ok:

@@ -23,15 +23,6 @@ from .reporting import InvariantError
 
 MAX_PARAM = 6
 
-BUILTIN_NAMES = (
-    "dual_numbers",
-    "truncated_poly",
-    "group_algebra_z2",
-    "upper_triangular_2",
-    "matrix_2",
-    "quantum_plane_trunc",
-)
-
 
 @dataclass
 class ExampleBundle:
@@ -219,6 +210,30 @@ def _quantum_plane(q: Fraction, deg: int) -> ExampleBundle:
                   deg, q))
 
 
+def _no_params(params) -> tuple:
+    return ()
+
+
+def _truncated_params(params) -> tuple:
+    return (_int_param(params, 0, 4, 2, MAX_PARAM, "truncation order"),)
+
+
+def _quantum_plane_params(params) -> tuple:
+    q = frac(params[0]) if len(params) >= 1 else Fraction(2)
+    return (q, _int_param(params, 1, 2, 1, MAX_PARAM, "degree bound"))
+
+
+# name -> (most parameters, their normalization, maker of the bundle)
+_MAKERS = {
+    "dual_numbers": (0, _no_params, _dual_numbers),
+    "truncated_poly": (1, _truncated_params, _truncated_poly),
+    "group_algebra_z2": (0, _no_params, _group_algebra_z2),
+    "upper_triangular_2": (0, _no_params, _upper_triangular_2),
+    "matrix_2": (0, _no_params, _matrix_2),
+    "quantum_plane_trunc": (2, _quantum_plane_params, _quantum_plane),
+}
+BUILTIN_NAMES = tuple(_MAKERS)
+
 _CACHE: dict = {}
 
 
@@ -230,46 +245,17 @@ def builtin(name: str, params=()) -> ExampleBundle:
     the degree bound (default 2).
     """
     params = tuple(params)
-    if name == "dual_numbers":
-        expected = 0
-    elif name == "truncated_poly":
-        expected = 1
-    elif name == "quantum_plane_trunc":
-        expected = 2
-    elif name in BUILTIN_NAMES:
-        expected = 0
-    else:
+    if name not in BUILTIN_NAMES:
         raise ValueError("unknown builtin %r" % name)
+    expected, normalize, make = _MAKERS[name]
     if len(params) > expected:
         raise ValueError("%s takes at most %d parameter(s)" % (name, expected))
-
     # bundles are cached by normalized parameters and treated as immutable
-    n = q = deg = None
-    if name == "truncated_poly":
-        n = _int_param(params, 0, 4, 2, MAX_PARAM, "truncation order")
-        key = (name, n)
-    elif name == "quantum_plane_trunc":
-        q = frac(params[0]) if len(params) >= 1 else Fraction(2)
-        deg = _int_param(params, 1, 2, 1, MAX_PARAM, "degree bound")
-        key = (name, q, deg)
-    else:
-        key = (name,)
-    if key in _CACHE:
-        return _CACHE[key]
-    if name == "dual_numbers":
-        bundle = _validated(_dual_numbers())
-    elif name == "truncated_poly":
-        bundle = _validated(_truncated_poly(n))
-    elif name == "group_algebra_z2":
-        bundle = _validated(_group_algebra_z2())
-    elif name == "upper_triangular_2":
-        bundle = _validated(_upper_triangular_2())
-    elif name == "matrix_2":
-        bundle = _validated(_matrix_2())
-    else:
-        bundle = _validated(_quantum_plane(q, deg))
-    _CACHE[key] = bundle
-    return bundle
+    args = normalize(params)
+    key = (name,) + args
+    if key not in _CACHE:
+        _CACHE[key] = _validated(make(*args))
+    return _CACHE[key]
 
 
 def all_builtins() -> list:

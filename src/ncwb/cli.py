@@ -334,8 +334,7 @@ def _report_object(wo, checks_by_id, universals, max_len):
     elif kind == "connection" and ok:
         pair = pair_from_calculus(obj.calculus)
         checks["covariant-axioms"] = check_covariant_axioms(obj, pair)
-        analysis["rank"] = obj.module.dim // obj.calculus.algebra.dim \
-            if obj.calculus.algebra.dim else 0
+        analysis["rank"] = obj.module.dim // obj.calculus.algebra.dim
     return checks, info, analysis
 
 

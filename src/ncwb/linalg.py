@@ -610,7 +610,12 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def solve(m: Matrix, b) -> Optional[Vector]:
-    """One exact solution of m x = b (free variables zero), or None."""
+    """One exact solution of m x = b (free variables zero), or None.
+
+    Nothing in the package calls it: the factorizations read their
+    solutions off closed forms.  It is kept for the test oracles and as a
+    trace target of the benchmark.
+    """
     return affine_solutions(m, b)[0]
 
 

@@ -306,7 +306,7 @@ def parse_workspace(text: str) -> Workspace:
         if not isinstance(decl, dict):
             raise WorkspaceError("%s: declaration must be an object" % where)
         kind = decl.get("kind")
-        if kind not in _KIND_LEVEL:
+        if not isinstance(kind, str) or kind not in _KIND_LEVEL:
             raise WorkspaceError("%s: unknown kind %r" % (where, kind))
         order.append((name, kind, decl, where))
     ws = Workspace()

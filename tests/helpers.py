@@ -213,14 +213,53 @@ from ncwb.algebra import (  # noqa: E402
     BimoduleMap, bimodule_map_space, check_bimodule_map, right_dual,
 )
 from ncwb.calculus import UniversalCalculus  # noqa: E402
-from ncwb.cartan import (  # noqa: E402
-    CoUniversalFactorization, CoUniversalPair,
-)
+from ncwb.cartan import CoUniversalFactorization  # noqa: E402
 from ncwb.linalg import (  # noqa: E402
     Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
-    span_closure, vzero,
+    span_closure, vadd, vscale, vzero,
 )
 from ncwb.reporting import CheckReport  # noqa: E402
+
+
+def multiply_by_sc(a, f, g) -> tuple:
+    """f g as a sum of f_i g_j sc[i][j], one scalar product at a time."""
+    out = vzero(a.dim)
+    for i, x in enumerate(f):
+        if x == 0:
+            continue
+        for j, y in enumerate(g):
+            if y == 0:
+                continue
+            out = vadd(out, vscale(x * y, a.sc[i][j]))
+    return out
+
+
+def check_algebra_by_sc(a) -> CheckReport:
+    """Associativity on every basis triple and both units on every basis
+    vector, each product formed by multiply_by_sc."""
+    rep = CheckReport("algebra")
+    n = a.dim
+    names = a.basis_names
+
+    def e(k):
+        return tuple(1 if t == k else 0 for t in range(n))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = multiply_by_sc(a, a.sc[i][j], e(k))
+                right = multiply_by_sc(a, e(i), a.sc[j][k])
+                if left != right:
+                    rep.add("associativity", (i, j, k),
+                            "(%s*%s)*%s != %s*(%s*%s)" % (
+                                names[i], names[j], names[k], names[i],
+                                names[j], names[k]))
+    for j in range(n):
+        if multiply_by_sc(a, a.unit, e(j)) != e(j):
+            rep.add("left-unit", (j,), "1*%s" % names[j])
+        if multiply_by_sc(a, e(j), a.unit) != e(j):
+            rep.add("right-unit", (j,), "%s*1" % names[j])
+    return rep
 
 
 def intertwiner_rows_by_kron(a, b) -> tuple:
@@ -262,10 +301,11 @@ def universal_uniqueness_by_solve(c, u) -> int:
     return restrict_to_kernel(maps, du_constraint).dim
 
 
-def co_universal_pair_by_right_dual(a, u) -> CoUniversalPair:
+def co_universal_pair_by_right_dual(a, u) -> CartanPair:
     """The right dual of the universal one-forms acting by X -> X(du .)."""
     d = right_dual(u.bimodule)
-    return CoUniversalPair(u, d, tuple(e @ u.d for e in d.eval_mats))
+    return CartanPair(a, d.bimodule, tuple(e @ u.d for e in d.eval_mats),
+                      source_calculus=u, dual=d)
 
 
 def co_universal_factorization_by_solve(p, cu) -> CoUniversalFactorization:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import (
     Algebra, Bimodule, BimoduleMap, LeftModule, bimodule_map_space,
@@ -13,8 +14,9 @@ from ncwb.algebra import (
 from ncwb.linalg import Matrix, rank
 
 from helpers import (
-    dual_numbers, matrix_2, quantum_plane, truncated_polynomials,
-    upper_triangular_2, z2_group_algebra,
+    check_algebra_by_sc, dual_numbers, matrix_2, multiply_by_sc,
+    quantum_plane, truncated_polynomials, upper_triangular_2,
+    z2_group_algebra,
 )
 
 F = Fraction
@@ -29,27 +31,66 @@ def test_algebra_laws(make):
     assert check_algebra(make()).ok
 
 
-def test_broken_unit_is_reported():
+def broken_unit_algebra():
     # claims e1 as unit although e1*e2 = 0
     sc = [
         [(1, 0), (0, 0)],
         [(0, 0), (0, 1)],
     ]
-    a = Algebra(("u", "v"), sc, (1, 0))
-    rep = check_algebra(a)
-    assert not rep.ok
-    assert any(f.law in ("left-unit", "right-unit") for f in rep.findings)
+    return Algebra(("u", "v"), sc, (1, 0))
 
 
-def test_broken_associativity_is_reported():
+def broken_associativity_algebra():
     # t*1 = 1 makes (t*1)*t and t*(1*t) disagree
     sc = [
         [(1, 0), (0, 1)],
         [(1, 0), (0, 0)],
     ]
-    a = Algebra(("1", "t"), sc, (1, 0))
-    rep = check_algebra(a)
+    return Algebra(("1", "t"), sc, (1, 0))
+
+
+def test_broken_unit_is_reported():
+    rep = check_algebra(broken_unit_algebra())
+    assert not rep.ok
+    assert any(f.law in ("left-unit", "right-unit") for f in rep.findings)
+
+
+def test_broken_associativity_is_reported():
+    rep = check_algebra(broken_associativity_algebra())
     assert any(f.law == "associativity" for f in rep.findings)
+
+
+# ---- check_algebra against products formed one scalar at a time -------
+
+def findings(rep):
+    return [(f.law, f.witness, f.detail) for f in rep.findings]
+
+
+@pytest.mark.parametrize("make", [broken_unit_algebra,
+                                  broken_associativity_algebra]
+                         + ALL_ALGEBRAS)
+def test_check_algebra_matches_scalar_oracle(make):
+    a = make()
+    assert findings(check_algebra(a)) == findings(check_algebra_by_sc(a))
+
+
+@st.composite
+def integer_tables(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-1, 1)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    sc = [[draw(vec) for _ in range(n)] for _ in range(n)]
+    return Algebra(tuple("e%d" % i for i in range(n)), sc, draw(vec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_tables(), st.data())
+def test_check_algebra_matches_scalar_oracle_on_random_tables(a, data):
+    assert findings(check_algebra(a)) == findings(check_algebra_by_sc(a))
+    vec = st.lists(st.fractions(-3, 3, max_denominator=3),
+                   min_size=a.dim, max_size=a.dim)
+    f, g = data.draw(vec), data.draw(vec)
+    assert a.multiply(f, g) == multiply_by_sc(a, f, g)
 
 
 def test_structure_constant_shape_rejected():
@@ -108,7 +149,7 @@ def test_right_dual_of_regular_is_the_algebra(make):
         fk = iso.matrix.col(k)
         for j in range(a.dim):
             ej = tuple(1 if t == j else 0 for t in range(a.dim))
-            assert d.pairing(xk, ej).coords == a.multiply(fk, ej)
+            assert d.pairing(xk, ej).coords == multiply_by_sc(a, fk, ej)
 
 
 def test_left_dual_of_regular_is_the_algebra():
@@ -132,7 +173,7 @@ def test_dual_actions_match_twisting_formulas():
             for j in range(a.dim):
                 ej = tuple(1 if t == j else 0 for t in range(a.dim))
                 lhs = d.pairing(fx, ej).coords
-                rhs = a.multiply(ei, d.pairing(xk, ej).coords)
+                rhs = multiply_by_sc(a, ei, d.pairing(xk, ej).coords)
                 assert lhs == rhs
                 gm = reg.act_left(ei, ej)
                 assert d.pairing(xg, ej).coords == d.eval_of(xk).apply(gm)

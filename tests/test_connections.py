@@ -353,9 +353,12 @@ from ncwb.algebra import (
     Algebra, AlgebraElement, Bimodule, BimoduleMap, DualBimodule,
     LeftModule, bimodule_map_space, direct_sum, left_dual, right_dual,
     tensor_over_A, transpose)
-from ncwb.calculus import DifferentialCalculus
-from ncwb.cartan import CartanPair, calculus_from_pair, pair_from_calculus
-from ncwb.catalog import builtin
+from ncwb.calculus import (
+    DifferentialCalculus, factor_through_universal, universal_calculus)
+from ncwb.cartan import (
+    CartanPair, calculus_from_pair, co_universal_factorization,
+    co_universal_pair, pair_from_calculus)
+from ncwb.catalog import builtin, unit_differential_fixture
 from ncwb.connections import (
     Connection, ConnectionSpace, contraction_matrix, trivial_connection)
 from ncwb.diffops import FreeWord, evaluate_mu, find_relations
@@ -370,6 +373,8 @@ other = trivial_connection(builtin("matrix_2").calculus, 1)
 a, m2 = c.algebra, builtin("matrix_2").algebra
 pair, m2_pair = builtin("dual_numbers").pair, builtin("matrix_2").pair
 reg, m2_reg = Bimodule.regular(a), Bimodule.regular(m2)
+# a second algebra with the dual numbers' table and dimension
+twin = unit_differential_fixture().algebra
 i1, i2, i3 = (Matrix.identity(n) for n in (1, 2, 3))
 x_kills = LeftModule(a, 1, (i1, Matrix.zeros(1, 1)))
 odd = Connection(c, x_kills, tensor_over_A(c.bimodule, x_kills),
@@ -421,6 +426,11 @@ cases = {
     "direct-sum": lambda: direct_sum(reg, m2_reg),
     "left-module": lambda: LeftModule(a, 2, (i2, i3)),
     "bimodule-map": lambda: BimoduleMap(reg, reg, i3),
+    "map-algebras": lambda: BimoduleMap(m2_reg, reg, Matrix.zeros(2, 4)),
+    "universal-algebra": lambda: factor_through_universal(
+        c, universal_calculus(twin)),
+    "couniversal-algebra": lambda: co_universal_factorization(
+        pair, co_universal_pair(twin)),
     "map-space": lambda: bimodule_map_space(reg, m2_reg),
     "transpose-base": lambda: transpose(
         BimoduleMap(reg, reg, i2), right_dual(m2_reg), right_dual(reg)),
@@ -470,6 +480,7 @@ def test_invalid_input_raises_value_error(flags):
             "echelon-insert", "restrict", "max-len", "algebra-empty",
             "element-length", "element-mul", "element-add", "bimodule-count",
             "bimodule-shape", "direct-sum", "left-module", "bimodule-map",
+            "map-algebras", "universal-algebra", "couniversal-algebra",
             "map-space", "transpose-base", "transpose-side", "dual-side",
             "dual-ambient", "dual-dim", "calculus-algebra", "calculus-shape",
             "pair-algebra", "pair-count", "pair-shape", "word-mul",
@@ -487,3 +498,27 @@ def test_package_source_has_no_assert():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_source_imports_only_what_it_uses():
+    # every name a module of the package imports is read somewhere in it
+    root = pathlib.Path(ncwb.linalg.__file__).parent
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []

@@ -132,8 +132,18 @@ def _dangling_reference():
     return objects
 
 
+def _list_kind():
+    return {"A": {"kind": ["algebra"]}}
+
+
+def _dict_kind():
+    return {"A": {"kind": {"algebra": 1}}}
+
+
 REPLAYS = [
     (_ragged_products, ["check"], 2),
+    (_list_kind, ["check"], 2),
+    (_dict_kind, ["check"], 2),
     (_float_entry, ["report"], 2),
     (_dangling_reference, ["derive", "M", "dual"], 2),
     (lawless_objects, ["report"], 1),

@@ -15,12 +15,11 @@ transported through evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
-    ONE, ZERO, Echelon, Matrix, Subspace, _fractions, frac, intertwiner_rows,
-    is_zero_vector, kernel, linear_combination, vadd, vector, vscale, vzero,
+    Echelon, Matrix, Subspace, frac, intertwiner_rows, is_zero_vector,
+    kernel, linear_combination, vadd, vector, vscale,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -182,18 +181,18 @@ def check_algebra(a: Algebra) -> CheckReport:
         for j in range(n):
             lhs = a.left_mult_matrix(a.sc[i][j])
             rhs = a.lmul[i] @ a.lmul[j]
-            for k in range(n):
-                if lhs.col(k) != rhs.col(k):
-                    rep.add("associativity", (i, j, k),
-                            "(%s*%s)*%s != %s*(%s*%s)" % (
-                                names[i], names[j], names[k], names[i],
-                                names[j], names[k]))
+            for k in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
+                rep.add("associativity", (i, j, k),
+                        "(%s*%s)*%s != %s*(%s*%s)" % (
+                            names[i], names[j], names[k], names[i],
+                            names[j], names[k]))
     ident = Matrix.identity(n)
-    left, right = a.left_mult_matrix(a.unit), a.right_mult_matrix(a.unit)
+    left = (a.left_mult_matrix(a.unit) - ident).nonzero_cols()
+    right = (a.right_mult_matrix(a.unit) - ident).nonzero_cols()
     for j in range(n):
-        if left.col(j) != ident.col(j):
+        if j in left:
             rep.add("left-unit", (j,), "1*%s" % names[j])
-        if right.col(j) != ident.col(j):
+        if j in right:
             rep.add("right-unit", (j,), "%s*1" % names[j])
     return rep
 
@@ -249,33 +248,14 @@ class Bimodule:
         return "Bimodule(dim %d over %r)" % (self.dim, self.algebra)
 
 
-def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
-    if m.algebra is not n.algebra:
-        raise ValueError("a direct sum needs bimodules over one algebra")
-    d = m.dim + n.dim
-
-    def block(a: Matrix, b: Matrix) -> Matrix:
-        rows = []
-        for r in a.rows:
-            rows.append(tuple(r) + vzero(n.dim))
-        for r in b.rows:
-            rows.append(vzero(m.dim) + tuple(r))
-        return Matrix(rows, ncols=d)
-
-    return Bimodule(m.algebra, d,
-                    tuple(block(a, b) for a, b in zip(m.left, n.left)),
-                    tuple(block(a, b) for a, b in zip(m.right, n.right)))
-
-
 def _first_difference(lhs: Matrix, rhs: Matrix) -> str:
     """Where two different action matrices of one shape first differ: the
     first basis vector m<s> they send to different images, the first
     coordinate m<r> of those images that differs, and both values."""
-    for s in range(lhs.ncols):
-        for r in range(lhs.nrows):
-            x, y = lhs.rows[r][s], rhs.rows[r][s]
-            if x != y:
-                return "on m%d, coordinate m%d: %s != %s" % (s, r, x, y)
+    s = (lhs - rhs).nonzero_cols()[0]
+    for r, (x, y) in enumerate(zip(lhs.col(s), rhs.col(s))):
+        if x != y:
+            return "on m%d, coordinate m%d: %s != %s" % (s, r, x, y)
 
 
 def check_bimodule(m: Bimodule) -> CheckReport:
@@ -334,13 +314,10 @@ class LeftModule:
         n = a.dim
         mats = []
         for lm in a.lmul:
-            rows = []
-            for blk in range(rank_):
-                for r in lm.rows:
-                    row = [ZERO] * (n * rank_)
-                    row[blk * n:(blk + 1) * n] = r
-                    rows.append(row)
-            mats.append(Matrix(rows, ncols=n * rank_))
+            den, rows = lm.int_rows()
+            mats.append(Matrix.from_int_rows(
+                [(den, [(blk * n + j, x) for j, x in r])
+                 for blk in range(rank_) for r in rows], n * rank_))
         return cls(a, n * rank_, mats)
 
     def left_of(self, f) -> Matrix:
@@ -423,7 +400,7 @@ def bimodule_map_space(m: Bimodule, n: Bimodule) -> Subspace:
     for i in range(m.algebra.dim):
         rows.extend(intertwiner_rows(m.left[i], n.left[i]))
         rows.extend(intertwiner_rows(m.right[i], n.right[i]))
-    return kernel(Matrix(rows, ncols=n.dim * m.dim))
+    return kernel(Matrix.from_int_rows(rows, n.dim * m.dim))
 
 
 class DualBimodule:
@@ -458,7 +435,7 @@ class DualBimodule:
         self.side = side
         self.bimodule = bimodule
         self.span = span
-        self.eval_mats = tuple(Matrix.from_flat(v, n, md) for v in span.basis)
+        self.eval_mats = tuple(span.matrix.row_matrices(n, md))
 
     @property
     def dim(self) -> int:
@@ -472,8 +449,10 @@ class DualBimodule:
         """<X, m> = X(m) in the base algebra."""
         return self.base.algebra.element(self.eval_of(xcoords).apply(mcoords))
 
-    def coords_of_map(self, e: Matrix) -> Optional[list]:
-        return self.span.coords(e.flatten())
+    def coords_of_map(self, e: Matrix) -> Optional[tuple]:
+        """The coordinates of a map M -> A in the dual, as (den, {k: num})
+        for Matrix.from_int_cols, or None if it lies outside."""
+        return self.span.coords_int(*e.flat_int())
 
     def __repr__(self):
         return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
@@ -490,15 +469,15 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
         else:
             # X (f.m) = f X(m)  <=>  X L_j = Ll_j X
             rows.extend(intertwiner_rows(m.left[j], a.lmul[j]))
-    sol = kernel(Matrix(rows, ncols=n * md))
-    eval_mats = [Matrix.from_flat(v, n, md) for v in sol.basis]
+    sol = kernel(Matrix.from_int_rows(rows, n * md))
+    eval_mats = sol.matrix.row_matrices(n, md)
 
     def express(img: Matrix):
-        c = sol.coords(img.flatten())
+        c = sol.coords_int(*img.flat_int())
         if c is None:
             raise InvariantError("the %s dual is not closed under its "
                                  "actions" % side)
-        return tuple(c)
+        return c
 
     d = len(eval_mats)
     left_mats, right_mats = [], []
@@ -513,8 +492,8 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
                 rimg = a.rmul[i] @ e          # (X.g)(m) = X(m) g
             lcols.append(express(limg))
             rcols.append(express(rimg))
-        left_mats.append(Matrix.from_cols(lcols, nrows=d))
-        right_mats.append(Matrix.from_cols(rcols, nrows=d))
+        left_mats.append(Matrix.from_int_cols(lcols, d))
+        right_mats.append(Matrix.from_int_cols(rcols, d))
     dual_bim = Bimodule(a, d, left_mats, right_mats)
     return DualBimodule(m, side, dual_bim, sol)
 
@@ -550,8 +529,8 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
         if c is None:
             raise ValueError("composite is not a module map; "
                              "transpose undefined")
-        cols.append(tuple(c))
-    mat = Matrix.from_cols(cols, nrows=source_dual.dim)
+        cols.append(c)
+    mat = Matrix.from_int_cols(cols, source_dual.dim)
     return BimoduleMap(target_dual.bimodule, source_dual.bimodule, mat)
 
 
@@ -580,17 +559,9 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     amb = m.dim * ed
     ech = Echelon(amb)
     for j in range(a.dim):
-        dr, rrows = m.right[j].int_rows()
-        dl, lrows = e.left[j].int_rows()
         # the columns of R_j and L_j by their non-zero numerators
-        rcols = [[] for _ in range(m.dim)]
-        for s2, r in enumerate(rrows):
-            for s, x in r:
-                rcols[s].append((s2, x))
-        lcols = [[] for _ in range(ed)]
-        for t2, r in enumerate(lrows):
-            for t, x in r:
-                lcols[t].append((t2, x))
+        dr, rcols = m.right[j].transpose().int_rows()
+        dl, lcols = e.left[j].transpose().int_rows()
         for s in range(m.dim):
             for t in range(ed):
                 # the relation of (s, t), times dr * dl
@@ -601,26 +572,22 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
                 ech.insert_int(v)
     rel = ech.subspace()
     pivset = set(rel.pivots)
-    qcols = [j for j in range(amb) if j not in pivset]
-    qdim = len(qcols)
-    qindex = {qc: k for k, qc in enumerate(qcols)}
+    qindex = {qc: k for k, qc in enumerate(
+        j for j in range(amb) if j not in pivset)}
+    qdim = len(qindex)
     # the projection reduces modulo the relations and keeps the quotient
     # coordinates: a quotient coordinate maps to itself, the pivot of a
     # relation row r to -r read at the quotient coordinates (a reduced row
     # is non-zero away from its pivot only there)
-    proj = [[ZERO] * amb for _ in range(qdim)]
-    for k, qc in enumerate(qcols):
-        proj[k][qc] = ONE
+    pcols = [(1, {qindex[c]: 1}) if c in qindex else None for c in range(amb)]
     for row, pc in zip(ech.rows, rel.pivots):
-        p = row[pc]
-        for j, x in row.items():
-            if j != pc:
-                proj[qindex[j]][pc] = Fraction(-x, p)
-    projection = Matrix(proj, ncols=amb)
-    lift = Matrix([[ONE if j == qc else ZERO for qc in qcols]
-                   for j in range(amb)], ncols=qdim)
+        pcols[pc] = (row[pc], {qindex[j]: -x for j, x in row.items()
+                               if j != pc})
+    projection = Matrix.from_int_cols(pcols, qdim)
+    lift = Matrix.from_int_rows([(1, {qindex[j]: 1} if j in qindex else {})
+                                 for j in range(amb)], qdim)
 
-    rel_cols = Matrix.from_cols(rel.basis, nrows=amb)
+    rel_cols = rel.matrix.transpose()
     dp, prows = projection.int_rows()
     left_mats = []
     for i in range(a.dim):
@@ -629,21 +596,20 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
         dl, lrows = m.left[i].int_rows()
         accs = []
         for pr in prows:
-            acc = [0] * amb
+            acc = {}
             for col, y in pr:
                 s2, t = divmod(col, ed)
                 for s, x in lrows[s2]:
-                    acc[s * ed + t] += y * x
-            accs.append(acc)
-        den = dp * dl
+                    k = s * ed + t
+                    acc[k] = acc.get(k, 0) + y * x
+            accs.append((dp * dl, acc))
         # balancing is stable under the left action, else the quotient
         # action would be ill defined; the projection kills exactly the
         # relations, so stability reads P_i R = 0
-        p_i = Matrix([_fractions(acc, den) for acc in accs], ncols=amb)
+        p_i = Matrix.from_int_rows(accs, amb)
         if not (p_i @ rel_cols).is_zero():
             raise InvariantError("left action does not preserve "
                                  "balancing relations")
-        left_mats.append(Matrix([[r[qc] for qc in qcols] for r in p_i.rows],
-                                ncols=qdim))
+        left_mats.append(p_i @ lift)
     quotient = LeftModule(a, qdim, left_mats)
     return TensorProductOverA((m, e), quotient, projection, lift, rel)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .linalg import (
-    ZERO, Matrix, Subspace, closure_under_maps, kernel, rank, vadd,
+    Matrix, Subspace, closure_under_maps, hstack, kernel, rank, vadd,
 )
 from .algebra import Algebra, Bimodule, BimoduleMap, check_bimodule_map
 from .reporting import CheckReport, InvariantError
@@ -61,12 +61,13 @@ def check_leibniz(c: DifferentialCalculus) -> CheckReport:
     """d(e_i e_j) = d(e_i).e_j + e_i.d(e_j) for every basis pair."""
     rep = CheckReport("calculus")
     a = c.algebra
+    dcols = c.d.cols()
     for i in range(a.dim):
-        di = c.d.col(i)
+        di = dcols[i]
         for j in range(a.dim):
             lhs = c.d.apply(a.sc[i][j])
             rhs = vadd(c.bimodule.right[j].apply(di),
-                       c.bimodule.left[i].apply(c.d.col(j)))
+                       c.bimodule.left[i].apply(dcols[j]))
             if lhs != rhs:
                 rep.add("leibniz", (i, j), "d(%s*%s)" % (
                     a.basis_names[i], a.basis_names[j]))
@@ -77,43 +78,45 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     """Kernel of multiplication with du f = 1 (x) f - f (x) 1.
 
     A tensor w = sum w_ij e_i (x) e_j is handled as the n x n matrix W, so
-    that f.w is L_f W and w.g is W R_g^T.  An image v lies in the kernel
-    exactly when m(v) = 0, and then its coordinates on the canonical basis
-    are its entries at the basis pivots.
+    that f.w is L_f W and w.g is W R_g^T.  An image lies in the kernel
+    exactly when it is the combination of the canonical basis given by
+    its entries at the basis pivots, which Subspace.coords_int certifies
+    while it reads them off the sparse image.
     """
     n = a.dim
-    mult = a.mult_matrix()
-    ker = kernel(mult)
+    ker = kernel(a.mult_matrix())
     k = ker.dim
+    forms = ker.matrix.row_matrices(n, n)
 
-    def coords(v, what):
-        if any(mult.apply(v)):
+    def coords(den, row, what):
+        c = ker.coords_int(den, row)
+        if c is None:
             raise InvariantError(what)
-        return tuple(v[pc] for pc in ker.pivots)
+        return c
 
-    forms = [Matrix.from_flat(b, n, n) for b in ker.basis]
     closed = "kernel of multiplication is not closed under the actions"
 
     def restricted(images) -> Matrix:
-        return Matrix.from_cols([coords(v.flatten(), closed) for v in images],
-                                nrows=k)
+        return Matrix.from_int_cols([coords(*v.flat_int(), closed)
+                                     for v in images], k)
 
     left = tuple(restricted(lm @ w for w in forms) for lm in a.lmul)
     right = tuple(restricted(w @ rt for w in forms)
                   for rt in (r.transpose() for r in a.rmul))
     bim = Bimodule(a, k, left, right)
 
+    # du(e_j) = 1 (x) e_j - e_j (x) 1, the unit's entries at rows and
+    # columns j of the n x n form
+    du, (unit,) = Matrix((a.unit,)).int_rows()
     d_cols = []
     for j in range(n):
-        v = [ZERO] * (n * n)
-        for i, u in enumerate(a.unit):
-            if u != 0:
-                v[i * n + j] += u      # 1 (x) e_j
-                v[j * n + i] -= u      # e_j (x) 1
-        d_cols.append(coords(v, "du(%s) is not in the kernel of "
-                                "multiplication" % a.basis_names[j]))
-    du = Matrix.from_cols(d_cols, nrows=k)
-    return UniversalCalculus(a, bim, du, ker)
+        v = {}
+        for i, u in unit:
+            v[i * n + j] = v.get(i * n + j, 0) + u
+            v[j * n + i] = v.get(j * n + i, 0) - u
+        d_cols.append(coords(du, v, "du(%s) is not in the kernel of "
+                                    "multiplication" % a.basis_names[j]))
+    return UniversalCalculus(a, bim, Matrix.from_int_cols(d_cols, k), ker)
 
 
 def factor_through_universal(c: DifferentialCalculus,
@@ -130,15 +133,10 @@ def factor_through_universal(c: DifferentialCalculus,
         raise ValueError("the universal calculus is over another algebra")
     u = universal if universal is not None else universal_calculus(a)
     m = c.bimodule
-    # phi(f (x) g) = f.dg, restricted to the kernel
-    amb_cols = []
-    for i in range(a.dim):
-        li = m.left[i]
-        for j in range(a.dim):
-            amb_cols.append(li.apply(c.d.col(j)))
-    phi_amb = Matrix.from_cols(amb_cols, nrows=m.dim)
-    phi = Matrix.from_cols([phi_amb.apply(b) for b in u.one_forms.basis],
-                           nrows=m.dim)
+    # phi(f (x) g) = f.dg, column f * n + g of phi_amb, restricted to the
+    # kernel
+    phi_amb = hstack([li @ c.d for li in m.left], m.dim)
+    phi = phi_amb @ u.one_forms.matrix.transpose()
     phi_map = BimoduleMap(u.bimodule, m, phi)
 
     rep = CheckReport("factorization through universal one-forms")
@@ -147,10 +145,7 @@ def factor_through_universal(c: DifferentialCalculus,
         rep.add("factorization-equation", (),
                 "phi o du differs from d")
     k = u.bimodule.dim
-    gens = []
-    for li in u.bimodule.left:
-        gens.extend((li @ u.d).cols())
-    spanned = rank(Matrix.from_cols(gens, nrows=k))
+    spanned = rank(hstack([li @ u.d for li in u.bimodule.left], k))
     if spanned != k:
         rep.add("factorization-uniqueness", (),
                 "A.du(A) spans %d of %d one-form dimensions" % (spanned, k))

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    ZERO, Echelon, Matrix, Subspace, is_zero_vector, kernel,
-    linear_combination, rank, vadd, vsub,
+    Echelon, Matrix, Subspace, is_zero_vector, kernel, linear_combination,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -87,20 +86,22 @@ def check_cartan(p: CartanPair) -> CheckReport:
             if p.action_of(nb.left[i].col(t)) != a.lmul[i] @ p.action[t]:
                 rep.add("action-linearity", (i, t),
                         "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
+    # X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j) for all j at once: the
+    # columns of X_t L_i and of L_{X_t(e_i)} + action_of(X_t.e_i)
     for t in range(m):
         at = p.action[t]
         for i in range(n):
-            ai = at.col(i)
-            shifted = p.action_of(nb.right[i].col(t))   # X_t.e_i
-            for j in range(n):
-                lhs = at.apply(a.sc[i][j])
-                rhs = vadd(a.rmul[j].apply(ai), shifted.col(j))
-                if lhs != rhs:
-                    defect = vsub(lhs, rhs)
-                    rep.add("twisted-leibniz", (t, i, j),
-                            "X_%d(%s*%s) defect %s" % (
-                                t, a.basis_names[i], a.basis_names[j],
-                                a.format(defect)))
+            lhs = at @ a.lmul[i]
+            rhs = a.left_mult_matrix(at.col(i)) \
+                + p.action_of(nb.right[i].col(t))
+            if lhs == rhs:
+                continue
+            defect = lhs - rhs
+            for j in defect.nonzero_cols():
+                rep.add("twisted-leibniz", (t, i, j),
+                        "X_%d(%s*%s) defect %s" % (
+                            t, a.basis_names[i], a.basis_names[j],
+                            a.format(defect.col(j))))
     for t in range(m):
         if not is_zero_vector(p.action[t].apply(a.unit)):
             rep.add("unit-annihilation", (t,),
@@ -124,25 +125,25 @@ def calculus_from_pair(p: CartanPair):
     """
     a = p.algebra
     ld = left_dual(p.bimodule)
+    # column j of action[t] is X_t(e_j), column t of the evaluation at e_j
+    acols = [x.transpose().int_rows() for x in p.action]
     cols = []
     for j in range(a.dim):
-        ev = Matrix.from_cols([p.action[t].col(j) for t in range(p.bimodule.dim)],
-                              nrows=a.dim)
+        ev = Matrix.from_int_cols([(den, rows[j]) for den, rows in acols],
+                                  a.dim)
         c = ld.coords_of_map(ev)
         if c is None:
             raise InvariantError("the evaluation of the action at %s is not "
                                  "left linear" % a.basis_names[j])
-        cols.append(tuple(c))
-    d = Matrix.from_cols(cols, nrows=ld.dim)
+        cols.append(c)
+    d = Matrix.from_int_cols(cols, ld.dim)
     return DifferentialCalculus(a, ld.bimodule, d), ld
 
 
 def action_kernel(p: CartanPair) -> Subspace:
     """Bimodule vectors acting by zero."""
-    cols = [m.flatten() for m in p.action]
-    if not cols:
-        return Subspace.zero(0)
-    return kernel(Matrix.from_cols(cols, nrows=p.algebra.dim ** 2))
+    return kernel(Matrix.from_int_cols([m.flat_int() for m in p.action],
+                                       p.algebra.dim ** 2))
 
 
 @dataclass
@@ -171,7 +172,7 @@ class CoUniversalPair(CartanPair):
     read is the q x n^2 matrix taking flat(D), for D(1) = 0, to the
     coordinates of X_D over the canonical basis of the dual.  Since X_D
     acts as -D, an operator X with X(1) = 0 is the action of exactly one
-    vector of X_u, read.apply(flat(-X)).
+    vector of X_u, read times flat(-X).
     """
 
     def __init__(self, universal: UniversalCalculus, dual: DualBimodule,
@@ -210,45 +211,52 @@ def co_universal_pair(a: Algebra,
     # evals[m*n + i]: evaluation matrix of X_E for the matrix unit
     # E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j,
     # that is L_m F_i with column c of F_i the row i of b_c
-    forms = u.one_forms.basis
-    f_rows = [Matrix([[b[i * n + j] for b in forms] for j in range(n)],
-                     ncols=k) for i in range(n)]
+    fden, frows = u.one_forms.matrix.transpose().int_rows()
+    f_rows = [Matrix.from_int_rows([(fden, r) for r in frows[i * n:i * n + n]],
+                                   k) for i in range(n)]
     evals = [lm @ f for lm in a.lmul for f in f_rows]
     # {D : D(1) = 0} as flattened n x n matrices
-    unit_rows = [tuple(a.unit[i] if r == m else ZERO
-                       for r in range(n) for i in range(n))
-                 for m in range(n)]
-    dspace = kernel(Matrix(unit_rows, ncols=n * n))
+    _, (unit,) = Matrix((a.unit,)).int_rows()
+    dspace = kernel(Matrix.from_int_rows(
+        [(1, [(m * n + i, x) for i, x in unit]) for m in range(n)], n * n))
     # eliminate (X_D | D) together: the left parts come out as the
     # canonical evaluation basis, the right parts as its D's
-    ech = Echelon(nk + n * n,
-                  (linear_combination(dv, evals, n, k).flatten() + dv
-                   for dv in dspace.basis))
-    if any(pc >= nk for pc in ech.pivots):
+    ech = Echelon(nk + n * n)
+    for dv in dspace.matrix.int_rows()[1]:
+        de, xd = linear_combination([x for _, x in dv],
+                                    [evals[j] for j, _ in dv], n, k).flat_int()
+        xd.update((nk + j, x * de) for j, x in dv)
+        ech.insert_int(xd)
+    pivots = ech.pivots
+    if pivots and pivots[-1] >= nk:
         raise InvariantError("D -> X_D is not injective on {D : D(1) = 0}")
-    rows = ech.frac_rows()
+    rows = [(r[pc], r) for r, pc in zip(ech.rows, pivots)]
     # every pivot lies in the left parts, so they are reduced already
-    span = Subspace(nk, [r[:nk] for r in rows], ech.pivots)
-    dmats = [Matrix.from_flat(r[nk:], n, n) for r in rows]
+    span = Subspace(Matrix.from_int_rows(
+        [(p, {j: x for j, x in r.items() if j < nk}) for p, r in rows], nk),
+        pivots)
+    dmats = Matrix.from_int_rows(
+        [(p, {j - nk: x for j, x in r.items() if j >= nk}) for p, r in rows],
+        n * n).row_matrices(n, n)
     # the coordinates of X_D are the entries of its evaluation at the
     # pivots, linear in flat(D): column m*n + i of read holds those of X_E
     # for E the matrix unit e_i -> e_m
-    flat_evals = [e.flatten() for e in evals]
-    read = Matrix([[ev[pc] for ev in flat_evals] for pc in ech.pivots],
-                  ncols=n * n)
-    q = len(rows)
+    row_of = {pc: t for t, pc in enumerate(pivots)}
+    read = Matrix.from_int_cols(
+        [(de, {row_of[pc]: x for pc, x in flat.items() if pc in row_of})
+         for de, flat in (e.flat_int() for e in evals)], len(pivots))
     # D.g = D o L_g - L_{D(g)}, but the read kills every left
     # multiplication: on an associative algebra X_{L_h}(w) =
     # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
     # of m.  So D.g is read as D o L_g alone.
     left_mats, right_mats = [], []
     for li in a.lmul:
-        left_mats.append(Matrix.from_cols(
-            [read.apply((li @ dm).flatten()) for dm in dmats], nrows=q))
-        right_mats.append(Matrix.from_cols(
-            [read.apply((dm @ li).flatten()) for dm in dmats], nrows=q))
+        left_mats.append(read @ Matrix.from_int_cols(
+            [(li @ dm).flat_int() for dm in dmats], n * n))
+        right_mats.append(read @ Matrix.from_int_cols(
+            [(dm @ li).flat_int() for dm in dmats], n * n))
     dual = DualBimodule(u.bimodule, "right",
-                        Bimodule(a, q, left_mats, right_mats), span)
+                        Bimodule(a, len(pivots), left_mats, right_mats), span)
     return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats),
                            read=read)
 
@@ -271,7 +279,7 @@ def co_universal_factorization(p: CartanPair,
     X_D acts as -D, so the co-universal actions are exactly the operators
     that kill 1, each the action of one vector of X_u.  A field X_t with
     X_t(1) != 0 has no preimage and nothing factors; otherwise column t of
-    Phi is cu.read.apply(flat(-X_t)).  The factorization exists iff this
+    Phi is cu.read times flat(-X_t).  The factorization exists iff this
     Phi is a bimodule map; it is then unique and homogeneous_dim is 0.
     Existence is a finding, not an assumption.  The general solve over
     bimodule_map_space(N, X_u) is kept only as a test oracle.
@@ -283,9 +291,9 @@ def co_universal_factorization(p: CartanPair,
     rep = CheckReport("co-universal factorization")
     phi_map = None
     if not any(any(x.apply(a.unit)) for x in p.action):
-        cols = [cu.read.apply(x.scale(-1).flatten()) for x in p.action]
-        phi_map = BimoduleMap(p.bimodule, cu.bimodule,
-                              Matrix.from_cols(cols, nrows=cu.bimodule.dim))
+        flats = Matrix.from_int_cols([x.scale(-1).flat_int()
+                                      for x in p.action], a.dim ** 2)
+        phi_map = BimoduleMap(p.bimodule, cu.bimodule, cu.read @ flats)
         if not check_bimodule_map(phi_map).ok:
             phi_map = None
     exists = phi_map is not None
@@ -293,45 +301,3 @@ def co_universal_factorization(p: CartanPair,
         rep.add("factorization-exists", (),
                 "no bimodule map matches the action")
     return CoUniversalFactorization(phi_map, exists, exists, 0, rep)
-
-
-@dataclass
-class ReflexiveRoundtrip:
-    """Canonical map of a calculus bimodule into the double dual."""
-    kappa: BimoduleMap
-    injective: bool
-    surjective: bool
-    intertwines: bool
-    map_report: CheckReport
-    derived: DifferentialCalculus
-
-
-def reflexive_roundtrip(c: DifferentialCalculus) -> ReflexiveRoundtrip:
-    """Right dual then left dual; m goes to evaluation-at-m.
-
-    Everything is computed from the exhaustive solves and reported; no
-    reflexivity is assumed.
-    """
-    p = pair_from_calculus(c)
-    derived, ld = calculus_from_pair(p)
-    md = p.dual
-    a = c.algebra
-    cols = []
-    for j in range(c.bimodule.dim):
-        ev = Matrix.from_cols([md.eval_mats[t].col(j) for t in range(md.dim)],
-                              nrows=a.dim)
-        coords = ld.coords_of_map(ev)
-        if coords is None:
-            raise InvariantError("the evaluation at module vector %d is not "
-                                 "left linear" % j)
-        cols.append(tuple(coords))
-    kappa_mat = Matrix.from_cols(cols, nrows=ld.dim)
-    kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)
-    r = rank(kappa_mat)
-    return ReflexiveRoundtrip(
-        kappa=kappa,
-        injective=(r == c.bimodule.dim),
-        surjective=(r == ld.dim),
-        intertwines=(kappa_mat @ c.d == derived.d),
-        map_report=check_bimodule_map(kappa),
-        derived=derived)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, affine_solutions, intertwiner_rows, is_zero_vector,
-    linear_combination, vadd, vector,
+    Matrix, Subspace, affine_solutions, hstack, intertwiner_rows,
+    linear_combination, vector,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
@@ -83,15 +83,10 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
         raise ValueError("contraction needs the right dual of the tensor "
                          "product's first factor")
     ev = dual.eval_of(xcoords)
-    cols = []
-    for s in range(m.dim):
-        block = e.left_of(ev.col(s))
-        for a2 in range(e.dim):
-            cols.append(block.col(a2))
-    ambient = Matrix.from_cols(cols, nrows=e.dim)
-    for rv in t.relations.basis:
-        if not is_zero_vector(ambient.apply(rv)):
-            raise InvariantError("contraction is not balanced")
+    # column (s, a2) is <X, m_s>.xi_a2: block s is the action of <X, m_s>
+    ambient = hstack([e.left_of(ev.col(s)) for s in range(m.dim)], e.dim)
+    if not (ambient @ t.relations.matrix.transpose()).is_zero():
+        raise InvariantError("contraction is not balanced")
     return ambient @ t.lift
 
 
@@ -111,18 +106,20 @@ def check_connection(conn: Connection) -> CheckReport:
     for i in range(a.dim):
         f = a.basis_names[i]
         shifted = conn.matrix @ e.left[i]
-        scaled = tmod.left[i] @ conn.matrix
-        for t in range(e.dim):
-            basis_xi = tuple(1 if s == t else 0 for s in range(e.dim))
-            extra = simple_tensor(conn.tensor, conn.calculus.d.col(i),
-                                  basis_xi)
-            lhs = shifted.col(t)
-            rhs = tuple(x + y for x, y in zip(scaled.col(t), extra))
-            if lhs != rhs:
-                rep.add("connection-leibniz", (i, t),
-                        "nabla(%s.xi_%d) != %s.nabla(xi_%d) + d(%s) (x) xi_%d"
-                        " at tensor coordinates %s"
-                        % (f, t, f, t, f, t, _mismatch(lhs, rhs)))
+        # column t is d(f) (x) xi_t
+        extra = Matrix.from_cols(
+            [simple_tensor(conn.tensor, conn.calculus.d.col(i),
+                           tuple(1 if s == t else 0 for s in range(e.dim)))
+             for t in range(e.dim)], nrows=tmod.dim)
+        scaled = tmod.left[i] @ conn.matrix + extra
+        if shifted == scaled:
+            continue
+        for t in (shifted - scaled).nonzero_cols():
+            rep.add("connection-leibniz", (i, t),
+                    "nabla(%s.xi_%d) != %s.nabla(xi_%d) + d(%s) (x) xi_%d"
+                    " at tensor coordinates %s"
+                    % (f, t, f, t, f, t,
+                       _mismatch(shifted.col(t), scaled.col(t))))
     return rep
 
 
@@ -172,26 +169,22 @@ def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:
             f = a.basis_names[i]
             dfx = nabla(nb.left[i].col(t))
             scaled = e.left[i] @ dx
-            for a2 in range(e.dim):
-                lhs, rhs = dfx.col(a2), scaled.col(a2)
-                if lhs != rhs:
+            if dfx != scaled:
+                for a2 in (dfx - scaled).nonzero_cols():
                     rep.add("action-linearity", (i, t, a2),
                             "nabla_(%s.X_%d)(xi_%d) != %s.nabla_X_%d(xi_%d) "
                             "at module coordinates %s"
-                            % (f, t, a2, f, t, a2, _mismatch(lhs, rhs)))
-            dxf = nabla(nb.right[i].col(t))
+                            % (f, t, a2, f, t, a2,
+                               _mismatch(dfx.col(a2), scaled.col(a2))))
             shifted = dx @ e.left[i]
-            mult = e.left_of(pair.action[t].col(i))
-            for a2 in range(e.dim):
-                lhs = shifted.col(a2)
-                rhs = tuple(x + y for x, y in
-                            zip(mult.col(a2), dxf.col(a2)))
-                if lhs != rhs:
+            rhs = e.left_of(pair.action[t].col(i)) + nabla(nb.right[i].col(t))
+            if shifted != rhs:
+                for a2 in (shifted - rhs).nonzero_cols():
                     rep.add("twisted-leibniz", (t, i, a2),
                             "nabla_X_%d(%s.xi_%d) != X_%d(%s).xi_%d + "
                             "nabla_(X_%d.%s)(xi_%d) at module coordinates %s"
                             % (t, f, a2, t, f, a2, t, f, a2,
-                               _mismatch(lhs, rhs)))
+                               _mismatch(shifted.col(a2), rhs.col(a2))))
     return rep
 
 
@@ -226,10 +219,10 @@ class ConnectionSpace:
             raise ValueError("the Leibniz constraint has no solution, so "
                              "there is no connection to pick")
         p = self.particular
-        flat = vadd(p.matrix.flatten(), self.homogeneous.element(coeffs))
-        q = self.tensor.module.dim
+        q, d = self.tensor.module.dim, p.module.dim
+        homog = self.homogeneous.matrix.row_matrices(q, d)
         return Connection(p.calculus, p.module, self.tensor,
-                          Matrix.from_flat(flat, q, p.module.dim))
+                          p.matrix + linear_combination(coeffs, homog, q, d))
 
 
 def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
@@ -253,7 +246,7 @@ def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
             target.append(simple_tensor(t, c.d.col(i), basis_xi))
         # row-major flatten of the matrix whose columns are the targets
         rhs.extend(target[a2][r] for r in range(q) for a2 in range(e.dim))
-    sol, homog = affine_solutions(Matrix(rows, ncols=unknowns), rhs)
+    sol, homog = affine_solutions(Matrix.from_int_rows(rows, unknowns), rhs)
     if sol is None:
         return ConnectionSpace(t, False, None, homog)
     part = Connection(c, e, t, Matrix.from_flat(sol, q, e.dim))

@@ -29,6 +29,7 @@ right.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -208,16 +209,6 @@ def normal_form(w: FreeWord) -> FreeWord:
     return out
 
 
-def is_normal_form_word(word) -> bool:
-    seen_m = False
-    for kind, _ in word:
-        if kind == "m":
-            seen_m = True
-        elif seen_m:
-            return False
-    return sum(1 for kind, _ in word if kind == "a") <= 1
-
-
 @dataclass
 class OperatorAlgebra:
     """Span of all composites of the generators inside End(A)."""
@@ -229,10 +220,10 @@ class OperatorAlgebra:
         return self.space.dim
 
     def basis_operators(self, n: int):
-        return [Matrix.from_flat(b, n, n) for b in self.space.basis]
+        return self.space.matrix.row_matrices(n, n)
 
     def contains(self, op: Matrix) -> bool:
-        return self.space.contains(op.flatten())
+        return self.space.coords_int(*op.flat_int()) is not None
 
 
 def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
@@ -250,11 +241,11 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
             + ["act(X%d)" % t for t in range(pair.bimodule.dim)])
 
     def right_composition(g: Matrix):
-        return lambda v: (Matrix.from_flat(v, n, n) @ g).flatten()
+        return lambda op: op @ g
 
     maps = [right_composition(g) for g in pair.algebra.lmul + pair.action]
     return OperatorAlgebra(tuple(gens), closure_under_maps(
-        [Matrix.identity(n).flatten()], maps, n * n))
+        [Matrix.identity(n)], maps, n * n))
 
 
 @dataclass
@@ -269,8 +260,8 @@ class RelationSearch:
     at its pivot f, and is zero at every other pivot.  The words q are the
     right pivots, those whose operator is not in the span of the operators
     of the words after them, and the operator of f is a combination of
-    theirs.  len(rules) is the number of relations; space() writes the
-    basis out densely, W entries per relation for W words.
+    theirs.  len(rules) is the number of relations; space() stores the
+    same basis as a Subspace.
     """
     words: tuple            # coordinate order of the word span
     rules: tuple            # one (f, ((q, c), ...)) per relation
@@ -301,28 +292,43 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     this length.  Truncation is honest: longer relations stay unseen.
 
     The n^2 rows of the word-column matrix (one per entry of an operator
-    on A) are eliminated once, and null_rules reads the relations off
-    them as rules; no W-wide vector is built.
+    on A) are read off the integer rows of the word operators and
+    eliminated once, and null_rules reads the relations off them as rules;
+    no W-wide vector is built.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1, got %r" % (max_len,))
-    words, cols = _word_columns(pair, max_len)
+    words = []
+    # row r * n + j of the word-column matrix holds entry (r, j) of every
+    # word operator, over their common denominator den
+    rows, den = [{} for _ in range(pair.algebra.dim ** 2)], 1
+    for k, (word, op) in enumerate(_word_columns(pair, max_len)):
+        words.append(word)
+        d, flat = op.flat_int()
+        if den % d:
+            f = d // math.gcd(den, d)
+            den *= f
+            rows = [{q: x * f for q, x in row.items()} for row in rows]
+        for pos, x in flat.items():
+            rows[pos][k] = x * (den // d)
     w = len(words)
-    ech = Echelon(w, zip(*cols))
+    ech = Echelon(w)
+    for row in rows:
+        ech.insert_int(row)
     return RelationSearch(tuple(words), null_rules(w, ech.rows), max_len)
 
 
-def _word_columns(pair: CartanPair, max_len: int) -> tuple:
-    """The words of find_relations in coordinate order, and mu of each,
-    flattened.
+def _word_columns(pair: CartanPair, max_len: int):
+    """The words of find_relations in coordinate order, each with mu of
+    it: flattened, these operators are the columns of the word-column
+    matrix.
 
     The operator X_1...X_k of each module word is one product from that of
-    its prefix, and each column one more, l(f) X_1...X_k.
+    its prefix, and each word operator one more, l(f) X_1...X_k.
     """
     n, p = pair.algebra.dim, pair.bimodule.dim
     lmul, action = pair.algebra.lmul, pair.action
     mops = {(): Matrix.identity(n)}
-    words, cols = [], []
     for k in range(max_len):
         level = list(itertools.product(range(p), repeat=k))
         if k:
@@ -330,9 +336,8 @@ def _word_columns(pair: CartanPair, max_len: int) -> tuple:
                 mops[mw] = mops[mw[:-1]] @ action[mw[-1]]
         for i in range(n):
             for mw in level:
-                words.append((("a", i),) + tuple(("m", t) for t in mw))
-                cols.append((lmul[i] @ mops[mw]).flatten())
-    return words, cols
+                yield ((("a", i),) + tuple(("m", t) for t in mw),
+                       lmul[i] @ mops[mw])
 
 
 def check_ccr(pair: CartanPair) -> CheckReport:
@@ -351,11 +356,7 @@ def check_ccr(pair: CartanPair) -> CheckReport:
             expect = a.left_mult_matrix(pair.action[t].col(i))
             if comm != expect:
                 defect = comm - expect
-                wit = None
-                for j in range(a.dim):
-                    if not is_zero_vector(defect.col(j)):
-                        wit = j
-                        break
+                wit = defect.nonzero_cols()[0]
                 rep.add("commutator", (i, t),
                         "([X%d, l(%s)] - l(X%d(%s)))(%s) = %s" % (
                             t, a.basis_names[i], t, a.basis_names[i],

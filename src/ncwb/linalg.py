@@ -1,33 +1,25 @@
-"""Exact linear algebra over the rationals, stored densely.
+"""Exact linear algebra over the rationals, stored sparsely in integers.
 
-The scalar type is fractions.Fraction throughout; nothing here ever rounds.
-Vectors are tuples of Fractions, matrices are immutable row-major tuples of
-such tuples.  Storage is dense, but the work is not, and it is done on
-integers: Matrix.int_rows is the matrix as a common denominator over the
-sparse integer numerators of each row, computed on first use and kept (a
-Matrix never changes).  @, Matrix.apply and linear_combination accumulate
-Python ints over those rows, after scaling a vector or the coefficients to
-integers once, and build one Fraction per non-zero output entry; zeros are
-the shared ZERO.  Subspace.coords reads the coefficients at the pivots and
-tests membership by an integer residual over the basis held the same way.
+The scalar type is fractions.Fraction; nothing here ever rounds.  Vectors
+are tuples of Fractions.  A Matrix has one stored form, int_rows: a
+positive common denominator over the sparse integer numerators of each
+row, reduced, so equal matrices are stored identically.  Dense entries are
+coerced once, at construction; rows, col, cols and flatten are views
+built on request, and flat_int is the sparse flat read that
+Echelon.insert_int and Subspace.coords_int take.  @ is Gustavson's
+row-wise product; it, Matrix.apply and linear_combination accumulate
+Python ints over the stored rows and build no dense row.
 
 Each idea has one routine: linear_combination sums scaled matrices,
 intertwiner_rows writes out the system X A = B X without kron,
 affine_solutions reads a particular solution from one elimination of
-(m | b) and the canonical null space from a re-reduction of its r reduced
-rows with the column order reversed, so the null-space vectors are never
-eliminated (kernel and solve are its two halves; null_rules is that
-re-reduction, giving each basis vector by its non-zero entries, and
-Subspace.from_rules writes them out densely),
-closure_under_maps closes a span under linear maps, and every row
-reduction goes through Echelon.  Echelon holds sparse primitive integer
-rows with a positive pivot and keeps them fully reduced after every
-insert, so an insert touches only the stored rows at the pivots the new
-row holds, each at its pivot and its non-pivot columns, and no backward
-pass is left for the read: frac_rows divides each row by its pivot.
-
-Every subspace is stored in fully reduced row echelon form, so two subspaces
-are equal exactly when their stored bases are equal componentwise.
+(m | b) and the canonical null space from null_rules, a re-reduction of
+its r reduced rows with the column order reversed (kernel and solve are
+its two halves), closure_under_maps closes a span under linear maps, and
+every row reduction goes through Echelon, which keeps sparse primitive
+integer rows fully reduced after every insert.  A Subspace holds its
+reduced echelon basis as the rows of a Matrix, so two subspaces are equal
+exactly when those matrices are.
 """
 
 from __future__ import annotations
@@ -48,9 +40,7 @@ def frac(x) -> Fraction:
     rejected: they have no business in an exact computation."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))
 
@@ -70,40 +60,34 @@ def _exact(xs):
     return vector(xs)
 
 
-def _common_denominator(xs) -> int:
-    """lcm of the denominators of ints and Fractions."""
+def _sparse(rows) -> tuple:
+    """(den, rows) for rows of exact scalars (anything frac takes): rows[r]
+    lists (j, num) for the non-zero entries of row r in increasing j, each
+    entry num / den, den the lcm of the denominators."""
     den = 1
-    for x in xs:
-        d = x.denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
-    return den
+    picked = []
+    for r in rows:
+        s = []
+        for j, x in enumerate(r):
+            if x.__class__ is int:
+                if x:
+                    s.append((j, x, 1))
+                continue
+            if x.__class__ is not Fraction:
+                x = frac(x)
+            num, d = x.as_integer_ratio()
+            if num:
+                s.append((j, num, d))
+                if d != 1 and den % d:
+                    den = den // math.gcd(den, d) * d
+        picked.append(s)
+    return den, [[(j, num * (den // d)) for j, num, d in s] for s in picked]
 
 
-def _int_vector(xs) -> tuple:
-    """(den, nums) with xs[k] == nums[k] / den, den the lcm of the
-    denominators of the exact entries of xs."""
-    xs = _exact(xs)
-    den = _common_denominator(xs)
-    if den == 1:
-        return 1, [x.numerator for x in xs]
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
-def _fractions(nums, den: int) -> Vector:
-    """The Fractions nums[k] / den, zeros as the shared ZERO."""
-    if den == 1:
-        return tuple(Fraction(v) if v else ZERO for v in nums)
-    return tuple(Fraction(v, den) if v else ZERO for v in nums)
-
-
-def _sparse_int_rows(rows) -> tuple:
-    """(den, rows) for rows of ints and Fractions: rows[r] holds (j, num)
-    for each non-zero entry of row r, as an integer numerator over the
-    common denominator den."""
-    den = _common_denominator(x for r in rows for x in r)
-    return den, tuple(tuple((j, x.numerator * (den // x.denominator))
-                            for j, x in enumerate(r) if x) for r in rows)
+def _sparse_vector(v) -> tuple:
+    """(den, {j: num}) for the non-zero entries of an exact vector."""
+    den, (row,) = _sparse((v,))
+    return den, dict(row)
 
 
 def vzero(n: int) -> Vector:
@@ -112,10 +96,6 @@ def vzero(n: int) -> Vector:
 
 def vadd(u, v) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c, v) -> Vector:
@@ -128,12 +108,12 @@ def is_zero_vector(v) -> bool:
 
 
 class Matrix:
-    """Immutable exact matrix.  rows is a tuple of equal-length tuples."""
+    """Immutable exact matrix, stored as int_rows() gives it."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_int_rows")
+    __slots__ = ("nrows", "ncols", "_int")
 
     def __init__(self, rows, ncols: Optional[int] = None):
-        rows = tuple(tuple(frac(x) for x in r) for r in rows)
+        rows = [r if isinstance(r, (tuple, list)) else tuple(r) for r in rows]
         if rows:
             w = len(rows[0])
             for i, r in enumerate(rows):
@@ -143,69 +123,127 @@ class Matrix:
             if ncols is not None and ncols != w:
                 raise ValueError("rows of %d entries, but ncols=%d"
                                  % (w, ncols))
-        else:
-            if ncols is None:
-                raise ValueError("an empty matrix needs an explicit ncols")
-            w = ncols
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", w)
-        object.__setattr__(self, "_int_rows", None)
+        elif ncols is None:
+            raise ValueError("an empty matrix needs an explicit ncols")
+        den, ints = _sparse(rows)
+        self._store(len(rows), w if rows else ncols, den,
+                    tuple(map(tuple, ints)))
+
+    def _store(self, nrows: int, ncols: int, den: int, rows: tuple):
+        """Keep sorted non-zero (j, num) rows over den, reduced."""
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = math.gcd(g, *(x for _, x in r))
+        if g != 1:
+            den //= g
+            rows = tuple(tuple((j, x // g) for j, x in r) for r in rows)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_int", (den, rows))
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, den: int, rows: tuple) -> "Matrix":
+        m = object.__new__(cls)
+        m._store(nrows, ncols, den, rows)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def from_int_rows(cls, rows, ncols: int) -> "Matrix":
+        """The matrix whose row r is num / den for rows[r] = (den, row), a
+        row given as {j: num} or as (j, num) pairs; zeros are dropped."""
+        rows = [(d, r.items() if isinstance(r, dict) else r)
+                for d, r in rows]
+        den = math.lcm(*(d for d, _ in rows))
+        return cls._of(len(rows), ncols, den, tuple(
+            tuple(sorted((j, x * (den // d)) for j, x in r if x))
+            for d, r in rows))
+
+    @classmethod
+    def from_int_cols(cls, cols, nrows: int) -> "Matrix":
+        """The matrix whose column j is num / den for cols[j] = (den, col),
+        as from_int_rows takes its rows."""
+        return cls.from_int_rows(cols, nrows).transpose()
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                         for i in range(n)), ncols=n)
+        return cls._of(n, n, 1, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((ZERO,) * ncols,) * nrows, ncols=ncols)
+        return cls._of(nrows, ncols, 1, ((),) * nrows)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector], nrows: Optional[int] = None) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise ValueError("an empty column list needs an explicit "
-                                 "nrows")
-            nrows = len(cols[0])
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("column %d has %d entries, expected %d"
-                                 % (j, len(c), nrows))
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)),
-                   ncols=len(cols))
+        """The transpose of Matrix(cols, nrows), shapes checked alike."""
+        return cls(cols, ncols=nrows).transpose()
 
     @classmethod
     def from_flat(cls, flat: Sequence, nrows: int, ncols: int) -> "Matrix":
-        flat = list(flat)
-        if len(flat) != nrows * ncols:
-            raise ValueError("%d entries do not fill a %dx%d matrix"
-                             % (len(flat), nrows, ncols))
-        return cls(tuple(tuple(flat[i * ncols:(i + 1) * ncols])
-                         for i in range(nrows)), ncols=ncols)
+        return cls([tuple(flat)]).row_matrices(nrows, ncols)[0]
+
+    def int_rows(self) -> tuple:
+        """(den, rows): rows[r] lists (j, num) for the non-zero entries of
+        row r in increasing j, each equal to num / den; den is positive
+        and has no common factor with all the numerators."""
+        return self._int
+
+    def flat_int(self) -> tuple:
+        """(den, {r * ncols + j: num}): the non-zero entries read flat, row
+        by row."""
+        den, rows = self._int
+        w = self.ncols
+        return den, {r * w + j: x for r, row in enumerate(rows)
+                     for j, x in row}
+
+    def row_matrices(self, nrows: int, ncols: int) -> list:
+        """Each row, read as a row-major nrows x ncols matrix: the inverse
+        of flat_int."""
+        if nrows * ncols != self.ncols:
+            raise ValueError("rows of %d entries are not %dx%d matrices"
+                             % (self.ncols, nrows, ncols))
+        den, rows = self._int
+        out = []
+        for row in rows:
+            split = [[] for _ in range(nrows)]
+            for k, x in row:
+                i, j = divmod(k, ncols)
+                split[i].append((j, x))
+            out.append(Matrix._of(nrows, ncols, den,
+                                  tuple(map(tuple, split))))
+        return out
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of row tuples, zeros the shared ZERO."""
+        den, rows = self._int
+        out = []
+        for row in rows:
+            v = [ZERO] * self.ncols
+            for j, x in row:
+                v[j] = Fraction(x, den)
+            out.append(tuple(v))
+        return tuple(out)
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        j = range(self.ncols)[j]
+        den, rows = self._int
+        return tuple(next((Fraction(x, den) for c, x in r if c == j), ZERO)
+                     for r in rows)
 
     def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def flatten(self) -> Vector:
         return tuple(x for r in self.rows for x in r)
 
-    def int_rows(self) -> tuple:
-        """(den, rows): rows[r] lists (j, num) for the non-zero entries of
-        row r, each equal to num / den, where den is the lcm of all the
-        denominators.  Built on first use and kept."""
-        cached = self._int_rows
-        if cached is None:
-            cached = _sparse_int_rows(self.rows)
-            object.__setattr__(self, "_int_rows", cached)
-        return cached
+    def nonzero_cols(self) -> list:
+        """The columns holding a non-zero entry, in increasing order."""
+        return sorted({j for row in self._int[1] for j, _ in row})
 
     def apply(self, v: Sequence) -> Vector:
         """self v, accumulated in integers over the non-zero entries of
@@ -213,73 +251,91 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch: %s applied to a vector of "
                              "length %d" % (self, len(v)))
-        dm, rows = self.int_rows()
-        dv, iv = _int_vector(v)
-        out = []
-        for r in rows:
-            s = 0
-            for j, x in r:
-                s += x * iv[j]
-            out.append(s)
-        return _fractions(out, dm * dv)
+        dv, iv = _sparse_vector(v)
+        dm, rows = self._int
+        sums = (sum(x * iv[j] for j, x in row if j in iv) for row in rows)
+        return tuple(Fraction(s, dm * dv) if s else ZERO for s in sums)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Product accumulated in integers over the non-zero entries of
-        both factors' int_rows.
-
-        The work is proportional to the products of non-zero pairs, which
-        pays off on 0/1 structure constants and sparse kernel vectors, and
-        each output entry becomes one Fraction.
-        """
+        """Gustavson's row-wise product: row r of the result accumulates
+        x times row k of other for each non-zero x = self[r][k], in
+        integers over the product of the denominators, so the work is the
+        number of non-zero pairs."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %s @ %s" % (self, other))
-        da, arows = self.int_rows()
-        db, brows = other.int_rows()
-        den, w = da * db, other.ncols
+        da, arows = self._int
+        db, brows = other._int
         out = []
         for r in arows:
-            acc = [0] * w
+            acc = {}
             for k, x in r:
                 for j, y in brows[k]:
-                    acc[j] += x * y
-            out.append(_fractions(acc, den))
-        return Matrix(out, ncols=w)
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(tuple(sorted((j, v) for j, v in acc.items() if v))
+                       if acc else ())
+        return Matrix._of(self.nrows, other.ncols, da * db, tuple(out))
+
+    def _plus(self, other, sign: int) -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch: %s and %s" % (self, other))
+        return linear_combination((1, sign), (self, other), self.nrows,
+                                  self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch: %s + %s" % (self, other))
-        return Matrix(tuple(tuple(a + b for a, b in zip(r, s))
-                            for r, s in zip(self.rows, other.rows)),
-                      ncols=self.ncols)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(tuple(tuple(c * x for x in r) for r in self.rows),
-                      ncols=self.ncols)
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        den, rows = self._int
+        f = c.numerator
+        return Matrix._of(self.nrows, self.ncols, den * c.denominator,
+                          tuple(tuple((j, f * x) for j, x in r)
+                                for r in rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_cols(list(self.rows), nrows=self.ncols)
+        den, rows = self._int
+        cols = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(rows):
+            for j, x in r:
+                cols[j].append((i, x))
+        return Matrix._of(self.ncols, self.nrows, den,
+                          tuple(map(tuple, cols)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self._int[1])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.ncols == other.ncols \
-            and self.rows == other.rows
+        return isinstance(other, Matrix) and self.nrows == other.nrows \
+            and self.ncols == other.ncols and self._int == other._int
 
     def __hash__(self):
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self._int))
 
     def __repr__(self):
         return "Matrix(%dx%d)" % (self.nrows, self.ncols)
+
+
+def hstack(mats: Sequence[Matrix], nrows: int) -> Matrix:
+    """The matrices side by side, each nrows tall."""
+    cols = []
+    for m in mats:
+        if m.nrows != nrows:
+            raise ValueError("%s beside matrices of %d rows" % (m, nrows))
+        den, mcols = m.transpose().int_rows()
+        cols.extend((den, c) for c in mcols)
+    return Matrix.from_int_cols(cols, nrows)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -289,52 +345,62 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     LeftModule.free write their block structure out directly.  It is kept
     for the test oracles and as a trace target of the benchmark.
     """
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return Matrix(tuple(rows), ncols=a.ncols * b.ncols)
+    da, arows = a.int_rows()
+    db, brows = b.int_rows()
+    w = b.ncols
+    return Matrix._of(a.nrows * b.nrows, a.ncols * w, da * db, tuple(
+        tuple((j * w + k, x * y) for j, x in ra for k, y in rb)
+        for ra in arows for rb in brows))
 
 
 def linear_combination(coeffs, terms: Iterable[Matrix], nrows: int,
                        ncols: int) -> Matrix:
     """sum_k coeffs[k] * terms[k], an nrows x ncols matrix.
 
-    The empty sum is the zero matrix.  Terms with a zero coefficient are
-    never read; the others are accumulated in integers over the lcm of
-    coefficient times term denominators, non-zero entries only.
+    The empty sum is the zero matrix, and a coefficient vector whose
+    length is not the number of terms raises ValueError.  Terms with a
+    zero coefficient are never read; the others are accumulated in
+    integers over the lcm of coefficient times term denominators, non-zero
+    entries only.
     """
-    picked = [(c, t.int_rows()) for c, t in zip(_exact(coeffs), terms) if c]
+    coeffs = _exact(coeffs)
+    if not isinstance(terms, (tuple, list)):
+        terms = list(terms)
+    if len(coeffs) != len(terms):
+        raise ValueError("%d coefficients for %d terms"
+                         % (len(coeffs), len(terms)))
+    picked = [(c, t.int_rows()) for c, t in zip(coeffs, terms) if c]
     den = math.lcm(*(c.denominator * td for c, (td, _) in picked))
-    acc = [[0] * ncols for _ in range(nrows)]
+    acc = [{} for _ in range(nrows)]
     for c, (td, trows) in picked:
         f = c.numerator * (den // (c.denominator * td))
         for arow, trow in zip(acc, trows):
             for j, x in trow:
-                arow[j] += f * x
-    return Matrix([_fractions(r, den) for r in acc], ncols=ncols)
+                arow[j] = arow.get(j, 0) + f * x
+    return Matrix.from_int_rows([(den, r) for r in acc], ncols)
 
 
 def intertwiner_rows(a: Matrix, b: Matrix) -> list:
     """Rows of the linear system X a - b X = 0 for an unknown p x q matrix
-    X, where a is q x q and b is p x p.
+    X, where a is q x q and b is p x p, as Matrix.from_int_rows takes
+    them: (den, {column: num}), den the product of a's and b's.
 
     X is flattened row-major (X[r][s] at r*q + s), so these are the rows
     of kron(I_p, a^T) - kron(b, I_q) in order, built without forming
     either product: row (r, s) holds a's column s in block r and -b[r][t]
     at t*q + s.
     """
-    q, p = a.ncols, b.nrows
-    a_cols = a.cols()
+    q = a.ncols
+    da, a_cols = a.transpose().int_rows()
+    db, brows = b.int_rows()
     rows = []
-    for r, brow in enumerate(b.rows):
+    for r, brow in enumerate(brows):
         for s in range(q):
-            row = [ZERO] * (p * q)
-            row[r * q:(r + 1) * q] = a_cols[s]
-            for t, x in enumerate(brow):
-                if x:
-                    row[t * q + s] -= x
-            rows.append(row)
+            row = {r * q + t: x * db for t, x in a_cols[s]}
+            for t, y in brow:
+                k = t * q + s
+                row[k] = row.get(k, 0) - y * da
+            rows.append((da * db, row))
     return rows
 
 
@@ -384,14 +450,18 @@ class Echelon:
         return [self._rows[pc] for pc in sorted(self._rows)]
 
     def insert(self, v) -> bool:
-        """Add a vector (any entries vector() takes) to the span; True if
-        the dimension grew."""
+        """Add a vector (any entries vector() takes), or a Matrix read flat
+        row by row, to the span; True if the dimension grew."""
+        if isinstance(v, Matrix):
+            if v.nrows * v.ncols != self.width:
+                raise ValueError("a %s inserted into an echelon of width %d"
+                                 % (v, self.width))
+            return self.insert_int(v.flat_int()[1])
         v = _exact(v)
         if len(v) != self.width:
             raise ValueError("a vector of length %d inserted into an echelon "
                              "of width %d" % (len(v), self.width))
-        return self.insert_int(
-            {j: x for j, x in enumerate(_int_vector(v)[1]) if x})
+        return self.insert_int(_sparse_vector(v)[1])
 
     def insert_int(self, row: dict) -> bool:
         """insert for a row given as {column: int}, columns below width."""
@@ -432,36 +502,26 @@ class Echelon:
         stored[piv] = row
         return True
 
-    def frac_rows(self) -> tuple:
-        """Canonical basis: the reduced rows scaled to pivot 1.
-
-        Zero entries all share ZERO, which keeps mostly-zero bases (kernels,
-        duals) small for as long as they are held.
-        """
-        out = []
-        for pc in sorted(self._rows):
-            row = self._rows[pc]
-            p = row[pc]
-            v = [ZERO] * self.width
-            for j, x in row.items():
-                v[j] = Fraction(x, p)
-            out.append(tuple(v))
-        return tuple(out)
-
     def subspace(self) -> "Subspace":
-        return Subspace(self.width, self.frac_rows(), self.pivots)
+        """The span with its canonical basis: the reduced rows scaled to
+        pivot 1."""
+        pivots = self.pivots
+        return Subspace(Matrix.from_int_rows(
+            [(self._rows[pc][pc], self._rows[pc]) for pc in pivots],
+            self.width), pivots)
 
 
 class Subspace:
-    """A subspace of Q^n held by its reduced-echelon basis (canonical)."""
+    """A subspace of Q^n held by its reduced-echelon basis (canonical), the
+    rows of matrix, with pivots the first column of each."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_int_basis")
+    __slots__ = ("matrix", "pivots", "ambient_dim", "dim", "_index")
 
-    def __init__(self, ambient_dim: int, basis, pivots):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(map(tuple, basis))
+    def __init__(self, matrix: Matrix, pivots):
+        self.matrix = matrix
         self.pivots = tuple(pivots)
-        self._int_basis = None
+        self.ambient_dim, self.dim = matrix.ncols, matrix.nrows
+        self._index = {pc: k for k, pc in enumerate(self.pivots)}
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
@@ -471,79 +531,82 @@ class Subspace:
     def from_rules(cls, ambient_dim: int, rules) -> "Subspace":
         """The subspace whose canonical basis null_rules gives sparsely:
         the vector of rule (f, ((q, c), ...)) is e_f + sum c e_q."""
-        basis = []
+        rows = []
         for f, terms in rules:
-            v = [ZERO] * ambient_dim
-            v[f] = ONE
-            for q, c in terms:
-                v[q] = c
-            basis.append(tuple(v))
-        return cls(ambient_dim, basis, [f for f, _ in rules])
+            den = math.lcm(*(c.denominator for _, c in terms))
+            rows.append((den, ((f, den),) + tuple(
+                (q, c.numerator * (den // c.denominator)) for q, c in terms)))
+        return cls(Matrix.from_int_rows(rows, ambient_dim),
+                   [f for f, _ in rules])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(Matrix.zeros(0, ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim).rows,
-                   range(ambient_dim))
+        return cls(Matrix.identity(ambient_dim), range(ambient_dim))
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> tuple:
+        return self.matrix.rows
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.dim
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None
 
     def coords(self, v) -> Optional[list]:
-        """Coefficients over self.basis, or None if v lies outside.
-
-        The basis is reduced, so the coefficients are v at the pivots, and
-        v lies in the span exactly when it equals their combination of the
-        basis; that residual is formed in integers.
-        """
+        """Coefficients over self.basis, or None if v lies outside."""
         v = _exact(v)
         if len(v) != self.ambient_dim:
             raise ValueError("shape mismatch: a vector of length %d against "
                              "%s" % (len(v), self))
-        if self._int_basis is None:
-            self._int_basis = _sparse_int_rows(self.basis)
-        bden, brows = self._int_basis
-        _, iv = _int_vector(v)
-        res = [bden * x for x in iv]
-        for row, pc in zip(brows, self.pivots):
-            c = iv[pc]
-            if c:
-                for j, b in row:
-                    res[j] -= c * b
-        if any(res):
+        if self.coords_int(*_sparse_vector(v)) is None:
             return None
         return [frac(v[pc]) for pc in self.pivots]
 
+    def coords_int(self, den: int, row: dict) -> Optional[tuple]:
+        """coords for the vector num / den at {column: num}, as (den,
+        {k: num}) with the non-zero coefficients over basis k, or None.
+
+        The basis is reduced, so the coefficients are the vector at the
+        pivots, and it lies in the span exactly when it equals their
+        combination of the basis; that residual is formed in integers.
+        """
+        bden, brows = self.matrix.int_rows()
+        index = self._index
+        res = {j: bden * x for j, x in row.items()}
+        out = {}
+        for j, x in row.items():
+            k = index.get(j)
+            if k is not None and x:
+                out[k] = x
+                for q, b in brows[k]:
+                    res[q] = res.get(q, 0) - x * b
+        if any(res.values()):
+            return None
+        return den, out
+
     def element(self, coeffs) -> Vector:
-        v = vzero(self.ambient_dim)
-        for c, b in zip(coeffs, self.basis):
-            v = vadd(v, vscale(c, b))
-        return v
+        return self.matrix.transpose().apply(coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) \
-            and self.ambient_dim == other.ambient_dim \
-            and self.basis == other.basis
+        return isinstance(other, Subspace) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.matrix)
 
     def __repr__(self):
         return "Subspace(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
 def rank(m: Matrix) -> int:
-    return Echelon(m.ncols, m.rows).dim
+    ech = Echelon(m.ncols)
+    for r in m.int_rows()[1]:
+        ech.insert_int(dict(r))
+    return ech.dim
 
 
 def affine_solutions(m: Matrix, b) -> tuple:
@@ -554,12 +617,20 @@ def affine_solutions(m: Matrix, b) -> tuple:
     of the reduced (m | b) with a pivot inside m are the reduced m; the
     null space is read off them by null_rules.
     """
-    b = vector(b)
+    b = _exact(b)
     if len(b) != m.nrows:
         raise ValueError("shape mismatch: %d right hand sides for %s"
                          % (len(b), m))
     n = m.ncols
-    ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, b)))
+    db, brow = _sparse_vector(b)
+    dm, mrows = m.int_rows()
+    ech = Echelon(n + 1)
+    # row r of (m | b), times dm * db
+    for r, row in enumerate(mrows):
+        v = {j: x * db for j, x in row}
+        if r in brow:
+            v[n] = brow[r] * dm
+        ech.insert_int(v)
     rows, pivots = ech.rows, ech.pivots
     if pivots and pivots[-1] == n:
         x = None
@@ -579,7 +650,7 @@ def null_rules(n: int, rows: Sequence) -> tuple:
 
     One entry (f, ((q, c), ...)) per free column f, in increasing f, for
     the canonical basis vector e_f + sum c e_q; its q are increasing and
-    all greater than f.  Subspace.from_rules writes the vectors out.
+    all greater than f.  Subspace.from_rules stores the vectors.
 
     The reduced echelon basis of a null space has its pivots at the
     columns f whose column lies in the span of the columns to their right,
@@ -626,8 +697,7 @@ def restrict_to_kernel(space: Subspace, m: Matrix) -> Subspace:
                          % (space, m))
     if space.is_zero():
         return space
-    imgs = [m.apply(bv) for bv in space.basis]
-    coeffs = kernel(Matrix.from_cols(imgs, nrows=m.nrows))
+    coeffs = kernel(m @ space.matrix.transpose())
     return Subspace.from_vectors(space.ambient_dim,
                                  [space.element(c) for c in coeffs.basis])
 
@@ -663,17 +733,14 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
 def closure_under_maps(seed: Iterable, maps: Sequence[Callable],
                        ambient_dim: int) -> Subspace:
     """Smallest subspace containing seed and stable under the given linear
-    maps, each a callable from vectors to vectors.
+    maps, each a callable from vectors to vectors (or from matrices to
+    matrices, read flat as Echelon.insert reads them).
 
     Stability under a linear map only needs to be checked on spanning
     vectors, so each vector that grows the span is mapped once by each map.
     """
     ech = Echelon(ambient_dim)
-    work = []
-    for v in seed:
-        v = vector(v)
-        if ech.insert(v):
-            work.append(v)
+    work = [v for v in seed if ech.insert(v)]
     while work:
         g = work.pop()
         for m in maps:

@@ -472,7 +472,7 @@ from ncwb.reporting import InvariantError  # noqa: E402
 def rref(m):
     """Reduced row echelon form of m, as (Matrix, pivot columns)."""
     ech = Echelon(m.ncols, m.rows)
-    return Matrix(ech.frac_rows(), ncols=m.ncols), tuple(ech.pivots)
+    return ech.subspace().matrix, tuple(ech.pivots)
 
 
 def affine_solutions_by_reelimination(m, b) -> tuple:
@@ -482,7 +482,7 @@ def affine_solutions_by_reelimination(m, b) -> tuple:
     basis."""
     n = m.ncols
     ech = Echelon(n + 1, (r + (bi,) for r, bi in zip(m.rows, vector(b))))
-    rows, pivots = ech.frac_rows(), list(ech.pivots)
+    rows, pivots = ech.subspace().basis, list(ech.pivots)
     if pivots and pivots[-1] == n:
         x = None
         rows, pivots = rows[:-1], pivots[:-1]
@@ -630,3 +630,191 @@ def check_covariant_axioms_per_field(conn, pair) -> CheckReport:
                 if shifted.col(a2) != rhs:
                     rep.add("twisted-leibniz", (t, i, a2))
     return rep
+
+
+# ---- test-only constructions the package has no use for ----------------
+
+from dataclasses import dataclass  # noqa: E402
+
+from ncwb.cartan import calculus_from_pair, pair_from_calculus  # noqa: E402
+from ncwb.linalg import frac, rank  # noqa: E402
+
+
+def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
+    if m.algebra is not n.algebra:
+        raise ValueError("a direct sum needs bimodules over one algebra")
+    d = m.dim + n.dim
+
+    def block(a: Matrix, b: Matrix) -> Matrix:
+        rows = []
+        for r in a.rows:
+            rows.append(tuple(r) + vzero(n.dim))
+        for r in b.rows:
+            rows.append(vzero(m.dim) + tuple(r))
+        return Matrix(rows, ncols=d)
+
+    return Bimodule(m.algebra, d,
+                    tuple(block(a, b) for a, b in zip(m.left, n.left)),
+                    tuple(block(a, b) for a, b in zip(m.right, n.right)))
+
+
+def is_normal_form_word(word) -> bool:
+    seen_m = False
+    for kind, _ in word:
+        if kind == "m":
+            seen_m = True
+        elif seen_m:
+            return False
+    return sum(1 for kind, _ in word if kind == "a") <= 1
+
+
+@dataclass
+class ReflexiveRoundtrip:
+    """Canonical map of a calculus bimodule into the double dual."""
+    kappa: BimoduleMap
+    injective: bool
+    surjective: bool
+    intertwines: bool
+    map_report: CheckReport
+    derived: DifferentialCalculus
+
+
+def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
+    """Right dual then left dual; m goes to evaluation-at-m.
+
+    Everything is computed from the exhaustive solves and reported; no
+    reflexivity is assumed.
+    """
+    p = pair_from_calculus(c)
+    derived, ld = calculus_from_pair(p)
+    md = p.dual
+    a = c.algebra
+    cols = []
+    for j in range(c.bimodule.dim):
+        ev = Matrix.from_cols([md.eval_mats[t].col(j) for t in range(md.dim)],
+                              nrows=a.dim)
+        coords = ld.coords_of_map(ev)
+        if coords is None:
+            raise InvariantError("the evaluation at module vector %d is not "
+                                 "left linear" % j)
+        cols.append(coords)
+    kappa_mat = Matrix.from_int_cols(cols, ld.dim)
+    kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)
+    r = rank(kappa_mat)
+    return ReflexiveRoundtrip(
+        kappa=kappa,
+        injective=(r == c.bimodule.dim),
+        surjective=(r == ld.dim),
+        intertwines=(kappa_mat @ c.d == derived.d),
+        map_report=check_bimodule_map(kappa),
+        derived=derived)
+
+
+# ---- the dense Fraction matrix, the oracle for the sparse Matrix -------
+
+import math  # noqa: E402
+
+
+class DenseMatrix:
+    """Immutable exact matrix stored densely, a tuple of row tuples of
+    Fractions, every operation one Fraction operation per entry: the
+    oracle for ncwb.linalg.Matrix, which stores sparse integer rows."""
+
+    def __init__(self, rows, ncols=None):
+        rows = tuple(tuple(frac(x) for x in r) for r in rows)
+        if rows:
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
+                raise ValueError("ragged matrix")
+            if ncols is not None and ncols != w:
+                raise ValueError("rows of %d entries, but ncols=%d"
+                                 % (w, ncols))
+        else:
+            if ncols is None:
+                raise ValueError("an empty matrix needs an explicit ncols")
+            w = ncols
+        self.rows, self.nrows, self.ncols = rows, len(rows), w
+
+    @classmethod
+    def of(cls, m: Matrix) -> "DenseMatrix":
+        return cls(m.rows, ncols=m.ncols)
+
+    def col(self, j: int) -> tuple:
+        return tuple(r[j] for r in self.rows)
+
+    def cols(self) -> list:
+        return [self.col(j) for j in range(self.ncols)]
+
+    def flatten(self) -> tuple:
+        return tuple(x for r in self.rows for x in r)
+
+    def int_rows(self) -> tuple:
+        """(lcm of the denominators, the non-zero (j, numerator) pairs of
+        each row over it): the reduced form, since no prime divides that
+        lcm and every numerator."""
+        den = math.lcm(*(x.denominator for r in self.rows for x in r))
+        return den, tuple(tuple((j, x.numerator * (den // x.denominator))
+                                for j, x in enumerate(r) if x)
+                          for r in self.rows)
+
+    def flat_int(self) -> tuple:
+        den, rows = self.int_rows()
+        return den, {r * self.ncols + j: x for r, row in enumerate(rows)
+                     for j, x in row}
+
+    def apply(self, v) -> tuple:
+        if len(v) != self.ncols:
+            raise ValueError("shape mismatch")
+        v = vector(v)
+        return tuple(sum((a * b for a, b in zip(r, v)), F(0))
+                     for r in self.rows)
+
+    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        ocols = other.cols()
+        return DenseMatrix([[sum((a * b for a, b in zip(r, c)), F(0))
+                             for c in ocols] for r in self.rows],
+                           ncols=other.ncols)
+
+    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return DenseMatrix([[a + b for a, b in zip(r, s)]
+                            for r, s in zip(self.rows, other.rows)],
+                           ncols=self.ncols)
+
+    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "DenseMatrix":
+        return self.scale(-1)
+
+    def scale(self, c) -> "DenseMatrix":
+        c = frac(c)
+        return DenseMatrix([[c * x for x in r] for r in self.rows],
+                           ncols=self.ncols)
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(self.cols(), ncols=self.nrows)
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for r in self.rows for x in r)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DenseMatrix) and self.ncols == other.ncols \
+            and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.ncols, self.rows))
+
+
+def dense_linear_combination(coeffs, terms, nrows, ncols) -> DenseMatrix:
+    """sum_k coeffs[k] * terms[k] by DenseMatrix additions."""
+    if len(coeffs) != len(terms):
+        raise ValueError("%d coefficients for %d terms"
+                         % (len(coeffs), len(terms)))
+    out = DenseMatrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
+    for c, t in zip(coeffs, terms):
+        out = out + t.scale(c)
+    return out

@@ -249,7 +249,7 @@ def test_criterion_06_free_words_normalize_soundly():
         grew = True
         while grew:
             grew = False
-            current = [Matrix.from_flat(b, 2, 2) for b in oracle.frac_rows()]
+            current = oracle.subspace().matrix.row_matrices(2, 2)
             for x in current:
                 for g in gens:
                     if oracle.insert((x @ g).flatten()):

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ncwb.algebra import (
     Algebra, Bimodule, BimoduleMap, LeftModule, bimodule_map_space,
     check_algebra, check_bimodule, check_bimodule_map, check_left_module,
-    direct_sum, left_dual, right_dual, tensor_over_A, transpose,
+    left_dual, right_dual, tensor_over_A, transpose,
 )
 from ncwb.linalg import Matrix, rank
 
 from helpers import (
-    check_algebra_by_sc, dual_numbers, matrix_2, multiply_by_sc,
+    check_algebra_by_sc, direct_sum, dual_numbers, matrix_2, multiply_by_sc,
     quantum_plane, truncated_polynomials, upper_triangular_2,
     z2_group_algebra,
 )

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncwb.algebra import Bimodule, check_bimodule, direct_sum
+from ncwb.algebra import Bimodule, check_bimodule
 from ncwb.calculus import (
     DifferentialCalculus, check_leibniz, factor_through_universal,
     is_spanned_by_differential, universal_calculus,
@@ -12,7 +12,7 @@ from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.linalg import Matrix, is_zero_vector
 
 from helpers import (
-    BasisChange, dual_numbers, inner_calculus, kahler_dual_numbers,
+    BasisChange, direct_sum, dual_numbers, inner_calculus, kahler_dual_numbers,
     kahler_truncated, matrix_2, quantum_plane, theta_z2,
     truncated_polynomials, unimodular_matrices, universal_calculus_by_kron,
     universal_uniqueness_by_solve, upper_triangular_2, z2_group_algebra,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import (
-    Algebra, Bimodule, check_bimodule, direct_sum, left_dual, right_dual,
+    Algebra, Bimodule, check_bimodule, left_dual, right_dual,
     transpose,
 )
 from ncwb.calculus import check_leibniz, factor_through_universal, \
@@ -12,7 +12,7 @@ from ncwb.calculus import check_leibniz, factor_through_universal, \
 from ncwb.cartan import (
     CartanPair, action_kernel, calculus_from_pair, check_cartan,
     co_universal_factorization, co_universal_pair, pair_from_calculus,
-    reflexive_roundtrip, spanning_kernel_diagnostic,
+    spanning_kernel_diagnostic,
 )
 from ncwb.catalog import (
     BUILTIN_NAMES, builtin, naive_derivative_fixture,
@@ -22,6 +22,7 @@ from ncwb.linalg import Matrix
 from ncwb.reporting import InvariantError
 
 from helpers import (
+    direct_sum, reflexive_roundtrip,
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
     dual_span_by_reelimination, dual_numbers, inner_calculus,
     kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,

@@ -137,6 +137,19 @@ def test_derive_relations_bytes_are_pinned(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out).hexdigest() == RELATIONS_SHA256[spec]
 
 
+def test_report_bytes_are_pinned_at_fifteen_dimensions(tmp_path):
+    # quantum_plane_trunc(2, 4) has n = 15, with 210 universal one-forms
+    # and co-universal fields: far beyond the builtins of criterion 11
+    path = write_ws(tmp_path, {"q": {"kind": "builtin",
+                                     "builtin": "quantum_plane_trunc",
+                                     "params": [2, 4]}})
+    r = subprocess.run([sys.executable, "-m", "ncwb.cli", "report", path],
+                       capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == \
+        "0bcbbb0fa834e01fc74b187c22da45c4de2f0e27d436c9ca2f5b6b5782d74d27"
+
+
 def test_derive_dual_of_zero_bimodule(tmp_path, capsys):
     from ncwb.algebra import Bimodule
     from ncwb.catalog import builtin
@@ -246,6 +259,15 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_package_runs_as_module(capsys):
+    assert main(["builtin", "dual_numbers"]) == 0
+    expected = capsys.readouterr().out
+    r = subprocess.run([sys.executable, "-m", "ncwb", "builtin",
+                        "dual_numbers"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected
 
 
 def test_console_entry_runs_as_subprocess(tmp_path):

@@ -288,6 +288,18 @@ def transported_connections(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(transported_connections())
+def test_connection_space_after_basis_change(drawn):
+    # the quotient actions have non-unit denominators here, so each row of
+    # the Leibniz system must keep its right hand side's scale
+    conn, _ = drawn
+    sp = connection_space(conn.calculus, conn.module)
+    assert sp.exists and check_connection(sp.particular).ok
+    assert sp.homogeneous.contains(
+        (conn.matrix - sp.particular.matrix).flatten())
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_connections())
 def test_tensor_and_axioms_match_oracles_after_basis_change(drawn):
     conn, (row, col, by) = drawn
     c = conn.calculus
@@ -351,8 +363,8 @@ def test_action_linearity_finding_on_a_planted_left_action():
 VALIDATION_CASES = """
 from ncwb.algebra import (
     Algebra, AlgebraElement, Bimodule, BimoduleMap, DualBimodule,
-    LeftModule, bimodule_map_space, direct_sum, left_dual, right_dual,
-    tensor_over_A, transpose)
+    LeftModule, bimodule_map_space, left_dual, right_dual, tensor_over_A,
+    transpose)
 from ncwb.calculus import (
     DifferentialCalculus, factor_through_universal, universal_calculus)
 from ncwb.cartan import (
@@ -366,6 +378,7 @@ from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
 from ncwb.reporting import InvariantError
 from ncwb.workspace import (
     Workspace, WorkspaceObject, _decl_for, connection_decl)
+from helpers import direct_sum
 
 c = builtin("dual_numbers").calculus
 conn = trivial_connection(c, 1)
@@ -447,6 +460,10 @@ cases = {
     "word-mul": lambda: FreeWord.one(pair) * FreeWord.one(m2_pair),
     "word-add": lambda: FreeWord.one(pair) + FreeWord.one(m2_pair),
     "mu": lambda: evaluate_mu(pair, FreeWord.one(m2_pair)),
+    "left-mult-length": lambda: builtin(
+        "dual_numbers").algebra.left_mult_matrix((0, 1, 5)),
+    "multiply-length": lambda: a.multiply((0, 1, 7), (1, 0)),
+    "left-of-length": lambda: reg.left_of((1,)),
     "workspace-add": add_twice,
     "connection-decl": lambda: connection_decl(odd, "calculus"),
     "decl-kind": lambda: _decl_for(WorkspaceObject("A", "spline", a, True),
@@ -467,7 +484,10 @@ for name, case in cases.items():
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_invalid_input_raises_value_error(flags):
     # python -O strips asserts; every check below must still raise
-    r = subprocess.run([sys.executable] + flags + ["-c", VALIDATION_CASES],
+    # the cases import a test helper, so the tests directory goes on the path
+    code = "import sys\nsys.path.insert(0, %r)\n%s" % (
+        str(pathlib.Path(__file__).parent), VALIDATION_CASES)
+    r = subprocess.run([sys.executable] + flags + ["-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split("\n")[:-1] == [
@@ -484,7 +504,8 @@ def test_invalid_input_raises_value_error(flags):
             "map-space", "transpose-base", "transpose-side", "dual-side",
             "dual-ambient", "dual-dim", "calculus-algebra", "calculus-shape",
             "pair-algebra", "pair-count", "pair-shape", "word-mul",
-            "word-add", "mu", "workspace-add", "connection-decl",
+            "word-add", "mu", "left-mult-length", "multiply-length",
+            "left-of-length", "workspace-add", "connection-decl",
             "decl-kind")] + ["left-linear InvariantError"]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -16,14 +17,14 @@ from ncwb.catalog import (
 from ncwb.diffops import (
     FreeWord, _word_columns, _word_operator, check_ccr, evaluate_mu,
     find_relations, fock_check, format_word_sum, generate_diffop_algebra,
-    is_normal_form_word, normal_form,
+    normal_form,
 )
 from ncwb.linalg import Matrix, kernel
 
 from helpers import (
-    diffop_algebra_by_pairs, kahler_dual_numbers, kahler_truncated,
-    kernel_by_reelimination, naive_derivative_pair, quantum_plane_pair,
-    theta_z2, transported_pairs, zero_action_pair_z2,
+    diffop_algebra_by_pairs, is_normal_form_word, kahler_dual_numbers,
+    kahler_truncated, kernel_by_reelimination, naive_derivative_pair,
+    quantum_plane_pair, theta_z2, transported_pairs, zero_action_pair_z2,
 )
 
 
@@ -218,15 +219,15 @@ def test_word_columns_are_the_word_operators(name):
     # one product per word, against one product per letter
     pair = builtin(name).pair
     n, p = pair.algebra.dim, pair.bimodule.dim
-    words, cols = _word_columns(pair, 3)
+    words, ops = map(list, zip(*_word_columns(pair, 3)))
     assert words == [(("a", i),) + tuple(("m", t) for t in mw)
                      for k in range(3) for i in range(n)
                      for mw in itertools.product(range(p), repeat=k)]
-    for w, col in zip(words, cols):
-        assert col == _word_operator(pair, w).flatten()
+    assert ops == [_word_operator(pair, w) for w in words]
     rs = find_relations(pair, max_len=3)
     assert rs.words == tuple(words)
-    oracle = kernel_by_reelimination(Matrix.from_cols(cols, nrows=n * n))
+    oracle = kernel_by_reelimination(Matrix.from_cols(
+        [op.flatten() for op in ops], nrows=n * n))
     space = rs.space()
     assert (space.basis, space.pivots) \
         == (oracle.basis, oracle.pivots)
@@ -234,9 +235,10 @@ def test_word_columns_are_the_word_operators(name):
 
 def assert_rules_are_the_generic_kernel(pair, max_len):
     n = pair.algebra.dim
-    words, cols = _word_columns(pair, max_len)
+    words, ops = zip(*_word_columns(pair, max_len))
     rs = find_relations(pair, max_len)
-    generic = kernel(Matrix.from_cols(cols, nrows=n * n))
+    generic = kernel(Matrix.from_cols([op.flatten() for op in ops],
+                                      nrows=n * n))
     space = rs.space()
     assert (space.basis, space.pivots) == (generic.basis, generic.pivots)
     assert len(rs.rules) == generic.dim
@@ -259,6 +261,18 @@ def test_relation_rules_are_the_generic_kernel(name, max_len):
 def test_relation_rules_are_the_generic_kernel_after_basis_change(p,
                                                                  max_len):
     assert_rules_are_the_generic_kernel(p, max_len)
+
+
+def test_relation_rules_over_fractional_actions_are_the_generic_kernel():
+    # the word operators have denominators 1, 2, 3, 4, 6, ..., so the
+    # word-column matrix is rescaled to their common denominator as it
+    # grows
+    p = quantum_plane_pair()
+    scaled = CartanPair(p.algebra, p.bimodule,
+                        (p.action[0].scale(Fraction(1, 2)),
+                         p.action[1].scale(Fraction(2, 3))))
+    for max_len in (1, 2, 3):
+        assert_rules_are_the_generic_kernel(scaled, max_len)
 
 
 def test_ccr_commutative_symmetric_pairs_are_clean():

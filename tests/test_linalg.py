@@ -15,7 +15,8 @@ from ncwb.linalg import (
 )
 
 from helpers import (
-    affine_solutions_by_reelimination, apply_dense, coords_dense, inverse,
+    DenseMatrix, affine_solutions_by_reelimination, apply_dense,
+    coords_dense, dense_linear_combination, inverse,
     intertwiner_rows_by_kron, kernel_by_reelimination,
     linear_combination_dense, matmul_dense, rref, unimodular_matrices,
 )
@@ -202,11 +203,12 @@ def test_solve_matches_matrix_action(m, data):
 def test_intertwiner_rows_match_the_kron_form(p, q, data):
     a, b = draw_matrix(data, q, q), draw_matrix(data, p, p)
     rows = intertwiner_rows(a, b)
-    assert [tuple(r) for r in rows] == list(intertwiner_rows_by_kron(a, b))
+    assert Matrix.from_int_rows(rows, p * q).rows \
+        == tuple(intertwiner_rows_by_kron(a, b))
     # and they cut out exactly the p x q matrices with X a = b X
     x = draw_matrix(data, p, q)
     flat = x.flatten()
-    holds = all(sum(c * v for c, v in zip(r, flat)) == 0 for r in rows)
+    holds = all(sum(c * flat[j] for j, c in r.items()) == 0 for _, r in rows)
     assert holds == (x @ a == b @ x)
 
 
@@ -229,11 +231,11 @@ def test_echelon_matches_sympy_rref(nr, width, data):
     for r in m.rows:
         ech.insert(r)
         if data.draw(st.booleans()):
-            ech.frac_rows()      # reading between inserts changes nothing
+            ech.subspace()      # reading between inserts changes nothing
     srref, spiv = to_sympy(m).rref()
     trimmed = [r for r in srref.tolist() if any(x != 0 for x in r)]
     assert tuple(ech.pivots) == tuple(spiv)
-    assert [list(r) for r in ech.frac_rows()] \
+    assert [list(r) for r in ech.subspace().basis] \
         == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]
 
 
@@ -275,11 +277,11 @@ def test_echelon_on_large_redundant_draws(width, nr, data):
     srref, spiv = to_sympy(Matrix(rows, ncols=width)).rref()
     trimmed = [r for r in srref.tolist() if any(x != 0 for x in r)]
     assert tuple(ech.pivots) == tuple(spiv)
-    assert [list(r) for r in ech.frac_rows()] \
+    assert [list(r) for r in ech.subspace().basis] \
         == [[F(int(x.p), int(x.q)) for x in r] for r in trimmed]
     order = data.draw(st.permutations(range(nr)))
-    assert Echelon(width, [rows[k] for k in order]).frac_rows() \
-        == ech.frac_rows()
+    assert Echelon(width, [rows[k] for k in order]).subspace() \
+        == ech.subspace()
 
 
 # vectors mix Fractions, plain ints and zeros; apply takes all of them
@@ -510,4 +512,75 @@ def test_echelon_insert_takes_ints_fractions_and_strings():
     assert ech.insert(("1/2", 1, F(3, 4)))
     assert not ech.insert((2, 4, 3))
     assert ech.insert(iter((0, "0", F(-2, 3))))
-    assert ech.frac_rows() == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))
+    assert ech.subspace().basis == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))
+
+
+# ---- the sparse Matrix against the dense Fraction oracle ---------------
+
+def draw_both(data, nr, nc):
+    """The same drawn entries as a Matrix and as a DenseMatrix, sometimes
+    with a zero row and a zero column."""
+    rows = [[data.draw(mixed_entries) for _ in range(nc)] for _ in range(nr)]
+    if nr and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, nr - 1))] = [0] * nc
+    if nc and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, nc - 1))
+        for r in rows:
+            r[j] = 0
+    return Matrix(rows, ncols=nc), DenseMatrix(rows, ncols=nc)
+
+
+def assert_same(m, d):
+    """Every view of m agrees with the oracle d."""
+    assert (m.nrows, m.ncols) == (d.nrows, d.ncols)
+    assert m.rows == d.rows
+    assert all(type(x) is Fraction for r in m.rows for x in r)
+    assert [m.col(j) for j in range(m.ncols)] == m.cols() == d.cols()
+    assert m.flatten() == d.flatten()
+    assert m.int_rows() == d.int_rows()
+    assert m.flat_int() == d.flat_int()
+    assert m.is_zero() == d.is_zero()
+
+
+def same_through_other_denominators(m, data):
+    """m rebuilt through denominators it does not need."""
+    den, rows = m.int_rows()
+    k = data.draw(st.integers(2, 6))
+    third = F(1, data.draw(st.integers(2, 5)))
+    return (Matrix.from_int_rows([(den * k, [(j, x * k) for j, x in r])
+                                  for r in rows], m.ncols),
+            m.scale(third) + m.scale(1 - third),
+            m.scale(third).scale(1 / third))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_sparse_matrix_matches_the_dense_oracle(nr, inner, nc, data):
+    a, da = draw_both(data, nr, inner)
+    b, db = draw_both(data, inner, nc)
+    c, dc = draw_both(data, nr, inner)
+    for m, d in ((a, da), (b, db), (c, dc)):
+        assert_same(m, d)
+    assert_same(a @ b, da @ db)
+    v = [data.draw(vector_entries) for _ in range(inner)]
+    assert a.apply(v) == da.apply(v)
+    assert all(type(x) is Fraction for x in a.apply(v))
+    assert_same(a + c, da + dc)
+    assert_same(a - c, da - dc)
+    assert_same(-a, -da)
+    s = data.draw(mixed_entries)
+    assert_same(a.scale(s), da.scale(s))
+    assert_same(a.transpose(), da.transpose())
+    k = data.draw(st.integers(0, 3))
+    terms = [draw_both(data, nr, inner) for _ in range(k)]
+    coeffs = [data.draw(mixed_entries) for _ in range(k)]
+    assert_same(linear_combination(coeffs, [t for t, _ in terms], nr, inner),
+                dense_linear_combination(coeffs, [t for _, t in terms], nr,
+                                         inner))
+    with pytest.raises(ValueError):
+        linear_combination(coeffs + [1], [t for t, _ in terms], nr, inner)
+    assert (a == c) == (da == dc)
+    assert (a == c) <= (hash(a) == hash(c))
+    for same in same_through_other_denominators(a, data):
+        assert_same(same, da)
+        assert same == a and hash(same) == hash(a)

@@ -105,9 +105,6 @@ class Algebra:
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, vector(coords))
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return self.element(tuple(1 if j == i else 0 for j in range(self.dim)))
-
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, self.unit)
 
@@ -235,12 +232,6 @@ class Bimodule:
     def right_of(self, f) -> Matrix:
         return linear_combination(f, self.right, self.dim, self.dim)
 
-    def act_left(self, f, m):
-        return self.left_of(f).apply(m)
-
-    def act_right(self, m, f):
-        return self.right_of(f).apply(m)
-
     def is_symmetric(self) -> bool:
         return all(l == r for l, r in zip(self.left, self.right))
 
@@ -325,27 +316,6 @@ class LeftModule:
 
     def __repr__(self):
         return "LeftModule(dim %d over %r)" % (self.dim, self.algebra)
-
-
-def check_left_module(e: LeftModule) -> CheckReport:
-    """The action is a unital homomorphism, on basis vectors m0, m1, ..."""
-    rep = CheckReport("left module")
-    a = e.algebra
-    names = a.basis_names
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs, rhs = e.left_of(a.sc[i][j]), e.left[i] @ e.left[j]
-            if lhs != rhs:
-                rep.add("left-action-product", (i, j),
-                        "(%s*%s).m != %s.(%s.m) %s" % (
-                            names[i], names[j], names[i], names[j],
-                            _first_difference(lhs, rhs)))
-    ident = Matrix.identity(e.dim)
-    lhs = e.left_of(a.unit)
-    if lhs != ident:
-        rep.add("left-unital", (), "1.m != m %s"
-                % _first_difference(lhs, ident))
-    return rep
 
 
 @dataclass

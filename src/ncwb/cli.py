@@ -29,9 +29,9 @@ from .diffops import check_ccr, find_relations, fock_check, \
 from .linalg import ONE
 from .reporting import CheckReport, InvariantError
 from .workspace import (
-    SCHEMA, SparseRows, WorkspaceError, algebra_decl, bimodule_decl,
-    calculus_decl, canonical_parts, canonical_text, cartan_pair_decl,
-    load_workspace, matrix_rows, parse_rational,
+    SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
+    bimodule_decl, calculus_decl, canonical_parts, canonical_text,
+    cartan_pair_decl, load_workspace, matrix_rows, parse_rational,
 )
 
 MAX_WORD_LEN_DEFAULT = 4
@@ -224,10 +224,12 @@ def cmd_derive(args) -> int:
     if what == "relations":
         max_len = _max_word_len()
         rs = find_relations(obj, max_len=max_len)
+        code = {x: k for k, x in enumerate(rs.letters)}
         doc = {"schema": SCHEMA, "objects": {}, "derived": {
             "kind": "relation_basis",
             "max_word_len": max_len,
-            "words": rs.words,
+            "words": WordList(rs.letters, [[code[x] for x in w]
+                                           for w in rs.words]),
             "basis": SparseRows(len(rs.words), [((f, ONE),) + terms
                                                 for f, terms in rs.rules]),
         }}

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .linalg import Echelon, Matrix, Subspace, closure_under_maps, frac, \
-    is_zero_vector, linear_combination, null_rules
+    hstack, is_zero_vector, linear_combination, null_rules
 from .cartan import CartanPair
 from .reporting import CheckReport
 
@@ -266,6 +266,7 @@ class RelationSearch:
     words: tuple            # coordinate order of the word span
     rules: tuple            # one (f, ((q, c), ...)) per relation
     max_len: int
+    letters: tuple          # the n algebra, then the p module letters
 
     def space(self) -> Subspace:
         """The relations as a subspace of Q^W, canonical basis."""
@@ -280,9 +281,6 @@ class RelationSearch:
         fw.terms = terms
         return fw
 
-    def word_index(self, word) -> int:
-        return self.words.index(tuple(word))
-
 
 def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     """Relations among words f * X_1 * ... * X_k of length k+1 <= max_len.
@@ -291,53 +289,54 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     kernel of mu on their span is exactly the set of relations visible at
     this length.  Truncation is honest: longer relations stay unseen.
 
-    The n^2 rows of the word-column matrix (one per entry of an operator
-    on A) are read off the integer rows of the word operators and
-    eliminated once, and null_rules reads the relations off them as rules;
-    no W-wide vector is built.
+    The words of length k+1 are f * X_t1 * ... * X_tk for each algebra
+    letter f and each of the p^k module words, in itertools.product order.
+    Their operators come a word length at a time: H_k is the n x (p^k n)
+    matrix whose block b is X_t1...X_tk for the b-th module word, so
+    H_{k+1} = [X_0 H_k | ... | X_{p-1} H_k], and the operators of the
+    words f * X_t1 * ... * X_tk are the blocks of l(f) H_k.  That is
+    n + p products per word length, with Gustavson's row-wise product
+    applied to a whole level at once, instead of one per word.  Entry
+    [r][b n + j] of l(f) H_k goes into row r n + j of the word-column
+    matrix, which has one row per entry of an operator on A, over one
+    running common denominator.  Those n^2 rows are eliminated once, and
+    null_rules reads the relations off them as rules; no W-wide vector is
+    built.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1, got %r" % (max_len,))
+    n, p = pair.algebra.dim, pair.bimodule.dim
+    letters = tuple([("a", i) for i in range(n)]
+                    + [("m", t) for t in range(p)])
     words = []
     # row r * n + j of the word-column matrix holds entry (r, j) of every
     # word operator, over their common denominator den
-    rows, den = [{} for _ in range(pair.algebra.dim ** 2)], 1
-    for k, (word, op) in enumerate(_word_columns(pair, max_len)):
-        words.append(word)
-        d, flat = op.flat_int()
-        if den % d:
-            f = d // math.gcd(den, d)
-            den *= f
-            rows = [{q: x * f for q, x in row.items()} for row in rows]
-        for pos, x in flat.items():
-            rows[pos][k] = x * (den // d)
+    rows, den = [{} for _ in range(n * n)], 1
+    h = Matrix.identity(n)
+    for k in range(max_len):
+        if k:
+            h = hstack([x @ h for x in pair.action], n)
+        tails = [tuple(letters[n + t] for t in mw)
+                 for mw in itertools.product(range(p), repeat=k)]
+        for f, lf in enumerate(pair.algebra.lmul):
+            first = len(words)
+            words.extend((letters[f],) + tail for tail in tails)
+            d, op_rows = (lf @ h).int_rows()
+            if den % d:
+                s = d // math.gcd(den, d)
+                den *= s
+                rows = [{q: x * s for q, x in row.items()} for row in rows]
+            s = den // d
+            for r, op_row in enumerate(op_rows):
+                for c, x in op_row:
+                    b, j = divmod(c, n)
+                    rows[r * n + j][first + b] = x * s
     w = len(words)
     ech = Echelon(w)
     for row in rows:
         ech.insert_int(row)
-    return RelationSearch(tuple(words), null_rules(w, ech.rows), max_len)
-
-
-def _word_columns(pair: CartanPair, max_len: int):
-    """The words of find_relations in coordinate order, each with mu of
-    it: flattened, these operators are the columns of the word-column
-    matrix.
-
-    The operator X_1...X_k of each module word is one product from that of
-    its prefix, and each word operator one more, l(f) X_1...X_k.
-    """
-    n, p = pair.algebra.dim, pair.bimodule.dim
-    lmul, action = pair.algebra.lmul, pair.action
-    mops = {(): Matrix.identity(n)}
-    for k in range(max_len):
-        level = list(itertools.product(range(p), repeat=k))
-        if k:
-            for mw in level:
-                mops[mw] = mops[mw[:-1]] @ action[mw[-1]]
-        for i in range(n):
-            for mw in level:
-                yield ((("a", i),) + tuple(("m", t) for t in mw),
-                       lmul[i] @ mops[mw])
+    return RelationSearch(tuple(words), null_rules(w, ech.rows), max_len,
+                          letters)
 
 
 def check_ccr(pair: CartanPair) -> CheckReport:

@@ -328,14 +328,22 @@ class Matrix:
 
 
 def hstack(mats: Sequence[Matrix], nrows: int) -> Matrix:
-    """The matrices side by side, each nrows tall."""
-    cols = []
+    """The matrices side by side, each nrows tall: row r is the rows r of
+    the matrices, their columns shifted past the matrices before, over the
+    lcm of their denominators."""
     for m in mats:
         if m.nrows != nrows:
             raise ValueError("%s beside matrices of %d rows" % (m, nrows))
-        den, mcols = m.transpose().int_rows()
-        cols.extend((den, c) for c in mcols)
-    return Matrix.from_int_cols(cols, nrows)
+    den = math.lcm(*(m.int_rows()[0] for m in mats))
+    out = [[] for _ in range(nrows)]
+    width = 0
+    for m in mats:
+        d, rows = m.int_rows()
+        s = den // d
+        for acc, row in zip(out, rows):
+            acc.extend((width + j, x * s) for j, x in row)
+        width += m.ncols
+    return Matrix._of(nrows, width, den, tuple(map(tuple, out)))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

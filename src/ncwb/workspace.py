@@ -78,8 +78,12 @@ def _matrix_from(data, nrows: int, ncols: int, where: str) -> Matrix:
     return Matrix(rows, ncols=ncols)
 
 
-def matrix_rows(m: Matrix):
-    return [[format_rational(x) for x in row] for row in m.rows]
+def matrix_rows(m: Matrix) -> "SparseRows":
+    """m's rows as the JSON lists of their rational strings, written from
+    its sparse integer rows."""
+    den, rows = m.int_rows()
+    return SparseRows(m.ncols, [[(j, Fraction(x, den)) for j, x in row]
+                                for row in rows])
 
 
 def vector_strings(v):
@@ -440,9 +444,21 @@ class SparseRows:
     rows: Sequence
 
 
+@dataclass(frozen=True)
+class WordList:
+    """A list of words, each written as the JSON list of its letters:
+    letters is the table of the distinct letters, each a JSON value without
+    dicts, and words[w] lists the positions in that table of the letters
+    of word w.  A relation search has W words over n + p letters, so the
+    writer formats each letter once and copies its text."""
+    letters: Sequence
+    words: Sequence
+
+
 def canonical_text(doc: dict) -> str:
     """The bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n", with
-    each SparseRows written as the list of its dense rows."""
+    each SparseRows written as the list of its dense rows and each
+    WordList as the list of its words."""
     return "".join(canonical_parts(doc))
 
 
@@ -452,9 +468,10 @@ def canonical_parts(doc: dict):
     string.
 
     Documents hold dicts with string keys, lists, tuples, strings, ints,
-    bools, None and SparseRows.  The stdlib's indenting encoder is pure
-    Python; this writer quotes with its C string encoder and formats a
-    value with no dict or SparseRows inside as one string.
+    bools, None, SparseRows and WordList.  The stdlib's indenting encoder
+    is pure Python; this writer quotes with its C string encoder and
+    formats a value with no dict, SparseRows or WordList inside as one
+    string.
     """
     yield from _json_parts(doc, "\n")
     yield "\n"
@@ -497,8 +514,8 @@ def _inline_text(o, nl: str) -> Optional[str]:
 
 def _json_parts(o, nl: str):
     """o's JSON text in pieces; nl is a newline plus the indent of the line
-    o starts on.  A value without dicts or SparseRows inside is one
-    piece."""
+    o starts on.  A value without dicts, SparseRows or WordList inside is
+    one piece."""
     text = _inline_text(o, nl)
     if text is not None:
         yield text
@@ -517,6 +534,8 @@ def _json_parts(o, nl: str):
         yield nl + "}"
     elif isinstance(o, SparseRows):
         yield from _sparse_rows_parts(o, nl)
+    elif isinstance(o, WordList):
+        yield from _word_list_parts(o, nl)
     elif isinstance(o, (list, tuple)):
         inner = nl + "  "
         sep = "[" + inner
@@ -557,6 +576,26 @@ def _sparse_rows_parts(o: SparseRows, nl: str):
             at = s + 3
         pieces.append(zeros[at:])
         yield "".join(pieces)
+        sep = "," + inner
+    yield nl + "]"
+
+
+def _word_list_parts(o: WordList, nl: str):
+    """The JSON text of o's words, one piece per word, from the text of
+    each letter formatted once at the indent of a letter."""
+    if not o.words:
+        yield "[]"
+        return
+    inner = nl + "  "
+    cell = inner + "  "
+    texts = [_inline_text(x, cell) for x in o.letters]
+    sep, join, close = "[" + inner, "," + cell, inner + "]"
+    for word in o.words:
+        if word:
+            yield sep + "[" + cell + join.join([texts[k] for k in word]) \
+                + close
+        else:
+            yield sep + "[]"
         sep = "," + inner
     yield nl + "]"
 

@@ -818,3 +818,74 @@ def dense_linear_combination(coeffs, terms, nrows, ncols) -> DenseMatrix:
     for c, t in zip(coeffs, terms):
         out = out + t.scale(c)
     return out
+
+
+# ---- names only the tests use ------------------------------------------
+
+import itertools  # noqa: E402
+
+from ncwb.algebra import _first_difference  # noqa: E402
+from ncwb.diffops import _word_operator  # noqa: E402
+
+
+def basis_element(a: Algebra, i: int):
+    """The i-th basis vector of a as an AlgebraElement."""
+    return a.element(tuple(1 if j == i else 0 for j in range(a.dim)))
+
+
+def act_left(m: Bimodule, f, v) -> tuple:
+    """f . v for algebra coordinates f and module coordinates v."""
+    return m.left_of(f).apply(v)
+
+
+def act_right(m: Bimodule, v, f) -> tuple:
+    """v . f for module coordinates v and algebra coordinates f."""
+    return m.right_of(f).apply(v)
+
+
+def check_left_module(e: LeftModule) -> CheckReport:
+    """The action is a unital homomorphism, on basis vectors m0, m1, ..."""
+    rep = CheckReport("left module")
+    a = e.algebra
+    names = a.basis_names
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs, rhs = e.left_of(a.sc[i][j]), e.left[i] @ e.left[j]
+            if lhs != rhs:
+                rep.add("left-action-product", (i, j),
+                        "(%s*%s).m != %s.(%s.m) %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+    ident = Matrix.identity(e.dim)
+    lhs = e.left_of(a.unit)
+    if lhs != ident:
+        rep.add("left-unital", (), "1.m != m %s"
+                % _first_difference(lhs, ident))
+    return rep
+
+
+def word_index(rs, word) -> int:
+    """The coordinate of a word in a RelationSearch."""
+    return rs.words.index(tuple(word))
+
+
+def word_columns(pair, max_len: int):
+    """The words of find_relations in coordinate order, each with mu of it
+    by one product per letter: the per-word oracle for the level-by-level
+    search.  Flattened, these operators are the columns of the
+    word-column matrix."""
+    n, p = pair.algebra.dim, pair.bimodule.dim
+    for k in range(max_len):
+        for i in range(n):
+            for mw in itertools.product(range(p), repeat=k):
+                word = (("a", i),) + tuple(("m", t) for t in mw)
+                yield word, _word_operator(pair, word)
+
+
+def relations_by_word_columns(pair, max_len: int) -> Subspace:
+    """The kernel of mu on the words of find_relations, by the generic
+    kernel of the word-column matrix built one word at a time."""
+    n = pair.algebra.dim
+    ops = [op for _, op in word_columns(pair, max_len)]
+    return kernel(Matrix.from_cols([op.flatten() for op in ops],
+                                   nrows=n * n))

@@ -9,12 +9,14 @@ import pytest
 
 from ncwb.catalog import unit_differential_fixture
 from ncwb.cli import main
-from ncwb.workspace import SCHEMA, algebra_decl, bimodule_decl, calculus_decl
+from ncwb.workspace import (
+    SCHEMA, algebra_decl, bimodule_decl, calculus_decl, canonical_text,
+)
 
 
 def write_ws(tmp_path, objects, name="ws.json"):
     path = tmp_path / name
-    path.write_text(json.dumps({"schema": SCHEMA, "objects": objects}))
+    path.write_text(canonical_text({"schema": SCHEMA, "objects": objects}))
     return str(path)
 
 
@@ -148,6 +150,86 @@ def test_report_bytes_are_pinned_at_fifteen_dimensions(tmp_path):
     assert r.returncode == 0, r.stderr.decode()
     assert hashlib.sha256(r.stdout).hexdigest() == \
         "0bcbbb0fa834e01fc74b187c22da45c4de2f0e27d436c9ca2f5b6b5782d74d27"
+
+
+# SHA-256 of the stdout of builtin <name>, every builtin at its defaults
+BUILTIN_SHA256 = {
+    "dual_numbers":
+        "29b92705ec3a75bd72e636208b64c377d19daba9f1ec386d2942338b1eca7a10",
+    "truncated_poly":
+        "75276a89edf9aee82a6aef2b55f15aa2eff307c0c9a41664aebdf69acef08dad",
+    "group_algebra_z2":
+        "f7c6f461754580def899a6d95bac12d93daf2b46bf44dd65941e1701c12c7356",
+    "upper_triangular_2":
+        "7c9a92f0ae47b9803030ad2982173f040cca8a0070237c1fb0fad3ae3f40a9f5",
+    "matrix_2":
+        "5373880c9817995edf6e51369170753a1213bb1ed2606cc1be06893a5ef97c43",
+    "quantum_plane_trunc":
+        "96f803bd32b7cc58cf586000da23e1aaa6c20d648562b5a42231cbc493bf3545",
+}
+
+
+def test_builtin_pins_cover_every_builtin():
+    from ncwb.catalog import BUILTIN_NAMES
+    assert sorted(BUILTIN_SHA256) == sorted(BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SHA256))
+def test_builtin_export_bytes_are_pinned(capsys, name):
+    capsys.readouterr()
+    assert main(["builtin", name]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == BUILTIN_SHA256[name]
+
+
+# SHA-256 of the stdout of derive <ws> q.algebra <what> on
+# quantum_plane_trunc(2, 3): n = 10, 90 one-forms and fields
+DECLARATION_SHA256 = {
+    "universal":
+        "a01c18b511519d7677ce4ee8750e41337f4ca8c63b176dbec402dbe2d7163e80",
+    "couniversal":
+        "daedf64148e0e388ec7f064a9f210ac1d7a68aa707654005111eebc990366e74",
+}
+
+
+@pytest.mark.parametrize("what", sorted(DECLARATION_SHA256))
+def test_derived_declaration_bytes_are_pinned(tmp_path, capsys, what):
+    path = write_ws(tmp_path, {"q": {"kind": "builtin",
+                                     "builtin": "quantum_plane_trunc",
+                                     "params": [2, 3]}})
+    capsys.readouterr()
+    assert main(["derive", path, "q.algebra", what]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == DECLARATION_SHA256[what]
+
+
+# Runs a command as its child and prints the child's peak RSS in KiB to
+# stderr.  ru_maxrss of a child counts the memory of the process it was
+# started from, so the command is started from this small process and not
+# from the test process.
+PEAK_RSS_LAUNCHER = """
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:])
+sys.stderr.write("peak_rss_kib %d\\n"
+                 % resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_report_at_the_largest_documented_degree(tmp_path):
+    # quantum_plane_trunc(2, 6), the largest degree catalog.MAX_PARAM
+    # allows: n = 28, with 756 universal one-forms and co-universal fields
+    path = write_ws(tmp_path, {"q": {"kind": "builtin",
+                                     "builtin": "quantum_plane_trunc",
+                                     "params": [2, 6]}})
+    r = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER,
+                        sys.executable, "-m", "ncwb", "report", path],
+                       capture_output=True, timeout=600)
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == \
+        "6efb464176b3eb14030ae503b90f57efb523bde520f3b2573a33d37c883b243a"
+    peak_kib = int(r.stderr.decode().split()[-1])
+    assert peak_kib < 64 * 1024
 
 
 def test_derive_dual_of_zero_bimodule(tmp_path, capsys):

@@ -15,16 +15,16 @@ from ncwb.catalog import (
     vacuum_violation_fixture,
 )
 from ncwb.diffops import (
-    FreeWord, _word_columns, _word_operator, check_ccr, evaluate_mu,
-    find_relations, fock_check, format_word_sum, generate_diffop_algebra,
-    normal_form,
+    FreeWord, check_ccr, evaluate_mu, find_relations, fock_check,
+    format_word_sum, generate_diffop_algebra, normal_form,
 )
 from ncwb.linalg import Matrix, kernel
 
 from helpers import (
     diffop_algebra_by_pairs, is_normal_form_word, kahler_dual_numbers,
     kahler_truncated, kernel_by_reelimination, naive_derivative_pair,
-    quantum_plane_pair, theta_z2, transported_pairs, zero_action_pair_z2,
+    quantum_plane_pair, theta_z2, transported_pairs, word_columns,
+    word_index, zero_action_pair_z2,
 )
 
 
@@ -187,12 +187,12 @@ def test_relations_dual_numbers_idempotent_field():
     rs = find_relations(p, max_len=3)
     # X*X - X vanishes under mu; both words carry the leading unit letter
     vec = [0] * len(rs.words)
-    vec[rs.word_index((("a", 0), ("m", 0), ("m", 0)))] = 1
-    vec[rs.word_index((("a", 0), ("m", 0)))] = -1
+    vec[word_index(rs, (("a", 0), ("m", 0), ("m", 0)))] = 1
+    vec[word_index(rs, (("a", 0), ("m", 0)))] = -1
     assert rs.space().contains(vec)
     # and x^l o X = 0: the word x*X alone is a relation
     vec2 = [0] * len(rs.words)
-    vec2[rs.word_index((("a", 1), ("m", 0)))] = 1
+    vec2[word_index(rs, (("a", 1), ("m", 0)))] = 1
     assert rs.space().contains(vec2)
 
 
@@ -216,14 +216,13 @@ def test_relation_vectors_actually_vanish():
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_word_columns_are_the_word_operators(name):
-    # one product per word, against one product per letter
+    # n + p products per word length, against one product per letter
     pair = builtin(name).pair
     n, p = pair.algebra.dim, pair.bimodule.dim
-    words, ops = map(list, zip(*_word_columns(pair, 3)))
+    words, ops = map(list, zip(*word_columns(pair, 3)))
     assert words == [(("a", i),) + tuple(("m", t) for t in mw)
                      for k in range(3) for i in range(n)
                      for mw in itertools.product(range(p), repeat=k)]
-    assert ops == [_word_operator(pair, w) for w in words]
     rs = find_relations(pair, max_len=3)
     assert rs.words == tuple(words)
     oracle = kernel_by_reelimination(Matrix.from_cols(
@@ -235,8 +234,9 @@ def test_word_columns_are_the_word_operators(name):
 
 def assert_rules_are_the_generic_kernel(pair, max_len):
     n = pair.algebra.dim
-    words, ops = zip(*_word_columns(pair, max_len))
+    words, ops = zip(*word_columns(pair, max_len))
     rs = find_relations(pair, max_len)
+    assert rs.words == words
     generic = kernel(Matrix.from_cols([op.flatten() for op in ops],
                                       nrows=n * n))
     space = rs.space()
@@ -263,16 +263,30 @@ def test_relation_rules_are_the_generic_kernel_after_basis_change(p,
     assert_rules_are_the_generic_kernel(p, max_len)
 
 
-def test_relation_rules_over_fractional_actions_are_the_generic_kernel():
-    # the word operators have denominators 1, 2, 3, 4, 6, ..., so the
-    # word-column matrix is rescaled to their common denominator as it
-    # grows
-    p = quantum_plane_pair()
-    scaled = CartanPair(p.algebra, p.bimodule,
-                        (p.action[0].scale(Fraction(1, 2)),
-                         p.action[1].scale(Fraction(2, 3))))
+@pytest.mark.parametrize("pair, scales", [
+    (quantum_plane_pair(), (Fraction(1, 2), Fraction(2, 3))),
+    (builtin("matrix_2").pair,
+     (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), 1)),
+], ids=["quantum_plane", "matrix_2"])
+def test_relation_rules_over_fractional_actions_are_the_generic_kernel(
+        pair, scales):
+    # each action has its own denominator, so the operators of a longer
+    # word length have a larger common denominator, and the word-column
+    # matrix is rescaled to the lcm as each level comes in
+    scaled = CartanPair(pair.algebra, pair.bimodule,
+                        tuple(x.scale(c) for x, c in zip(pair.action, scales)))
     for max_len in (1, 2, 3):
         assert_rules_are_the_generic_kernel(scaled, max_len)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_relation_rules_over_the_zero_bimodule_are_the_generic_kernel(name):
+    # p = 0: only the n one-letter words, at every length
+    a = builtin(name).algebra
+    pair = CartanPair(a, Bimodule.zero(a), ())
+    for max_len in (1, 2, 3):
+        assert_rules_are_the_generic_kernel(pair, max_len)
+        assert len(find_relations(pair, max_len).words) == a.dim
 
 
 def test_ccr_commutative_symmetric_pairs_are_clean():

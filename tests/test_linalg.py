@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from ncwb.linalg import (
-    Echelon, Matrix, Subspace, affine_solutions, frac, intertwiner_rows,
-    kernel, kron, linear_combination, rank, solve, span_closure,
+    Echelon, Matrix, Subspace, affine_solutions, frac, hstack,
+    intertwiner_rows, kernel, kron, linear_combination, rank, solve, span_closure,
     closure_under_maps, restrict_to_kernel, vector,
 )
 
@@ -571,6 +571,13 @@ def test_sparse_matrix_matches_the_dense_oracle(nr, inner, nc, data):
     s = data.draw(mixed_entries)
     assert_same(a.scale(s), da.scale(s))
     assert_same(a.transpose(), da.transpose())
+    ab, dab = a @ b, da @ db
+    assert_same(hstack([a, c, ab], nr), DenseMatrix(
+        [x + y + z for x, y, z in zip(da.rows, dc.rows, dab.rows)],
+        ncols=2 * inner + nc))
+    assert_same(hstack([], nr), DenseMatrix([()] * nr, ncols=0))
+    with pytest.raises(ValueError):
+        hstack([a, Matrix.zeros(nr + 1, 1)], nr)
     k = data.draw(st.integers(0, 3))
     terms = [draw_both(data, nr, inner) for _ in range(k)]
     coeffs = [data.draw(mixed_entries) for _ in range(k)]

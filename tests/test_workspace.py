@@ -12,9 +12,8 @@ from ncwb.connections import check_connection, trivial_connection
 from ncwb.diffops import find_relations
 from ncwb.linalg import ONE
 from ncwb.workspace import (
-    SCHEMA, SparseRows, WorkspaceError, algebra_decl, bimodule_decl,
-    calculus_decl,
-    canonical_text, cartan_pair_decl, connection_decl, export_workspace,
+    SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
+    bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl, connection_decl, export_workspace,
     format_rational, parse_rational, parse_workspace,
 )
 
@@ -105,7 +104,7 @@ def test_declaration_shape_errors():
         doc = dn_doc()
         fn(doc["objects"])
         with pytest.raises(WorkspaceError):
-            parse_workspace(json.dumps(doc))
+            parse_workspace(canonical_text(doc))
 
     mutate(lambda o: o["A"].update(extra=1))
     mutate(lambda o: o["A"].update(products=[[["1", "0"]]]))
@@ -120,11 +119,11 @@ def test_declaration_shape_errors():
     mutate(lambda o: o["X"].update(action=[]))
     mutate(lambda o: o["nabla"].update(rank="2"))
     mutate(lambda o: o["nabla"].update(matrix=[["1"]]))
-    assert parse_workspace(json.dumps(good)).get("A").obj.dim == b.algebra.dim
+    assert parse_workspace(canonical_text(good)).get("A").obj.dim == b.algebra.dim
 
 
 def test_parse_builds_working_objects():
-    ws = parse_workspace(json.dumps(dn_doc()))
+    ws = parse_workspace(canonical_text(dn_doc()))
     assert ws.names() == ["A", "M", "Om", "P", "X", "nabla"]
     assert ws.declared_names() == ws.names()
     assert check_bimodule(ws.get("M").obj).ok
@@ -138,13 +137,13 @@ def test_references_may_point_forward():
     doc = dn_doc()
     names = ["nabla", "X", "Om", "P", "M", "A"]
     doc["objects"] = {n: doc["objects"][n] for n in names}
-    ws = parse_workspace(json.dumps(doc))
+    ws = parse_workspace(canonical_text(doc))
     assert ws.get("nabla").obj.calculus is ws.get("Om").obj
     assert check_connection(ws.get("nabla").obj).ok
 
 
 def test_export_round_trip_is_byte_stable():
-    text1 = export_workspace(parse_workspace(json.dumps(dn_doc())))
+    text1 = export_workspace(parse_workspace(canonical_text(dn_doc())))
     text2 = export_workspace(parse_workspace(text1))
     assert text1 == text2
     assert text1.endswith("\n")
@@ -207,7 +206,7 @@ def test_explicit_decl_may_reference_builtin_children():
         "dn": {"kind": "builtin", "builtin": "dual_numbers"},
         "nabla": connection_decl(conn, "dn.calculus"),
     }}
-    ws = parse_workspace(json.dumps(doc))
+    ws = parse_workspace(canonical_text(doc))
     assert ws.get("nabla").obj.calculus is ws.get("dn.calculus").obj
     assert check_connection(ws.get("nabla").obj).ok
     text = export_workspace(ws)
@@ -224,7 +223,7 @@ def test_connection_decl_round_trip_preserves_matrix():
         "Om": calculus_decl(b.calculus, "A", "M"),
         "nabla": connection_decl(conn, "Om"),
     }}
-    ws = parse_workspace(json.dumps(doc))
+    ws = parse_workspace(canonical_text(doc))
     back = ws.get("nabla").obj
     assert back.matrix == conn.matrix
     assert back.module.dim == conn.module.dim
@@ -241,7 +240,7 @@ def test_canonical_text_is_order_insensitive():
 def test_notes_field_is_tolerated():
     doc = dn_doc()
     doc["objects"]["A"]["notes"] = "base ring of the example"
-    ws = parse_workspace(json.dumps(doc))
+    ws = parse_workspace(canonical_text(doc))
     assert ws.get("A").obj.dim == 2
 
 
@@ -348,3 +347,35 @@ def test_sparse_rows_are_the_stdlib_encoding_of_dense_rows(rows, depth):
     for k in range(depth):
         doc, dense = {"k%d" % k: [doc, 1]}, {"k%d" % k: [dense, 1]}
     assert canonical_text({"d": doc}) == stdlib_text({"d": dense})
+
+
+def word_texts(words: WordList) -> list:
+    return [[words.letters[k] for k in w] for w in words.words]
+
+
+@st.composite
+def word_lists(draw):
+    letters = draw(st.lists(st.one_of(
+        json_scalars, st.lists(json_scalars, max_size=3),
+        st.tuples(st.sampled_from("am"), st.integers(0, 9))), max_size=5))
+    word = st.lists(st.integers(0, len(letters) - 1), max_size=4) \
+        if letters else st.just([])
+    return WordList(letters, draw(st.lists(word, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_lists(), st.integers(0, 3))
+def test_word_lists_are_the_stdlib_encoding_of_their_words(words, depth):
+    doc, plain = words, word_texts(words)
+    for k in range(depth):
+        doc, plain = {"k%d" % k: [doc, 1]}, {"k%d" % k: [plain, 1]}
+    assert canonical_text({"d": doc}) == stdlib_text({"d": plain})
+
+
+def test_word_list_letters_equal_as_values_keep_their_own_text():
+    # 1 == True and hash(1) == hash(True), but they are written apart
+    words = WordList([["a", 1], ["a", True], ("a", 0)],
+                     [[0, 1], [1, 0, 2], []])
+    assert canonical_text({"w": words}) \
+        == stdlib_text({"w": word_texts(words)})
+

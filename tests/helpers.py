@@ -881,11 +881,3 @@ def word_columns(pair, max_len: int):
                 word = (("a", i),) + tuple(("m", t) for t in mw)
                 yield word, _word_operator(pair, word)
 
-
-def relations_by_word_columns(pair, max_len: int) -> Subspace:
-    """The kernel of mu on the words of find_relations, by the generic
-    kernel of the word-column matrix built one word at a time."""
-    n = pair.algebra.dim
-    ops = [op for _, op in word_columns(pair, max_len)]
-    return kernel(Matrix.from_cols([op.flatten() for op in ops],
-                                   nrows=n * n))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .linalg import (
     Echelon, Matrix, Subspace, frac, intertwiner_rows, is_zero_vector,
-    kernel, linear_combination, vadd, vector, vscale,
+    kernel, kron, linear_combination, vadd, vector, vscale,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -419,16 +419,17 @@ class DualBimodule:
         """<X, m> = X(m) in the base algebra."""
         return self.base.algebra.element(self.eval_of(xcoords).apply(mcoords))
 
-    def coords_of_map(self, e: Matrix) -> Optional[tuple]:
-        """The coordinates of a map M -> A in the dual, as (den, {k: num})
-        for Matrix.from_int_cols, or None if it lies outside."""
-        return self.span.coords_int(*e.flat_int())
-
     def __repr__(self):
         return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
 
 
 def _dual(m: Bimodule, side: str) -> DualBimodule:
+    """The dual on one side, its actions X -> L X R read off the span.
+
+    For an evaluation matrix X, flat(L X R) = flat(X) (L^T (x) R), so each
+    action is one product of the span's basis rows with a kron factor and
+    one coordinate read of all the images at once.
+    """
     a = m.algebra
     n, md = a.dim, m.dim
     rows = []
@@ -440,32 +441,24 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
             # X (f.m) = f X(m)  <=>  X L_j = Ll_j X
             rows.extend(intertwiner_rows(m.left[j], a.lmul[j]))
     sol = kernel(Matrix.from_int_rows(rows, n * md))
-    eval_mats = sol.matrix.row_matrices(n, md)
+    i_n, i_m = Matrix.identity(n), Matrix.identity(md)
 
-    def express(img: Matrix):
-        c = sol.coords_int(*img.flat_int())
+    def action(factor: Matrix) -> Matrix:
+        c, _ = sol.coords_int(sol.matrix @ factor)
         if c is None:
             raise InvariantError("the %s dual is not closed under its "
                                  "actions" % side)
-        return c
+        return c.transpose()
 
-    d = len(eval_mats)
-    left_mats, right_mats = [], []
-    for i in range(n):
-        lcols, rcols = [], []
-        for e in eval_mats:
-            if side == "right":
-                limg = a.lmul[i] @ e          # (f.X)(m) = f X(m)
-                rimg = e @ m.left[i]          # (X.g)(m) = X(g.m)
-            else:
-                limg = e @ m.right[i]         # (f.X)(m) = X(m.f)
-                rimg = a.rmul[i] @ e          # (X.g)(m) = X(m) g
-            lcols.append(express(limg))
-            rcols.append(express(rimg))
-        left_mats.append(Matrix.from_int_cols(lcols, d))
-        right_mats.append(Matrix.from_int_cols(rcols, d))
-    dual_bim = Bimodule(a, d, left_mats, right_mats)
-    return DualBimodule(m, side, dual_bim, sol)
+    if side == "right":
+        # (f.X)(m) = f X(m) and (X.g)(m) = X(g.m)
+        left = [action(kron(lm.transpose(), i_m)) for lm in a.lmul]
+        right = [action(kron(i_n, lm)) for lm in m.left]
+    else:
+        # (f.X)(m) = X(m.f) and (X.g)(m) = X(m) g
+        left = [action(kron(i_n, rm)) for rm in m.right]
+        right = [action(kron(rm.transpose(), i_m)) for rm in a.rmul]
+    return DualBimodule(m, side, Bimodule(a, sol.dim, left, right), sol)
 
 
 def right_dual(m: Bimodule) -> DualBimodule:
@@ -493,15 +486,15 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
     if source_dual.side != target_dual.side:
         raise ValueError("a %s dual and a %s dual have no transpose map"
                          % (source_dual.side, target_dual.side))
-    cols = []
-    for e in target_dual.eval_mats:
-        c = source_dual.coords_of_map(e @ alpha.matrix)
-        if c is None:
-            raise ValueError("composite is not a module map; "
-                             "transpose undefined")
-        cols.append(c)
-    mat = Matrix.from_int_cols(cols, source_dual.dim)
-    return BimoduleMap(target_dual.bimodule, source_dual.bimodule, mat)
+    # flat(Y alpha) = flat(Y) (I (x) alpha) for every Y at once
+    images = target_dual.span.matrix @ kron(
+        Matrix.identity(alpha.source.algebra.dim), alpha.matrix)
+    c, _ = source_dual.span.coords_int(images)
+    if c is None:
+        raise ValueError("composite is not a module map; transpose "
+                         "undefined")
+    return BimoduleMap(target_dual.bimodule, source_dual.bimodule,
+                       c.transpose())
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, closure_under_maps, hstack, kernel, rank, vadd,
+    Matrix, Subspace, closure_under_maps, hstack, kernel, kron, rank, vadd,
 )
 from .algebra import Algebra, Bimodule, BimoduleMap, check_bimodule_map
 from .reporting import CheckReport, InvariantError
@@ -32,9 +32,6 @@ class DifferentialCalculus:
         self.bimodule = bimodule
         self.d = d
 
-    def differential(self, f):
-        return self.d.apply(f)
-
     def __repr__(self):
         return "DifferentialCalculus(module dim %d over %r)" % (
             self.bimodule.dim, self.algebra)
@@ -51,10 +48,6 @@ class UniversalCalculus(DifferentialCalculus):
                  one_forms: Subspace):
         super().__init__(algebra, bimodule, d)
         self.one_forms = one_forms
-
-    def ambient(self, w):
-        """Kernel coordinates -> A (x) A coordinates."""
-        return self.one_forms.element(w)
 
 
 def check_leibniz(c: DifferentialCalculus) -> CheckReport:
@@ -78,45 +71,32 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     """Kernel of multiplication with du f = 1 (x) f - f (x) 1.
 
     A tensor w = sum w_ij e_i (x) e_j is handled as the n x n matrix W, so
-    that f.w is L_f W and w.g is W R_g^T.  An image lies in the kernel
-    exactly when it is the combination of the canonical basis given by
-    its entries at the basis pivots, which Subspace.coords_int certifies
-    while it reads them off the sparse image.
+    that f.w is L_f W and w.g is W R_g^T, and flat(L W R) = flat(W)
+    (L^T (x) R) maps all the one-forms at once: each action is one product
+    of the kernel basis with a kron factor, and Subspace.coords_int reads
+    (and certifies) the coordinates of all its images together.
     """
     n = a.dim
     ker = kernel(a.mult_matrix())
-    k = ker.dim
-    forms = ker.matrix.row_matrices(n, n)
+    i_n = Matrix.identity(n)
 
-    def coords(den, row, what):
-        c = ker.coords_int(den, row)
+    def action(factor: Matrix) -> Matrix:
+        c, _ = ker.coords_int(ker.matrix @ factor)
         if c is None:
-            raise InvariantError(what)
-        return c
+            raise InvariantError("kernel of multiplication is not closed "
+                                 "under the actions")
+        return c.transpose()
 
-    closed = "kernel of multiplication is not closed under the actions"
-
-    def restricted(images) -> Matrix:
-        return Matrix.from_int_cols([coords(*v.flat_int(), closed)
-                                     for v in images], k)
-
-    left = tuple(restricted(lm @ w for w in forms) for lm in a.lmul)
-    right = tuple(restricted(w @ rt for w in forms)
-                  for rt in (r.transpose() for r in a.rmul))
-    bim = Bimodule(a, k, left, right)
-
-    # du(e_j) = 1 (x) e_j - e_j (x) 1, the unit's entries at rows and
-    # columns j of the n x n form
-    du, (unit,) = Matrix((a.unit,)).int_rows()
-    d_cols = []
-    for j in range(n):
-        v = {}
-        for i, u in unit:
-            v[i * n + j] = v.get(i * n + j, 0) + u
-            v[j * n + i] = v.get(j * n + i, 0) - u
-        d_cols.append(coords(du, v, "du(%s) is not in the kernel of "
-                                    "multiplication" % a.basis_names[j]))
-    return UniversalCalculus(a, bim, Matrix.from_int_cols(d_cols, k), ker)
+    left = tuple(action(kron(lm.transpose(), i_n)) for lm in a.lmul)
+    right = tuple(action(kron(i_n, rm.transpose())) for rm in a.rmul)
+    # row j of kron(u, I) - kron(I, u) is 1 (x) e_j - e_j (x) 1
+    unit = Matrix((a.unit,))
+    d, bad = ker.coords_int(kron(unit, i_n) - kron(i_n, unit))
+    if d is None:
+        raise InvariantError("du(%s) is not in the kernel of multiplication"
+                             % a.basis_names[bad])
+    return UniversalCalculus(a, Bimodule(a, ker.dim, left, right),
+                             d.transpose(), ker)
 
 
 def factor_through_universal(c: DifferentialCalculus,

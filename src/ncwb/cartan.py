@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Echelon, Matrix, Subspace, is_zero_vector, kernel, linear_combination,
+    Echelon, Matrix, Subspace, is_zero_vector, kernel, kron,
+    linear_combination,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -66,9 +67,6 @@ class CartanPair:
     def action_of(self, xcoords) -> Matrix:
         return linear_combination(xcoords, self.action, self.algebra.dim,
                                   self.algebra.dim)
-
-    def act(self, xcoords, fcoords):
-        return self.action_of(xcoords).apply(fcoords)
 
     def __repr__(self):
         return "CartanPair(bimodule dim %d over %r)" % (
@@ -112,7 +110,9 @@ def check_cartan(p: CartanPair) -> CheckReport:
 def pair_from_calculus(c: DifferentialCalculus) -> CartanPair:
     """Right dual of the calculus bimodule acting through X -> X(d(.))."""
     d = right_dual(c.bimodule)
-    action = tuple(e @ c.d for e in d.eval_mats)
+    n = c.algebra.dim
+    # flat(E d) = flat(E) (I (x) d) for every evaluation matrix E at once
+    action = (d.span.matrix @ kron(Matrix.identity(n), c.d)).row_matrices(n, n)
     return CartanPair(c.algebra, d.bimodule, action,
                       source_calculus=c, dual=d)
 
@@ -125,19 +125,18 @@ def calculus_from_pair(p: CartanPair):
     """
     a = p.algebra
     ld = left_dual(p.bimodule)
-    # column j of action[t] is X_t(e_j), column t of the evaluation at e_j
+    # column j of action[t] is X_t(e_j), column t of the evaluation at e_j;
+    # row j of evals is that evaluation matrix, flat
     acols = [x.transpose().int_rows() for x in p.action]
-    cols = []
-    for j in range(a.dim):
-        ev = Matrix.from_int_cols([(den, rows[j]) for den, rows in acols],
-                                  a.dim)
-        c = ld.coords_of_map(ev)
-        if c is None:
-            raise InvariantError("the evaluation of the action at %s is not "
-                                 "left linear" % a.basis_names[j])
-        cols.append(c)
-    d = Matrix.from_int_cols(cols, ld.dim)
-    return DifferentialCalculus(a, ld.bimodule, d), ld
+    evals = Matrix.from_int_rows(
+        [Matrix.from_int_cols([(den, rows[j]) for den, rows in acols],
+                              a.dim).flat_int() for j in range(a.dim)],
+        ld.span.ambient_dim)
+    c, bad = ld.span.coords_int(evals)
+    if c is None:
+        raise InvariantError("the evaluation of the action at %s is not "
+                             "left linear" % a.basis_names[bad])
+    return DifferentialCalculus(a, ld.bimodule, c.transpose()), ld
 
 
 def action_kernel(p: CartanPair) -> Subspace:
@@ -201,7 +200,8 @@ def co_universal_pair(a: Algebra,
     first: (L_f o D)(1) = f D(1) = 0 and (D o L_g - L_{D(g)})(1) =
     D(g 1) - D(g) 1 = 0.  So each one lies in {D(1) = 0}, and its
     coordinates are one linear read of its flattened matrix, a read that
-    is zero on every L_{D(g)}.
+    is zero on every L_{D(g)}.  With the D's flat as the rows of one
+    matrix, each action is that matrix times a kron factor, read at once.
     """
     u = universal if universal is not None else universal_calculus(a)
     n, k = a.dim, u.bimodule.dim
@@ -235,9 +235,9 @@ def co_universal_pair(a: Algebra,
     span = Subspace(Matrix.from_int_rows(
         [(p, {j: x for j, x in r.items() if j < nk}) for p, r in rows], nk),
         pivots)
-    dmats = Matrix.from_int_rows(
+    dflat = Matrix.from_int_rows(
         [(p, {j - nk: x for j, x in r.items() if j >= nk}) for p, r in rows],
-        n * n).row_matrices(n, n)
+        n * n)
     # the coordinates of X_D are the entries of its evaluation at the
     # pivots, linear in flat(D): column m*n + i of read holds those of X_E
     # for E the matrix unit e_i -> e_m
@@ -248,16 +248,17 @@ def co_universal_pair(a: Algebra,
     # D.g = D o L_g - L_{D(g)}, but the read kills every left
     # multiplication: on an associative algebra X_{L_h}(w) =
     # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
-    # of m.  So D.g is read as D o L_g alone.
-    left_mats, right_mats = [], []
-    for li in a.lmul:
-        left_mats.append(read @ Matrix.from_int_cols(
-            [(li @ dm).flat_int() for dm in dmats], n * n))
-        right_mats.append(read @ Matrix.from_int_cols(
-            [(dm @ li).flat_int() for dm in dmats], n * n))
-    dual = DualBimodule(u.bimodule, "right",
-                        Bimodule(a, len(pivots), left_mats, right_mats), span)
-    return CoUniversalPair(u, dual, tuple(dm.scale(-1) for dm in dmats),
+    # of m.  So D.g is read as D o L_g alone.  flat(L D R) = flat(D)
+    # (L^T (x) R) maps every D at once.
+    i_n = Matrix.identity(n)
+
+    def action(factor: Matrix) -> Matrix:
+        return read @ (dflat @ factor).transpose()
+
+    dual = DualBimodule(u.bimodule, "right", Bimodule(
+        a, len(pivots), [action(kron(li.transpose(), i_n)) for li in a.lmul],
+        [action(kron(i_n, li)) for li in a.lmul]), span)
+    return CoUniversalPair(u, dual, dflat.scale(-1).row_matrices(n, n),
                            read=read)
 
 

@@ -15,12 +15,11 @@ fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, affine_solutions, hstack, intertwiner_rows,
-    linear_combination, vector,
+    Matrix, Subspace, affine_solutions, hstack, intertwiner_rows, kron,
+    linear_combination,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
@@ -58,18 +57,6 @@ class Connection:
             self.module.dim, self.tensor.module.dim)
 
 
-def simple_tensor(t: TensorProductOverA, mcoords, ecoords):
-    """Quotient coordinates of m (x) xi."""
-    m, e = t.factors
-    v = [Fraction(0)] * (m.dim * e.dim)
-    for s, c in enumerate(vector(mcoords)):
-        if c != 0:
-            for a2, c2 in enumerate(vector(ecoords)):
-                if c2 != 0:
-                    v[s * e.dim + a2] += c * c2
-    return t.projection.apply(v)
-
-
 def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
                        xcoords) -> Matrix:
     """The map <X, .>.(.) : M (x)_A E -> E in quotient coordinates.
@@ -90,6 +77,14 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
     return ambient @ t.lift
 
 
+def _d_tensor(c: DifferentialCalculus, t: TensorProductOverA) -> list:
+    """For each basis vector e_i, the map xi -> d(e_i) (x) xi into the
+    quotient coordinates of t: the projection of kron(d(e_i), I_E)."""
+    ident = Matrix.identity(t.factors[1].dim)
+    return [t.projection @ kron(di, ident)
+            for di in c.d.transpose().row_matrices(c.bimodule.dim, 1)]
+
+
 def _mismatch(lhs, rhs) -> str:
     """The coordinates where two vectors differ, as 'k: lhs vs rhs'."""
     return ", ".join("%d: %s vs %s" % (k, x, y)
@@ -103,14 +98,10 @@ def check_connection(conn: Connection) -> CheckReport:
     a = conn.calculus.algebra
     e = conn.module
     tmod = conn.tensor.module
-    for i in range(a.dim):
+    for i, extra in enumerate(_d_tensor(conn.calculus, conn.tensor)):
         f = a.basis_names[i]
         shifted = conn.matrix @ e.left[i]
-        # column t is d(f) (x) xi_t
-        extra = Matrix.from_cols(
-            [simple_tensor(conn.tensor, conn.calculus.d.col(i),
-                           tuple(1 if s == t else 0 for s in range(e.dim)))
-             for t in range(e.dim)], nrows=tmod.dim)
+        # column t of extra is d(f) (x) xi_t
         scaled = tmod.left[i] @ conn.matrix + extra
         if shifted == scaled:
             continue
@@ -195,14 +186,13 @@ def trivial_connection(c: DifferentialCalculus, rank_: int = 1) -> Connection:
     a = c.algebra
     e = LeftModule.free(a, rank_)
     t = tensor_over_A(c.bimodule, e)
-    cols = []
-    for blk in range(rank_):
-        for i in range(a.dim):
-            gen = [Fraction(0)] * e.dim
-            for k, uk in enumerate(a.unit):
-                gen[blk * a.dim + k] = uk
-            cols.append(simple_tensor(t, c.d.col(i), gen))
-    return Connection(c, e, t, Matrix.from_cols(cols, nrows=t.module.dim))
+    # column blk of kron(I_r, u) is the unit in block blk; column i of
+    # the projection of kron(d, g) is df (x) g for f = e_i
+    gens = kron(Matrix.identity(rank_), Matrix.from_cols([a.unit], a.dim))
+    mat = hstack([t.projection @ kron(c.d, g)
+                  for g in gens.transpose().row_matrices(e.dim, 1)],
+                 t.module.dim)
+    return Connection(c, e, t, mat)
 
 
 @dataclass
@@ -232,20 +222,14 @@ def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
     the right hand side; the homogeneous solutions are exactly the left
     module maps.
     """
-    a = c.algebra
     t = tensor_over_A(c.bimodule, e)
     q = t.module.dim
     unknowns = q * e.dim
     rows = []
     rhs = []
-    for i in range(a.dim):
+    for i, extra in enumerate(_d_tensor(c, t)):
         rows.extend(intertwiner_rows(e.left[i], t.module.left[i]))
-        target = []
-        for a2 in range(e.dim):
-            basis_xi = tuple(1 if s == a2 else 0 for s in range(e.dim))
-            target.append(simple_tensor(t, c.d.col(i), basis_xi))
-        # row-major flatten of the matrix whose columns are the targets
-        rhs.extend(target[a2][r] for r in range(q) for a2 in range(e.dim))
+        rhs.extend(extra.flatten())
     sol, homog = affine_solutions(Matrix.from_int_rows(rows, unknowns), rhs)
     if sol is None:
         return ConnectionSpace(t, False, None, homog)

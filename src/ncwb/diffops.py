@@ -223,7 +223,8 @@ class OperatorAlgebra:
         return self.space.matrix.row_matrices(n, n)
 
     def contains(self, op: Matrix) -> bool:
-        return self.space.coords_int(*op.flat_int()) is not None
+        flat = Matrix.from_int_rows([op.flat_int()], self.space.ambient_dim)
+        return self.space.coords_int(flat)[1] is None
 
 
 def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:

@@ -6,18 +6,22 @@ positive common denominator over the sparse integer numerators of each
 row, reduced, so equal matrices are stored identically.  Dense entries are
 coerced once, at construction; rows, col, cols and flatten are views
 built on request, and flat_int is the sparse flat read that
-Echelon.insert_int and Subspace.coords_int take.  @ is Gustavson's
-row-wise product; it, Matrix.apply and linear_combination accumulate
-Python ints over the stored rows and build no dense row.
+Echelon.insert_int takes.  @ is Gustavson's row-wise product; it,
+Matrix.apply and linear_combination accumulate Python ints over the
+stored rows and build no dense row.
 
 Each idea has one routine: linear_combination sums scaled matrices,
-intertwiner_rows writes out the system X A = B X without kron,
-affine_solutions reads a particular solution from one elimination of
-(m | b) and the canonical null space from null_rules, a re-reduction of
-its r reduced rows with the column order reversed (kernel and solve are
-its two halves), closure_under_maps closes a span under linear maps, and
-every row reduction goes through Echelon, which keeps sparse primitive
-integer rows fully reduced after every insert.  A Subspace holds its
+kron gives the factor of flat(L X R) = flat(X) (L^T (x) R), so an action
+on a space of matrices is one product with its basis rows,
+Subspace.coords_int reads the coordinates of all the rows of a matrix at
+once and certifies them, intertwiner_rows writes out the system
+X A = B X without kron, affine_solutions reads a particular solution
+from one elimination of (m | b) and the canonical null space from
+null_rules, a re-reduction of its r reduced rows with the column order
+reversed (kernel and solve are its two halves), closure_under_maps
+closes a span under linear maps, and every row reduction goes through
+Echelon, which keeps sparse primitive integer rows fully reduced after
+every insert.  A Subspace holds its
 reduced echelon basis as the rows of a Matrix, so two subspaces are equal
 exactly when those matrices are.
 """
@@ -349,9 +353,10 @@ def hstack(mats: Sequence[Matrix], nrows: int) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i,k),(j,l) -> (i*b.nrows+k, j*b.ncols+l).
 
-    Nothing in the package calls it: intertwiner_rows, tensor_over_A and
-    LeftModule.free write their block structure out directly.  It is kept
-    for the test oracles and as a trace target of the benchmark.
+    Row-major flattening turns X -> a X b into a product: flat(a X b) =
+    flat(X) kron(a^T, b).  So the actions on the universal one-forms, the
+    duals, the co-universal fields and the connections' simple tensors are
+    one product of a span's basis rows with a kron factor each.
     """
     da, arows = a.int_rows()
     db, brows = b.int_rows()
@@ -571,31 +576,30 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("shape mismatch: a vector of length %d against "
                              "%s" % (len(v), self))
-        if self.coords_int(*_sparse_vector(v)) is None:
+        if self.coords_int(Matrix((v,), self.ambient_dim))[1] is not None:
             return None
         return [frac(v[pc]) for pc in self.pivots]
 
-    def coords_int(self, den: int, row: dict) -> Optional[tuple]:
-        """coords for the vector num / den at {column: num}, as (den,
-        {k: num}) with the non-zero coefficients over basis k, or None.
+    def coords_int(self, m: Matrix) -> tuple:
+        """The coordinates of all the rows of m at once: (c, None), row r
+        of the matrix c the coefficients of row r of m over the basis, or
+        (None, r) for the first row r of m outside the span.
 
-        The basis is reduced, so the coefficients are the vector at the
-        pivots, and it lies in the span exactly when it equals their
-        combination of the basis; that residual is formed in integers.
+        The basis is reduced, so the coefficients are the entries of m at
+        the pivots, and the read is certified by c @ self.matrix == m.
         """
-        bden, brows = self.matrix.int_rows()
+        if m.ncols != self.ambient_dim:
+            raise ValueError("shape mismatch: %s read against %s"
+                             % (m, self))
         index = self._index
-        res = {j: bden * x for j, x in row.items()}
-        out = {}
-        for j, x in row.items():
-            k = index.get(j)
-            if k is not None and x:
-                out[k] = x
-                for q, b in brows[k]:
-                    res[q] = res.get(q, 0) - x * b
-        if any(res.values()):
-            return None
-        return den, out
+        den, rows = m.int_rows()
+        c = Matrix._of(m.nrows, self.dim, den, tuple(
+            tuple((index[j], x) for j, x in r if j in index) for r in rows))
+        back = c @ self.matrix
+        if back == m:
+            return c, None
+        return None, next(r for r, row in enumerate((back - m).int_rows()[1])
+                          if row)
 
     def element(self, coeffs) -> Vector:
         return self.matrix.transpose().apply(coeffs)

@@ -463,10 +463,71 @@ class BasisChange:
 
 # ---- dense, re-eliminating and per-field routes kept as oracles ----
 
-from ncwb.algebra import LeftModule, TensorProductOverA  # noqa: E402
+from ncwb.algebra import (  # noqa: E402
+    DualBimodule, LeftModule, TensorProductOverA, _dual,
+)
 from ncwb.connections import covariant_derivative  # noqa: E402
 from ncwb.linalg import Echelon, vector  # noqa: E402
 from ncwb.reporting import InvariantError  # noqa: E402
+
+
+def simple_tensor(t, mcoords, ecoords):
+    """Quotient coordinates of m (x) xi, through the dense ambient vector
+    of the plain tensor product."""
+    m, e = t.factors
+    v = [Fraction(0)] * (m.dim * e.dim)
+    for s, c in enumerate(vector(mcoords)):
+        if c != 0:
+            for a2, c2 in enumerate(vector(ecoords)):
+                if c2 != 0:
+                    v[s * e.dim + a2] += c * c2
+    return t.projection.apply(v)
+
+
+def trivial_connection_matrix_by_simple_tensor(c, t, rank_) -> Matrix:
+    """Column blk * n + i of the trivial connection on A^rank, d(e_i) (x)
+    the unit in block blk, one simple tensor at a time."""
+    a = c.algebra
+    cols = []
+    for blk in range(rank_):
+        for i in range(a.dim):
+            gen = [Fraction(0)] * (a.dim * rank_)
+            for k, uk in enumerate(a.unit):
+                gen[blk * a.dim + k] = uk
+            cols.append(simple_tensor(t, c.d.col(i), gen))
+    return Matrix.from_cols(cols, nrows=t.module.dim)
+
+
+def dual_by_basis_loop(m, side: str) -> DualBimodule:
+    """The dual with its actions read one evaluation matrix at a time: a
+    product and a dense coordinate read per basis element and action."""
+    a = m.algebra
+    sol = _dual(m, side).span
+    eval_mats = sol.matrix.row_matrices(a.dim, m.dim)
+
+    def express(img: Matrix):
+        c = coords_dense(sol, img.flatten())
+        if c is None:
+            raise InvariantError("the %s dual is not closed under its "
+                                 "actions" % side)
+        return c
+
+    left_mats, right_mats = [], []
+    for i in range(a.dim):
+        lcols, rcols = [], []
+        for e in eval_mats:
+            if side == "right":
+                limg = a.lmul[i] @ e          # (f.X)(m) = f X(m)
+                rimg = e @ m.left[i]          # (X.g)(m) = X(g.m)
+            else:
+                limg = e @ m.right[i]         # (f.X)(m) = X(m.f)
+                rimg = a.rmul[i] @ e          # (X.g)(m) = X(m) g
+            lcols.append(express(limg))
+            rcols.append(express(rimg))
+        left_mats.append(Matrix.from_cols(lcols, nrows=sol.dim))
+        right_mats.append(Matrix.from_cols(rcols, nrows=sol.dim))
+    return DualBimodule(m, side, Bimodule(a, sol.dim, left_mats, right_mats),
+                        sol)
 
 
 def rref(m):
@@ -693,12 +754,12 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
     for j in range(c.bimodule.dim):
         ev = Matrix.from_cols([md.eval_mats[t].col(j) for t in range(md.dim)],
                               nrows=a.dim)
-        coords = ld.coords_of_map(ev)
+        coords = coords_dense(ld.span, ev.flatten())
         if coords is None:
             raise InvariantError("the evaluation at module vector %d is not "
                                  "left linear" % j)
         cols.append(coords)
-    kappa_mat = Matrix.from_int_cols(cols, ld.dim)
+    kappa_mat = Matrix.from_cols(cols, nrows=ld.dim)
     kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)
     r = rank(kappa_mat)
     return ReflexiveRoundtrip(

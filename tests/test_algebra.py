@@ -10,11 +10,14 @@ from ncwb.algebra import (
     Algebra, Bimodule, BimoduleMap, LeftModule, bimodule_map_space,
     check_algebra, check_bimodule, check_bimodule_map, left_dual, right_dual, tensor_over_A, transpose,
 )
+from ncwb.calculus import universal_calculus
+from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.linalg import Matrix, rank
 
 from helpers import (
     act_left, act_right, basis_element, check_algebra_by_sc,
-    check_left_module, direct_sum, dual_numbers, matrix_2, multiply_by_sc,
+    check_left_module, direct_sum, dual_by_basis_loop, dual_numbers,
+    matrix_2, multiply_by_sc,
     quantum_plane, truncated_polynomials, upper_triangular_2,
     z2_group_algebra,
 )
@@ -177,6 +180,20 @@ def test_dual_actions_match_twisting_formulas():
                 assert lhs == rhs
                 gm = act_left(reg, ei, ej)
                 assert d.pairing(xg, ej).coords == d.eval_of(xk).apply(gm)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_dual_actions_match_the_per_basis_loop_on_builtins(name):
+    b = builtin(name)
+    mods = [x.bimodule for x in (b.calculus, b.pair,
+                                 universal_calculus(b.algebra))
+            if x is not None] + list(b.bimodules.values())
+    for m in mods:
+        for side, dual in (("right", right_dual), ("left", left_dual)):
+            got, ref = dual(m), dual_by_basis_loop(m, side)
+            assert got.span == ref.span
+            assert got.bimodule.left == ref.bimodule.left
+            assert got.bimodule.right == ref.bimodule.right
 
 
 def test_bimodule_map_space_dual_numbers():

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncwb.algebra import Bimodule, check_bimodule
+from ncwb.algebra import Algebra, Bimodule, check_bimodule
 from ncwb.calculus import (
     DifferentialCalculus, check_leibniz, factor_through_universal,
     is_spanned_by_differential, universal_calculus,
 )
 from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.linalg import Matrix, is_zero_vector
+from ncwb.reporting import InvariantError
 
 from helpers import (
     BasisChange, direct_sum, dual_numbers, inner_calculus, kahler_dual_numbers,
@@ -173,3 +174,12 @@ def test_universal_matches_oracle_after_basis_change(bundle):
     for c in calculi:
         assert check_leibniz(c).ok
     assert_universal_matches_oracle(a, calculi)
+
+
+def test_du_outside_the_kernel_names_the_basis_element():
+    # e is a left unit only: f e = 0, so du(f) = e (x) f - f (x) e
+    # multiplies to f, outside the kernel of multiplication
+    a = Algebra(("e", "f"), [[(1, 0), (0, 1)], [(0, 0), (0, 0)]], (1, 0))
+    with pytest.raises(InvariantError, match=r"^du\(f\) is not in the "
+                       r"kernel of multiplication$"):
+        universal_calculus(a)

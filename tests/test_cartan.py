@@ -315,3 +315,14 @@ def test_dual_span_is_the_reduced_span_of_its_evaluations(name):
         assert d.span == dual_span_by_reelimination(d)
         assert d.span.dim == d.dim == len(d.eval_mats)
         assert tuple(e.flatten() for e in d.eval_mats) == d.span.basis
+
+
+def test_evaluation_outside_the_left_dual_names_the_basis_element():
+    # x.X_0 is the field X_1 = 0, but x X_0(x) = x: the evaluation at x is
+    # not a left module map
+    a = dual_numbers()
+    p = CartanPair(a, Bimodule.regular(a),
+                   [Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2)])
+    with pytest.raises(InvariantError, match="^the evaluation of the action "
+                       "at x is not left linear$"):
+        calculus_from_pair(p)

@@ -184,16 +184,32 @@ DECLARATION_SHA256 = {
         "a01c18b511519d7677ce4ee8750e41337f4ca8c63b176dbec402dbe2d7163e80",
     "couniversal":
         "daedf64148e0e388ec7f064a9f210ac1d7a68aa707654005111eebc990366e74",
+    "dual":
+        "cbe9c3b6db89b2a94749487cdac5be4cb97da7822b66d26a56ed896460a1eb42",
+    "pair":
+        "49b6079cae754590c512fb82bf0e13b65d903c5a9c493a2b7a9fa0ffa301e4b4",
+    "calculus":
+        "cf5bee3ab3bd9caf6d6f878215418f3824d31cf657a45f0b6a8c68002df443f6",
+}
+
+# the builtin, its parameters and the bundle member each kind is derived
+# from
+DECLARATION_INPUT = {
+    "universal": ("quantum_plane_trunc", [2, 3], "algebra"),
+    "couniversal": ("quantum_plane_trunc", [2, 3], "algebra"),
+    "dual": ("quantum_plane_trunc", [2, 3], "regular"),
+    "pair": ("truncated_poly", [5], "calculus"),
+    "calculus": ("quantum_plane_trunc", [2, 3], "pair"),
 }
 
 
 @pytest.mark.parametrize("what", sorted(DECLARATION_SHA256))
 def test_derived_declaration_bytes_are_pinned(tmp_path, capsys, what):
-    path = write_ws(tmp_path, {"q": {"kind": "builtin",
-                                     "builtin": "quantum_plane_trunc",
-                                     "params": [2, 3]}})
+    name, params, member = DECLARATION_INPUT[what]
+    path = write_ws(tmp_path, {"q": {"kind": "builtin", "builtin": name,
+                                     "params": params}})
     capsys.readouterr()
-    assert main(["derive", path, "q.algebra", what]) == 0
+    assert main(["derive", path, "q." + member, what]) == 0
     out = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(out).hexdigest() == DECLARATION_SHA256[what]
 

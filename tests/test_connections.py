@@ -16,7 +16,7 @@ from ncwb.catalog import BUILTIN_NAMES, broken_connection_fixture, builtin
 from ncwb.connections import (
     Connection, ConnectionSpace, check_connection, check_covariant_axioms,
     connection_space, contraction_matrix, covariant_derivative,
-    simple_tensor, trivial_connection,
+    trivial_connection,
 )
 from ncwb.linalg import Matrix, frac, kron
 from ncwb.reporting import InvariantError
@@ -24,9 +24,9 @@ from ncwb.reporting import InvariantError
 from helpers import (
     BasisChange, check_covariant_axioms_per_field, dual_numbers,
     inner_calculus, kahler_dual_numbers, kahler_truncated, matrix_2,
-    quantum_plane_pair, tensor_over_A_by_kron, theta_z2,
-    truncated_polynomials, unimodular_matrices, upper_triangular_2,
-    zero_calculus,
+    quantum_plane_pair, simple_tensor, tensor_over_A_by_kron, theta_z2,
+    trivial_connection_matrix_by_simple_tensor, truncated_polynomials,
+    unimodular_matrices, upper_triangular_2, zero_calculus,
 )
 
 
@@ -246,6 +246,23 @@ def perturbed(conn, row, col, by):
                       Matrix(rows, ncols=conn.matrix.ncols))
 
 
+def assert_simple_tensors_match_oracle(c, rank_):
+    """xi -> m (x) xi as the projection of kron(m, I_E), for m = d(e_i) and
+    for the basis vectors m_s of M, against the dense simple tensors; and
+    the trivial connection against its column-by-column build."""
+    e = LeftModule.free(c.algebra, rank_)
+    t = tensor_over_A(c.bimodule, e)
+    ident = Matrix.identity(e.dim)
+    md = c.bimodule.dim
+    ms = [c.d.col(i) for i in range(c.algebra.dim)]
+    ms += [tuple(1 if s == r else 0 for s in range(md)) for r in range(md)]
+    for m in ms:
+        op = t.projection @ kron(Matrix.from_cols([m], nrows=md), ident)
+        assert op.cols() == [simple_tensor(t, m, xi) for xi in ident.rows]
+    assert trivial_connection(c, rank_).matrix \
+        == trivial_connection_matrix_by_simple_tensor(c, t, rank_)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 @pytest.mark.parametrize("rank_", [1, 2])
 def test_tensor_and_axioms_match_oracles_on_builtins(name, rank_):
@@ -257,6 +274,7 @@ def test_tensor_and_axioms_match_oracles_on_builtins(name, rank_):
     for m in mods:
         assert_tensor_matches_oracle(m, e)
     if b.calculus is not None:
+        assert_simple_tensors_match_oracle(b.calculus, rank_)
         conn = trivial_connection(b.calculus, rank_)
         pair = pair_from_calculus(b.calculus)
         assert assert_covariant_axioms_match_oracle(conn, pair).ok
@@ -304,6 +322,7 @@ def test_tensor_and_axioms_match_oracles_after_basis_change(drawn):
     conn, (row, col, by) = drawn
     c = conn.calculus
     assert_tensor_matches_oracle(c.bimodule, conn.module)
+    assert_simple_tensors_match_oracle(c, conn.module.dim // c.algebra.dim)
     pair = pair_from_calculus(c)
     assert assert_covariant_axioms_match_oracle(conn, pair).ok
     if conn.matrix.nrows:

@@ -314,6 +314,37 @@ def test_coords_match_the_dense_route(k, width, inside, data):
         assert got == [frac(c) for c in coeffs]
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_batch_coords_match_the_per_row_read(k, width, nr, data):
+    # the rows: combinations of the basis, rows drawn freely (usually
+    # outside), all-zero rows; nr = 0 is a matrix with no rows
+    space = Subspace.from_vectors(width, draw_mixed(data, k, width).rows)
+    rows = []
+    for _ in range(nr):
+        kind = data.draw(st.sampled_from(["inside", "free", "zero"]))
+        if kind == "inside":
+            rows.append(space.element(
+                [data.draw(mixed_entries) for _ in range(space.dim)]))
+        elif kind == "free":
+            rows.append([data.draw(mixed_entries) for _ in range(width)])
+        else:
+            rows.append([0] * width)
+    m = Matrix(rows, ncols=width)
+    per_row = [space.coords(r) for r in m.rows]
+    assert per_row == [coords_dense(space, r) for r in m.rows]
+    c, bad = space.coords_int(m)
+    if None in per_row:
+        assert c is None and bad == per_row.index(None)
+    else:
+        assert bad is None
+        assert (c.nrows, c.ncols) == (nr, space.dim)
+        assert [list(r) for r in c.rows] == per_row
+        assert c @ space.matrix == m
+    with pytest.raises(ValueError):
+        space.coords_int(Matrix.zeros(nr, width + 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
 def test_affine_solutions_match_sympy(nr, nc, consistent, data):
@@ -571,6 +602,12 @@ def test_sparse_matrix_matches_the_dense_oracle(nr, inner, nc, data):
     s = data.draw(mixed_entries)
     assert_same(a.scale(s), da.scale(s))
     assert_same(a.transpose(), da.transpose())
+    # flat(L X R) = flat(X) (L^T (x) R), Van Loan's identity, with L = a,
+    # X = b and a drawn R
+    r, dr = draw_both(data, nc, nr)
+    assert_same(Matrix([b.flatten()], ncols=inner * nc)
+                @ kron(a.transpose(), r),
+                DenseMatrix([(da @ db @ dr).flatten()], ncols=nr * nr))
     ab, dab = a @ b, da @ db
     assert_same(hstack([a, c, ab], nr), DenseMatrix(
         [x + y + z for x, y, z in zip(da.rows, dc.rows, dab.rows)],

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (
-    Echelon, Matrix, Subspace, frac, intertwiner_rows, is_zero_vector,
-    kernel, kron, linear_combination, vadd, vector, vscale,
+    Echelon, Matrix, Subspace, block_combination, column_blocks, frac,
+    hstack, intertwiner_rows, is_zero_vector, kernel, kron,
+    linear_combination, vadd, vector, vscale,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -168,21 +169,25 @@ class AlgebraElement:
 def check_algebra(a: Algebra) -> CheckReport:
     """Exhaustive associativity and two-sided unit check.
 
-    Associativity is L_{e_i e_j} = L_i L_j: column k of the left side is
-    (e_i e_j) e_k, of the right side e_i (e_j e_k).  The units are read
-    off the columns of L_1 and R_1."""
+    Associativity is L_{e_i e_j} = L_i L_j, and with
+    [l_0 | ... | l_{n-1}] the left multiplications side by side, the pairs
+    (i, j) for one i are the blocks j of one identity,
+    l_i [l_0 | ... | l_{n-1}] = [l_0 | ... | l_{n-1}] (l_i (x) I_n): column
+    k of block j is e_i (e_j e_k) on the left, (e_i e_j) e_k on the right.
+    The units are read off the columns of L_1 and R_1."""
     rep = CheckReport("algebra")
     n = a.dim
     names = a.basis_names
-    for i in range(n):
-        for j in range(n):
-            lhs = a.left_mult_matrix(a.sc[i][j])
-            rhs = a.lmul[i] @ a.lmul[j]
-            for k in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
-                rep.add("associativity", (i, j, k),
-                        "(%s*%s)*%s != %s*(%s*%s)" % (
-                            names[i], names[j], names[k], names[i],
-                            names[j], names[k]))
+    big_l = hstack(a.lmul, n)
+    for i, li in enumerate(a.lmul):
+        lhs = block_combination(big_l, li, n)
+        rhs = li @ big_l
+        for col in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
+            j, k = divmod(col, n)
+            rep.add("associativity", (i, j, k),
+                    "(%s*%s)*%s != %s*(%s*%s)" % (
+                        names[i], names[j], names[k], names[i],
+                        names[j], names[k]))
     ident = Matrix.identity(n)
     left = (a.left_mult_matrix(a.unit) - ident).nonzero_cols()
     right = (a.right_mult_matrix(a.unit) - ident).nonzero_cols()
@@ -249,35 +254,65 @@ def _first_difference(lhs: Matrix, rhs: Matrix) -> str:
             return "on m%d, coordinate m%d: %s != %s" % (s, r, x, y)
 
 
+def _differing_blocks(lhs: Matrix, rhs: Matrix, width: int) -> list:
+    """(k, lhs block k, rhs block k) for each block of width columns where
+    two rows of blocks differ, in increasing k."""
+    if lhs == rhs:
+        return []
+    bad = sorted({col // width for col in (lhs - rhs).nonzero_cols()})
+    lb, rb = column_blocks(lhs, width), column_blocks(rhs, width)
+    return [(k, lb[k], rb[k]) for k in bad]
+
+
 def check_bimodule(m: Bimodule) -> CheckReport:
     """Left action is a unital homomorphism, right action a unital
     antihomomorphism, and the two commute; all on basis vectors.  The
-    module basis vectors are named m0, m1, ..."""
+    module basis vectors are named m0, m1, ...
+
+    With M = [L_0 | ... | L_{n-1}] and N = [R_0 | ... | R_{n-1}] the
+    actions side by side (d x nd), and l_i, r_i the multiplications of
+    the algebra, each law is one identity per basis vector, its blocks
+    the basis pairs:
+
+        left         L_i M = M (l_i (x) I_d)   block j: L_i L_j = L_{e_i e_j}
+        right        R_j N = N (r_j (x) I_d)   block i: R_j R_i = R_{e_i e_j}
+        commutation  R_j M = M (I_n (x) R_j)   block i: R_j L_i = L_i R_j
+
+    M (l_i (x) I_d) is the block combination sum_k l_i[k][j] L_k, the
+    factor never formed.  The findings are listed by basis pair (i, j),
+    the three laws in this order, then the units.
+    """
     rep = CheckReport("bimodule")
     a = m.algebra
-    n = a.dim
+    n, d = a.dim, m.dim
     names = a.basis_names
+    big_l, big_r = hstack(m.left, d), hstack(m.right, d)
+    i_n = Matrix.identity(n)
+    found = []
     for i in range(n):
-        for j in range(n):
-            lhs, rhs = m.left_of(a.sc[i][j]), m.left[i] @ m.left[j]
-            if lhs != rhs:
-                rep.add("left-action-product", (i, j),
-                        "(%s*%s).m != %s.(%s.m) %s" % (
-                            names[i], names[j], names[i], names[j],
-                            _first_difference(lhs, rhs)))
-            lhs, rhs = m.right_of(a.sc[i][j]), m.right[j] @ m.right[i]
-            if lhs != rhs:
-                rep.add("right-action-product", (i, j),
-                        "m.(%s*%s) != (m.%s).%s %s" % (
-                            names[i], names[j], names[i], names[j],
-                            _first_difference(lhs, rhs)))
-            lhs, rhs = m.left[i] @ m.right[j], m.right[j] @ m.left[i]
-            if lhs != rhs:
-                rep.add("action-commutation", (i, j),
-                        "%s.(m.%s) != (%s.m).%s %s" % (
-                            names[i], names[j], names[i], names[j],
-                            _first_difference(lhs, rhs)))
-    ident = Matrix.identity(m.dim)
+        for j, lhs, rhs in _differing_blocks(
+                block_combination(big_l, a.lmul[i], d), m.left[i] @ big_l, d):
+            found.append(((i, j, 0), "left-action-product",
+                          "(%s*%s).m != %s.(%s.m) %s" % (
+                              names[i], names[j], names[i], names[j],
+                              _first_difference(lhs, rhs))))
+    for j in range(n):
+        for i, lhs, rhs in _differing_blocks(
+                block_combination(big_r, a.rmul[j], d), m.right[j] @ big_r,
+                d):
+            found.append(((i, j, 1), "right-action-product",
+                          "m.(%s*%s) != (m.%s).%s %s" % (
+                              names[i], names[j], names[i], names[j],
+                              _first_difference(lhs, rhs))))
+        for i, lhs, rhs in _differing_blocks(
+                big_l @ kron(i_n, m.right[j]), m.right[j] @ big_l, d):
+            found.append(((i, j, 2), "action-commutation",
+                          "%s.(m.%s) != (%s.m).%s %s" % (
+                              names[i], names[j], names[i], names[j],
+                              _first_difference(lhs, rhs))))
+    for (i, j, _), law, detail in sorted(found):
+        rep.add(law, (i, j), detail)
+    ident = Matrix.identity(d)
     lhs = m.left_of(a.unit)
     if lhs != ident:
         rep.add("left-unital", (), "1.m != m %s"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, closure_under_maps, hstack, kernel, kron, rank, vadd,
+    Matrix, Subspace, closure_under_maps, hstack, kernel, kron, rank,
 )
 from .algebra import Algebra, Bimodule, BimoduleMap, check_bimodule_map
 from .reporting import CheckReport, InvariantError
@@ -51,19 +51,21 @@ class UniversalCalculus(DifferentialCalculus):
 
 
 def check_leibniz(c: DifferentialCalculus) -> CheckReport:
-    """d(e_i e_j) = d(e_i).e_j + e_i.d(e_j) for every basis pair."""
+    """d(e_i e_j) = d(e_i).e_j + e_i.d(e_j) for every basis pair.
+
+    With N = [R_0 | ... | R_{n-1}], the pairs (i, j) for one i are the
+    columns j of one identity, d l_i = L_i d + N (I_n (x) d e_i): column j
+    of N (I_n (x) d e_i) is R_j d(e_i)."""
     rep = CheckReport("calculus")
-    a = c.algebra
-    dcols = c.d.cols()
-    for i in range(a.dim):
-        di = dcols[i]
-        for j in range(a.dim):
-            lhs = c.d.apply(a.sc[i][j])
-            rhs = vadd(c.bimodule.right[j].apply(di),
-                       c.bimodule.left[i].apply(dcols[j]))
-            if lhs != rhs:
-                rep.add("leibniz", (i, j), "d(%s*%s)" % (
-                    a.basis_names[i], a.basis_names[j]))
+    a, m = c.algebra, c.bimodule
+    big_r = hstack(m.right, m.dim)
+    i_n = Matrix.identity(a.dim)
+    for i, di in enumerate(c.d.transpose().row_matrices(m.dim, 1)):
+        lhs = c.d @ a.lmul[i]
+        rhs = m.left[i] @ c.d + big_r @ kron(i_n, di)
+        for j in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
+            rep.add("leibniz", (i, j), "d(%s*%s)" % (
+                a.basis_names[i], a.basis_names[j]))
     return rep
 
 
@@ -135,7 +137,7 @@ def factor_through_universal(c: DifferentialCalculus,
 def is_spanned_by_differential(c: DifferentialCalculus) -> bool:
     """Does the image of d generate the bimodule under both actions?"""
     m = c.bimodule
-    seed = [c.d.col(j) for j in range(c.algebra.dim)]
-    closure = closure_under_maps(seed, [x.apply for x in m.left + m.right],
-                                 m.dim)
+    # the rows of d^T are the d(e_j); a row v goes to v L^T = (L v)^T
+    closure = closure_under_maps(
+        c.d.transpose(), [x.transpose() for x in m.left + m.right])
     return closure.dim == m.dim

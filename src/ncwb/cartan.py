@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Echelon, Matrix, Subspace, is_zero_vector, kernel, kron,
-    linear_combination,
+    Echelon, Matrix, Subspace, block_combination, hstack, is_zero_vector,
+    kernel, kron, linear_combination,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -68,38 +68,63 @@ class CartanPair:
         return linear_combination(xcoords, self.action, self.algebra.dim,
                                   self.algebra.dim)
 
+    def field_values(self) -> list:
+        """K_0, ..., K_{n-1}, the n x m matrices whose column t is
+        X_t(e_i), read off the columns of the actions."""
+        acols = [x.transpose().int_rows() for x in self.action]
+        return [Matrix.from_int_cols([(den, rows[i]) for den, rows in acols],
+                                     self.algebra.dim)
+                for i in range(self.algebra.dim)]
+
     def __repr__(self):
         return "CartanPair(bimodule dim %d over %r)" % (
             self.bimodule.dim, self.algebra)
 
 
 def check_cartan(p: CartanPair) -> CheckReport:
-    """Both pair laws plus annihilation of the unit, exhaustively."""
+    """Both pair laws plus annihilation of the unit, exhaustively.
+
+    With X = [X_0 | ... | X_{m-1}], l_i, L_i, R_i the multiplications and
+    actions of e_i, and K_i the n x m matrix whose column t is X_t(e_i),
+    each law is one identity of stacked matrices per basis vector e_i:
+
+        action linearity   l_i X = X (L_i (x) I_n)
+        twisted Leibniz    X (I_m (x) l_i)
+                             = [l_0 | ... | l_{n-1}] (K_i (x) I_n)
+                               + X (R_i (x) I_n)
+
+    Block t of the first is l_i X_t = X_{e_i.X_t}; column j of block t of
+    the second is X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j).  The
+    findings are listed by (i, t) for linearity and by (t, i, j) for the
+    twisted Leibniz rule.
+    """
     rep = CheckReport("cartan pair")
     a = p.algebra
     nb = p.bimodule
     n, m = a.dim, nb.dim
-    for i in range(n):
-        for t in range(m):
-            if p.action_of(nb.left[i].col(t)) != a.lmul[i] @ p.action[t]:
-                rep.add("action-linearity", (i, t),
-                        "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
-    # X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j) for all j at once: the
-    # columns of X_t L_i and of L_{X_t(e_i)} + action_of(X_t.e_i)
-    for t in range(m):
-        at = p.action[t]
-        for i in range(n):
-            lhs = at @ a.lmul[i]
-            rhs = a.left_mult_matrix(at.col(i)) \
-                + p.action_of(nb.right[i].col(t))
-            if lhs == rhs:
-                continue
-            defect = lhs - rhs
-            for j in defect.nonzero_cols():
-                rep.add("twisted-leibniz", (t, i, j),
-                        "X_%d(%s*%s) defect %s" % (
-                            t, a.basis_names[i], a.basis_names[j],
-                            a.format(defect.col(j))))
+    big_x, big_l = hstack(p.action, n), hstack(a.lmul, n)
+    i_m = Matrix.identity(m)
+    twisted = []
+    for i, (li, ki) in enumerate(zip(a.lmul, p.field_values())):
+        lhs = block_combination(big_x, nb.left[i], n)
+        rhs = li @ big_x
+        for t in [] if lhs == rhs else sorted(
+                {col // n for col in (lhs - rhs).nonzero_cols()}):
+            rep.add("action-linearity", (i, t),
+                    "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
+        lhs = big_x @ kron(i_m, li)
+        rhs = block_combination(big_l, ki, n) \
+            + block_combination(big_x, nb.right[i], n)
+        if lhs == rhs:
+            continue
+        defect = lhs - rhs
+        for col in defect.nonzero_cols():
+            t, j = divmod(col, n)
+            twisted.append(((t, i, j), "X_%d(%s*%s) defect %s" % (
+                t, a.basis_names[i], a.basis_names[j],
+                a.format(defect.col(col)))))
+    for witness, detail in sorted(twisted):
+        rep.add("twisted-leibniz", witness, detail)
     for t in range(m):
         if not is_zero_vector(p.action[t].apply(a.unit)):
             rep.add("unit-annihilation", (t,),
@@ -125,13 +150,10 @@ def calculus_from_pair(p: CartanPair):
     """
     a = p.algebra
     ld = left_dual(p.bimodule)
-    # column j of action[t] is X_t(e_j), column t of the evaluation at e_j;
-    # row j of evals is that evaluation matrix, flat
-    acols = [x.transpose().int_rows() for x in p.action]
-    evals = Matrix.from_int_rows(
-        [Matrix.from_int_cols([(den, rows[j]) for den, rows in acols],
-                              a.dim).flat_int() for j in range(a.dim)],
-        ld.span.ambient_dim)
+    # the evaluation at e_j is K_j, its column t X_t(e_j); row j of evals
+    # is K_j flat
+    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
+                                 ld.span.ambient_dim)
     c, bad = ld.span.coords_int(evals)
     if c is None:
         raise InvariantError("the evaluation of the action at %s is not "

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Matrix, Subspace, affine_solutions, hstack, intertwiner_rows, kron,
-    linear_combination,
+    Matrix, Subspace, affine_solutions, block_combination, hstack,
+    intertwiner_rows, kron, linear_combination,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
@@ -139,43 +139,56 @@ def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:
     triples: direction linearity nabla_{f.X} = f.nabla_X and the twisted
     Leibniz rule nabla_X(f.xi) = X(f).xi + nabla_{X.f}(xi).
 
-    X -> nabla_X is linear, so it is built once per basis field and
-    nabla_{f.X}, nabla_{X.f} are combinations of those."""
+    X -> nabla_X is linear, so it is built once per basis field.  With
+    D = [nabla_{X_0} | ... | nabla_{X_{m-1}}] in place of the fields, the
+    left actions L^E_i of the module in place of the multiplications, and
+    K_i the n x m matrix whose column t is X_t(e_i), the two laws are the
+    identities of check_cartan, one per basis vector e_i:
+
+        direction linearity   L^E_i D = D (L_i (x) I_E)
+        twisted Leibniz       D (I_m (x) L^E_i)
+                                = [L^E_0 | ... | L^E_{n-1}] (K_i (x) I_E)
+                                  + D (R_i (x) I_E)
+
+    The findings are listed by field t, then e_i, linearity first, then
+    module basis vector."""
     if not _pair_matches(conn, pair):
         raise ValueError("pair is not derived from the connection's calculus")
     rep = CheckReport("covariant axioms")
     a = conn.calculus.algebra
     e = conn.module
     nb = pair.bimodule
+    m, ed = nb.dim, e.dim
     derivs = [covariant_derivative(conn, pair,
                                    tuple(1 if s == t else 0
-                                         for s in range(nb.dim)))
-              for t in range(nb.dim)]
-
-    def nabla(xcoords):
-        return linear_combination(xcoords, derivs, e.dim, e.dim)
-
-    for t, dx in enumerate(derivs):
-        for i in range(a.dim):
-            f = a.basis_names[i]
-            dfx = nabla(nb.left[i].col(t))
-            scaled = e.left[i] @ dx
-            if dfx != scaled:
-                for a2 in (dfx - scaled).nonzero_cols():
-                    rep.add("action-linearity", (i, t, a2),
-                            "nabla_(%s.X_%d)(xi_%d) != %s.nabla_X_%d(xi_%d) "
-                            "at module coordinates %s"
-                            % (f, t, a2, f, t, a2,
-                               _mismatch(dfx.col(a2), scaled.col(a2))))
-            shifted = dx @ e.left[i]
-            rhs = e.left_of(pair.action[t].col(i)) + nabla(nb.right[i].col(t))
-            if shifted != rhs:
-                for a2 in (shifted - rhs).nonzero_cols():
-                    rep.add("twisted-leibniz", (t, i, a2),
-                            "nabla_X_%d(%s.xi_%d) != X_%d(%s).xi_%d + "
-                            "nabla_(X_%d.%s)(xi_%d) at module coordinates %s"
-                            % (t, f, a2, t, f, a2, t, f, a2,
-                               _mismatch(shifted.col(a2), rhs.col(a2))))
+                                         for s in range(m)))
+              for t in range(m)]
+    big_d, big_e = hstack(derivs, ed), hstack(e.left, ed)
+    i_m = Matrix.identity(m)
+    found = []
+    for i, (ei, ki) in enumerate(zip(e.left, pair.field_values())):
+        f = a.basis_names[i]
+        dfx = block_combination(big_d, nb.left[i], ed)
+        scaled = ei @ big_d
+        for col in [] if dfx == scaled else (dfx - scaled).nonzero_cols():
+            t, a2 = divmod(col, ed)
+            found.append(((t, i, 0, a2), "action-linearity", (i, t, a2),
+                          "nabla_(%s.X_%d)(xi_%d) != %s.nabla_X_%d(xi_%d) "
+                          "at module coordinates %s"
+                          % (f, t, a2, f, t, a2,
+                             _mismatch(dfx.col(col), scaled.col(col)))))
+        shifted = big_d @ kron(i_m, ei)
+        rhs = block_combination(big_e, ki, ed) \
+            + block_combination(big_d, nb.right[i], ed)
+        for col in [] if shifted == rhs else (shifted - rhs).nonzero_cols():
+            t, a2 = divmod(col, ed)
+            found.append(((t, i, 1, a2), "twisted-leibniz", (t, i, a2),
+                          "nabla_X_%d(%s.xi_%d) != X_%d(%s).xi_%d + "
+                          "nabla_(X_%d.%s)(xi_%d) at module coordinates %s"
+                          % (t, f, a2, t, f, a2, t, f, a2,
+                             _mismatch(shifted.col(col), rhs.col(col)))))
+    for _, law, witness, detail in sorted(found):
+        rep.add(law, witness, detail)
     return rep
 
 

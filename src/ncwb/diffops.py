@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .linalg import Echelon, Matrix, Subspace, closure_under_maps, frac, \
-    hstack, is_zero_vector, linear_combination, null_rules
+from .linalg import Echelon, Matrix, Subspace, block_combination, \
+    closure_under_maps, frac, hstack, is_zero_vector, kron, \
+    linear_combination, null_rules
 from .cartan import CartanPair
 from .reporting import CheckReport
 
@@ -240,13 +241,12 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
     n = pair.algebra.dim
     gens = (["id"] + ["l(%s)" % name for name in pair.algebra.basis_names]
             + ["act(X%d)" % t for t in range(pair.bimodule.dim)])
-
-    def right_composition(g: Matrix):
-        return lambda op: op @ g
-
-    maps = [right_composition(g) for g in pair.algebra.lmul + pair.action]
+    i_n = Matrix.identity(n)
+    # flat(op g) = flat(op) (I (x) g), so each generator is one matrix
+    # acting on the flattened operators
+    maps = [kron(i_n, g) for g in pair.algebra.lmul + pair.action]
     return OperatorAlgebra(tuple(gens), closure_under_maps(
-        [Matrix.identity(n)], maps, n * n))
+        Matrix.from_int_rows([i_n.flat_int()], n * n), maps))
 
 
 @dataclass
@@ -342,26 +342,41 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
 
 def check_ccr(pair: CartanPair) -> CheckReport:
     """Canonical commutation: [X, f^l] = (X(f))^l and centrality f.X = X.f,
-    on all basis pairs."""
+    on all basis pairs.
+
+    With X = [X_0 | ... | X_{m-1}] and K_i the n x m matrix whose column t
+    is X_t(e_i), the commutators with l_i are one identity,
+    X (I_m (x) l_i) - l_i X = [l_0 | ... | l_{n-1}] (K_i (x) I_n), whose
+    block t is [X_t, l_i] = l(X_t(e_i)); centrality on e_i compares the
+    columns of L_i and R_i.  The findings are listed by (i, t)."""
     rep = CheckReport("canonical commutation")
     a = pair.algebra
     nb = pair.bimodule
-    for i in range(a.dim):
-        for t in range(nb.dim):
-            if nb.left[i].col(t) != nb.right[i].col(t):
+    n, m = a.dim, nb.dim
+    big_x, big_l = hstack(pair.action, n), hstack(a.lmul, n)
+    i_m = Matrix.identity(m)
+    for i, (li, ki) in enumerate(zip(a.lmul, pair.field_values())):
+        central = set((nb.left[i] - nb.right[i]).nonzero_cols())
+        comm = big_x @ kron(i_m, li) - li @ big_x
+        expect = block_combination(big_l, ki, n)
+        # the first column of each block t where the defect is non-zero
+        first = {}
+        if comm != expect:
+            defect = comm - expect
+            for col in defect.nonzero_cols():
+                first.setdefault(col // n, col)
+        for t in sorted(central | set(first)):
+            if t in central:
                 rep.add("centrality", (i, t),
                         "%s.X%d != X%d.%s" % (a.basis_names[i], t, t,
                                               a.basis_names[i]))
-            comm = pair.action[t] @ a.lmul[i] - a.lmul[i] @ pair.action[t]
-            expect = a.left_mult_matrix(pair.action[t].col(i))
-            if comm != expect:
-                defect = comm - expect
-                wit = defect.nonzero_cols()[0]
+            if t in first:
+                col = first[t]
                 rep.add("commutator", (i, t),
                         "([X%d, l(%s)] - l(X%d(%s)))(%s) = %s" % (
                             t, a.basis_names[i], t, a.basis_names[i],
-                            a.basis_names[wit],
-                            a.format(defect.col(wit))))
+                            a.basis_names[col - t * n],
+                            a.format(defect.col(col))))
     return rep
 
 

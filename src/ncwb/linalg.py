@@ -13,17 +13,21 @@ stored rows and build no dense row.
 Each idea has one routine: linear_combination sums scaled matrices,
 kron gives the factor of flat(L X R) = flat(X) (L^T (x) R), so an action
 on a space of matrices is one product with its basis rows,
-Subspace.coords_int reads the coordinates of all the rows of a matrix at
-once and certifies them, intertwiner_rows writes out the system
-X A = B X without kron, affine_solutions reads a particular solution
-from one elimination of (m | b) and the canonical null space from
-null_rules, a re-reduction of its r reduced rows with the column order
-reversed (kernel and solve are its two halves), closure_under_maps
-closes a span under linear maps, and every row reduction goes through
-Echelon, which keeps sparse primitive integer rows fully reduced after
-every insert.  A Subspace holds its
-reduced echelon basis as the rows of a Matrix, so two subspaces are equal
-exactly when those matrices are.
+block_combination multiplies a row of blocks [B_0 | ... | B_{n-1}] by
+c (x) I without forming that factor, so a law on basis pairs is one
+identity of stacked matrices per basis vector, hstack and column_blocks
+stack and cut such rows, Subspace.coords_int reads the coordinates of
+all the rows of a matrix at once and certifies them, intertwiner_rows
+writes out the system X A = B X without kron, affine_solutions reads a
+particular solution from one elimination of (m | b) and the canonical
+null space from null_rules, a re-reduction of its r reduced rows with
+the column order reversed (kernel and solve are its two halves),
+closure_under_maps closes a span under matrices acting on row vectors a
+level at a time, one product per map and level, and every row reduction
+goes through Echelon, which keeps sparse primitive integer rows fully
+reduced after every insert.  A Subspace holds its reduced echelon basis
+as the rows of a Matrix, so two subspaces are equal exactly when those
+matrices are.
 """
 
 from __future__ import annotations
@@ -361,9 +365,44 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     da, arows = a.int_rows()
     db, brows = b.int_rows()
     w = b.ncols
-    return Matrix._of(a.nrows * b.nrows, a.ncols * w, da * db, tuple(
-        tuple((j * w + k, x * y) for j, x in ra for k, y in rb)
-        for ra in arows for rb in brows))
+    return Matrix._of(a.nrows * b.nrows, a.ncols * w, da * db, tuple([
+        tuple([(j * w + k, x * y) for j, x in ra for k, y in rb])
+        for ra in arows for rb in brows]))
+
+
+def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
+    """m (c (x) I_width) for m a row of c.nrows blocks, each width
+    columns wide: block j of the result is sum_k c[k][j] times block k of
+    m.  The factor is never formed; like @, each row accumulates in
+    integers over the non-zero pairs."""
+    if m.ncols != c.nrows * width:
+        raise ValueError("shape mismatch: %s is not a row of %d blocks of "
+                         "width %d" % (m, c.nrows, width))
+    dm, mrows = m.int_rows()
+    dc, crows = c.int_rows()
+    out = []
+    for r in mrows:
+        acc = {}
+        for col, x in r:
+            k, s = divmod(col, width)
+            for j, y in crows[k]:
+                t = j * width + s
+                acc[t] = acc.get(t, 0) + x * y
+        out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
+                   if acc else ())
+    return Matrix._of(m.nrows, c.ncols * width, dm * dc, tuple(out))
+
+
+def column_blocks(m: Matrix, width: int) -> list:
+    """m cut into its blocks of width columns, the inverse of hstack."""
+    den, rows = m.int_rows()
+    blocks = [[[] for _ in rows] for _ in range(m.ncols // width)]
+    for r, row in enumerate(rows):
+        for col, x in row:
+            k, s = divmod(col, width)
+            blocks[k][r].append((s, x))
+    return [Matrix._of(m.nrows, width, den, tuple(map(tuple, b)))
+            for b in blocks]
 
 
 def linear_combination(coeffs, terms: Iterable[Matrix], nrows: int,
@@ -742,21 +781,23 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
     return ech.subspace()
 
 
-def closure_under_maps(seed: Iterable, maps: Sequence[Callable],
-                       ambient_dim: int) -> Subspace:
-    """Smallest subspace containing seed and stable under the given linear
-    maps, each a callable from vectors to vectors (or from matrices to
-    matrices, read flat as Echelon.insert reads them).
+def closure_under_maps(seed: Matrix, maps: Sequence[Matrix]) -> Subspace:
+    """Smallest subspace containing the rows of seed and stable under the
+    given linear maps, each a square matrix acting on row vectors,
+    v -> v m.
 
     Stability under a linear map only needs to be checked on spanning
-    vectors, so each vector that grows the span is mapped once by each map.
+    vectors, so the span grows a level at a time: the rows that grew it
+    are stacked, and each map takes all of them at once, one product per
+    map and level.  A row's denominator does not change its span, so
+    each is inserted by its integer numerators.
     """
-    ech = Echelon(ambient_dim)
-    work = [v for v in seed if ech.insert(v)]
-    while work:
-        g = work.pop()
-        for m in maps:
-            img = m(g)
-            if ech.insert(img):
-                work.append(img)
-    return ech.subspace()
+    ech = Echelon(seed.ncols)
+    level = [seed]
+    while True:
+        grown = tuple(row for m in level for row in m.int_rows()[1]
+                      if ech.insert_int(dict(row)))
+        if not grown:
+            return ech.subspace()
+        frontier = Matrix._of(len(grown), seed.ncols, 1, grown)
+        level = [frontier @ m for m in maps]

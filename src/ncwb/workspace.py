@@ -26,7 +26,7 @@ from .linalg import Matrix
 from .algebra import Algebra, Bimodule, LeftModule, tensor_over_A
 from .calculus import DifferentialCalculus
 from .cartan import CartanPair
-from .catalog import ExampleBundle, builtin
+from .catalog import builtin
 from .connections import Connection
 
 SCHEMA = "ncwb/1"
@@ -116,9 +116,6 @@ class Workspace:
 
     def names(self):
         return list(self.objects)
-
-    def declared_names(self):
-        return [n for n, wo in self.objects.items() if wo.declared]
 
     def _ref(self, decl, key: str, kind: str, where: str):
         if key not in decl:
@@ -398,41 +395,6 @@ def connection_decl(conn: Connection, calculus_ref: str) -> dict:
     }
 
 
-def builtin_decl(bundle: ExampleBundle, params=()) -> dict:
-    out = {"kind": "builtin", "builtin": bundle.name}
-    if params:
-        out["params"] = vector_strings(params)
-    return out
-
-
-def _decl_for(wo: WorkspaceObject, refs: dict) -> dict:
-    """Declaration of one object; refs maps object identities to names."""
-    if wo.kind == "builtin":
-        return builtin_decl(wo.obj, wo.params)
-    if wo.kind == "algebra":
-        return algebra_decl(wo.obj)
-    if wo.kind == "bimodule":
-        return bimodule_decl(wo.obj, refs[id(wo.obj.algebra)])
-    if wo.kind == "calculus":
-        return calculus_decl(wo.obj, refs[id(wo.obj.algebra)],
-                             refs[id(wo.obj.bimodule)])
-    if wo.kind == "cartan_pair":
-        return cartan_pair_decl(wo.obj, refs[id(wo.obj.algebra)],
-                                refs[id(wo.obj.bimodule)])
-    if wo.kind != "connection":
-        raise ValueError("no declaration for an object of kind %r"
-                         % (wo.kind,))
-    return connection_decl(wo.obj, refs[id(wo.obj.calculus)])
-
-
-def _reference_names(ws: Workspace) -> dict:
-    """First workspace name for each object identity, for re-export."""
-    out = {}
-    for name, wo in ws.objects.items():
-        out.setdefault(id(wo.obj), name)
-    return out
-
-
 @dataclass(frozen=True)
 class SparseRows:
     """A list of rows of width exact values each, written as JSON lists of
@@ -598,11 +560,3 @@ def _word_list_parts(o: WordList, nl: str):
             yield sep + "[]"
         sep = "," + inner
     yield nl + "]"
-
-
-def export_workspace(ws: Workspace) -> str:
-    doc = {"schema": SCHEMA, "objects": {}}
-    refs = _reference_names(ws)
-    for name in sorted(ws.declared_names()):
-        doc["objects"][name] = _decl_for(ws.objects[name], refs)
-    return canonical_text(doc)

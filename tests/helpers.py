@@ -942,3 +942,262 @@ def word_columns(pair, max_len: int):
                 word = (("a", i),) + tuple(("m", t) for t in mw)
                 yield word, _word_operator(pair, word)
 
+
+
+# ---- per-pair checkers and the vector closure, kept as oracles ---------
+
+from ncwb.connections import _mismatch, _pair_matches  # noqa: E402
+from ncwb.linalg import linear_combination  # noqa: E402
+
+
+def check_algebra_by_pairs(a) -> CheckReport:
+    """check_algebra one basis pair at a time: L_{e_i e_j} against
+    L_i L_j, a linear combination and a product per pair."""
+    rep = CheckReport("algebra")
+    n = a.dim
+    names = a.basis_names
+    for i in range(n):
+        for j in range(n):
+            lhs = a.left_mult_matrix(a.sc[i][j])
+            rhs = a.lmul[i] @ a.lmul[j]
+            for k in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
+                rep.add("associativity", (i, j, k),
+                        "(%s*%s)*%s != %s*(%s*%s)" % (
+                            names[i], names[j], names[k], names[i],
+                            names[j], names[k]))
+    ident = Matrix.identity(n)
+    left = (a.left_mult_matrix(a.unit) - ident).nonzero_cols()
+    right = (a.right_mult_matrix(a.unit) - ident).nonzero_cols()
+    for j in range(n):
+        if j in left:
+            rep.add("left-unit", (j,), "1*%s" % names[j])
+        if j in right:
+            rep.add("right-unit", (j,), "%s*1" % names[j])
+    return rep
+
+
+def check_bimodule_by_pairs(m) -> CheckReport:
+    """check_bimodule one basis pair at a time: two linear combinations
+    and four products per pair, the three laws interleaved by (i, j)."""
+    rep = CheckReport("bimodule")
+    a = m.algebra
+    n = a.dim
+    names = a.basis_names
+    for i in range(n):
+        for j in range(n):
+            lhs, rhs = m.left_of(a.sc[i][j]), m.left[i] @ m.left[j]
+            if lhs != rhs:
+                rep.add("left-action-product", (i, j),
+                        "(%s*%s).m != %s.(%s.m) %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+            lhs, rhs = m.right_of(a.sc[i][j]), m.right[j] @ m.right[i]
+            if lhs != rhs:
+                rep.add("right-action-product", (i, j),
+                        "m.(%s*%s) != (m.%s).%s %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+            lhs, rhs = m.left[i] @ m.right[j], m.right[j] @ m.left[i]
+            if lhs != rhs:
+                rep.add("action-commutation", (i, j),
+                        "%s.(m.%s) != (%s.m).%s %s" % (
+                            names[i], names[j], names[i], names[j],
+                            _first_difference(lhs, rhs)))
+    ident = Matrix.identity(m.dim)
+    lhs = m.left_of(a.unit)
+    if lhs != ident:
+        rep.add("left-unital", (), "1.m != m %s"
+                % _first_difference(lhs, ident))
+    lhs = m.right_of(a.unit)
+    if lhs != ident:
+        rep.add("right-unital", (), "m.1 != m %s"
+                % _first_difference(lhs, ident))
+    return rep
+
+
+def check_leibniz_by_pairs(c) -> CheckReport:
+    """check_leibniz one basis pair at a time, three applies per pair."""
+    rep = CheckReport("calculus")
+    a = c.algebra
+    dcols = c.d.cols()
+    for i in range(a.dim):
+        di = dcols[i]
+        for j in range(a.dim):
+            lhs = c.d.apply(a.sc[i][j])
+            rhs = vadd(c.bimodule.right[j].apply(di),
+                       c.bimodule.left[i].apply(dcols[j]))
+            if lhs != rhs:
+                rep.add("leibniz", (i, j), "d(%s*%s)" % (
+                    a.basis_names[i], a.basis_names[j]))
+    return rep
+
+
+def check_cartan_by_pairs(p) -> CheckReport:
+    """check_cartan one (e_i, X_t) at a time: a linear combination and a
+    product per pair for each law."""
+    rep = CheckReport("cartan pair")
+    a = p.algebra
+    nb = p.bimodule
+    n, m = a.dim, nb.dim
+    for i in range(n):
+        for t in range(m):
+            if p.action_of(nb.left[i].col(t)) != a.lmul[i] @ p.action[t]:
+                rep.add("action-linearity", (i, t),
+                        "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
+    # X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j) for all j at once: the
+    # columns of X_t L_i and of L_{X_t(e_i)} + action_of(X_t.e_i)
+    for t in range(m):
+        at = p.action[t]
+        for i in range(n):
+            lhs = at @ a.lmul[i]
+            rhs = a.left_mult_matrix(at.col(i)) \
+                + p.action_of(nb.right[i].col(t))
+            if lhs == rhs:
+                continue
+            defect = lhs - rhs
+            for j in defect.nonzero_cols():
+                rep.add("twisted-leibniz", (t, i, j),
+                        "X_%d(%s*%s) defect %s" % (
+                            t, a.basis_names[i], a.basis_names[j],
+                            a.format(defect.col(j))))
+    for t in range(m):
+        if not is_zero_vector(p.action[t].apply(a.unit)):
+            rep.add("unit-annihilation", (t,),
+                    "X_%d(1) = %s" % (t, a.format(p.action[t].apply(a.unit))))
+    return rep
+
+
+def check_ccr_by_pairs(pair) -> CheckReport:
+    """check_ccr one (e_i, X_t) at a time: two products and a linear
+    combination per pair."""
+    rep = CheckReport("canonical commutation")
+    a = pair.algebra
+    nb = pair.bimodule
+    for i in range(a.dim):
+        for t in range(nb.dim):
+            if nb.left[i].col(t) != nb.right[i].col(t):
+                rep.add("centrality", (i, t),
+                        "%s.X%d != X%d.%s" % (a.basis_names[i], t, t,
+                                              a.basis_names[i]))
+            comm = pair.action[t] @ a.lmul[i] - a.lmul[i] @ pair.action[t]
+            expect = a.left_mult_matrix(pair.action[t].col(i))
+            if comm != expect:
+                defect = comm - expect
+                wit = defect.nonzero_cols()[0]
+                rep.add("commutator", (i, t),
+                        "([X%d, l(%s)] - l(X%d(%s)))(%s) = %s" % (
+                            t, a.basis_names[i], t, a.basis_names[i],
+                            a.basis_names[wit],
+                            a.format(defect.col(wit))))
+    return rep
+
+
+def check_covariant_axioms_by_pairs(conn, pair) -> CheckReport:
+    """check_covariant_axioms one (X_t, e_i) at a time, with nabla_{f.X}
+    and nabla_{X.f} as linear combinations of the nabla_{X_t}."""
+    if not _pair_matches(conn, pair):
+        raise ValueError("pair is not derived from the connection's calculus")
+    rep = CheckReport("covariant axioms")
+    a = conn.calculus.algebra
+    e = conn.module
+    nb = pair.bimodule
+    derivs = [covariant_derivative(conn, pair,
+                                   tuple(1 if s == t else 0
+                                         for s in range(nb.dim)))
+              for t in range(nb.dim)]
+
+    def nabla(xcoords):
+        return linear_combination(xcoords, derivs, e.dim, e.dim)
+
+    for t, dx in enumerate(derivs):
+        for i in range(a.dim):
+            f = a.basis_names[i]
+            dfx = nabla(nb.left[i].col(t))
+            scaled = e.left[i] @ dx
+            if dfx != scaled:
+                for a2 in (dfx - scaled).nonzero_cols():
+                    rep.add("action-linearity", (i, t, a2),
+                            "nabla_(%s.X_%d)(xi_%d) != %s.nabla_X_%d(xi_%d) "
+                            "at module coordinates %s"
+                            % (f, t, a2, f, t, a2,
+                               _mismatch(dfx.col(a2), scaled.col(a2))))
+            shifted = dx @ e.left[i]
+            rhs = e.left_of(pair.action[t].col(i)) + nabla(nb.right[i].col(t))
+            if shifted != rhs:
+                for a2 in (shifted - rhs).nonzero_cols():
+                    rep.add("twisted-leibniz", (t, i, a2),
+                            "nabla_X_%d(%s.xi_%d) != X_%d(%s).xi_%d + "
+                            "nabla_(X_%d.%s)(xi_%d) at module coordinates %s"
+                            % (t, f, a2, t, f, a2, t, f, a2,
+                               _mismatch(shifted.col(a2), rhs.col(a2))))
+    return rep
+
+
+def closure_by_vectors(seed, maps, ambient_dim: int) -> Subspace:
+    """closure_under_maps by a worklist of single vectors: each vector that
+    grows the span is mapped once by each map, a callable from vectors to
+    vectors."""
+    ech = Echelon(ambient_dim)
+    work = [v for v in seed if ech.insert(v)]
+    while work:
+        g = work.pop()
+        for m in maps:
+            img = m(g)
+            if ech.insert(img):
+                work.append(img)
+    return ech.subspace()
+
+
+# ---- the workspace writer, which only the tests use ---------------------
+
+from ncwb.workspace import (  # noqa: E402
+    SCHEMA, Workspace, WorkspaceObject, algebra_decl, bimodule_decl,
+    calculus_decl, canonical_text, cartan_pair_decl, connection_decl,
+    vector_strings,
+)
+
+
+def declared_names(ws: Workspace) -> list:
+    """The names the workspace file declares, in load order, without the
+    dotted children of its builtins."""
+    return [n for n, wo in ws.objects.items() if wo.declared]
+
+
+def builtin_decl(bundle, params=()) -> dict:
+    out = {"kind": "builtin", "builtin": bundle.name}
+    if params:
+        out["params"] = vector_strings(params)
+    return out
+
+
+def _decl_for(wo: WorkspaceObject, refs: dict) -> dict:
+    """Declaration of one object; refs maps object identities to names."""
+    if wo.kind == "builtin":
+        return builtin_decl(wo.obj, wo.params)
+    if wo.kind == "algebra":
+        return algebra_decl(wo.obj)
+    if wo.kind == "bimodule":
+        return bimodule_decl(wo.obj, refs[id(wo.obj.algebra)])
+    if wo.kind == "calculus":
+        return calculus_decl(wo.obj, refs[id(wo.obj.algebra)],
+                             refs[id(wo.obj.bimodule)])
+    if wo.kind == "cartan_pair":
+        return cartan_pair_decl(wo.obj, refs[id(wo.obj.algebra)],
+                                refs[id(wo.obj.bimodule)])
+    if wo.kind != "connection":
+        raise ValueError("no declaration for an object of kind %r"
+                         % (wo.kind,))
+    return connection_decl(wo.obj, refs[id(wo.obj.calculus)])
+
+
+def export_workspace(ws: Workspace) -> str:
+    """The canonical text of a workspace file declaring the same objects
+    under the same names; each reference names the first object loaded
+    with that identity."""
+    refs = {}
+    for name, wo in ws.objects.items():
+        refs.setdefault(id(wo.obj), name)
+    doc = {"schema": SCHEMA, "objects": {}}
+    for name in sorted(declared_names(ws)):
+        doc["objects"][name] = _decl_for(ws.objects[name], refs)
+    return canonical_text(doc)

@@ -395,9 +395,8 @@ from ncwb.connections import (
 from ncwb.diffops import FreeWord, evaluate_mu, find_relations
 from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
 from ncwb.reporting import InvariantError
-from ncwb.workspace import (
-    Workspace, WorkspaceObject, _decl_for, connection_decl)
-from helpers import direct_sum
+from ncwb.workspace import Workspace, WorkspaceObject, connection_decl
+from helpers import _decl_for, direct_sum
 
 c = builtin("dual_numbers").calculus
 conn = trivial_connection(c, 1)

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from ncwb.linalg import (
-    Echelon, Matrix, Subspace, affine_solutions, frac, hstack,
-    intertwiner_rows, kernel, kron, linear_combination, rank, solve, span_closure,
-    closure_under_maps, restrict_to_kernel, vector,
+    Echelon, Matrix, Subspace, affine_solutions, block_combination,
+    column_blocks, frac, hstack, intertwiner_rows, kernel, kron,
+    linear_combination, rank, solve, span_closure, closure_under_maps,
+    restrict_to_kernel, vector,
 )
 
 from helpers import (
     DenseMatrix, affine_solutions_by_reelimination, apply_dense,
-    coords_dense, dense_linear_combination, inverse,
+    closure_by_vectors, coords_dense, dense_linear_combination, inverse,
     intertwiner_rows_by_kron, kernel_by_reelimination,
     linear_combination_dense, matmul_dense, rref, unimodular_matrices,
 )
@@ -109,9 +110,44 @@ def test_span_closure_idempotent():
 
 
 def test_closure_under_maps():
+    # the maps act on row vectors: e0 shift^T = e1, e1 shift^T = e2
     shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    s = closure_under_maps([(1, 0, 0)], [shift.apply], 3)
+    s = closure_under_maps(Matrix([[1, 0, 0]]), [shift.transpose()])
     assert s.dim == 3
+    assert closure_under_maps(Matrix([[0, 0, 1]]), [shift.transpose()]) \
+        == Subspace.from_vectors(3, [(0, 0, 1)])
+    assert closure_under_maps(Matrix.zeros(0, 3), [shift]).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_closure_under_maps_matches_the_vector_worklist(w, nseed, nmaps,
+                                                       data):
+    seed = draw_matrix(data, nseed, w)
+    maps = [draw_matrix(data, w, w) for _ in range(nmaps)]
+    # v m for a row vector v is m^T applied to v
+    assert closure_under_maps(seed, maps) == closure_by_vectors(
+        seed.rows, [m.transpose().apply for m in maps], w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(1, 3), st.data())
+def test_block_combination_is_the_product_with_the_kron_factor(nr, k, j, w,
+                                                              data):
+    m, c = draw_matrix(data, nr, k * w), draw_matrix(data, k, j)
+    got = block_combination(m, c, w)
+    assert got == m @ kron(c, Matrix.identity(w))
+    assert hstack(column_blocks(got, w), nr) == got
+    blocks = column_blocks(m, w)
+    assert len(blocks) == k and hstack(blocks, nr) == m
+    for b, cj in zip(column_blocks(got, w), c.cols()):
+        assert b == linear_combination(cj, blocks, nr, w)
+
+
+def test_block_combination_checks_its_shape():
+    with pytest.raises(ValueError):
+        block_combination(Matrix.zeros(2, 5), Matrix.identity(2), 2)
 
 
 def test_restrict_to_kernel():

@@ -13,9 +13,11 @@ from ncwb.diffops import find_relations
 from ncwb.linalg import ONE
 from ncwb.workspace import (
     SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
-    bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl, connection_decl, export_workspace,
+    bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl, connection_decl,
     format_rational, parse_rational, parse_workspace,
 )
+
+from helpers import declared_names, export_workspace
 
 from fractions import Fraction
 
@@ -125,7 +127,7 @@ def test_declaration_shape_errors():
 def test_parse_builds_working_objects():
     ws = parse_workspace(canonical_text(dn_doc()))
     assert ws.names() == ["A", "M", "Om", "P", "X", "nabla"]
-    assert ws.declared_names() == ws.names()
+    assert declared_names(ws) == ws.names()
     assert check_bimodule(ws.get("M").obj).ok
     assert check_cartan(ws.get("X").obj).ok
     assert check_connection(ws.get("nabla").obj).ok
@@ -159,7 +161,7 @@ def test_export_lists_only_declared_objects():
     assert set(ws.names()) == {
         "dn", "dn.algebra", "dn.regular", "dn.calculus_module",
         "dn.calculus", "dn.pair_module", "dn.pair"}
-    assert ws.declared_names() == ["dn"]
+    assert declared_names(ws) == ["dn"]
     assert not ws.get("dn.pair").declared
     text = export_workspace(ws)
     exported = json.loads(text)["objects"]

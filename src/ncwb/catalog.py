@@ -2,7 +2,10 @@
 
 Each bundle carries an algebra, its regular bimodule, usually a calculus,
 and a Cartan pair; every valid piece is re-checked at construction time, so
-a bundle handed out is a verified one.  The fixtures at the bottom are
+a bundle handed out is a verified one.  The bundle keeps those verdicts, and
+`law_checks` hands them out again: `check`, `derive` and `report` reuse the
+catalog's verdict for a builtin member instead of checking it again, and
+run the checker on every other object.  The fixtures at the bottom are
 deliberately broken objects used to prove the checkers can reject.
 """
 
@@ -18,10 +21,19 @@ from .algebra import (
 )
 from .calculus import DifferentialCalculus, check_leibniz
 from .cartan import CartanPair, check_cartan, pair_from_calculus
-from .connections import Connection, trivial_connection
+from .connections import Connection, check_connection, trivial_connection
 from .reporting import InvariantError
 
 MAX_PARAM = 6
+
+# kind -> (label, checker) of the laws an object of that kind must satisfy
+LAW_CHECKERS = {
+    "algebra": ("algebra", check_algebra),
+    "bimodule": ("bimodule", check_bimodule),
+    "calculus": ("leibniz", check_leibniz),
+    "cartan_pair": ("cartan", check_cartan),
+    "connection": ("connection", check_connection),
+}
 
 
 @dataclass
@@ -32,21 +44,27 @@ class ExampleBundle:
     calculus: Optional[DifferentialCalculus] = None
     pair: Optional[CartanPair] = None
     notes: str = ""
+    # id(member) -> {label: CheckReport}, filled in by _validated
+    verdicts: dict = field(default_factory=dict)
 
 
 def _validated(bundle: ExampleBundle) -> ExampleBundle:
-    """The bundle itself, once every piece passes its checker."""
-    reports = [check_algebra(bundle.algebra)]
-    reports += [check_bimodule(b) for b in bundle.bimodules.values()]
+    """The bundle itself, once every piece passes its checker; each
+    piece's verdict is kept in bundle.verdicts."""
+    members = [("algebra", bundle.algebra)]
+    members += [("bimodule", b) for b in bundle.bimodules.values()]
     if bundle.calculus is not None:
-        reports += [check_bimodule(bundle.calculus.bimodule),
-                    check_leibniz(bundle.calculus)]
+        members += [("bimodule", bundle.calculus.bimodule),
+                    ("calculus", bundle.calculus)]
     if bundle.pair is not None:
-        reports += [check_bimodule(bundle.pair.bimodule),
-                    check_cartan(bundle.pair)]
-    for rep in reports:
+        members += [("bimodule", bundle.pair.bimodule),
+                    ("cartan_pair", bundle.pair)]
+    for kind, obj in members:
+        label, check = LAW_CHECKERS[kind]
+        rep = check(obj)
         if not rep.ok:
             raise InvariantError("builtin %s: %s" % (bundle.name, rep))
+        bundle.verdicts[id(obj)] = {label: rep}
     return bundle
 
 
@@ -199,8 +217,7 @@ def _quantum_plane(q: Fraction, deg: int) -> ExampleBundle:
     ax[_qp_index(0, deg)][_qp_index(1, 0)] = Fraction(1)
     ay = [[Fraction(0)] * n for _ in range(n)]
     ay[_qp_index(deg, 0)][_qp_index(1, 0)] = Fraction(1)
-    if deg >= 2:
-        ay[_qp_index(0, deg)][_qp_index(2, 0)] = Fraction(1)
+    ay[_qp_index(0, deg)][_qp_index(2, 0)] = Fraction(1)
     pair = CartanPair(alg, bm, (Matrix(ax), Matrix(ay)))
     return ExampleBundle(
         "quantum_plane_trunc", alg, {"regular": Bimodule.regular(alg)},
@@ -220,7 +237,7 @@ def _truncated_params(params) -> tuple:
 
 def _quantum_plane_params(params) -> tuple:
     q = frac(params[0]) if len(params) >= 1 else Fraction(2)
-    return (q, _int_param(params, 1, 2, 1, MAX_PARAM, "degree bound"))
+    return (q, _int_param(params, 1, 2, 2, MAX_PARAM, "degree bound"))
 
 
 # name -> (most parameters, their normalization, maker of the bundle)
@@ -242,7 +259,9 @@ def builtin(name: str, params=()) -> ExampleBundle:
 
     truncated_poly takes the truncation order (default 4);
     quantum_plane_trunc takes the deformation parameter (default 2) and
-    the degree bound (default 2).
+    the degree bound (default 2).  The truncation order and the degree
+    bound are integers in 2..MAX_PARAM; the deformation parameter is any
+    non-zero rational.
     """
     params = tuple(params)
     if name not in BUILTIN_NAMES:
@@ -256,6 +275,23 @@ def builtin(name: str, params=()) -> ExampleBundle:
     if key not in _CACHE:
         _CACHE[key] = _validated(make(*args))
     return _CACHE[key]
+
+
+def law_checks(kind: str, obj) -> dict:
+    """{label: CheckReport} for the laws of an object of this kind ({} for
+    a kind without laws).  A member of a bundle that builtin() handed out
+    gets the verdict kept at its validation, matched by identity, so the
+    same tables declared explicitly are still checked; every other object
+    is checked now.  The reports may be shared: read them, never add to
+    them."""
+    if kind not in LAW_CHECKERS:
+        return {}
+    for bundle in _CACHE.values():
+        kept = bundle.verdicts.get(id(obj))
+        if kept is not None:
+            return dict(kept)
+    label, check = LAW_CHECKERS[kind]
+    return {label: check(obj)}
 
 
 def all_builtins() -> list:

@@ -13,17 +13,16 @@ import argparse
 import os
 import sys
 
-from .algebra import check_algebra, check_bimodule, right_dual
+from .algebra import right_dual
 from .calculus import (
-    check_leibniz, factor_through_universal, is_spanned_by_differential,
-    universal_calculus,
+    factor_through_universal, is_spanned_by_differential, universal_calculus,
 )
 from .cartan import (
-    calculus_from_pair, check_cartan, co_universal_factorization,
-    co_universal_pair, pair_from_calculus, spanning_kernel_diagnostic,
+    calculus_from_pair, co_universal_factorization, co_universal_pair,
+    pair_from_calculus, spanning_kernel_diagnostic,
 )
-from .catalog import builtin as catalog_builtin
-from .connections import check_connection, check_covariant_axioms
+from .catalog import builtin as catalog_builtin, law_checks
+from .connections import check_covariant_axioms
 from .diffops import check_ccr, find_relations, fock_check, \
     generate_diffop_algebra
 from .linalg import ONE
@@ -63,21 +62,6 @@ def _check_lines(label: str, rep: CheckReport) -> list:
     return lines
 
 
-def _checks_for(kind, obj) -> dict:
-    """The axiom checkers that gate the exit code, by object kind."""
-    if kind == "algebra":
-        return {"algebra": check_algebra(obj)}
-    if kind == "bimodule":
-        return {"bimodule": check_bimodule(obj)}
-    if kind == "calculus":
-        return {"leibniz": check_leibniz(obj)}
-    if kind == "cartan_pair":
-        return {"cartan": check_cartan(obj)}
-    if kind == "connection":
-        return {"connection": check_connection(obj)}
-    return {}
-
-
 def cmd_check(args) -> int:
     ws = load_workspace(args.file)
     if args.name is not None:
@@ -92,7 +76,7 @@ def cmd_check(args) -> int:
     failed = False
     for name in wanted:
         wo = ws.objects[name]
-        checks = _checks_for(wo.kind, wo.obj)
+        checks = law_checks(wo.kind, wo.obj)
         if not checks:
             sys.stdout.write("%s: bundle\n" % name)
             continue
@@ -153,7 +137,7 @@ def cmd_derive(args) -> int:
                              % (what, expected, args.name, kind))
     if what not in _UNGATED:
         failed = [rep for k, o in _law_subjects(kind, obj)
-                  for rep in _checks_for(k, o).values() if not rep.ok]
+                  for rep in law_checks(k, o).values() if not rep.ok]
         if failed:
             for rep in failed:
                 sys.stderr.write("%s\n" % rep)
@@ -250,15 +234,17 @@ def cmd_derive(args) -> int:
 
 
 def _prepare_report(objects):
-    """Each object's own checks, run once per report, and one universal
-    calculus with its co-universal pair per lawful algebra, both keyed by
-    object id; objects' algebras and bimodules are included."""
+    """Each object's own checks and one universal calculus with its
+    co-universal pair per lawful algebra, both keyed by object id;
+    objects' algebras and bimodules are included.  The checks of a builtin
+    member are the catalog's verdicts; every other object is checked once
+    per report."""
     checks, universals = {}, {}
     for wo in objects:
         for kind, obj in _law_subjects(wo.kind, wo.obj):
             if id(obj) in checks:
                 continue
-            checks[id(obj)] = _checks_for(kind, obj)
+            checks[id(obj)] = law_checks(kind, obj)
             if kind == "algebra" and checks[id(obj)]["algebra"].ok:
                 u = universal_calculus(obj)
                 universals[id(obj)] = (u, co_universal_pair(obj, u))

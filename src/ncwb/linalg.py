@@ -243,9 +243,6 @@ class Matrix:
         return tuple(next((Fraction(x, den) for c, x in r if c == j), ZERO)
                      for r in rows)
 
-    def cols(self):
-        return list(self.transpose().rows)
-
     def flatten(self) -> Vector:
         return tuple(x for r in self.rows for x in r)
 

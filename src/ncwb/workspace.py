@@ -383,18 +383,6 @@ def cartan_pair_decl(p: CartanPair, algebra_ref: str,
     }
 
 
-def connection_decl(conn: Connection, calculus_ref: str) -> dict:
-    rank_, rem = divmod(conn.module.dim, conn.calculus.algebra.dim)
-    if rem:
-        raise ValueError("only connections on free modules are serialized")
-    return {
-        "kind": "connection",
-        "calculus": calculus_ref,
-        "rank": rank_,
-        "matrix": matrix_rows(conn.matrix),
-    }
-
-
 @dataclass(frozen=True)
 class SparseRows:
     """A list of rows of width exact values each, written as JSON lists of

@@ -1019,7 +1019,7 @@ def check_leibniz_by_pairs(c) -> CheckReport:
     """check_leibniz one basis pair at a time, three applies per pair."""
     rep = CheckReport("calculus")
     a = c.algebra
-    dcols = c.d.cols()
+    dcols = cols(c.d)
     for i in range(a.dim):
         di = dcols[i]
         for j in range(a.dim):
@@ -1152,9 +1152,27 @@ def closure_by_vectors(seed, maps, ambient_dim: int) -> Subspace:
 
 from ncwb.workspace import (  # noqa: E402
     SCHEMA, Workspace, WorkspaceObject, algebra_decl, bimodule_decl,
-    calculus_decl, canonical_text, cartan_pair_decl, connection_decl,
+    calculus_decl, canonical_text, cartan_pair_decl, matrix_rows,
     vector_strings,
 )
+
+
+def cols(m: Matrix) -> list:
+    """The columns of m, each a tuple of Fractions."""
+    return list(m.transpose().rows)
+
+
+def connection_decl(conn, calculus_ref: str) -> dict:
+    """Declaration of a connection on a free module of rank dim E / dim A."""
+    rank_, rem = divmod(conn.module.dim, conn.calculus.algebra.dim)
+    if rem:
+        raise ValueError("only connections on free modules are serialized")
+    return {
+        "kind": "connection",
+        "calculus": calculus_ref,
+        "rank": rank_,
+        "matrix": matrix_rows(conn.matrix),
+    }
 
 
 def declared_names(ws: Workspace) -> list:

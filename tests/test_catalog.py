@@ -13,10 +13,11 @@ from ncwb.cartan import (
     co_universal_pair, pair_from_calculus,
 )
 from ncwb.catalog import (
-    BUILTIN_NAMES, all_builtins, broken_connection_fixture, builtin,
+    BUILTIN_NAMES, MAX_PARAM, all_builtins, broken_connection_fixture, builtin,
     naive_derivative_fixture, noncommuting_bimodule_fixture,
     unit_differential_fixture, vacuum_violation_fixture,
 )
+from ncwb.cli import main
 from ncwb.connections import check_connection
 from ncwb.diffops import fock_check
 from fractions import Fraction
@@ -27,17 +28,24 @@ import helpers
 from helpers import act_left, basis_element
 
 
+def assert_lawful(b):
+    """Every piece of the bundle passes its checker, run here again."""
+    assert check_algebra(b.algebra).ok
+    for m in b.bimodules.values():
+        assert check_bimodule(m).ok
+    if b.calculus is not None:
+        assert check_bimodule(b.calculus.bimodule).ok
+        assert check_leibniz(b.calculus).ok
+    if b.pair is not None:
+        assert check_bimodule(b.pair.bimodule).ok
+        assert check_cartan(b.pair).ok
+
+
 def test_all_builtins_are_valid():
     bundles = all_builtins()
     assert [b.name for b in bundles] == list(BUILTIN_NAMES)
     for b in bundles:
-        assert check_algebra(b.algebra).ok
-        for m in b.bimodules.values():
-            assert check_bimodule(m).ok
-        if b.calculus is not None:
-            assert check_leibniz(b.calculus).ok
-        if b.pair is not None:
-            assert check_cartan(b.pair).ok
+        assert_lawful(b)
 
 
 def same_algebra(a, b):
@@ -149,6 +157,33 @@ def test_parameter_validation():
         builtin("quantum_plane_trunc", (2, 7))
     with pytest.raises(ValueError):
         builtin("dual_numbers", (1,))
+    # the degree bound starts at 2: at degree 1 the field Y would send x
+    # to x, and the pair would break the twisted Leibniz rule
+    for params in [(2, 1), (2, 0), (2, Fraction(5, 2))]:
+        with pytest.raises(ValueError, match="degree bound must be an "
+                                             "integer in 2..6"):
+            builtin("quantum_plane_trunc", params)
+    with pytest.raises(ValueError, match="truncation order must be an "
+                                         "integer in 2..6"):
+        builtin("truncated_poly", (1,))
+
+
+def test_degree_one_is_a_usage_error(capsys):
+    assert main(["builtin", "quantum_plane_trunc", "2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: degree bound must be an integer in 2..6\n"
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PARAM + 1))
+def test_every_truncation_order_builds_a_lawful_bundle(n):
+    assert_lawful(builtin("truncated_poly", (n,)))
+
+
+@pytest.mark.parametrize("q", [2, -1, Fraction(1, 3)])
+@pytest.mark.parametrize("deg", range(2, MAX_PARAM + 1))
+def test_every_degree_bound_builds_a_lawful_bundle(q, deg):
+    assert_lawful(builtin("quantum_plane_trunc", (q, deg)))
 
 
 def test_naive_derivative_fixture_witnesses():

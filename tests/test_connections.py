@@ -22,7 +22,7 @@ from ncwb.linalg import Matrix, frac, kron
 from ncwb.reporting import InvariantError
 
 from helpers import (
-    BasisChange, check_covariant_axioms_per_field, dual_numbers,
+    BasisChange, check_covariant_axioms_per_field, cols, dual_numbers,
     inner_calculus, kahler_dual_numbers, kahler_truncated, matrix_2,
     quantum_plane_pair, simple_tensor, tensor_over_A_by_kron, theta_z2,
     trivial_connection_matrix_by_simple_tensor, truncated_polynomials,
@@ -258,7 +258,7 @@ def assert_simple_tensors_match_oracle(c, rank_):
     ms += [tuple(1 if s == r else 0 for s in range(md)) for r in range(md)]
     for m in ms:
         op = t.projection @ kron(Matrix.from_cols([m], nrows=md), ident)
-        assert op.cols() == [simple_tensor(t, m, xi) for xi in ident.rows]
+        assert cols(op) == [simple_tensor(t, m, xi) for xi in ident.rows]
     assert trivial_connection(c, rank_).matrix \
         == trivial_connection_matrix_by_simple_tensor(c, t, rank_)
 
@@ -395,8 +395,8 @@ from ncwb.connections import (
 from ncwb.diffops import FreeWord, evaluate_mu, find_relations
 from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
 from ncwb.reporting import InvariantError
-from ncwb.workspace import Workspace, WorkspaceObject, connection_decl
-from helpers import _decl_for, direct_sum
+from ncwb.workspace import Workspace, WorkspaceObject
+from helpers import _decl_for, connection_decl, direct_sum
 
 c = builtin("dual_numbers").calculus
 conn = trivial_connection(c, 1)

@@ -17,7 +17,7 @@ from ncwb.linalg import (
 
 from helpers import (
     DenseMatrix, affine_solutions_by_reelimination, apply_dense,
-    closure_by_vectors, coords_dense, dense_linear_combination, inverse,
+    closure_by_vectors, cols, coords_dense, dense_linear_combination, inverse,
     intertwiner_rows_by_kron, kernel_by_reelimination,
     linear_combination_dense, matmul_dense, rref, unimodular_matrices,
 )
@@ -141,7 +141,7 @@ def test_block_combination_is_the_product_with_the_kron_factor(nr, k, j, w,
     assert hstack(column_blocks(got, w), nr) == got
     blocks = column_blocks(m, w)
     assert len(blocks) == k and hstack(blocks, nr) == m
-    for b, cj in zip(column_blocks(got, w), c.cols()):
+    for b, cj in zip(column_blocks(got, w), cols(c)):
         assert b == linear_combination(cj, blocks, nr, w)
 
 
@@ -602,7 +602,7 @@ def assert_same(m, d):
     assert (m.nrows, m.ncols) == (d.nrows, d.ncols)
     assert m.rows == d.rows
     assert all(type(x) is Fraction for r in m.rows for x in r)
-    assert [m.col(j) for j in range(m.ncols)] == m.cols() == d.cols()
+    assert [m.col(j) for j in range(m.ncols)] == cols(m) == d.cols()
     assert m.flatten() == d.flatten()
     assert m.int_rows() == d.int_rows()
     assert m.flat_int() == d.flat_int()

@@ -13,11 +13,11 @@ from ncwb.diffops import find_relations
 from ncwb.linalg import ONE
 from ncwb.workspace import (
     SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
-    bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl, connection_decl,
+    bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl,
     format_rational, parse_rational, parse_workspace,
 )
 
-from helpers import declared_names, export_workspace
+from helpers import connection_decl, declared_names, export_workspace
 
 from fractions import Fraction
 

@@ -16,7 +16,10 @@ built in closed form: X_u is {D in End(A) : D(1) = 0}, with X_D acting as
 by one linear map.  The generic route, right_dual of the universal
 bimodule, stays only as a test oracle.
 Factorization of an arbitrary pair through X_u is a coordinate read-off
-of its action, and its existence is reported, never assumed.
+of its action.  co_universal_factorization, and so derive factorization,
+reports its existence, never assumes it.  report states it instead: it
+runs only on a pair that passes check_cartan, and on such a pair the
+factorization exists and is unique (cli._closed_form_analysis).
 """
 
 from __future__ import annotations

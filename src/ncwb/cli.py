@@ -14,9 +14,7 @@ import os
 import sys
 
 from .algebra import right_dual
-from .calculus import (
-    factor_through_universal, is_spanned_by_differential, universal_calculus,
-)
+from .calculus import is_spanned_by_differential, universal_calculus
 from .cartan import (
     calculus_from_pair, co_universal_factorization, co_universal_pair,
     pair_from_calculus, spanning_kernel_diagnostic,
@@ -233,25 +231,63 @@ def cmd_derive(args) -> int:
                  % (args.name, fact.exists, fact.unique))
 
 
-def _prepare_report(objects):
-    """Each object's own checks and one universal calculus with its
-    co-universal pair per lawful algebra, both keyed by object id;
-    objects' algebras and bimodules are included.  The checks of a builtin
-    member are the catalog's verdicts; every other object is checked once
-    per report."""
-    checks, universals = {}, {}
+def _prepare_report(objects) -> dict:
+    """Each object's own checks, keyed by object id; objects' algebras and
+    bimodules are included.  The checks of a builtin member are the
+    catalog's verdicts; every other object is checked once per report.
+    Nothing else is built here: the universal and co-universal analysis
+    is read from closed forms (_closed_form_analysis)."""
+    checks = {}
     for wo in objects:
         for kind, obj in _law_subjects(wo.kind, wo.obj):
-            if id(obj) in checks:
-                continue
-            checks[id(obj)] = law_checks(kind, obj)
-            if kind == "algebra" and checks[id(obj)]["algebra"].ok:
-                u = universal_calculus(obj)
-                universals[id(obj)] = (u, co_universal_pair(obj, u))
-    return checks, universals
+            if id(obj) not in checks:
+                checks[id(obj)] = law_checks(kind, obj)
+    return checks
 
 
-def _report_object(wo, checks_by_id, universals, max_len):
+def _closed_form_analysis(kind, obj) -> dict:
+    """The universal and co-universal part of the analysis of an algebra,
+    calculus or pair that passes its own checks and whose algebra and
+    bimodule pass theirs.  It holds only on such lawful input; derive
+    universal, couniversal and factorization build the full constructions
+    instead.
+
+    Algebra, of dimension n.  m: A (x) A -> A is onto, as m(1 (x) f) = f,
+    so dim Omega_u = dim ker m = n^2 - n.  X_u, the right dual of
+    Omega_u, is {D in End(A) : D(1) = 0} by D -> X_D: every right module
+    map Omega_u -> A is X_D(sum w_ij e_i (x) e_j) = sum w_ij D(e_i) e_j
+    for one such D, and D -> X_D is injective there, since
+    X_D(du f) = -D(f).  D(1) = 0 is n independent conditions (1 != 0), so
+    dim X_u = n^2 - n as well.
+
+    Calculus (M, d).  phi(sum f_i (x) g_i) = sum f_i.dg_i on Omega_u is
+    left linear because the left action is, and for sum f_i g_i = 0 the
+    Leibniz law gives phi(w.h) = sum f_i.d(g_i h) = phi(w).h
+    + (sum f_i g_i).dh = phi(w).h.  Leibniz also gives
+    d1 = d(1 1) = 2 d1, so d1 = 0 and phi(du f) = df - f.d1 = df.  Any
+    such map is phi on f.du(g) = f (x) g - fg (x) 1, and these span
+    Omega_u (Omega_u = A.du(A)), so phi is unique: the factorization
+    holds.
+
+    Pair (N, X).  X_D acts as -D, so Phi(t) is the vector of X_u with
+    D = -X_t, which lies in X_u as X_t(1) = 0, the unit-annihilation law
+    of check_cartan.  X_u acts faithfully (D -> -D), so Phi is a bimodule
+    map exactly when the actions agree.  Under f.D = L_f o D,
+    Phi(f.t) = f.Phi(t) reads X_{f.t} = L_f o X_t, action linearity;
+    under D.g = D o L_g - L_{D(g)}, Phi(t.g) = Phi(t).g reads
+    X_{t.g} = X_t o L_g - L_{X_t(g)}, the twisted Leibniz law.  So Phi
+    exists, and faithfulness makes it unique: no homogeneous solution.
+    """
+    if kind == "algebra":
+        n = obj.dim
+        return {"universal_dim": n * (n - 1), "couniversal_dim": n * (n - 1)}
+    if kind == "calculus":
+        return {"universal_factorization_ok": True}
+    return {"factorization": {"exists": True, "unique": True,
+                              "homogeneous_dim": 0}}
+
+
+def _report_object(wo, checks_by_id, max_len):
     """(checks dict, info list, json analysis dict) for one object."""
     info = []
     analysis = {}
@@ -263,42 +299,37 @@ def _report_object(wo, checks_by_id, universals, max_len):
              for rep in checks_by_id[id(o)].values())
     checks = dict(checks_by_id[id(obj)])
     if kind == "algebra" and ok:
-        u, cu = universals[id(obj)]
-        analysis["universal_dim"] = u.bimodule.dim
-        analysis["couniversal_dim"] = cu.bimodule.dim
-        info.append("universal one-forms dim %d" % u.bimodule.dim)
-        info.append("co-universal fields dim %d" % cu.bimodule.dim)
+        analysis.update(_closed_form_analysis(kind, obj))
+        info.append("universal one-forms dim %d" % analysis["universal_dim"])
+        info.append("co-universal fields dim %d"
+                    % analysis["couniversal_dim"])
     elif kind == "bimodule":
+        symmetric = obj.is_symmetric()
         analysis["dim"] = obj.dim
-        analysis["symmetric"] = obj.is_symmetric()
+        analysis["symmetric"] = symmetric
         info.append("dim %d, symmetric %s"
-                    % (obj.dim, "yes" if obj.is_symmetric() else "no"))
+                    % (obj.dim, "yes" if symmetric else "no"))
     elif kind == "calculus" and ok:
         spanned = is_spanned_by_differential(obj)
-        u, _ = universals[id(obj.algebra)]
-        _phi, cert = factor_through_universal(obj, universal=u)
         analysis["spanned_by_differentials"] = spanned
-        analysis["universal_factorization_ok"] = cert.ok
+        analysis.update(_closed_form_analysis(kind, obj))
         info.append("spanned by differentials: %s"
                     % ("yes" if spanned else "no"))
         info.append("factors through the universal calculus: %s"
-                    % ("yes" if cert.ok else "no"))
+                    % ("yes" if analysis["universal_factorization_ok"]
+                       else "no"))
     elif kind == "cartan_pair" and ok:
         fock = fock_check(obj)
         ccr = check_ccr(obj)
         diag = spanning_kernel_diagnostic(obj)
-        _, cu = universals[id(obj.algebra)]
-        fact = co_universal_factorization(obj, cu)
+        fact = _closed_form_analysis(kind, obj)["factorization"]
         ops = generate_diffop_algebra(obj)
         rs = find_relations(obj, max_len=max_len)
         analysis["fock"] = _findings_json(fock)
         analysis["ccr"] = _findings_json(ccr)
         analysis["spanned"] = diag.spanned
         analysis["action_kernel_trivial"] = diag.kernel_trivial
-        analysis["factorization"] = {
-            "exists": fact.exists, "unique": fact.unique,
-            "homogeneous_dim": fact.homogeneous_dim,
-        }
+        analysis["factorization"] = fact
         analysis["diffop_dim"] = ops.dim
         analysis["relations"] = {"count": len(rs.rules),
                                  "words": len(rs.words),
@@ -315,7 +346,7 @@ def _report_object(wo, checks_by_id, universals, max_len):
                     % tuple("yes" if v else "no"
                             for v in (diag.spanned, diag.kernel_trivial)))
         info.append("co-universal factorization: exists %s, unique %s"
-                    % (fact.exists, fact.unique))
+                    % (fact["exists"], fact["unique"]))
         info.append("operator algebra dim %d" % ops.dim)
         info.append("relations: %d among %d words (length <= %d)"
                     % (len(rs.rules), len(rs.words), max_len))
@@ -329,7 +360,7 @@ def _report_object(wo, checks_by_id, universals, max_len):
 def cmd_report(args) -> int:
     ws = load_workspace(args.file)
     max_len = _max_word_len()
-    checks_by_id, universals = _prepare_report(
+    checks_by_id = _prepare_report(
         [wo for wo in ws.objects.values() if wo.kind != "builtin"])
     failed = False
     json_doc = {"schema": SCHEMA, "report": {}}
@@ -346,8 +377,7 @@ def cmd_report(args) -> int:
                                         "builtin": wo.obj.name,
                                         "params": [str(p) for p in wo.params]}
             continue
-        checks, info, analysis = _report_object(wo, checks_by_id,
-                                                universals, max_len)
+        checks, info, analysis = _report_object(wo, checks_by_id, max_len)
         lines.append("== %s: %s" % (name, wo.kind))
         entry = {"kind": wo.kind, "checks": {}, "analysis": analysis}
         for label, rep in checks.items():

@@ -177,8 +177,10 @@ def test_builtin_export_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out).hexdigest() == BUILTIN_SHA256[name]
 
 
-# SHA-256 of the stdout of derive <ws> q.algebra <what> on
-# quantum_plane_trunc(2, 3): n = 10, 90 one-forms and fields
+# SHA-256 of the stdout of derive <ws> q.<member> <what>, the inputs in
+# DECLARATION_INPUT; on quantum_plane_trunc(2, 3), n = 10, with 90
+# one-forms and fields.  universal, couniversal and factorization pin the
+# full constructions, which report replaces by closed forms
 DECLARATION_SHA256 = {
     "universal":
         "a01c18b511519d7677ce4ee8750e41337f4ca8c63b176dbec402dbe2d7163e80",
@@ -190,6 +192,8 @@ DECLARATION_SHA256 = {
         "49b6079cae754590c512fb82bf0e13b65d903c5a9c493a2b7a9fa0ffa301e4b4",
     "calculus":
         "cf5bee3ab3bd9caf6d6f878215418f3824d31cf657a45f0b6a8c68002df443f6",
+    "factorization":
+        "41c8c80df52b2232ba9d337b09208b1861218f21fba59f6cf0a92bc3f4202385",
 }
 
 # the builtin, its parameters and the bundle member each kind is derived
@@ -200,6 +204,7 @@ DECLARATION_INPUT = {
     "dual": ("quantum_plane_trunc", [2, 3], "regular"),
     "pair": ("truncated_poly", [5], "calculus"),
     "calculus": ("quantum_plane_trunc", [2, 3], "pair"),
+    "factorization": ("quantum_plane_trunc", [2, 3], "pair"),
 }
 
 
@@ -422,8 +427,9 @@ def test_report_on_non_associative_algebra_exits_one(tmp_path, capsys):
 def test_report_skips_lawful_looking_objects_over_a_lawless_algebra(
         tmp_path, capsys):
     # the zero calculus and the pair without fields over B pass their own
-    # checks trivially; their analysis would build the universal calculus
-    # of the non-associative B
+    # checks trivially; the report states their factorizations in closed
+    # form, which holds only over a lawful algebra, so over the
+    # non-associative B it must state nothing
     objects = {"B": lawless_objects()["B"],
                "N": {"kind": "bimodule", "algebra": "B", "dim": 0,
                      "left": [[], [], []], "right": [[], [], []]},

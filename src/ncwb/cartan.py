@@ -28,16 +28,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Echelon, Matrix, Subspace, block_combination, hstack, is_zero_vector,
-    kernel, kron, linear_combination,
+    Echelon, Matrix, Subspace, block_combination, closure_under_maps,
+    hstack, intertwiner_rows, is_zero_vector, kernel, kron,
+    linear_combination, rank,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
     left_dual, right_dual,
 )
 from .calculus import (
-    DifferentialCalculus, UniversalCalculus, is_spanned_by_differential,
-    universal_calculus,
+    DifferentialCalculus, UniversalCalculus, universal_calculus,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -164,12 +164,6 @@ def calculus_from_pair(p: CartanPair):
     return DifferentialCalculus(a, ld.bimodule, c.transpose()), ld
 
 
-def action_kernel(p: CartanPair) -> Subspace:
-    """Bimodule vectors acting by zero."""
-    return kernel(Matrix.from_int_cols([m.flat_int() for m in p.action],
-                                       p.algebra.dim ** 2))
-
-
 @dataclass
 class SpanKernelDiagnostic:
     spanned: bool
@@ -183,11 +177,42 @@ class SpanKernelDiagnostic:
 def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
     """Reports, side by side, whether the induced calculus is spanned by
     differentials and whether the action kernel vanishes.  No implication
-    between the two is asserted."""
-    calc, _ = calculus_from_pair(p)
+    between the two is asserted.
+
+    The induced calculus (calculus_from_pair) sends e_j to its evaluation
+    matrix K_j, column t X_t(e_j), in the left dual of N: the n x p
+    matrices E with E L_i = l_i E, whose actions are f.E = E R_f and
+    E.g = r_g E (R_f the right action of N, r_g right multiplication on
+    A).  It is spanned by differentials when the K_j generate that dual,
+    so this closes the K_j under those n + n factors inside all n x p
+    matrices and compares the dimension of the closure with that of the
+    dual, n p less the rank of the intertwiner_rows constraints.  Neither
+    the dual bimodule nor the calculus is built.
+
+    Precondition: the algebra and the bimodule are lawful, which the
+    report's law gate ensures; the left dual is then closed under its
+    actions, so the closure of the K_j in Q^(n p) is their closure in the
+    dual.  A K_j outside the dual raises InvariantError, as
+    calculus_from_pair does.  The action kernel is trivial when the p
+    operators X_t are independent.
+    """
+    a, nb = p.algebra, p.bimodule
+    n, m = a.dim, nb.dim
+    constraints = Matrix.from_int_rows(
+        [row for i in range(n)
+         for row in intertwiner_rows(nb.left[i], a.lmul[i])], n * m)
+    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
+                                 n * m)
+    bad = (constraints @ evals.transpose()).nonzero_cols()
+    if bad:
+        raise InvariantError("the evaluation of the action at %s is not "
+                             "left linear" % a.basis_names[bad[0]])
+    closure = closure_under_maps(evals, nb.right, shape=(n, m),
+                                 left=a.rmul)
     return SpanKernelDiagnostic(
-        spanned=is_spanned_by_differential(calc),
-        kernel_trivial=action_kernel(p).dim == 0)
+        spanned=closure.dim == n * m - rank(constraints),
+        kernel_trivial=rank(Matrix.from_int_rows(
+            [x.flat_int() for x in p.action], n * n)) == m)
 
 
 class CoUniversalPair(CartanPair):

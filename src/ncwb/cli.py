@@ -22,7 +22,7 @@ from .cartan import (
 from .catalog import builtin as catalog_builtin, law_checks
 from .connections import check_covariant_axioms
 from .diffops import check_ccr, find_relations, fock_check, \
-    generate_diffop_algebra
+    generate_diffop_algebra, order_filtration, word_count
 from .linalg import ONE
 from .reporting import CheckReport, InvariantError
 from .workspace import (
@@ -323,16 +323,20 @@ def _report_object(wo, checks_by_id, max_len):
         ccr = check_ccr(obj)
         diag = spanning_kernel_diagnostic(obj)
         fact = _closed_form_analysis(kind, obj)["factorization"]
-        ops = generate_diffop_algebra(obj)
-        rs = find_relations(obj, max_len=max_len)
+        # the order filtration gives the relation count at every length
+        # and, on a lawful pair, the operator algebra's dimension as its
+        # stable value (see the diffops module docstring)
+        dims = order_filtration(obj)
+        diffop_dim = dims[-1]
+        words = word_count(obj, max_len)
+        relations = words - dims[min(max_len, len(dims)) - 1]
         analysis["fock"] = _findings_json(fock)
         analysis["ccr"] = _findings_json(ccr)
         analysis["spanned"] = diag.spanned
         analysis["action_kernel_trivial"] = diag.kernel_trivial
         analysis["factorization"] = fact
-        analysis["diffop_dim"] = ops.dim
-        analysis["relations"] = {"count": len(rs.rules),
-                                 "words": len(rs.words),
+        analysis["diffop_dim"] = diffop_dim
+        analysis["relations"] = {"count": relations, "words": words,
                                  "max_word_len": max_len}
         info.append("vacuum: %s" % ("ok" if fock.ok else "violated"))
         info.extend("  " + str(f) for f in fock.findings)
@@ -347,9 +351,9 @@ def _report_object(wo, checks_by_id, max_len):
                             for v in (diag.spanned, diag.kernel_trivial)))
         info.append("co-universal factorization: exists %s, unique %s"
                     % (fact["exists"], fact["unique"]))
-        info.append("operator algebra dim %d" % ops.dim)
+        info.append("operator algebra dim %d" % diffop_dim)
         info.append("relations: %d among %d words (length <= %d)"
-                    % (len(rs.rules), len(rs.words), max_len))
+                    % (relations, words, max_len))
     elif kind == "connection" and ok:
         pair = pair_from_calculus(obj.calculus)
         checks["covariant-axioms"] = check_covariant_axioms(obj, pair)

@@ -24,6 +24,30 @@ The operator algebra generated by the left multiplications and the action
 is the closure of the identity under right composition with those n + p
 generators: every product of generators extends a shorter one on the
 right.
+
+The order filtration.  D_k is the span of the operators l(f) X_w of the
+words f * X_t1 * ... * X_tj with j <= k, so D_0 = l(A) and
+D_{k+1} = D_0 + D_k X, where D X is the span of the D X_t.  No pair law
+enters.  find_relations at max_len L takes the
+W_L = n (1 + p + ... + p^(L-1)) words with j < L, whose operators span
+D_{L-1}; the words are independent in the free product, so it finds
+W_L - dim D_{L-1} relations.  Once D_{k+1} = D_k the filtration is
+stable, D_j = D_k for every j > k, and order_filtration stops there.
+
+On a pair that passes check_cartan over an algebra that passes
+check_algebra, the stable piece D is the operator algebra.  Every l(f) X_w
+is a product of generators, so D lies in the operator algebra; this holds
+for every pair.  Conversely D holds I = l(1), and it is closed under right
+composition with each X_t by construction, and with each l_g as well:
+twisted Leibniz, X_t(g h) = X_t(g) h + (X_t.g)(h), reads
+X_t l_g = l(X_t(g)) + X_(X_t.g), a left multiplication plus a field.  So
+by induction on the length of w from the right, X_w l_g is a combination
+of l(h) X_v with v no longer than w, and associativity,
+l(f) l(h) = l(fh), puts l(f) X_w l_g back in D.  A subspace that holds I
+and is closed under right composition with every generator holds the
+closure of I, the operator algebra.  report prints the stable dimension
+as the operator algebra's; generate_diffop_algebra and
+derive diffops compute the closure itself, lawful pair or not.
 """
 
 from __future__ import annotations
@@ -235,18 +259,42 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
 
     A product of generators is a shorter product composed with one more
     generator on the right, so this closure is the span of all products,
-    lawful pair or not, after D (n + p) compositions for an algebra of
-    dimension D.
+    lawful pair or not.  The closure takes the operators as n x n
+    matrices, so each generator multiplies the stack of the operators new
+    at the last level in one n x n product.
     """
     n = pair.algebra.dim
     gens = (["id"] + ["l(%s)" % name for name in pair.algebra.basis_names]
             + ["act(X%d)" % t for t in range(pair.bimodule.dim)])
-    i_n = Matrix.identity(n)
-    # flat(op g) = flat(op) (I (x) g), so each generator is one matrix
-    # acting on the flattened operators
-    maps = [kron(i_n, g) for g in pair.algebra.lmul + pair.action]
+    seed = Matrix.from_int_rows([Matrix.identity(n).flat_int()], n * n)
     return OperatorAlgebra(tuple(gens), closure_under_maps(
-        Matrix.from_int_rows([i_n.flat_int()], n * n), maps))
+        seed, pair.algebra.lmul + pair.action, shape=(n, n)))
+
+
+def order_filtration(pair: CartanPair) -> tuple:
+    """dim D_0, dim D_1, ..., dim D_k for the first k with
+    D_{k+1} = D_k, so the last entry is the stable dimension (see the
+    module docstring).
+
+    D_0 = l(A), and each level stacks the operators that were new at the
+    last one into one tall matrix and multiplies it by each X_t in one
+    product, into one echelon of width n^2.  No pair law is needed.  An
+    algebra whose left multiplications all vanish has D_0 = 0 = D_k.
+    """
+    n = pair.algebra.dim
+    dims = []
+    closure_under_maps(
+        Matrix.from_int_rows([lm.flat_int() for lm in pair.algebra.lmul],
+                             n * n),
+        pair.action, shape=(n, n), dims=dims)
+    return tuple(dims) or (0,)
+
+
+def word_count(pair: CartanPair, max_len: int) -> int:
+    """W_L = n (1 + p + ... + p^(L-1)), the number of words
+    find_relations takes at max_len L."""
+    p = pair.bimodule.dim
+    return pair.algebra.dim * sum(p ** k for k in range(max_len))
 
 
 @dataclass

@@ -426,6 +426,30 @@ def transported_pairs(draw, pairs):
     return change.pair(p, change.algebra(p.algebra))
 
 
+@st.composite
+def random_action_pairs(draw, pairs):
+    """One of the given pairs' algebra and bimodule with fields drawn at
+    random, almost never lawful."""
+    base = draw(st.sampled_from(pairs))
+    n = base.algebra.dim
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2))
+    acts = [Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+            for _ in range(base.bimodule.dim)]
+    return CartanPair(base.algebra, base.bimodule, acts)
+
+
+@st.composite
+def left_linear_pairs(draw, algebras):
+    """Fields X_t = l(e_t) D on the regular bimodule of one of the given
+    algebras, for a drawn operator D: action linear for every D, so the
+    evaluations lie in the left dual, but rarely twisted Leibniz."""
+    a = draw(st.sampled_from(algebras))
+    n = a.dim
+    entry = st.sampled_from((0, 0, 0, 1, -1))
+    d = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    return CartanPair(a, Bimodule.regular(a), [lm @ d for lm in a.lmul])
+
+
 class BasisChange:
     """New bases: the columns of p for the algebra, of q for a module."""
 
@@ -769,6 +793,26 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
         intertwines=(kappa_mat @ c.d == derived.d),
         map_report=check_bimodule_map(kappa),
         derived=derived)
+
+
+from ncwb.calculus import is_spanned_by_differential  # noqa: E402
+from ncwb.cartan import SpanKernelDiagnostic  # noqa: E402
+
+
+def action_kernel(p) -> Subspace:
+    """Bimodule vectors acting by zero."""
+    return kernel(Matrix.from_int_cols([m.flat_int() for m in p.action],
+                                       p.algebra.dim ** 2))
+
+
+def spanning_kernel_diagnostic_by_left_dual(p) -> SpanKernelDiagnostic:
+    """spanning_kernel_diagnostic through the induced calculus: build the
+    left dual, read the evaluations into its coordinates and close the
+    images of d under the dual's actions."""
+    calc, _ = calculus_from_pair(p)
+    return SpanKernelDiagnostic(
+        spanned=is_spanned_by_differential(calc),
+        kernel_trivial=action_kernel(p).dim == 0)
 
 
 # ---- the dense Fraction matrix, the oracle for the sparse Matrix -------

@@ -10,7 +10,7 @@ from ncwb.algebra import (
 from ncwb.calculus import check_leibniz, factor_through_universal, \
     universal_calculus
 from ncwb.cartan import (
-    CartanPair, action_kernel, calculus_from_pair, check_cartan,
+    CartanPair, calculus_from_pair, check_cartan,
     co_universal_factorization, co_universal_pair, pair_from_calculus,
     spanning_kernel_diagnostic,
 )
@@ -22,7 +22,9 @@ from ncwb.linalg import Matrix
 from ncwb.reporting import InvariantError
 
 from helpers import (
-    direct_sum, reflexive_roundtrip,
+    action_kernel, direct_sum, left_linear_pairs, naive_derivative_pair,
+    random_action_pairs,
+    reflexive_roundtrip, spanning_kernel_diagnostic_by_left_dual,
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
     dual_span_by_reelimination, dual_numbers, inner_calculus,
     kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,
@@ -118,17 +120,119 @@ def test_action_kernel_trivial_for_dual_numbers():
     assert diag.spanned and diag.kernel_trivial and diag.agree
 
 
-def test_padding_with_zero_generator_flips_both_diagnostics():
+def padded_pair() -> CartanPair:
+    """The dual numbers' Kahler pair plus a field acting by zero."""
     p = pair_from_calculus(kahler_dual_numbers())
     a = p.algebra
     one, zero = Matrix([[1]]), Matrix([[0]])
     trivial = Bimodule(a, 1, (one, zero), (one, zero))
-    padded = CartanPair(a, direct_sum(p.bimodule, trivial),
-                        (p.action[0], Matrix.zeros(2, 2)))
+    return CartanPair(a, direct_sum(p.bimodule, trivial),
+                      (p.action[0], Matrix.zeros(2, 2)))
+
+
+def test_padding_with_zero_generator_flips_both_diagnostics():
+    padded = padded_pair()
     assert check_cartan(padded).ok
     assert action_kernel(padded).dim == 1
     diag = spanning_kernel_diagnostic(padded)
     assert not diag.spanned and not diag.kernel_trivial and diag.agree
+
+
+def assert_diagnostic_matches_the_left_dual_route(p):
+    new = spanning_kernel_diagnostic(p)
+    assert new == spanning_kernel_diagnostic_by_left_dual(p)
+    return new
+
+
+@pytest.mark.parametrize("case", list(BUILTIN_NAMES)
+                         + ["truncated_poly 6", "quantum_plane_trunc 2 3"])
+def test_spanning_diagnostic_matches_the_left_dual_route_on_builtins(case):
+    name, *params = case.split()
+    assert_diagnostic_matches_the_left_dual_route(
+        builtin(name, tuple(int(x) for x in params)).pair)
+
+
+@pytest.mark.parametrize("c", all_calculi(), ids=lambda c: repr(c.algebra))
+def test_spanning_diagnostic_matches_the_left_dual_route_on_derived_pairs(c):
+    assert_diagnostic_matches_the_left_dual_route(pair_from_calculus(c))
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs([builtin(name).pair for name in BUILTIN_NAMES
+                          if builtin(name).algebra.dim <= 4]))
+def test_spanning_diagnostic_matches_the_left_dual_route_after_basis_change(
+        p):
+    assert_diagnostic_matches_the_left_dual_route(p)
+
+
+def diagnostic_or_refusal(route, p):
+    try:
+        return route(p)
+    except InvariantError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p", [
+    naive_derivative_fixture(), naive_derivative_pair(3),
+    naive_derivative_pair(5)], ids=["naive-4", "naive-3", "naive-5"])
+def test_spanning_diagnostic_matches_the_left_dual_route_without_leibniz(p):
+    # left linear fields that break twisted Leibniz: the induced map is no
+    # derivation, so its images need both actions to span
+    assert not check_cartan(p).ok
+    assert_diagnostic_matches_the_left_dual_route(p)
+
+
+@pytest.mark.parametrize("d", [
+    # the images of d span under the left actions of the dual alone
+    [[0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 0]],
+    # under the right actions alone
+    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 0, 0]],
+    # under both together only
+    [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+], ids=["left", "right", "both"])
+def test_spanning_diagnostic_needs_both_actions_without_leibniz(d):
+    # X_t = l(e_t) D on the regular bimodule of matrix_2
+    a = matrix_2()
+    p = CartanPair(a, Bimodule.regular(a),
+                   [lm @ Matrix(d) for lm in a.lmul])
+    assert not check_cartan(p).ok
+    assert assert_diagnostic_matches_the_left_dual_route(p).spanned
+
+
+@settings(max_examples=40, deadline=None)
+@given(left_linear_pairs([builtin(name).algebra for name in BUILTIN_NAMES
+                          if builtin(name).algebra.dim <= 4]))
+def test_spanning_diagnostic_on_left_linear_fields(p):
+    assert_diagnostic_matches_the_left_dual_route(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_action_pairs([builtin(name).pair for name in BUILTIN_NAMES
+                            if builtin(name).algebra.dim <= 4]))
+def test_spanning_diagnostic_matches_the_left_dual_route_on_drawn_fields(p):
+    # lawless fields over a lawful algebra and bimodule: the same verdicts
+    # or the same refusal
+    assert diagnostic_or_refusal(spanning_kernel_diagnostic, p) \
+        == diagnostic_or_refusal(spanning_kernel_diagnostic_by_left_dual, p)
+
+
+def test_spanning_diagnostic_matches_the_left_dual_route_on_the_padded_pair():
+    diag = assert_diagnostic_matches_the_left_dual_route(padded_pair())
+    assert (diag.spanned, diag.kernel_trivial) == (False, False)
+
+
+def test_spanning_diagnostic_names_an_evaluation_that_is_not_left_linear():
+    # the pair of
+    # test_evaluation_outside_the_left_dual_names_the_basis_element: both
+    # routes refuse it with one message
+    a = dual_numbers()
+    p = CartanPair(a, Bimodule.regular(a),
+                   [Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2)])
+    message = "^the evaluation of the action at x is not left linear$"
+    with pytest.raises(InvariantError, match=message):
+        spanning_kernel_diagnostic(p)
+    with pytest.raises(InvariantError, match=message):
+        spanning_kernel_diagnostic_by_left_dual(p)
 
 
 def test_co_universal_pair_dual_numbers():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -180,7 +181,9 @@ def test_builtin_export_bytes_are_pinned(capsys, name):
 # SHA-256 of the stdout of derive <ws> q.<member> <what>, the inputs in
 # DECLARATION_INPUT; on quantum_plane_trunc(2, 3), n = 10, with 90
 # one-forms and fields.  universal, couniversal and factorization pin the
-# full constructions, which report replaces by closed forms
+# full constructions, which report replaces by closed forms; diffops pins
+# the operator algebra, whose dimension report reads off the order
+# filtration
 DECLARATION_SHA256 = {
     "universal":
         "a01c18b511519d7677ce4ee8750e41337f4ca8c63b176dbec402dbe2d7163e80",
@@ -194,6 +197,8 @@ DECLARATION_SHA256 = {
         "cf5bee3ab3bd9caf6d6f878215418f3824d31cf657a45f0b6a8c68002df443f6",
     "factorization":
         "41c8c80df52b2232ba9d337b09208b1861218f21fba59f6cf0a92bc3f4202385",
+    "diffops":
+        "9d6a61d6477af3a5610fefaac63b1b7701d898b1a36e0a5bce2d19496cce4fdc",
 }
 
 # the builtin, its parameters and the bundle member each kind is derived
@@ -205,6 +210,7 @@ DECLARATION_INPUT = {
     "pair": ("truncated_poly", [5], "calculus"),
     "calculus": ("quantum_plane_trunc", [2, 3], "pair"),
     "factorization": ("quantum_plane_trunc", [2, 3], "pair"),
+    "diffops": ("quantum_plane_trunc", [2, 3], "pair"),
 }
 
 
@@ -244,6 +250,25 @@ def test_report_at_the_largest_documented_degree(tmp_path):
     assert r.returncode == 0, r.stderr.decode()
     assert hashlib.sha256(r.stdout).hexdigest() == \
         "6efb464176b3eb14030ae503b90f57efb523bde520f3b2573a33d37c883b243a"
+    peak_kib = int(r.stderr.decode().split()[-1])
+    assert peak_kib < 64 * 1024
+
+
+def test_report_at_the_longest_documented_word_length(tmp_path):
+    # truncated_poly(6) at NCWB_MAX_WORD_LEN=8: 585,936 words, of which
+    # 585,915 are relations; report counts them from the order
+    # filtration, so its size does not grow with the word count
+    path = write_ws(tmp_path, {"t": {"kind": "builtin",
+                                     "builtin": "truncated_poly",
+                                     "params": [6]}})
+    r = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER,
+                        sys.executable, "-m", "ncwb", "report", path],
+                       capture_output=True, timeout=600,
+                       env=dict(os.environ, NCWB_MAX_WORD_LEN="8"))
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == \
+        "b41f1b77405c5e35375661de68e036d4247bbb0d9aefe164bf41978e21ac2f83"
+    assert b"relations: 585915 among 585936 words (length <= 8)" in r.stdout
     peak_kib = int(r.stderr.decode().split()[-1])
     assert peak_kib < 64 * 1024
 

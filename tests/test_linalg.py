@@ -131,6 +131,50 @@ def test_closure_under_maps_matches_the_vector_worklist(w, nseed, nmaps,
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 2), st.data())
+def test_closure_under_matrix_factors_matches_the_vector_worklist(
+        r, c, nseed, nright, nleft, data):
+    # each row is an r x c matrix E, mapped to E m and to l E
+    seed = draw_matrix(data, nseed, r * c)
+    right = [draw_matrix(data, c, c) for _ in range(nright)]
+    left = [draw_matrix(data, r, r) for _ in range(nleft)]
+
+    def times(m, on_left):
+        def image(v):
+            e = Matrix.from_flat(v, r, c)
+            return (m @ e if on_left else e @ m).flatten()
+        return image
+
+    dims = []
+    closure = closure_under_maps(seed, right, shape=(r, c), left=left,
+                                 dims=dims)
+    assert closure == closure_by_vectors(
+        seed.rows, [times(m, False) for m in right]
+        + [times(m, True) for m in left], r * c)
+    # the dimension after each level that grew the span
+    assert dims == sorted(set(dims))
+    assert dims[-1:] == ([closure.dim] if closure.dim else [])
+
+
+def test_closure_under_maps_refuses_a_shape_of_another_size():
+    with pytest.raises(ValueError, match="^rows of 4 entries are not 3x1 "
+                       "matrices$"):
+        closure_under_maps(Matrix.zeros(1, 4), [], shape=(3, 1))
+
+
+def test_closure_under_maps_records_the_dimension_of_each_level():
+    # e0 -> e1 -> e2 one level at a time; the zero seed grows nothing
+    shift = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    dims = []
+    closure_under_maps(Matrix([[1, 0, 0]]), [shift], dims=dims)
+    assert dims == [1, 2, 3]
+    dims = []
+    closure_under_maps(Matrix.zeros(1, 3), [shift], dims=dims)
+    assert dims == []
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
        st.integers(1, 3), st.data())
 def test_block_combination_is_the_product_with_the_kron_factor(nr, k, j, w,

@@ -337,14 +337,8 @@ class LeftModule:
     def free(cls, a: Algebra, rank_: int) -> "LeftModule":
         """A^rank with componentwise left multiplication: each action is
         block diagonal, rank copies of the left multiplication."""
-        n = a.dim
-        mats = []
-        for lm in a.lmul:
-            den, rows = lm.int_rows()
-            mats.append(Matrix.from_int_rows(
-                [(den, [(blk * n + j, x) for j, x in r])
-                 for blk in range(rank_) for r in rows], n * rank_))
-        return cls(a, n * rank_, mats)
+        i_r = Matrix.identity(rank_)
+        return cls(a, a.dim * rank_, [kron(i_r, lm) for lm in a.lmul])
 
     def left_of(self, f) -> Matrix:
         return linear_combination(f, self.left, self.dim, self.dim)
@@ -545,9 +539,14 @@ class TensorProductOverA:
 def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     """Balanced tensor product with its canonical coordinates.
 
-    Ambient basis (s, a) -> s * e.dim + a; relations are spanned by
-    (m_s.f_j) (x) xi_a - m_s (x) (f_j.xi_a).  Quotient coordinates are the
-    ambient coordinates away from the relation pivots.
+    Ambient basis (s, t) -> s * e.dim + t, so an ambient vector is an
+    m.dim x e.dim matrix X read row-major.  The relations are spanned by
+    (m_s.f_j) (x) xi_t - m_s (x) (f_j.xi_t), and the relation of (s, t) is
+    minus row (s, t) of the system X L_j - R_j^T X that intertwiner_rows
+    writes out; the reduced echelon form of their span does not depend on
+    the sign.  Quotient coordinates are the ambient coordinates away from
+    the relation pivots.  f_i acts on the quotient by P_i lift, where
+    P_i = projection (L_i (x) I_E) comes from block_combination.
     """
     a = m.algebra
     if e.algebra is not a:
@@ -557,17 +556,8 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     amb = m.dim * ed
     ech = Echelon(amb)
     for j in range(a.dim):
-        # the columns of R_j and L_j by their non-zero numerators
-        dr, rcols = m.right[j].transpose().int_rows()
-        dl, lcols = e.left[j].transpose().int_rows()
-        for s in range(m.dim):
-            for t in range(ed):
-                # the relation of (s, t), times dr * dl
-                v = {s2 * ed + t: x * dl for s2, x in rcols[s]}
-                for t2, x in lcols[t]:
-                    k = s * ed + t2
-                    v[k] = v.get(k, 0) - x * dr
-                ech.insert_int(v)
+        for _, row in intertwiner_rows(e.left[j], m.right[j].transpose()):
+            ech.insert_int(row)
     rel = ech.subspace()
     pivset = set(rel.pivots)
     qindex = {qc: k for k, qc in enumerate(
@@ -586,25 +576,12 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
                                  for j in range(amb)], qdim)
 
     rel_cols = rel.matrix.transpose()
-    dp, prows = projection.int_rows()
     left_mats = []
     for i in range(a.dim):
-        # P_i = projection (L_i (x) I): its entry at column (s, t) is
-        # sum_s2 projection[(s2, t)] * L_i[s2][s]
-        dl, lrows = m.left[i].int_rows()
-        accs = []
-        for pr in prows:
-            acc = {}
-            for col, y in pr:
-                s2, t = divmod(col, ed)
-                for s, x in lrows[s2]:
-                    k = s * ed + t
-                    acc[k] = acc.get(k, 0) + y * x
-            accs.append((dp * dl, acc))
+        p_i = block_combination(projection, m.left[i], ed)
         # balancing is stable under the left action, else the quotient
         # action would be ill defined; the projection kills exactly the
         # relations, so stability reads P_i R = 0
-        p_i = Matrix.from_int_rows(accs, amb)
         if not (p_i @ rel_cols).is_zero():
             raise InvariantError("left action does not preserve "
                                  "balancing relations")

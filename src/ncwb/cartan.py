@@ -19,7 +19,8 @@ Factorization of an arbitrary pair through X_u is a coordinate read-off
 of its action.  co_universal_factorization, and so derive factorization,
 reports its existence, never assumes it.  report states it instead: it
 runs only on a pair that passes check_cartan, and on such a pair the
-factorization exists and is unique (cli._closed_form_analysis).
+factorization exists and is unique (the proof is in the docstring of
+cli._report_object).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 from .linalg import (
     Echelon, Matrix, Subspace, block_combination, closure_under_maps,
-    hstack, intertwiner_rows, is_zero_vector, kernel, kron,
+    column_blocks, hstack, intertwiner_rows, is_zero_vector, kernel, kron,
     linear_combination, rank,
 )
 from .algebra import (
@@ -261,9 +262,7 @@ def co_universal_pair(a: Algebra,
     # evals[m*n + i]: evaluation matrix of X_E for the matrix unit
     # E: e_i -> e_m; column c is X_E(b_c) = sum_j b_c[i n + j] e_m e_j,
     # that is L_m F_i with column c of F_i the row i of b_c
-    fden, frows = u.one_forms.matrix.transpose().int_rows()
-    f_rows = [Matrix.from_int_rows([(fden, r) for r in frows[i * n:i * n + n]],
-                                   k) for i in range(n)]
+    f_rows = [b.transpose() for b in column_blocks(u.one_forms.matrix, n)]
     evals = [lm @ f for lm in a.lmul for f in f_rows]
     # {D : D(1) = 0} as flattened n x n matrices
     _, (unit,) = Matrix((a.unit,)).int_rows()

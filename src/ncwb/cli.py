@@ -236,7 +236,7 @@ def _prepare_report(objects) -> dict:
     bimodules are included.  The checks of a builtin member are the
     catalog's verdicts; every other object is checked once per report.
     Nothing else is built here: the universal and co-universal analysis
-    is read from closed forms (_closed_form_analysis)."""
+    is read from closed forms (_report_object)."""
     checks = {}
     for wo in objects:
         for kind, obj in _law_subjects(wo.kind, wo.obj):
@@ -245,12 +245,14 @@ def _prepare_report(objects) -> dict:
     return checks
 
 
-def _closed_form_analysis(kind, obj) -> dict:
-    """The universal and co-universal part of the analysis of an algebra,
-    calculus or pair that passes its own checks and whose algebra and
-    bimodule pass theirs.  It holds only on such lawful input; derive
-    universal, couniversal and factorization build the full constructions
-    instead.
+def _report_object(wo, checks_by_id, max_len):
+    """(checks dict, info list, json analysis dict) for one object.
+
+    The universal and co-universal part of the analysis is read from the
+    closed forms proved below.  They hold only on an algebra, calculus or
+    pair that passes its own checks and whose algebra and bimodule pass
+    theirs, so only such an object gets that analysis; derive universal,
+    couniversal and factorization build the full constructions instead.
 
     Algebra, of dimension n.  m: A (x) A -> A is onto, as m(1 (x) f) = f,
     so dim Omega_u = dim ker m = n^2 - n.  X_u, the right dual of
@@ -278,17 +280,6 @@ def _closed_form_analysis(kind, obj) -> dict:
     X_{t.g} = X_t o L_g - L_{X_t(g)}, the twisted Leibniz law.  So Phi
     exists, and faithfulness makes it unique: no homogeneous solution.
     """
-    if kind == "algebra":
-        n = obj.dim
-        return {"universal_dim": n * (n - 1), "couniversal_dim": n * (n - 1)}
-    if kind == "calculus":
-        return {"universal_factorization_ok": True}
-    return {"factorization": {"exists": True, "unique": True,
-                              "homogeneous_dim": 0}}
-
-
-def _report_object(wo, checks_by_id, max_len):
-    """(checks dict, info list, json analysis dict) for one object."""
     info = []
     analysis = {}
     kind, obj = wo.kind, wo.obj
@@ -299,10 +290,10 @@ def _report_object(wo, checks_by_id, max_len):
              for rep in checks_by_id[id(o)].values())
     checks = dict(checks_by_id[id(obj)])
     if kind == "algebra" and ok:
-        analysis.update(_closed_form_analysis(kind, obj))
-        info.append("universal one-forms dim %d" % analysis["universal_dim"])
-        info.append("co-universal fields dim %d"
-                    % analysis["couniversal_dim"])
+        dim = obj.dim * (obj.dim - 1)
+        analysis["universal_dim"] = analysis["couniversal_dim"] = dim
+        info.append("universal one-forms dim %d" % dim)
+        info.append("co-universal fields dim %d" % dim)
     elif kind == "bimodule":
         symmetric = obj.is_symmetric()
         analysis["dim"] = obj.dim
@@ -312,17 +303,14 @@ def _report_object(wo, checks_by_id, max_len):
     elif kind == "calculus" and ok:
         spanned = is_spanned_by_differential(obj)
         analysis["spanned_by_differentials"] = spanned
-        analysis.update(_closed_form_analysis(kind, obj))
+        analysis["universal_factorization_ok"] = True
         info.append("spanned by differentials: %s"
                     % ("yes" if spanned else "no"))
-        info.append("factors through the universal calculus: %s"
-                    % ("yes" if analysis["universal_factorization_ok"]
-                       else "no"))
+        info.append("factors through the universal calculus: yes")
     elif kind == "cartan_pair" and ok:
         fock = fock_check(obj)
         ccr = check_ccr(obj)
         diag = spanning_kernel_diagnostic(obj)
-        fact = _closed_form_analysis(kind, obj)["factorization"]
         # the order filtration gives the relation count at every length
         # and, on a lawful pair, the operator algebra's dimension as its
         # stable value (see the diffops module docstring)
@@ -334,7 +322,8 @@ def _report_object(wo, checks_by_id, max_len):
         analysis["ccr"] = _findings_json(ccr)
         analysis["spanned"] = diag.spanned
         analysis["action_kernel_trivial"] = diag.kernel_trivial
-        analysis["factorization"] = fact
+        analysis["factorization"] = {"exists": True, "unique": True,
+                                     "homogeneous_dim": 0}
         analysis["diffop_dim"] = diffop_dim
         analysis["relations"] = {"count": relations, "words": words,
                                  "max_word_len": max_len}
@@ -349,8 +338,7 @@ def _report_object(wo, checks_by_id, max_len):
         info.append("spanned %s / action kernel trivial %s"
                     % tuple("yes" if v else "no"
                             for v in (diag.spanned, diag.kernel_trivial)))
-        info.append("co-universal factorization: exists %s, unique %s"
-                    % (fact["exists"], fact["unique"]))
+        info.append("co-universal factorization: exists True, unique True")
         info.append("operator algebra dim %d" % diffop_dim)
         info.append("relations: %d among %d words (length <= %d)"
                     % (relations, words, max_len))

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .linalg import Echelon, Matrix, Subspace, block_combination, \
+from .linalg import Matrix, Subspace, block_combination, \
     closure_under_maps, frac, hstack, is_zero_vector, kron, \
     linear_combination, null_rules
 from .cartan import CartanPair
@@ -237,7 +237,6 @@ def normal_form(w: FreeWord) -> FreeWord:
 @dataclass
 class OperatorAlgebra:
     """Span of all composites of the generators inside End(A)."""
-    generators: tuple
     space: Subspace
 
     @property
@@ -264,10 +263,8 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
     at the last level in one n x n product.
     """
     n = pair.algebra.dim
-    gens = (["id"] + ["l(%s)" % name for name in pair.algebra.basis_names]
-            + ["act(X%d)" % t for t in range(pair.bimodule.dim)])
     seed = Matrix.from_int_rows([Matrix.identity(n).flat_int()], n * n)
-    return OperatorAlgebra(tuple(gens), closure_under_maps(
+    return OperatorAlgebra(closure_under_maps(
         seed, pair.algebra.lmul + pair.action, shape=(n, n)))
 
 
@@ -348,9 +345,8 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
     applied to a whole level at once, instead of one per word.  Entry
     [r][b n + j] of l(f) H_k goes into row r n + j of the word-column
     matrix, which has one row per entry of an operator on A, over one
-    running common denominator.  Those n^2 rows are eliminated once, and
-    null_rules reads the relations off them as rules; no W-wide vector is
-    built.
+    running common denominator.  null_rules reads the relations off those
+    n^2 rows as rules in one elimination; no W-wide vector is built.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1, got %r" % (max_len,))
@@ -380,12 +376,8 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
                 for c, x in op_row:
                     b, j = divmod(c, n)
                     rows[r * n + j][first + b] = x * s
-    w = len(words)
-    ech = Echelon(w)
-    for row in rows:
-        ech.insert_int(row)
-    return RelationSearch(tuple(words), null_rules(w, ech.rows), max_len,
-                          letters)
+    return RelationSearch(tuple(words), null_rules(len(words), rows),
+                          max_len, letters)
 
 
 def check_ccr(pair: CartanPair) -> CheckReport:

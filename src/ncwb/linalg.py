@@ -18,16 +18,16 @@ c (x) I without forming that factor, so a law on basis pairs is one
 identity of stacked matrices per basis vector, hstack and column_blocks
 stack and cut such rows, Subspace.coords_int reads the coordinates of
 all the rows of a matrix at once and certifies them, intertwiner_rows
-writes out the system X A = B X without kron, affine_solutions reads a
-particular solution from one elimination of (m | b) and the canonical
-null space from null_rules, a re-reduction of its r reduced rows with
-the column order reversed (kernel and solve are its two halves),
-closure_under_maps closes a span of matrices under left and right
-factors a level at a time, one product per factor and level, and every
-row reduction goes through Echelon, which keeps sparse primitive integer
-rows fully reduced after every insert.  A Subspace holds its reduced
-echelon basis as the rows of a Matrix, so two subspaces are equal exactly
-when those matrices are.
+writes out the system X A = B X without kron, null_rules reads the
+canonical null space off any rows in one reduction with the column order
+reversed (kernel passes it a matrix's rows as they are), affine_solutions
+reads a particular solution from one elimination of (m | b) and hands
+its reduced rows to null_rules, closure_under_maps closes a span of
+matrices under left and right factors a level at a time, one product per
+factor and level, and every row reduction goes through Echelon, which
+keeps sparse primitive integer rows fully reduced after every insert.
+A Subspace holds its reduced echelon basis as the rows of a Matrix, so
+two subspaces are equal exactly when those matrices are.
 """
 
 from __future__ import annotations
@@ -692,9 +692,12 @@ def affine_solutions(m: Matrix, b) -> tuple:
     return x, Subspace.from_rules(n, null_rules(n, rows))
 
 
-def null_rules(n: int, rows: Sequence) -> tuple:
+def null_rules(n: int, rows: Iterable) -> tuple:
     """The null space {v in Q^n : r v = 0 for the rows r}, sparse, read off
     integer rows given as {column: int} (only the columns below n count).
+    The rows may be dependent, repeated or zero, in any order and at any
+    scale: the one reduction below gives the canonical basis whatever
+    rows span the row space.
 
     One entry (f, ((q, c), ...)) per free column f, in increasing f, for
     the canonical basis vector e_f + sum c e_q; its q are increasing and
@@ -724,8 +727,10 @@ def null_rules(n: int, rows: Sequence) -> tuple:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} with canonical basis."""
-    return affine_solutions(m, vzero(m.nrows))[1]
+    """Null space {v : m v = 0} with canonical basis, read off the rows of
+    m by null_rules in one elimination."""
+    n = m.ncols
+    return Subspace.from_rules(n, null_rules(n, map(dict, m.int_rows()[1])))
 
 
 def solve(m: Matrix, b) -> Optional[Vector]:

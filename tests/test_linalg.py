@@ -11,8 +11,8 @@ import pytest
 from ncwb.linalg import (
     Echelon, Matrix, Subspace, affine_solutions, block_combination,
     column_blocks, frac, hstack, intertwiner_rows, kernel, kron,
-    linear_combination, rank, solve, span_closure, closure_under_maps,
-    restrict_to_kernel, vector,
+    linear_combination, null_rules, rank, solve, span_closure,
+    closure_under_maps, restrict_to_kernel, vector,
 )
 
 from helpers import (
@@ -486,6 +486,35 @@ def test_kernel_matches_the_reelimination_oracle_and_sympy(data):
     assert got.pivots == oracle.pivots
     assert got == sympy_null_space(m)
     assert rank(m) + got.dim == m.ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_null_rules_read_raw_rows_as_their_reduced_echelon(n, data):
+    """kernel and find_relations hand null_rules their rows unreduced:
+    duplicate, zero, scaled and dependent rows, in any order, give the
+    rules of the reduced echelon rows of their span."""
+    entry = st.integers(-3, 3)
+    rows = [{j: data.draw(entry) for j in range(n)
+             if data.draw(st.booleans())}
+            for _ in range(data.draw(st.integers(0, 4)))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["duplicate", "zero", "sum"]))
+        if kind == "zero" or not rows:
+            rows.append({j: 0 for j in range(n) if data.draw(st.booleans())})
+        elif kind == "duplicate":
+            rows.append(dict(data.draw(st.sampled_from(rows))))
+        else:
+            u, v = data.draw(st.sampled_from(rows)), \
+                data.draw(st.sampled_from(rows))
+            a, b = data.draw(entry), data.draw(entry)
+            rows.append({j: a * u.get(j, 0) + b * v.get(j, 0)
+                         for j in set(u) | set(v)})
+    rows = data.draw(st.permutations(rows))
+    ech = Echelon(n)
+    for row in rows:
+        ech.insert_int(row)
+    assert null_rules(n, rows) == null_rules(n, ech.rows)
 
 
 @settings(max_examples=100, deadline=None)

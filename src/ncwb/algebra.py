@@ -10,12 +10,21 @@ right module maps, the left dual of left module maps.  A dual element is
 stored as its evaluation matrix, a linear map from module coordinates to
 algebra coordinates, and the dual carries its own bimodule structure
 transported through evaluation.
+
+A module whose actions are block diagonal over a partition of its
+coordinates is the direct sum of its blocks, and a linear system whose
+every row touches the coordinates of one block only is one system per
+block; its reduced echelon form is the union of the blocks' under the
+increasing embedding of each block's coordinates.  invariant_blocks finds
+the blocks, restrict cuts a matrix to one and block_sum unites the
+blocks' subspaces, so tensor_over_A and connections.connection_space
+solve once per distinct block: on A^r, one copy of A instead of r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Echelon, Matrix, Subspace, block_combination, column_blocks, frac,
@@ -526,6 +535,64 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
                        c.transpose())
 
 
+def invariant_blocks(mats: Iterable[Matrix], n: int) -> list:
+    """The finest partition of the coordinates 0..n-1 into blocks that
+    every n x n matrix in mats maps into themselves, as increasing tuples
+    in the order of their first coordinates.
+
+    An entry at (r, j) sends coordinate j into coordinate r, so the blocks
+    are the connected components of the supports, found by union-find;
+    every matrix is then block diagonal over them.
+    """
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for m in mats:
+        for r, row in enumerate(m.int_rows()[1]):
+            for j, _ in row:
+                a, b = root(r), root(j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(root(x), []).append(x)
+    return [tuple(b) for b in blocks.values()]
+
+
+def restrict(m: Matrix, rows: Sequence[int],
+             cols: Optional[Sequence[int]] = None) -> Matrix:
+    """The submatrix of m on the given rows and columns (by default the
+    rows), both increasing, renumbered from 0 in that order."""
+    index = {j: k for k, j in enumerate(rows if cols is None else cols)}
+    den, mrows = m.int_rows()
+    return Matrix.from_int_rows(
+        [(den, [(index[j], x) for j, x in mrows[r] if j in index])
+         for r in rows], len(index))
+
+
+def block_sum(ambient_dim: int, parts: Iterable) -> Subspace:
+    """The direct sum of subspaces over disjoint coordinate sets, with its
+    canonical basis.  parts lists (space, coords): coordinate k of the
+    space is coordinate coords[k] of Q^ambient_dim, coords increasing.
+    The reduced echelon basis of the sum is the union of the embedded
+    bases in increasing pivot order.
+    """
+    picked = []
+    for space, coords in parts:
+        den, rows = space.matrix.int_rows()
+        picked.extend((coords[pc], den, [(coords[j], x) for j, x in row])
+                      for pc, row in zip(space.pivots, rows))
+    picked.sort(key=lambda p: p[0])
+    return Subspace(Matrix.from_int_rows([(den, row)
+                                          for _, den, row in picked],
+                                         ambient_dim),
+                    [pc for pc, _, _ in picked])
+
+
 @dataclass
 class TensorProductOverA:
     """M (x)_A E: quotient of the plain tensor product by balancing."""
@@ -544,8 +611,18 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     (m_s.f_j) (x) xi_t - m_s (x) (f_j.xi_t), and the relation of (s, t) is
     minus row (s, t) of the system X L_j - R_j^T X that intertwiner_rows
     writes out; the reduced echelon form of their span does not depend on
-    the sign.  Quotient coordinates are the ambient coordinates away from
-    the relation pivots.  f_i acts on the quotient by P_i lift, where
+    the sign.
+
+    The relation of (s, t) touches only the coordinates (s', t') with t'
+    in the invariant block of the L_j that holds t.  So E = E_1 + ... + E_k
+    over its blocks, M (x)_A E is the direct sum of the M (x)_A E_b, and
+    the relation span is the sum over disjoint coordinate sets of the
+    blocks' spans, the union of their reduced echelon bases (block_sum).
+    Each distinct restricted module is eliminated once: the k copies of A
+    in A^k cost one elimination of the rank-one system.
+
+    Quotient coordinates are the ambient coordinates away from the
+    relation pivots.  f_i acts on the quotient by P_i lift, where
     P_i = projection (L_i (x) I_E) comes from block_combination.
     """
     a = m.algebra
@@ -554,11 +631,20 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
                          "algebras")
     ed = e.dim
     amb = m.dim * ed
-    ech = Echelon(amb)
-    for j in range(a.dim):
-        for _, row in intertwiner_rows(e.left[j], m.right[j].transpose()):
-            ech.insert_int(row)
-    rel = ech.subspace()
+    balancing = [r.transpose() for r in m.right]
+    spans, parts = {}, []
+    for block in invariant_blocks(e.left, ed):
+        key = tuple(restrict(lm, block) for lm in e.left)
+        if key not in spans:
+            ech = Echelon(m.dim * len(block))
+            for lm, rm in zip(key, balancing):
+                for _, row in intertwiner_rows(lm, rm):
+                    ech.insert_int(row)
+            spans[key] = ech.subspace()
+        # local (s, t) of the block is ambient (s, block[t])
+        parts.append((spans[key], [s * ed + t for s in range(m.dim)
+                                   for t in block]))
+    rel = block_sum(amb, parts)
     pivset = set(rel.pivots)
     qindex = {qc: k for k, qc in enumerate(
         j for j in range(amb) if j not in pivset)}
@@ -568,9 +654,9 @@ def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:
     # relation row r to -r read at the quotient coordinates (a reduced row
     # is non-zero away from its pivot only there)
     pcols = [(1, {qindex[c]: 1}) if c in qindex else None for c in range(amb)]
-    for row, pc in zip(ech.rows, rel.pivots):
-        pcols[pc] = (row[pc], {qindex[j]: -x for j, x in row.items()
-                               if j != pc})
+    den, rows = rel.matrix.int_rows()
+    for row, pc in zip(rows, rel.pivots):
+        pcols[pc] = (den, {qindex[j]: -x for j, x in row if j != pc})
     projection = Matrix.from_int_cols(pcols, qdim)
     lift = Matrix.from_int_rows([(1, {qindex[j]: 1} if j in qindex else {})
                                  for j in range(amb)], qdim)

@@ -19,10 +19,11 @@ from typing import Optional
 
 from .linalg import (
     Matrix, Subspace, affine_solutions, block_combination, hstack,
-    intertwiner_rows, kron, linear_combination,
+    intertwiner_rows, kernel, kron, linear_combination,
 )
 from .algebra import (
-    DualBimodule, LeftModule, TensorProductOverA, tensor_over_A,
+    DualBimodule, LeftModule, TensorProductOverA, block_sum, invariant_blocks,
+    restrict, tensor_over_A,
 )
 from .calculus import DifferentialCalculus
 from .cartan import CartanPair
@@ -231,20 +232,61 @@ class ConnectionSpace:
 def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:
     """Solve the Leibniz constraint for all maps E -> M (x)_A E.
 
-    The unknown matrix enters linearly once the df (x) xi term is moved to
-    the right hand side; the homogeneous solutions are exactly the left
-    module maps.
+    The unknown matrix X (q x e.dim, q the dimension of T = M (x)_A E)
+    enters linearly once the df (x) xi term B_i is moved to the right hand
+    side: X L^E_i - L^T_i X = B_i for every basis vector e_i.  The
+    homogeneous solutions are exactly the left module maps.
+
+    L^E and L^T are block diagonal over their invariant blocks, so the
+    system splits into one independent system per (T-block, E-block)
+    pair, in the entries of X on those rows and columns: the reduced
+    echelon basis of its null space is the union of the pairs' bases
+    (block_sum), and the "free variables zero" solution is the pairs'
+    solutions side by side; it exists when every pair is consistent.  A
+    pair's null space depends only on its restricted modules, so it is
+    computed once per distinct pair of them and shared across right hand
+    sides, and a zero right hand side has the particular solution 0: on
+    A^r, r^2 pairs cost one elimination of the rank-one system.
     """
     t = tensor_over_A(c.bimodule, e)
-    q = t.module.dim
-    unknowns = q * e.dim
-    rows = []
-    rhs = []
-    for i, extra in enumerate(_d_tensor(c, t)):
-        rows.extend(intertwiner_rows(e.left[i], t.module.left[i]))
-        rhs.extend(extra.flatten())
-    sol, homog = affine_solutions(Matrix.from_int_rows(rows, unknowns), rhs)
+    tl = t.module.left
+    q, ed = t.module.dim, e.dim
+    extras = _d_tensor(c, t)
+    eblocks = [(alpha, tuple(restrict(lm, alpha) for lm in e.left))
+               for alpha in invariant_blocks(e.left, ed)]
+    systems, homogeneous, solved = {}, {}, {}
+    parts, sol = [], [0] * (q * ed)
+    for beta in invariant_blocks(tl, q):
+        tb = tuple(restrict(lm, beta) for lm in tl)
+        for alpha, ea in eblocks:
+            key = (tb, ea)
+            if key not in systems:
+                rows = []
+                for ai, ti in zip(ea, tb):
+                    rows.extend(intertwiner_rows(ai, ti))
+                systems[key] = Matrix.from_int_rows(rows,
+                                                    len(beta) * len(alpha))
+            # local (r, s) of the pair is X[beta[r]][alpha[s]]
+            coords = [r * ed + s for r in beta for s in alpha]
+            parts.append((key, coords))
+            rhs = tuple(restrict(b, beta, alpha) for b in extras)
+            if all(b.is_zero() for b in rhs):
+                continue
+            if (key, rhs) not in solved:
+                solved[key, rhs], homogeneous[key] = affine_solutions(
+                    systems[key], [v for b in rhs for v in b.flatten()])
+            x = solved[key, rhs]
+            if x is None:
+                sol = None
+            elif sol is not None:
+                for k, v in zip(coords, x):
+                    sol[k] = v
+    for key, m in systems.items():
+        if key not in homogeneous:
+            homogeneous[key] = kernel(m)
+    homog = block_sum(q * ed, [(homogeneous[key], coords)
+                               for key, coords in parts])
     if sol is None:
         return ConnectionSpace(t, False, None, homog)
-    part = Connection(c, e, t, Matrix.from_flat(sol, q, e.dim))
+    part = Connection(c, e, t, Matrix.from_flat(sol, q, ed))
     return ConnectionSpace(t, True, part, homog)

@@ -27,7 +27,10 @@ matrices under left and right factors a level at a time, one product per
 factor and level, and every row reduction goes through Echelon, which
 keeps sparse primitive integer rows fully reduced after every insert.
 A Subspace holds its reduced echelon basis as the rows of a Matrix, so
-two subspaces are equal exactly when those matrices are.
+two subspaces are equal exactly when those matrices are.  The direct-sum
+helpers invariant_blocks (the blocks a list of matrices keeps), restrict
+(a matrix cut to a block) and block_sum (the blocks' subspaces united) sit
+in algebra, next to the tensor product that uses them.
 """
 
 from __future__ import annotations

@@ -211,10 +211,17 @@ def _build_connection(ws, decl, where):
     rank_ = decl.get("rank")
     if not isinstance(rank_, int) or isinstance(rank_, bool) or rank_ < 0:
         raise WorkspaceError("%s: rank must be a nonnegative integer" % where)
+    # each row is n * rank wide whatever the tensor product's dimension,
+    # so a wrong width is refused, with _vector_from's message, before
+    # anything of the rank's size is built
+    data, width = decl.get("matrix"), c.algebra.dim * rank_
+    for i, r in enumerate(data if isinstance(data, list) else ()):
+        if not isinstance(r, list) or len(r) != width:
+            raise WorkspaceError("%s matrix row %d: expected a list of %d "
+                                 "rationals" % (where, i, width))
     e = LeftModule.free(c.algebra, rank_)
     t = tensor_over_A(c.bimodule, e)
-    mat = _matrix_from(decl.get("matrix"), t.module.dim, e.dim,
-                       "%s matrix" % where)
+    mat = _matrix_from(data, t.module.dim, width, "%s matrix" % where)
     return Connection(c, e, t, mat)
 
 

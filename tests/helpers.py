@@ -488,10 +488,14 @@ class BasisChange:
 # ---- dense, re-eliminating and per-field routes kept as oracles ----
 
 from ncwb.algebra import (  # noqa: E402
-    DualBimodule, LeftModule, TensorProductOverA, _dual,
+    DualBimodule, LeftModule, TensorProductOverA, _dual, tensor_over_A,
 )
-from ncwb.connections import covariant_derivative  # noqa: E402
-from ncwb.linalg import Echelon, vector  # noqa: E402
+from ncwb.connections import (  # noqa: E402
+    Connection, ConnectionSpace, _d_tensor, covariant_derivative,
+)
+from ncwb.linalg import (  # noqa: E402
+    Echelon, affine_solutions, block_combination, intertwiner_rows, vector,
+)
 from ncwb.reporting import InvariantError  # noqa: E402
 
 
@@ -688,6 +692,57 @@ def tensor_over_A_by_kron(m, e) -> TensorProductOverA:
         left_mats.append(projection @ amb_act @ lift)
     return TensorProductOverA((m, e), LeftModule(a, len(qcols), left_mats),
                               projection, lift, rel)
+
+
+def tensor_over_A_one_solve(m, e) -> TensorProductOverA:
+    """The balanced tensor product from one elimination of all the
+    balancing rows of E at once, blocks or not."""
+    a = m.algebra
+    ed = e.dim
+    amb = m.dim * ed
+    ech = Echelon(amb)
+    for j in range(a.dim):
+        for _, row in intertwiner_rows(e.left[j], m.right[j].transpose()):
+            ech.insert_int(row)
+    rel = ech.subspace()
+    pivset = set(rel.pivots)
+    qindex = {qc: k for k, qc in enumerate(
+        j for j in range(amb) if j not in pivset)}
+    qdim = len(qindex)
+    pcols = [(1, {qindex[c]: 1}) if c in qindex else None for c in range(amb)]
+    for row, pc in zip(ech.rows, rel.pivots):
+        pcols[pc] = (row[pc], {qindex[j]: -x for j, x in row.items()
+                               if j != pc})
+    projection = Matrix.from_int_cols(pcols, qdim)
+    lift = Matrix.from_int_rows([(1, {qindex[j]: 1} if j in qindex else {})
+                                 for j in range(amb)], qdim)
+    rel_cols = rel.matrix.transpose()
+    left_mats = []
+    for i in range(a.dim):
+        p_i = block_combination(projection, m.left[i], ed)
+        if not (p_i @ rel_cols).is_zero():
+            raise InvariantError("left action does not preserve "
+                                 "balancing relations")
+        left_mats.append(p_i @ lift)
+    return TensorProductOverA((m, e), LeftModule(a, qdim, left_mats),
+                              projection, lift, rel)
+
+
+def connection_space_one_solve(c, e, t=None):
+    """The connection space from one elimination of the whole stacked
+    Leibniz system X L^E_i - L^T_i X = B_i, over the tensor product t (by
+    default the package's)."""
+    t = tensor_over_A(c.bimodule, e) if t is None else t
+    q = t.module.dim
+    rows, rhs = [], []
+    for i, extra in enumerate(_d_tensor(c, t)):
+        rows.extend(intertwiner_rows(e.left[i], t.module.left[i]))
+        rhs.extend(extra.flatten())
+    sol, homog = affine_solutions(Matrix.from_int_rows(rows, q * e.dim), rhs)
+    if sol is None:
+        return ConnectionSpace(t, False, None, homog)
+    part = Connection(c, e, t, Matrix.from_flat(sol, q, e.dim))
+    return ConnectionSpace(t, True, part, homog)
 
 
 def check_covariant_axioms_per_field(conn, pair) -> CheckReport:

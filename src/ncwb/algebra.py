@@ -9,7 +9,9 @@ Duals of a bimodule are taken inside Hom(M, A): the right dual consists of
 right module maps, the left dual of left module maps.  A dual element is
 stored as its evaluation matrix, a linear map from module coordinates to
 algebra coordinates, and the dual carries its own bimodule structure
-transported through evaluation.
+transported through evaluation.  span_action reads each transported
+action, X -> L X or X -> X R on the span of those matrices, into
+coordinates; the universal one-forms of calculus are read through it too.
 
 A module whose actions are block diagonal over a partition of its
 coordinates is the direct sum of its blocks, and a linear system whose
@@ -461,13 +463,32 @@ class DualBimodule:
         return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
 
 
-def _dual(m: Bimodule, side: str) -> DualBimodule:
-    """The dual on one side, its actions X -> L X R read off the span.
+def span_action(span: Subspace, shape: tuple, error: str,
+                left: Optional[Matrix] = None,
+                right: Optional[Matrix] = None) -> Matrix:
+    """The matrix of X -> L X, or of X -> X R, on a span of r x c matrices
+    read row-major, over its canonical basis; shape is (r, c).
 
-    For an evaluation matrix X, flat(L X R) = flat(X) (L^T (x) R), so each
-    action is one product of the span's basis rows with a kron factor and
-    one coordinate read of all the images at once.
+    flat(L X) = flat(X) (L^T (x) I_c) is one block_combination of the
+    span's basis rows, and flat(X R) = flat(X) (I_r (x) R) one product
+    with a kron factor.  Subspace.coords_int reads the coordinates of all
+    the images at once and certifies them: an image outside the span
+    raises InvariantError(error).
     """
+    r, c = shape
+    if right is None:
+        images = block_combination(span.matrix, left.transpose(), c)
+    else:
+        images = span.matrix @ kron(Matrix.identity(r), right)
+    coords, _ = span.coords_int(images)
+    if coords is None:
+        raise InvariantError(error)
+    return coords.transpose()
+
+
+def _dual(m: Bimodule, side: str) -> DualBimodule:
+    """The dual on one side, its actions X -> L X and X -> X R read off
+    the span by span_action."""
     a = m.algebra
     n, md = a.dim, m.dim
     rows = []
@@ -479,23 +500,15 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
             # X (f.m) = f X(m)  <=>  X L_j = Ll_j X
             rows.extend(intertwiner_rows(m.left[j], a.lmul[j]))
     sol = kernel(Matrix.from_int_rows(rows, n * md))
-    i_n, i_m = Matrix.identity(n), Matrix.identity(md)
-
-    def action(factor: Matrix) -> Matrix:
-        c, _ = sol.coords_int(sol.matrix @ factor)
-        if c is None:
-            raise InvariantError("the %s dual is not closed under its "
-                                 "actions" % side)
-        return c.transpose()
-
+    error = "the %s dual is not closed under its actions" % side
     if side == "right":
         # (f.X)(m) = f X(m) and (X.g)(m) = X(g.m)
-        left = [action(kron(lm.transpose(), i_m)) for lm in a.lmul]
-        right = [action(kron(i_n, lm)) for lm in m.left]
+        left = [span_action(sol, (n, md), error, left=lm) for lm in a.lmul]
+        right = [span_action(sol, (n, md), error, right=lm) for lm in m.left]
     else:
         # (f.X)(m) = X(m.f) and (X.g)(m) = X(m) g
-        left = [action(kron(i_n, rm)) for rm in m.right]
-        right = [action(kron(rm.transpose(), i_m)) for rm in a.rmul]
+        left = [span_action(sol, (n, md), error, right=rm) for rm in m.right]
+        right = [span_action(sol, (n, md), error, left=rm) for rm in a.rmul]
     return DualBimodule(m, side, Bimodule(a, sol.dim, left, right), sol)
 
 

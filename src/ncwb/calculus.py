@@ -14,7 +14,9 @@ from typing import Optional
 from .linalg import (
     Matrix, Subspace, closure_under_maps, hstack, kernel, kron, rank,
 )
-from .algebra import Algebra, Bimodule, BimoduleMap, check_bimodule_map
+from .algebra import (
+    Algebra, Bimodule, BimoduleMap, check_bimodule_map, span_action,
+)
 from .reporting import CheckReport, InvariantError
 
 
@@ -73,24 +75,17 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     """Kernel of multiplication with du f = 1 (x) f - f (x) 1.
 
     A tensor w = sum w_ij e_i (x) e_j is handled as the n x n matrix W, so
-    that f.w is L_f W and w.g is W R_g^T, and flat(L W R) = flat(W)
-    (L^T (x) R) maps all the one-forms at once: each action is one product
-    of the kernel basis with a kron factor, and Subspace.coords_int reads
-    (and certifies) the coordinates of all its images together.
+    that f.w is L_f W and w.g is W R_g^T: each action is one span_action
+    on the kernel basis, which reads (and certifies) the coordinates of
+    all the images together.
     """
     n = a.dim
     ker = kernel(a.mult_matrix())
     i_n = Matrix.identity(n)
-
-    def action(factor: Matrix) -> Matrix:
-        c, _ = ker.coords_int(ker.matrix @ factor)
-        if c is None:
-            raise InvariantError("kernel of multiplication is not closed "
-                                 "under the actions")
-        return c.transpose()
-
-    left = tuple(action(kron(lm.transpose(), i_n)) for lm in a.lmul)
-    right = tuple(action(kron(i_n, rm.transpose())) for rm in a.rmul)
+    error = "kernel of multiplication is not closed under the actions"
+    left = tuple(span_action(ker, (n, n), error, left=lm) for lm in a.lmul)
+    right = tuple(span_action(ker, (n, n), error, right=rm.transpose())
+                  for rm in a.rmul)
     # row j of kron(u, I) - kron(I, u) is 1 (x) e_j - e_j (x) 1
     unit = Matrix((a.unit,))
     d, bad = ker.coords_int(kron(unit, i_n) - kron(i_n, unit))

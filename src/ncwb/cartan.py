@@ -6,6 +6,11 @@ N, subject to two laws checked on basis vectors:
     (f.X)(g)  = f (X(g))                      action linearity
     X(fg)     = X(f) g + (X.f)(g)             twisted Leibniz
 
+pair_law_sides yields both sides of both laws, one identity per basis
+vector, for any fields on any left module: check_cartan reads them for
+the fields on A, and connections.check_covariant_axioms for the covariant
+derivatives on a module.
+
 Pairs and calculi convert into each other through duals: the right dual of
 a calculus bimodule acts by X -> <X, d(.)>, and a pair induces a calculus
 valued in the left dual of N.
@@ -85,43 +90,57 @@ class CartanPair:
             self.bimodule.dim, self.algebra)
 
 
+def pair_law_sides(p: CartanPair, fields, module_left):
+    """Both sides of the two pair laws, one identity each per basis vector
+    e_i, for fields D_0, ..., D_{m-1} on a left module E of the algebra
+    that acts through its left actions L^E: the fields of p on A itself,
+    with L^E_i = l_i, or their covariant derivatives on a module.
+
+    With D = [D_0 | ... | D_{m-1}], L_i, R_i the actions of e_i on the
+    pair bimodule N and K_i the n x m matrix whose column t is X_t(e_i),
+    this yields (linearity lhs, rhs, twisted lhs, rhs) for each e_i:
+
+        action linearity   D (L_i (x) I_E) = L^E_i D
+        twisted Leibniz    D (I_m (x) L^E_i)
+                             = [L^E_0 | ... | L^E_{n-1}] (K_i (x) I_E)
+                               + D (R_i (x) I_E)
+
+    Block t of the first is D_{e_i.X_t} = L^E_i D_t; column j of block t
+    of the second is D_t(e_i xi_j) = X_t(e_i).xi_j + D_{X_t.e_i}(xi_j).
+    """
+    nb = p.bimodule
+    width = module_left[0].nrows
+    big_d, big_e = hstack(fields, width), hstack(module_left, width)
+    i_m = Matrix.identity(nb.dim)
+    for i, (ei, ki) in enumerate(zip(module_left, p.field_values())):
+        yield (block_combination(big_d, nb.left[i], width), ei @ big_d,
+               big_d @ kron(i_m, ei),
+               block_combination(big_e, ki, width)
+               + block_combination(big_d, nb.right[i], width))
+
+
 def check_cartan(p: CartanPair) -> CheckReport:
     """Both pair laws plus annihilation of the unit, exhaustively.
 
-    With X = [X_0 | ... | X_{m-1}], l_i, L_i, R_i the multiplications and
-    actions of e_i, and K_i the n x m matrix whose column t is X_t(e_i),
-    each law is one identity of stacked matrices per basis vector e_i:
-
-        action linearity   l_i X = X (L_i (x) I_n)
-        twisted Leibniz    X (I_m (x) l_i)
-                             = [l_0 | ... | l_{n-1}] (K_i (x) I_n)
-                               + X (R_i (x) I_n)
-
-    Block t of the first is l_i X_t = X_{e_i.X_t}; column j of block t of
-    the second is X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j).  The
-    findings are listed by (i, t) for linearity and by (t, i, j) for the
-    twisted Leibniz rule.
+    Each law is one identity of stacked matrices per basis vector e_i, the
+    fields X_t on A itself (pair_law_sides).  Block t of the first is
+    l_i X_t = X_{e_i.X_t}; column j of block t of the second is
+    X_t(e_i e_j) = X_t(e_i) e_j + (X_t.e_i)(e_j).  The findings are listed
+    by (i, t) for linearity and by (t, i, j) for the twisted Leibniz rule.
     """
     rep = CheckReport("cartan pair")
     a = p.algebra
-    nb = p.bimodule
-    n, m = a.dim, nb.dim
-    big_x, big_l = hstack(p.action, n), hstack(a.lmul, n)
-    i_m = Matrix.identity(m)
+    n = a.dim
     twisted = []
-    for i, (li, ki) in enumerate(zip(a.lmul, p.field_values())):
-        lhs = block_combination(big_x, nb.left[i], n)
-        rhs = li @ big_x
+    for i, (lhs, rhs, shifted, expect) in enumerate(
+            pair_law_sides(p, p.action, a.lmul)):
         for t in [] if lhs == rhs else sorted(
                 {col // n for col in (lhs - rhs).nonzero_cols()}):
             rep.add("action-linearity", (i, t),
                     "(%s.X_%d) acts wrong" % (a.basis_names[i], t))
-        lhs = big_x @ kron(i_m, li)
-        rhs = block_combination(big_l, ki, n) \
-            + block_combination(big_x, nb.right[i], n)
-        if lhs == rhs:
+        if shifted == expect:
             continue
-        defect = lhs - rhs
+        defect = shifted - expect
         for col in defect.nonzero_cols():
             t, j = divmod(col, n)
             twisted.append(((t, i, j), "X_%d(%s*%s) defect %s" % (
@@ -129,7 +148,7 @@ def check_cartan(p: CartanPair) -> CheckReport:
                 a.format(defect.col(col)))))
     for witness, detail in sorted(twisted):
         rep.add("twisted-leibniz", witness, detail)
-    for t in range(m):
+    for t in range(p.bimodule.dim):
         if not is_zero_vector(p.action[t].apply(a.unit)):
             rep.add("unit-annihilation", (t,),
                     "X_%d(1) = %s" % (t, a.format(p.action[t].apply(a.unit))))
@@ -297,16 +316,14 @@ def co_universal_pair(a: Algebra,
     # D.g = D o L_g - L_{D(g)}, but the read kills every left
     # multiplication: on an associative algebra X_{L_h}(w) =
     # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
-    # of m.  So D.g is read as D o L_g alone.  flat(L D R) = flat(D)
-    # (L^T (x) R) maps every D at once.
+    # of m.  So D.g is read as D o L_g alone.  flat(L D) = flat(D)
+    # (L^T (x) I) and flat(D R) = flat(D) (I (x) R) map every D at once.
     i_n = Matrix.identity(n)
-
-    def action(factor: Matrix) -> Matrix:
-        return read @ (dflat @ factor).transpose()
-
     dual = DualBimodule(u.bimodule, "right", Bimodule(
-        a, len(pivots), [action(kron(li.transpose(), i_n)) for li in a.lmul],
-        [action(kron(i_n, li)) for li in a.lmul]), span)
+        a, len(pivots),
+        [read @ block_combination(dflat, li.transpose(), n).transpose()
+         for li in a.lmul],
+        [read @ (dflat @ kron(i_n, li)).transpose() for li in a.lmul]), span)
     return CoUniversalPair(u, dual, dflat.scale(-1).row_matrices(n, n),
                            read=read)
 

@@ -47,19 +47,25 @@ class ExampleBundle:
     # id(member) -> {label: CheckReport}, filled in by _validated
     verdicts: dict = field(default_factory=dict)
 
+    def members(self) -> list:
+        """(name, kind, object) for each piece, in the order check and
+        report print them; the name is the child name a workspace gives
+        it after the bundle's own name and a dot."""
+        out = [("algebra", "algebra", self.algebra)]
+        out += [(name, "bimodule", b) for name, b in self.bimodules.items()]
+        if self.calculus is not None:
+            out += [("calculus_module", "bimodule", self.calculus.bimodule),
+                    ("calculus", "calculus", self.calculus)]
+        if self.pair is not None:
+            out += [("pair_module", "bimodule", self.pair.bimodule),
+                    ("pair", "cartan_pair", self.pair)]
+        return out
+
 
 def _validated(bundle: ExampleBundle) -> ExampleBundle:
     """The bundle itself, once every piece passes its checker; each
     piece's verdict is kept in bundle.verdicts."""
-    members = [("algebra", bundle.algebra)]
-    members += [("bimodule", b) for b in bundle.bimodules.values()]
-    if bundle.calculus is not None:
-        members += [("bimodule", bundle.calculus.bimodule),
-                    ("calculus", bundle.calculus)]
-    if bundle.pair is not None:
-        members += [("bimodule", bundle.pair.bimodule),
-                    ("cartan_pair", bundle.pair)]
-    for kind, obj in members:
+    for _, kind, obj in bundle.members():
         label, check = LAW_CHECKERS[kind]
         rep = check(obj)
         if not rep.ok:
@@ -292,11 +298,6 @@ def law_checks(kind: str, obj) -> dict:
             return dict(kept)
     label, check = LAW_CHECKERS[kind]
     return {label: check(obj)}
-
-
-def all_builtins() -> list:
-    """Every builtin at default parameters."""
-    return [builtin(name) for name in BUILTIN_NAMES]
 
 
 # ---- planted failures -------------------------------------------------

@@ -5,6 +5,9 @@ usage error, or a document that could not be written because the reader of
 stdout closed it early (a broken pipe; the rest of the output is dropped
 silently).  Documents go to stdout (or -o), human summaries to stderr,
 so derived output stays byte-stable and scriptable.
+
+derive runs from one table, _DERIVE, of each kind's input, law gate and
+document build; builtin writes the bundle's ExampleBundle.members.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .cartan import (
 )
 from .catalog import builtin as catalog_builtin, law_checks
 from .connections import check_covariant_axioms
-from .diffops import check_ccr, find_relations, fock_check, \
+from .diffops import check_ccr, find_relations, \
     generate_diffop_algebra, order_filtration, word_count
 from .linalg import ONE
 from .reporting import CheckReport, InvariantError
@@ -101,15 +104,6 @@ def _emit(args, doc: dict, summary: str) -> int:
     return 0
 
 
-# what each derivation takes as input
-_DERIVE_INPUT = {"dual": "bimodule", "pair": "calculus",
-                 "calculus": "cartan_pair", "universal": "algebra",
-                 "couniversal": "algebra", "diffops": "cartan_pair",
-                 "relations": "cartan_pair", "factorization": "cartan_pair"}
-# derivations that run on their input as given, lawful or not
-_UNGATED = ("diffops", "relations")
-
-
 def _law_subjects(kind, obj) -> list:
     """(kind, object) for an object, its algebra and its bimodule, whose
     laws the object relies on; a connection answers for its calculus."""
@@ -124,16 +118,104 @@ def _law_subjects(kind, obj) -> list:
     return subjects
 
 
+def _dual_doc(m, name: str) -> tuple:
+    d = right_dual(m)
+    return {"schema": SCHEMA, "objects": {
+        "algebra": algebra_decl(m.algebra),
+        "dual": bimodule_decl(d.bimodule, "algebra"),
+    }}, "right dual of %s: dim %d" % (name, d.dim)
+
+
+def _on_module(make, key: str, decl, summary: str):
+    """The build of a derivation whose document holds the algebra, the
+    bimodule of the derived object as "module" and the object as key."""
+    def build(obj, name: str) -> tuple:
+        x = make(obj)
+        return {"schema": SCHEMA, "objects": {
+            "algebra": algebra_decl(x.algebra),
+            "module": bimodule_decl(x.bimodule, "algebra"),
+            key: decl(x, "algebra", "module"),
+        }}, summary % (name, x.bimodule.dim)
+    return build
+
+
+def _derived(make):
+    """The build of a derivation whose document holds no object, only the
+    derived value that make returns with its summary."""
+    def build(obj, name: str) -> tuple:
+        derived, summary = make(obj, name)
+        return {"schema": SCHEMA, "objects": {}, "derived": derived}, summary
+    return build
+
+
+@_derived
+def _diffops_doc(pair, name: str) -> tuple:
+    alg = generate_diffop_algebra(pair)
+    return {"kind": "operator_algebra", "dim": alg.dim,
+            "basis": [matrix_rows(b)
+                      for b in alg.basis_operators(pair.algebra.dim)],
+            }, "operator algebra of %s: dim %d" % (name, alg.dim)
+
+
+@_derived
+def _relations_doc(pair, name: str) -> tuple:
+    max_len = _max_word_len()
+    rs = find_relations(pair, max_len=max_len)
+    code = {x: k for k, x in enumerate(rs.letters)}
+    return {"kind": "relation_basis", "max_word_len": max_len,
+            "words": WordList(rs.letters, [[code[x] for x in w]
+                                           for w in rs.words]),
+            "basis": SparseRows(len(rs.words), [((f, ONE),) + terms
+                                                for f, terms in rs.rules]),
+            }, "relations of %s: %d among %d words" % (
+                name, len(rs.rules), len(rs.words))
+
+
+@_derived
+def _factorization_doc(pair, name: str) -> tuple:
+    fact = co_universal_factorization(pair)
+    return {"kind": "factorization", "exists": fact.exists,
+            "unique": fact.unique, "homogeneous_dim": fact.homogeneous_dim,
+            "matrix": matrix_rows(fact.phi.matrix) if fact.phi else None,
+            }, "factorization of %s: exists %s, unique %s" % (
+                name, fact.exists, fact.unique)
+
+
+# what -> (the kind it takes, whether its input must pass its laws first,
+# build(object, name) -> (document, summary)), in the order usage lists
+# them; diffops and relations run on their input as given, lawful or not.
+# Each construction is looked up when it is called, so a wrapper put on
+# this module's name (a tracer, a test's stand-in) is the one that runs.
+_DERIVE = {
+    "dual": ("bimodule", True, _dual_doc),
+    "pair": ("calculus", True, _on_module(
+        lambda c: pair_from_calculus(c), "pair", cartan_pair_decl,
+        "pair over the dual of %s: %d field(s)")),
+    "calculus": ("cartan_pair", True, _on_module(
+        lambda p: calculus_from_pair(p)[0], "calculus", calculus_decl,
+        "calculus from %s: one-forms dim %d")),
+    "universal": ("algebra", True, _on_module(
+        lambda a: universal_calculus(a), "calculus", calculus_decl,
+        "universal one-forms of %s: dim %d")),
+    "couniversal": ("algebra", True, _on_module(
+        lambda a: co_universal_pair(a), "pair", cartan_pair_decl,
+        "co-universal fields of %s: dim %d")),
+    "diffops": ("cartan_pair", False, _diffops_doc),
+    "relations": ("cartan_pair", False, _relations_doc),
+    "factorization": ("cartan_pair", True, _factorization_doc),
+}
+
+
 def cmd_derive(args) -> int:
     ws = load_workspace(args.file)
     wo = ws.get(args.name)
     kind, obj = wo.kind, wo.obj
     what = args.what
-    expected = _DERIVE_INPUT[what]
+    expected, gated, build = _DERIVE[what]
     if kind != expected:
         raise WorkspaceError("derive %s needs a %s, but %r is a %s"
                              % (what, expected, args.name, kind))
-    if what not in _UNGATED:
+    if gated:
         failed = [rep for k, o in _law_subjects(kind, obj)
                   for rep in law_checks(k, o).values() if not rep.ok]
         if failed:
@@ -142,93 +224,8 @@ def cmd_derive(args) -> int:
             sys.stderr.write("derive %s: %r breaks the laws above\n"
                              % (what, args.name))
             return 1
-
-    if what == "dual":
-        d = right_dual(obj)
-        doc = {"schema": SCHEMA, "objects": {
-            "algebra": algebra_decl(obj.algebra),
-            "dual": bimodule_decl(d.bimodule, "algebra"),
-        }}
-        return _emit(args, doc, "right dual of %s: dim %d"
-                     % (args.name, d.dim))
-
-    if what == "pair":
-        p = pair_from_calculus(obj)
-        doc = {"schema": SCHEMA, "objects": {
-            "algebra": algebra_decl(obj.algebra),
-            "module": bimodule_decl(p.bimodule, "algebra"),
-            "pair": cartan_pair_decl(p, "algebra", "module"),
-        }}
-        return _emit(args, doc, "pair over the dual of %s: %d field(s)"
-                     % (args.name, p.bimodule.dim))
-
-    if what == "calculus":
-        c, _ = calculus_from_pair(obj)
-        doc = {"schema": SCHEMA, "objects": {
-            "algebra": algebra_decl(obj.algebra),
-            "module": bimodule_decl(c.bimodule, "algebra"),
-            "calculus": calculus_decl(c, "algebra", "module"),
-        }}
-        return _emit(args, doc, "calculus from %s: one-forms dim %d"
-                     % (args.name, c.bimodule.dim))
-
-    if what == "universal":
-        u = universal_calculus(obj)
-        doc = {"schema": SCHEMA, "objects": {
-            "algebra": algebra_decl(obj),
-            "module": bimodule_decl(u.bimodule, "algebra"),
-            "calculus": calculus_decl(u, "algebra", "module"),
-        }}
-        return _emit(args, doc, "universal one-forms of %s: dim %d"
-                     % (args.name, u.bimodule.dim))
-
-    if what == "couniversal":
-        cu = co_universal_pair(obj)
-        doc = {"schema": SCHEMA, "objects": {
-            "algebra": algebra_decl(obj),
-            "module": bimodule_decl(cu.bimodule, "algebra"),
-            "pair": cartan_pair_decl(cu, "algebra", "module"),
-        }}
-        return _emit(args, doc, "co-universal fields of %s: dim %d"
-                     % (args.name, cu.bimodule.dim))
-
-    if what == "diffops":
-        alg = generate_diffop_algebra(obj)
-        n = obj.algebra.dim
-        doc = {"schema": SCHEMA, "objects": {}, "derived": {
-            "kind": "operator_algebra",
-            "dim": alg.dim,
-            "basis": [matrix_rows(b) for b in alg.basis_operators(n)],
-        }}
-        return _emit(args, doc, "operator algebra of %s: dim %d"
-                     % (args.name, alg.dim))
-
-    if what == "relations":
-        max_len = _max_word_len()
-        rs = find_relations(obj, max_len=max_len)
-        code = {x: k for k, x in enumerate(rs.letters)}
-        doc = {"schema": SCHEMA, "objects": {}, "derived": {
-            "kind": "relation_basis",
-            "max_word_len": max_len,
-            "words": WordList(rs.letters, [[code[x] for x in w]
-                                           for w in rs.words]),
-            "basis": SparseRows(len(rs.words), [((f, ONE),) + terms
-                                                for f, terms in rs.rules]),
-        }}
-        return _emit(args, doc, "relations of %s: %d among %d words"
-                     % (args.name, len(rs.rules), len(rs.words)))
-
-    # what == "factorization"
-    fact = co_universal_factorization(obj)
-    doc = {"schema": SCHEMA, "objects": {}, "derived": {
-        "kind": "factorization",
-        "exists": fact.exists,
-        "unique": fact.unique,
-        "homogeneous_dim": fact.homogeneous_dim,
-        "matrix": matrix_rows(fact.phi.matrix) if fact.phi else None,
-    }}
-    return _emit(args, doc, "factorization of %s: exists %s, unique %s"
-                 % (args.name, fact.exists, fact.unique))
+    doc, summary = build(obj, args.name)
+    return _emit(args, doc, summary)
 
 
 def _prepare_report(objects) -> dict:
@@ -279,6 +276,12 @@ def _report_object(wo, checks_by_id, max_len):
     under D.g = D o L_g - L_{D(g)}, Phi(t.g) = Phi(t).g reads
     X_{t.g} = X_t o L_g - L_{X_t(g)}, the twisted Leibniz law.  So Phi
     exists, and faithfulness makes it unique: no homogeneous solution.
+
+    Vacuum.  diffops.fock_check finds vacuum-annihilation at t when
+    X_t(1) != 0, the unit-annihilation finding of check_cartan at t, and
+    vacuum-reproduction at i when l_i(1) = e_i 1 != e_i, the right-unit
+    finding of check_algebra at i.  Both checks pass on a pair that gets
+    this analysis, so 1 is a vacuum there.
     """
     info = []
     analysis = {}
@@ -308,7 +311,6 @@ def _report_object(wo, checks_by_id, max_len):
                     % ("yes" if spanned else "no"))
         info.append("factors through the universal calculus: yes")
     elif kind == "cartan_pair" and ok:
-        fock = fock_check(obj)
         ccr = check_ccr(obj)
         diag = spanning_kernel_diagnostic(obj)
         # the order filtration gives the relation count at every length
@@ -318,7 +320,7 @@ def _report_object(wo, checks_by_id, max_len):
         diffop_dim = dims[-1]
         words = word_count(obj, max_len)
         relations = words - dims[min(max_len, len(dims)) - 1]
-        analysis["fock"] = _findings_json(fock)
+        analysis["fock"] = []
         analysis["ccr"] = _findings_json(ccr)
         analysis["spanned"] = diag.spanned
         analysis["action_kernel_trivial"] = diag.kernel_trivial
@@ -327,8 +329,7 @@ def _report_object(wo, checks_by_id, max_len):
         analysis["diffop_dim"] = diffop_dim
         analysis["relations"] = {"count": relations, "words": words,
                                  "max_word_len": max_len}
-        info.append("vacuum: %s" % ("ok" if fock.ok else "violated"))
-        info.extend("  " + str(f) for f in fock.findings)
+        info.append("vacuum: ok")
         if ccr.ok:
             info.append("commutation: classical (no violations)")
         else:
@@ -399,20 +400,15 @@ def cmd_builtin(args) -> int:
         bundle = catalog_builtin(args.bundle, params)
     except ValueError as e:
         raise WorkspaceError(str(e))
-    objects = {"algebra": algebra_decl(bundle.algebra)}
-    for mod_name in sorted(bundle.bimodules):
-        objects[mod_name] = bimodule_decl(bundle.bimodules[mod_name],
-                                          "algebra")
-    if bundle.calculus is not None:
-        objects["calculus_module"] = bimodule_decl(bundle.calculus.bimodule,
-                                                   "algebra")
-        objects["calculus"] = calculus_decl(bundle.calculus, "algebra",
-                                            "calculus_module")
-    if bundle.pair is not None:
-        objects["pair_module"] = bimodule_decl(bundle.pair.bimodule,
-                                               "algebra")
-        objects["pair"] = cartan_pair_decl(bundle.pair, "algebra",
-                                           "pair_module")
+    objects = {}
+    for child, kind, obj in bundle.members():
+        if kind == "algebra":
+            objects[child] = algebra_decl(obj)
+        elif kind == "bimodule":
+            objects[child] = bimodule_decl(obj, "algebra")
+        else:
+            decl = calculus_decl if kind == "calculus" else cartan_pair_decl
+            objects[child] = decl(obj, "algebra", child + "_module")
     doc = {"schema": SCHEMA, "objects": objects}
     summary = "bundle %s: algebra dim %d" % (bundle.name, bundle.algebra.dim)
     return _emit(args, doc, summary)
@@ -433,9 +429,7 @@ def _parser() -> argparse.ArgumentParser:
     d = sub.add_parser("derive", help="compute a derived object")
     d.add_argument("file")
     d.add_argument("name")
-    d.add_argument("what", choices=(
-        "dual", "pair", "calculus", "universal", "couniversal", "diffops",
-        "relations", "factorization"))
+    d.add_argument("what", choices=tuple(_DERIVE))
     d.add_argument("-o", "--output", default=None)
     d.set_defaults(func=cmd_derive)
 

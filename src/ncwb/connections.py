@@ -4,7 +4,8 @@ A connection sends the module E into the balanced tensor product M (x)_A E
 and obeys the Leibniz rule nabla(f.xi) = f.nabla(xi) + df (x) xi.  Pairing
 the M leg against a right dual vector field turns nabla into a covariant
 derivative, one endomorphism of E per field; the two covariant-derivative
-laws checked here extend the Cartan pair laws from A to E.
+laws checked here are the Cartan pair laws carried from A to E, read from
+the same identities as check_cartan's (cartan.pair_law_sides).
 
 Contraction against the M leg is well defined on the balanced quotient
 because right dual elements are right module maps; the construction still
@@ -26,7 +27,7 @@ from .algebra import (
     restrict, tensor_over_A,
 )
 from .calculus import DifferentialCalculus
-from .cartan import CartanPair
+from .cartan import CartanPair, pair_law_sides
 from .reporting import CheckReport, InvariantError
 
 
@@ -80,9 +81,9 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
 
 def _d_tensor(c: DifferentialCalculus, t: TensorProductOverA) -> list:
     """For each basis vector e_i, the map xi -> d(e_i) (x) xi into the
-    quotient coordinates of t: the projection of kron(d(e_i), I_E)."""
-    ident = Matrix.identity(t.factors[1].dim)
-    return [t.projection @ kron(di, ident)
+    quotient coordinates of t: the projection times d(e_i) (x) I_E, from
+    block_combination."""
+    return [block_combination(t.projection, di, t.factors[1].dim)
             for di in c.d.transpose().row_matrices(c.bimodule.dim, 1)]
 
 
@@ -140,37 +141,26 @@ def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:
     triples: direction linearity nabla_{f.X} = f.nabla_X and the twisted
     Leibniz rule nabla_X(f.xi) = X(f).xi + nabla_{X.f}(xi).
 
-    X -> nabla_X is linear, so it is built once per basis field.  With
-    D = [nabla_{X_0} | ... | nabla_{X_{m-1}}] in place of the fields, the
-    left actions L^E_i of the module in place of the multiplications, and
-    K_i the n x m matrix whose column t is X_t(e_i), the two laws are the
-    identities of check_cartan, one per basis vector e_i:
-
-        direction linearity   L^E_i D = D (L_i (x) I_E)
-        twisted Leibniz       D (I_m (x) L^E_i)
-                                = [L^E_0 | ... | L^E_{n-1}] (K_i (x) I_E)
-                                  + D (R_i (x) I_E)
-
-    The findings are listed by field t, then e_i, linearity first, then
-    module basis vector."""
+    X -> nabla_X is linear, so it is built once per basis field.  The two
+    laws are the identities of check_cartan with the derivatives
+    nabla_{X_t} in place of the fields and the left actions of the module
+    in place of the multiplications, one per basis vector e_i
+    (cartan.pair_law_sides).  The findings are listed by field t, then
+    e_i, linearity first, then module basis vector."""
     if not _pair_matches(conn, pair):
         raise ValueError("pair is not derived from the connection's calculus")
     rep = CheckReport("covariant axioms")
     a = conn.calculus.algebra
     e = conn.module
-    nb = pair.bimodule
-    m, ed = nb.dim, e.dim
+    m, ed = pair.bimodule.dim, e.dim
     derivs = [covariant_derivative(conn, pair,
                                    tuple(1 if s == t else 0
                                          for s in range(m)))
               for t in range(m)]
-    big_d, big_e = hstack(derivs, ed), hstack(e.left, ed)
-    i_m = Matrix.identity(m)
     found = []
-    for i, (ei, ki) in enumerate(zip(e.left, pair.field_values())):
+    for i, (dfx, scaled, shifted, rhs) in enumerate(
+            pair_law_sides(pair, derivs, e.left)):
         f = a.basis_names[i]
-        dfx = block_combination(big_d, nb.left[i], ed)
-        scaled = ei @ big_d
         for col in [] if dfx == scaled else (dfx - scaled).nonzero_cols():
             t, a2 = divmod(col, ed)
             found.append(((t, i, 0, a2), "action-linearity", (i, t, a2),
@@ -178,9 +168,6 @@ def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:
                           "at module coordinates %s"
                           % (f, t, a2, f, t, a2,
                              _mismatch(dfx.col(col), scaled.col(col)))))
-        shifted = big_d @ kron(i_m, ei)
-        rhs = block_combination(big_e, ki, ed) \
-            + block_combination(big_d, nb.right[i], ed)
         for col in [] if shifted == rhs else (shifted - rhs).nonzero_cols():
             t, a2 = divmod(col, ed)
             found.append(((t, i, 1, a2), "twisted-leibniz", (t, i, a2),

@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .linalg import Matrix, Subspace, block_combination, \
     closure_under_maps, frac, hstack, is_zero_vector, kron, \
@@ -178,11 +178,9 @@ class FreeWord:
         return format_word_sum(self.pair, self)
 
 
-def format_word_sum(pair: CartanPair, w: FreeWord,
-                    module_names: Optional[Iterable[str]] = None) -> str:
+def format_word_sum(pair: CartanPair, w: FreeWord) -> str:
     names = pair.algebra.basis_names
-    mnames = list(module_names) if module_names is not None else \
-        ["X%d" % t for t in range(pair.bimodule.dim)]
+    mnames = ["X%d" % t for t in range(pair.bimodule.dim)]
     if not w.terms:
         return "0"
     parts = []

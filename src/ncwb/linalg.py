@@ -11,11 +11,11 @@ Matrix.apply and linear_combination accumulate Python ints over the
 stored rows and build no dense row.
 
 Each idea has one routine: linear_combination sums scaled matrices,
-kron gives the factor of flat(L X R) = flat(X) (L^T (x) R), so an action
-on a space of matrices is one product with its basis rows,
 block_combination multiplies a row of blocks [B_0 | ... | B_{n-1}] by
 c (x) I without forming that factor, so a law on basis pairs is one
-identity of stacked matrices per basis vector, hstack and column_blocks
+identity of stacked matrices per basis vector, and with kron for the
+factors I (x) R, flat(L X R) = flat(X) (L^T (x) R) makes an action on a
+space of matrices one product with its basis rows, hstack and column_blocks
 stack and cut such rows, Subspace.coords_int reads the coordinates of
 all the rows of a matrix at once and certifies them, intertwiner_rows
 writes out the system X A = B X without kron, null_rules reads the
@@ -99,10 +99,6 @@ def _sparse_vector(v) -> tuple:
     """(den, {j: num}) for the non-zero entries of an exact vector."""
     den, (row,) = _sparse((v,))
     return den, dict(row)
-
-
-def vzero(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def vadd(u, v) -> Vector:
@@ -358,9 +354,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i,k),(j,l) -> (i*b.nrows+k, j*b.ncols+l).
 
     Row-major flattening turns X -> a X b into a product: flat(a X b) =
-    flat(X) kron(a^T, b).  So the actions on the universal one-forms, the
-    duals, the co-universal fields and the connections' simple tensors are
-    one product of a span's basis rows with a kron factor each.
+    flat(X) kron(a^T, b).  Products with I (x) b use it; a product with
+    c (x) I goes through block_combination, which never forms the
+    factor.
     """
     da, arows = a.int_rows()
     db, brows = b.int_rows()

@@ -211,18 +211,20 @@ def _build_connection(ws, decl, where):
     rank_ = decl.get("rank")
     if not isinstance(rank_, int) or isinstance(rank_, bool) or rank_ < 0:
         raise WorkspaceError("%s: rank must be a nonnegative integer" % where)
-    # each row is n * rank wide whatever the tensor product's dimension,
-    # so a wrong width is refused, with _vector_from's message, before
-    # anything of the rank's size is built
+    # each row is n * rank wide, and tensor_over_A splits A^rank into rank
+    # equal blocks, so M (x)_A A^rank has rank times the dimension of
+    # M (x)_A A, lawful or not: the widths, then the row count, are
+    # checked before anything of the rank's size is built
     data, width = decl.get("matrix"), c.algebra.dim * rank_
     for i, r in enumerate(data if isinstance(data, list) else ()):
         if not isinstance(r, list) or len(r) != width:
             raise WorkspaceError("%s matrix row %d: expected a list of %d "
                                  "rationals" % (where, i, width))
+    q = rank_ and rank_ * tensor_over_A(
+        c.bimodule, LeftModule.free(c.algebra, 1)).module.dim
+    mat = _matrix_from(data, q, width, "%s matrix" % where)
     e = LeftModule.free(c.algebra, rank_)
-    t = tensor_over_A(c.bimodule, e)
-    mat = _matrix_from(data, t.module.dim, width, "%s matrix" % where)
-    return Connection(c, e, t, mat)
+    return Connection(c, e, tensor_over_A(c.bimodule, e), mat)
 
 
 def _expand_builtin(ws, name, decl, where):
@@ -240,21 +242,8 @@ def _expand_builtin(ws, name, decl, where):
     except ValueError as e:
         raise WorkspaceError("%s: %s" % (where, e))
     ws.add(WorkspaceObject(name, "builtin", bundle, True, params))
-    ws.add(WorkspaceObject(name + ".algebra", "algebra", bundle.algebra,
-                           False))
-    for mod_name, mod in bundle.bimodules.items():
-        ws.add(WorkspaceObject("%s.%s" % (name, mod_name), "bimodule", mod,
-                               False))
-    if bundle.calculus is not None:
-        ws.add(WorkspaceObject(name + ".calculus_module", "bimodule",
-                               bundle.calculus.bimodule, False))
-        ws.add(WorkspaceObject(name + ".calculus", "calculus",
-                               bundle.calculus, False))
-    if bundle.pair is not None:
-        ws.add(WorkspaceObject(name + ".pair_module", "bimodule",
-                               bundle.pair.bimodule, False))
-        ws.add(WorkspaceObject(name + ".pair", "cartan_pair", bundle.pair,
-                               False))
+    for child, kind, obj in bundle.members():
+        ws.add(WorkspaceObject("%s.%s" % (name, child), kind, obj, False))
 
 
 _BUILDERS = {

@@ -215,10 +215,14 @@ from ncwb.algebra import (  # noqa: E402
 from ncwb.calculus import UniversalCalculus  # noqa: E402
 from ncwb.cartan import CoUniversalFactorization  # noqa: E402
 from ncwb.linalg import (  # noqa: E402
-    Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
-    span_closure, vadd, vscale, vzero,
+    ZERO, Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
+    span_closure, vadd, vscale,
 )
 from ncwb.reporting import CheckReport  # noqa: E402
+
+
+def vzero(n: int) -> tuple:
+    return (ZERO,) * n
 
 
 def multiply_by_sc(a, f, g) -> tuple:
@@ -1318,3 +1322,13 @@ def export_workspace(ws: Workspace) -> str:
     for name in sorted(declared_names(ws)):
         doc["objects"][name] = _decl_for(ws.objects[name], refs)
     return canonical_text(doc)
+
+
+# ---- builtins at their defaults -----------------------------------------
+
+from ncwb.catalog import BUILTIN_NAMES, builtin  # noqa: E402
+
+
+def all_builtins() -> list:
+    """Every builtin at default parameters."""
+    return [builtin(name) for name in BUILTIN_NAMES]

@@ -13,6 +13,7 @@ from ncwb.algebra import (
 from ncwb.calculus import universal_calculus
 from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.linalg import Matrix, rank
+from ncwb.reporting import InvariantError
 
 from helpers import (
     act_left, act_right, basis_element, check_algebra_by_sc,
@@ -338,3 +339,24 @@ def test_bimodule_map_findings_name_the_first_differing_entry():
         == "alpha(x.m) != x.alpha(m) on m0, coordinate m0: 1 != 0"
     assert got[("right-intertwine", (1,))] \
         == "alpha(m.x) != alpha(m).x on m0, coordinate m0: 1 != 0"
+
+
+def test_transported_actions_keep_their_refusals():
+    # the universal one-forms and the duals read their actions through
+    # one routine; each keeps its own text when an image leaves the span
+    a = Algebra(("e0", "e1"), [[(-1, 0), (0, 0)], [(1, 1), (1, 1)]], (1, 0))
+    with pytest.raises(InvariantError, match="^kernel of multiplication is "
+                       "not closed under the actions$"):
+        universal_calculus(a)
+    dn = builtin("dual_numbers").algebra
+    for dual, left, right in (
+            (right_dual, ([[1, -1], [-1, 1]], [[1, 0], [0, 0]]),
+             ([[-1, -1], [0, 1]], [[-1, -1], [0, 0]])),
+            (left_dual, ([[1, 0], [-1, 0]], [[0, 0], [0, 0]]),
+             ([[0, -1], [0, 0]], [[0, 1], [-1, 0]]))):
+        m = Bimodule(dn, 2, [Matrix(x) for x in left],
+                     [Matrix(x) for x in right])
+        side = dual.__name__.split("_")[0]
+        with pytest.raises(InvariantError, match="^the %s dual is not "
+                           "closed under its actions$" % side):
+            dual(m)

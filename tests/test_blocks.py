@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncwb.workspace
 from ncwb.algebra import (
     LeftModule, block_sum, invariant_blocks, restrict, tensor_over_A,
 )
@@ -246,12 +247,27 @@ def connection_doc(rank_, matrix):
 
 
 def test_a_huge_rank_with_a_narrow_matrix_is_refused_at_once(tmp_path,
-                                                               capsys):
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(connection_doc(20000, [["1"]])))
-    assert main(["check", str(path)]) == 2
-    assert "object 'nabla' matrix row 0: expected a list of 40000 " \
-        "rationals" in capsys.readouterr().err
+                                                               capsys,
+                                                               monkeypatch):
+    # M (x)_A A^20000 has dimension 20000 on the dual numbers; the row
+    # count is read from the rank-one product, so no module wider than A
+    # reaches tensor_over_A before the refusal
+    widths = []
+
+    def recording(m, e):
+        widths.append(e.dim)
+        return tensor_over_A(m, e)
+
+    monkeypatch.setattr(ncwb.workspace, "tensor_over_A", recording)
+    for matrix, message in (
+            ([["1"]], "matrix row 0: expected a list of 40000 rationals"),
+            ("x", "matrix: expected 20000 matrix rows"),
+            ([["0"] * 40000] * 3, "matrix: expected 20000 matrix rows")):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(connection_doc(20000, matrix)))
+        assert main(["check", str(path)]) == 2
+        assert "object 'nabla' " + message in capsys.readouterr().err
+    assert max(widths) == 2
 
 
 def test_a_wrong_row_count_keeps_its_message(tmp_path, capsys):

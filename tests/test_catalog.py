@@ -13,7 +13,7 @@ from ncwb.cartan import (
     co_universal_pair, pair_from_calculus,
 )
 from ncwb.catalog import (
-    BUILTIN_NAMES, MAX_PARAM, all_builtins, broken_connection_fixture, builtin,
+    BUILTIN_NAMES, MAX_PARAM, broken_connection_fixture, builtin,
     naive_derivative_fixture, noncommuting_bimodule_fixture,
     unit_differential_fixture, vacuum_violation_fixture,
 )
@@ -25,7 +25,7 @@ from fractions import Fraction
 from ncwb.linalg import frac
 
 import helpers
-from helpers import act_left, basis_element
+from helpers import act_left, all_builtins, basis_element
 
 
 def assert_lawful(b):

@@ -225,6 +225,39 @@ def test_derived_declaration_bytes_are_pinned(tmp_path, capsys, what):
     assert hashlib.sha256(out).hexdigest() == DECLARATION_SHA256[what]
 
 
+# the construction each derive kind runs, by its name in ncwb.cli, and the
+# dual_numbers member it runs on
+DERIVE_CONSTRUCTION = {
+    "dual": ("right_dual", "regular"),
+    "pair": ("pair_from_calculus", "calculus"),
+    "calculus": ("calculus_from_pair", "pair"),
+    "universal": ("universal_calculus", "algebra"),
+    "couniversal": ("co_universal_pair", "algebra"),
+    "diffops": ("generate_diffop_algebra", "pair"),
+    "relations": ("find_relations", "pair"),
+    "factorization": ("co_universal_factorization", "pair"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(DERIVE_CONSTRUCTION))
+def test_derive_runs_the_construction_named_in_the_cli_module(
+        tmp_path, capsys, monkeypatch, what):
+    # a wrapper put on ncwb.cli's name, as the benchmark's tracer puts
+    # one, is the one that runs
+    import ncwb.cli
+    attr, member = DERIVE_CONSTRUCTION[what]
+    original, calls = getattr(ncwb.cli, attr), []
+
+    def recording(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ncwb.cli, attr, recording)
+    path = write_ws(tmp_path, dn_objects())
+    assert main(["derive", path, "dn." + member, what]) == 0
+    assert calls == [attr]
+
+
 # Runs a command as its child and prints the child's peak RSS in KiB to
 # stderr.  ru_maxrss of a child counts the memory of the process it was
 # started from, so the command is started from this small process and not

@@ -539,6 +539,38 @@ def test_package_source_has_no_assert():
     assert found == []
 
 
+def test_every_module_level_definition_of_the_package_is_read():
+    # a function or class of the package that only the tests read belongs
+    # in tests/helpers.py.  A read is a Name, an Attribute, an imported
+    # name or an exact string constant (bench/tracer.py names its targets
+    # by string) anywhere in src, bench or demos; the planted-failure
+    # *_fixture objects are kept in the package for the checkers' tests
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    read = set()
+    for part in ("src", "bench", "demos"):
+        for path in sorted((repo / part).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    read.add(node.value)
+    unread = []
+    for path in sorted((repo / "src" / "ncwb").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        unread += ["%s:%d %s" % (path.name, node.lineno, node.name)
+                   for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name not in read
+                   and not node.name.endswith("_fixture")]
+    assert unread == []
+
+
 def test_package_source_imports_only_what_it_uses():
     # every name a module of the package imports is read somewhere in it
     root = pathlib.Path(ncwb.linalg.__file__).parent

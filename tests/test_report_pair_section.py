@@ -1,27 +1,34 @@
-"""report's pair section comes from small closures: the relation counts
-and the operator algebra's dimension from the order filtration, the
-spanning diagnostic without the left dual.  These tests check that report
-calls none of the large constructions and that its bytes are those pinned
-for every word length."""
+"""report's pair section comes from small closures and closed forms: the
+relation counts and the operator algebra's dimension from the order
+filtration, the spanning diagnostic without the left dual, the vacuum
+from the law checks.  These tests check that report calls none of those
+constructions and that its bytes are those pinned for every word
+length."""
 
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncwb.algebra
 import ncwb.calculus
 import ncwb.cartan
 import ncwb.cli
 import ncwb.diffops
-from ncwb.catalog import BUILTIN_NAMES
+from ncwb.algebra import Algebra, Bimodule, check_algebra
+from ncwb.cartan import CartanPair, check_cartan
+from ncwb.catalog import BUILTIN_NAMES, builtin, vacuum_violation_fixture
+from ncwb.diffops import fock_check
+from ncwb.linalg import Matrix
 from ncwb.workspace import SCHEMA
 
 from test_acceptance import PARAMS, REPORT_JSON_SHA256, REPORT_TEXT_SHA256
 from test_report_closed_forms import MATRIX_2_REPORT_SHA256, run
+from helpers import random_action_pairs
 
 CONSTRUCTIONS = ("find_relations", "generate_diffop_algebra",
-                 "calculus_from_pair", "left_dual")
+                 "calculus_from_pair", "left_dual", "fock_check")
 
 # SHA-256 of report's stdout on the workspace of all six builtins (the
 # one of criterion 11) at each NCWB_MAX_WORD_LEN, text and JSON; length 4,
@@ -47,11 +54,12 @@ REPORT_SHA256_BY_LENGTH = {
 
 @pytest.fixture
 def constructions_refused(monkeypatch):
-    """Every module of the package that holds one of the four
+    """Every module of the package that holds one of the five
     constructions gets a stand-in that fails the test when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("report built a relation search, an operator "
-                             "algebra closure or a left dual")
+                             "algebra closure, a left dual or a vacuum "
+                             "check")
     for module in (ncwb.cli, ncwb.algebra, ncwb.calculus, ncwb.cartan,
                    ncwb.diffops):
         for attr in CONSTRUCTIONS:
@@ -107,3 +115,57 @@ def test_report_refuses_a_word_length_outside_the_range(
         all_builtins, monkeypatch, constructions_refused, value):
     monkeypatch.setenv("NCWB_MAX_WORD_LEN", value)
     assert run(["report", all_builtins]) == (2, b"")
+
+
+def assert_vacuum_follows_from_the_laws(pair):
+    """Each fock_check finding has its law-check twin: vacuum-annihilation
+    at t is check_cartan's unit-annihilation at t, vacuum-reproduction at
+    i is check_algebra's right-unit at i.  So a pair that report analyses,
+    one whose algebra and pair pass, has a vacuum."""
+    twins = {"vacuum-annihilation": {
+                 f.witness for f in check_cartan(pair).findings
+                 if f.law == "unit-annihilation"},
+             "vacuum-reproduction": {
+                 f.witness for f in check_algebra(pair.algebra).findings
+                 if f.law == "right-unit"}}
+    for f in fock_check(pair).findings:
+        assert f.witness in twins[f.law], f
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vacuum_findings_on_builtins_follow_from_the_laws(name):
+    pair = builtin(name).pair
+    assert fock_check(pair).ok
+    assert_vacuum_follows_from_the_laws(pair)
+
+
+def test_vacuum_findings_on_the_planted_pair_follow_from_the_laws():
+    pair = vacuum_violation_fixture()
+    assert not fock_check(pair).ok
+    assert_vacuum_follows_from_the_laws(pair)
+
+
+@st.composite
+def lawless_pairs(draw):
+    """Structure constants, unit, bimodule actions and fields all drawn at
+    random: the unit is seldom a right unit and X(1) seldom 0."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    entry = st.sampled_from((0, 0, 1, -1, 2))
+
+    def matrix(size):
+        return Matrix([[draw(entry) for _ in range(size)]
+                       for _ in range(size)], ncols=size)
+
+    a = Algebra(["e%d" % i for i in range(n)],
+                [[[draw(entry) for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)], [draw(entry) for _ in range(n)])
+    bimodule = Bimodule(a, m, [matrix(m) for _ in range(n)],
+                        [matrix(m) for _ in range(n)])
+    return CartanPair(a, bimodule, [matrix(n) for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lawless_pairs(), random_action_pairs(
+    [builtin(name).pair for name in BUILTIN_NAMES])))
+def test_vacuum_findings_on_lawless_pairs_follow_from_the_laws(pair):
+    assert_vacuum_follows_from_the_laws(pair)

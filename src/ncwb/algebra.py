@@ -1,9 +1,10 @@
 """Finite dimensional associative algebras and their bimodules.
 
 An algebra is given by structure constants over a fixed basis, a bimodule by
-one left and one right action matrix per algebra basis vector.  All laws
-(associativity, unit, action compatibilities) are checked exhaustively on
-basis vectors; linearity does the rest.
+one left and one right action matrix per algebra basis vector; an element
+is its coordinate tuple, and f g is left_mult_matrix(f).apply(g).  All
+laws (associativity, unit, action compatibilities) are checked
+exhaustively on basis vectors; linearity does the rest.
 
 Duals of a bimodule are taken inside Hom(M, A): the right dual consists of
 right module maps, the left dual of left module maps.  A dual element is
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
-    Echelon, Matrix, Subspace, block_combination, column_blocks, frac,
-    hstack, intertwiner_rows, is_zero_vector, kernel, kron,
-    linear_combination, vadd, vector, vscale,
+    Echelon, Matrix, Subspace, block_combination, column_blocks, hstack,
+    intertwiner_rows, kernel, kron, linear_combination, vector,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -98,9 +98,6 @@ class Algebra:
             return hits[0]
         return None
 
-    def multiply(self, f, g):
-        return self.left_mult_matrix(f).apply(g)
-
     def left_mult_matrix(self, f) -> Matrix:
         return linear_combination(f, self.lmul, self.dim, self.dim)
 
@@ -114,67 +111,11 @@ class Algebra:
         return Matrix.from_cols([self.sc[i][j] for i in range(n)
                                  for j in range(n)], nrows=n)
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, vector(coords))
-
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
-
     def format(self, coords) -> str:
         return format_element(self.basis_names, coords)
 
     def __repr__(self):
         return "Algebra(%s)" % ", ".join(self.basis_names)
-
-
-class AlgebraElement:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords):
-        self.algebra = algebra
-        self.coords = vector(coords)
-        if len(self.coords) != algebra.dim:
-            raise ValueError("%d coordinates for an element of an algebra "
-                             "of dimension %d" % (len(self.coords),
-                                                  algebra.dim))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not self.algebra:
-                raise ValueError("elements of different algebras cannot be "
-                                 "multiplied")
-            return AlgebraElement(self.algebra,
-                                  self.algebra.multiply(self.coords, other.coords))
-        return AlgebraElement(self.algebra, vscale(frac(other), self.coords))
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.algebra, vscale(frac(other), self.coords))
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement) \
-                or other.algebra is not self.algebra:
-            raise ValueError("only elements of the same algebra can be "
-                             "added")
-        return AlgebraElement(self.algebra, vadd(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def is_zero(self) -> bool:
-        return is_zero_vector(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) \
-            and other.algebra is self.algebra and other.coords == self.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return self.algebra.format(self.coords)
 
 
 def check_algebra(a: Algebra) -> CheckReport:
@@ -454,10 +395,6 @@ class DualBimodule:
     def eval_of(self, xcoords) -> Matrix:
         return linear_combination(xcoords, self.eval_mats,
                                   self.base.algebra.dim, self.base.dim)
-
-    def pairing(self, xcoords, mcoords) -> AlgebraElement:
-        """<X, m> = X(m) in the base algebra."""
-        return self.base.algebra.element(self.eval_of(xcoords).apply(mcoords))
 
     def __repr__(self):
         return "DualBimodule(%s, dim %d)" % (self.side, self.dim)

@@ -165,33 +165,41 @@ def pair_from_calculus(c: DifferentialCalculus) -> CartanPair:
                       source_calculus=c, dual=d)
 
 
+def _evaluations(p: CartanPair) -> tuple:
+    """(evals, constraints): row j of evals is K_j flat, column t of K_j
+    X_t(e_j), and the null space of the constraints, E L_i = l_i E on
+    n x p matrices E, is the left dual of N.  The first K_j outside it is
+    not left linear and raises InvariantError."""
+    a, nb = p.algebra, p.bimodule
+    n, m = a.dim, nb.dim
+    constraints = Matrix.from_int_rows(
+        [row for i in range(n)
+         for row in intertwiner_rows(nb.left[i], a.lmul[i])], n * m)
+    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
+                                 n * m)
+    bad = (constraints @ evals.transpose()).nonzero_cols()
+    if bad:
+        raise InvariantError("the evaluation of the action at %s is not "
+                             "left linear" % a.basis_names[bad[0]])
+    return evals, constraints
+
+
 def calculus_from_pair(p: CartanPair):
     """Differential into the left dual of the pair bimodule.
 
-    d(f) is the functional X -> X(f); its evaluation matrix always lies in
-    the left dual span.  Returns (calculus, left dual of N).
+    d(f) is the functional X -> X(f); d(e_j) is the evaluation K_j, which
+    _evaluations certifies to lie in the left dual span, so its
+    coordinates there always exist.  Returns (calculus, left dual of N).
     """
-    a = p.algebra
     ld = left_dual(p.bimodule)
-    # the evaluation at e_j is K_j, its column t X_t(e_j); row j of evals
-    # is K_j flat
-    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
-                                 ld.span.ambient_dim)
-    c, bad = ld.span.coords_int(evals)
-    if c is None:
-        raise InvariantError("the evaluation of the action at %s is not "
-                             "left linear" % a.basis_names[bad])
-    return DifferentialCalculus(a, ld.bimodule, c.transpose()), ld
+    c, _ = ld.span.coords_int(_evaluations(p)[0])
+    return DifferentialCalculus(p.algebra, ld.bimodule, c.transpose()), ld
 
 
 @dataclass
 class SpanKernelDiagnostic:
     spanned: bool
     kernel_trivial: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.spanned == self.kernel_trivial
 
 
 def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
@@ -212,21 +220,13 @@ def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
     Precondition: the algebra and the bimodule are lawful, which the
     report's law gate ensures; the left dual is then closed under its
     actions, so the closure of the K_j in Q^(n p) is their closure in the
-    dual.  A K_j outside the dual raises InvariantError, as
-    calculus_from_pair does.  The action kernel is trivial when the p
-    operators X_t are independent.
+    dual.  The K_j and the constraints come from _evaluations, so a K_j
+    outside the dual raises InvariantError, as in calculus_from_pair.  The
+    action kernel is trivial when the p operators X_t are independent.
     """
     a, nb = p.algebra, p.bimodule
     n, m = a.dim, nb.dim
-    constraints = Matrix.from_int_rows(
-        [row for i in range(n)
-         for row in intertwiner_rows(nb.left[i], a.lmul[i])], n * m)
-    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
-                                 n * m)
-    bad = (constraints @ evals.transpose()).nonzero_cols()
-    if bad:
-        raise InvariantError("the evaluation of the action at %s is not "
-                             "left linear" % a.basis_names[bad[0]])
+    evals, constraints = _evaluations(p)
     closure = closure_under_maps(evals, nb.right, shape=(n, m),
                                  left=a.rmul)
     return SpanKernelDiagnostic(

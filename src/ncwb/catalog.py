@@ -11,7 +11,7 @@ deliberately broken objects used to prove the checkers can reject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -120,15 +120,6 @@ def _inner_calculus(a: Algebra, u) -> DifferentialCalculus:
     return DifferentialCalculus(a, bm, d)
 
 
-def _dual_numbers() -> ExampleBundle:
-    a = _truncated_algebra(2)
-    c = _shift_calculus(a)
-    return ExampleBundle(
-        "dual_numbers", a, {"regular": Bimodule.regular(a)}, c,
-        pair_from_calculus(c),
-        notes="numbers 1 + eps with eps^2 = 0; one-form module kills x")
-
-
 def _truncated_poly(n: int) -> ExampleBundle:
     a = _truncated_algebra(n)
     c = _shift_calculus(a)
@@ -136,6 +127,12 @@ def _truncated_poly(n: int) -> ExampleBundle:
         "truncated_poly", a, {"regular": Bimodule.regular(a)}, c,
         pair_from_calculus(c),
         notes="polynomial line truncated at degree %d" % n)
+
+
+def _dual_numbers() -> ExampleBundle:
+    return replace(_truncated_poly(2), name="dual_numbers",
+                   notes="numbers 1 + eps with eps^2 = 0; one-form module "
+                         "kills x")
 
 
 def _group_algebra_z2() -> ExampleBundle:

@@ -151,9 +151,9 @@ def _derived(make):
 @_derived
 def _diffops_doc(pair, name: str) -> tuple:
     alg = generate_diffop_algebra(pair)
+    n = pair.algebra.dim
     return {"kind": "operator_algebra", "dim": alg.dim,
-            "basis": [matrix_rows(b)
-                      for b in alg.basis_operators(pair.algebra.dim)],
+            "basis": [matrix_rows(b) for b in alg.matrix.row_matrices(n, n)],
             }, "operator algebra of %s: dim %d" % (name, alg.dim)
 
 

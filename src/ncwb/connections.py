@@ -20,7 +20,7 @@ from typing import Optional
 
 from .linalg import (
     Matrix, Subspace, affine_solutions, block_combination, hstack,
-    intertwiner_rows, kernel, kron, linear_combination,
+    intertwiner_rows, kernel, kron,
 )
 from .algebra import (
     DualBimodule, LeftModule, TensorProductOverA, block_sum, invariant_blocks,
@@ -204,16 +204,6 @@ class ConnectionSpace:
     particular: Optional[Connection]
     homogeneous: Subspace       # flattened maps E -> M (x)_A E
 
-    def element(self, coeffs) -> Connection:
-        """particular plus a combination of the homogeneous basis."""
-        if self.particular is None:
-            raise ValueError("the Leibniz constraint has no solution, so "
-                             "there is no connection to pick")
-        p = self.particular
-        q, d = self.tensor.module.dim, p.module.dim
-        homog = self.homogeneous.matrix.row_matrices(q, d)
-        return Connection(p.calculus, p.module, self.tensor,
-                          p.matrix + linear_combination(coeffs, homog, q, d))
 
 
 def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:

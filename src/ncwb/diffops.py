@@ -22,8 +22,8 @@ of the Fock representation, and find_relations reports it as a relation.
 
 The operator algebra generated by the left multiplications and the action
 is the closure of the identity under right composition with those n + p
-generators: every product of generators extends a shorter one on the
-right.
+generators (every product of generators extends a shorter one on the
+right), held as a Subspace of the n x n operators read row-major.
 
 The order filtration.  D_k is the span of the operators l(f) X_w of the
 words f * X_t1 * ... * X_tj with j <= k, so D_0 = l(A) and
@@ -120,10 +120,6 @@ class FreeWord:
     def __init__(self, pair: CartanPair, terms: Optional[dict] = None):
         self.pair = pair
         self.terms = _canonical(pair, terms or {}, push_actions=False)
-
-    @classmethod
-    def one(cls, pair) -> "FreeWord":
-        return cls(pair, {(): Fraction(1)})
 
     @classmethod
     def algebra_letter(cls, pair, coords) -> "FreeWord":
@@ -232,27 +228,11 @@ def normal_form(w: FreeWord) -> FreeWord:
     return out
 
 
-@dataclass
-class OperatorAlgebra:
-    """Span of all composites of the generators inside End(A)."""
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis_operators(self, n: int):
-        return self.space.matrix.row_matrices(n, n)
-
-    def contains(self, op: Matrix) -> bool:
-        flat = Matrix.from_int_rows([op.flat_int()], self.space.ambient_dim)
-        return self.space.coords_int(flat)[1] is None
-
-
-def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
+def generate_diffop_algebra(pair: CartanPair) -> Subspace:
     """The algebra generated by the identity, the left multiplications and
     the action, as the closure of the identity under right composition
-    with the n + p generators.
+    with the n + p generators: a Subspace of the n x n operators on A read
+    row-major, its basis operators matrix.row_matrices(n, n).
 
     A product of generators is a shorter product composed with one more
     generator on the right, so this closure is the span of all products,
@@ -262,8 +242,8 @@ def generate_diffop_algebra(pair: CartanPair) -> OperatorAlgebra:
     """
     n = pair.algebra.dim
     seed = Matrix.from_int_rows([Matrix.identity(n).flat_int()], n * n)
-    return OperatorAlgebra(closure_under_maps(
-        seed, pair.algebra.lmul + pair.action, shape=(n, n)))
+    return closure_under_maps(seed, pair.algebra.lmul + pair.action,
+                              shape=(n, n))
 
 
 def order_filtration(pair: CartanPair) -> tuple:

@@ -16,16 +16,17 @@ c (x) I without forming that factor, so a law on basis pairs is one
 identity of stacked matrices per basis vector, and with kron for the
 factors I (x) R, flat(L X R) = flat(X) (L^T (x) R) makes an action on a
 space of matrices one product with its basis rows, hstack and column_blocks
-stack and cut such rows, Subspace.coords_int reads the coordinates of
-all the rows of a matrix at once and certifies them, intertwiner_rows
-writes out the system X A = B X without kron, null_rules reads the
-canonical null space off any rows in one reduction with the column order
-reversed (kernel passes it a matrix's rows as they are), affine_solutions
-reads a particular solution from one elimination of (m | b) and hands
-its reduced rows to null_rules, closure_under_maps closes a span of
-matrices under left and right factors a level at a time, one product per
-factor and level, and every row reduction goes through Echelon, which
-keeps sparse primitive integer rows fully reduced after every insert.
+stack and cut such rows, Subspace.coords_int, the one coordinate read
+(a vector is a one-row matrix), reads and certifies all the rows of a
+matrix at once, intertwiner_rows writes out the system X A = B X
+without kron, null_rules reads the canonical null space off any rows in
+one reduction with the column order reversed (kernel passes it a
+matrix's rows as they are), affine_solutions reads a particular solution
+from one elimination of (m | b) and hands its reduced rows to
+null_rules, closure_under_maps closes a span of matrices under left and
+right factors a level at a time, one product per factor and level, and
+every row reduction goes through Echelon, which keeps sparse primitive
+integer rows fully reduced after every insert.
 A Subspace holds its reduced echelon basis as the rows of a Matrix, so
 two subspaces are equal exactly when those matrices are.  The direct-sum
 helpers invariant_blocks (the blocks a list of matrices keeps), restrict
@@ -99,15 +100,6 @@ def _sparse_vector(v) -> tuple:
     """(den, {j: num}) for the non-zero entries of an exact vector."""
     den, (row,) = _sparse((v,))
     return den, dict(row)
-
-
-def vadd(u, v) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c, v) -> Vector:
-    c = frac(c)
-    return tuple(c * a for a in v)
 
 
 def is_zero_vector(v) -> bool:
@@ -591,29 +583,12 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(Matrix.zeros(0, ambient_dim), ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.identity(ambient_dim), range(ambient_dim))
-
     @property
     def basis(self) -> tuple:
         return self.matrix.rows
 
     def is_zero(self) -> bool:
         return not self.dim
-
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
-
-    def coords(self, v) -> Optional[list]:
-        """Coefficients over self.basis, or None if v lies outside."""
-        v = _exact(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("shape mismatch: a vector of length %d against "
-                             "%s" % (len(v), self))
-        if self.coords_int(Matrix((v,), self.ambient_dim))[1] is not None:
-            return None
-        return [frac(v[pc]) for pc in self.pivots]
 
     def coords_int(self, m: Matrix) -> tuple:
         """The coordinates of all the rows of m at once: (c, None), row r

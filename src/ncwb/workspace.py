@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -32,10 +33,7 @@ from .connections import Connection
 SCHEMA = "ncwb/1"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-
-_KINDS = ("algebra", "bimodule", "calculus", "cartan_pair", "connection",
-          "builtin")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class WorkspaceError(Exception):
@@ -48,14 +46,17 @@ def parse_rational(v, where: str) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        if not _RATIONAL_RE.match(v):
+        if not _RATIONAL_RE.fullmatch(v):
             raise WorkspaceError("%s: %r is not an exact rational" % (where, v))
         num, _, den = v.partition("/")
-        if den:
-            if int(den) == 0:
-                raise WorkspaceError("%s: zero denominator in %r" % (where, v))
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            raise WorkspaceError("%s: an integer of more than %d digits"
+                                 % (where, sys.get_int_max_str_digits()))
+        if den == 0:
+            raise WorkspaceError("%s: zero denominator in %r" % (where, v))
+        return Fraction(num, den)
     raise WorkspaceError("%s: expected a rational, got %r" % (where, v))
 
 
@@ -282,6 +283,12 @@ def parse_workspace(text: str) -> Workspace:
                          object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as e:
         raise WorkspaceError("not valid JSON: %s" % e)
+    except ValueError:
+        # an integer literal past Python's integer-string conversion limit
+        raise WorkspaceError("an integer literal of more than %d digits"
+                             % sys.get_int_max_str_digits())
+    except RecursionError:
+        raise WorkspaceError("not valid JSON: nested too deeply")
     if not isinstance(doc, dict):
         raise WorkspaceError("top level must be an object")
     extra = set(doc) - {"schema", "objects", "derived"}

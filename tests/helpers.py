@@ -216,7 +216,7 @@ from ncwb.calculus import UniversalCalculus  # noqa: E402
 from ncwb.cartan import CoUniversalFactorization  # noqa: E402
 from ncwb.linalg import (  # noqa: E402
     ZERO, Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
-    span_closure, vadd, vscale,
+    span_closure,
 )
 from ncwb.reporting import CheckReport  # noqa: E402
 
@@ -234,7 +234,7 @@ def multiply_by_sc(a, f, g) -> tuple:
         for j, y in enumerate(g):
             if y == 0:
                 continue
-            out = vadd(out, vscale(x * y, a.sc[i][j]))
+            out = tuple(o + x * y * s for o, s in zip(out, a.sc[i][j]))
     return out
 
 
@@ -281,7 +281,7 @@ def universal_calculus_by_kron(a) -> UniversalCalculus:
     i_n = Matrix.identity(n)
 
     def restricted(amb_act):
-        cols = [ker.coords(amb_act.apply(b)) for b in ker.basis]
+        cols = [coords_dense(ker, amb_act.apply(b)) for b in ker.basis]
         assert all(c is not None for c in cols)
         return Matrix.from_cols([tuple(c) for c in cols], nrows=ker.dim)
 
@@ -293,7 +293,7 @@ def universal_calculus_by_kron(a) -> UniversalCalculus:
         for i, u in enumerate(a.unit):
             v[i * n + j] += u
             v[j * n + i] -= u
-        d_cols.append(tuple(ker.coords(v)))
+        d_cols.append(tuple(coords_dense(ker, v)))
     return UniversalCalculus(a, Bimodule(a, ker.dim, left, right),
                              Matrix.from_cols(d_cols, nrows=ker.dim), ker)
 
@@ -690,7 +690,7 @@ def tensor_over_A_by_kron(m, e) -> TensorProductOverA:
     for i in range(a.dim):
         amb_act = kron(m.left[i], ir)
         for rv in rel.basis:
-            if not rel.contains(amb_act.apply(rv)):
+            if coords_dense(rel, amb_act.apply(rv)) is None:
                 raise InvariantError("left action does not preserve "
                                      "balancing relations")
         left_mats.append(projection @ amb_act @ lift)
@@ -992,11 +992,6 @@ from ncwb.algebra import _first_difference  # noqa: E402
 from ncwb.diffops import _word_operator  # noqa: E402
 
 
-def basis_element(a: Algebra, i: int):
-    """The i-th basis vector of a as an AlgebraElement."""
-    return a.element(tuple(1 if j == i else 0 for j in range(a.dim)))
-
-
 def act_left(m: Bimodule, f, v) -> tuple:
     """f . v for algebra coordinates f and module coordinates v."""
     return m.left_of(f).apply(v)
@@ -1127,8 +1122,9 @@ def check_leibniz_by_pairs(c) -> CheckReport:
         di = dcols[i]
         for j in range(a.dim):
             lhs = c.d.apply(a.sc[i][j])
-            rhs = vadd(c.bimodule.right[j].apply(di),
-                       c.bimodule.left[i].apply(dcols[j]))
+            rhs = tuple(x + y for x, y in zip(
+                c.bimodule.right[j].apply(di),
+                c.bimodule.left[i].apply(dcols[j])))
             if lhs != rhs:
                 rep.add("leibniz", (i, j), "d(%s*%s)" % (
                     a.basis_names[i], a.basis_names[j]))

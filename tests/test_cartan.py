@@ -117,7 +117,7 @@ def test_action_kernel_trivial_for_dual_numbers():
     p = pair_from_calculus(kahler_dual_numbers())
     assert action_kernel(p).dim == 0
     diag = spanning_kernel_diagnostic(p)
-    assert diag.spanned and diag.kernel_trivial and diag.agree
+    assert diag.spanned and diag.kernel_trivial
 
 
 def padded_pair() -> CartanPair:
@@ -135,7 +135,7 @@ def test_padding_with_zero_generator_flips_both_diagnostics():
     assert check_cartan(padded).ok
     assert action_kernel(padded).dim == 1
     diag = spanning_kernel_diagnostic(padded)
-    assert not diag.spanned and not diag.kernel_trivial and diag.agree
+    assert not diag.spanned and not diag.kernel_trivial
 
 
 def assert_diagnostic_matches_the_left_dual_route(p):

@@ -168,6 +168,49 @@ def test_fixed_hostile_inputs_exit_cleanly(tmp_path, optimize, make,
     assert "Traceback" not in r.stderr
 
 
+def _builtin_document(param: str) -> str:
+    """A workspace of one truncated_poly builtin whose parameter is the given
+    JSON text, written by hand: json.dumps cannot write an integer of more
+    digits than Python's integer-string conversion allows."""
+    return ('{"schema": "ncwb/1", "objects": {"T": {"kind": "builtin", '
+            '"builtin": "truncated_poly", "params": [%s]}}}' % param)
+
+
+LONG = "9" * 5000
+RAW_DOCUMENTS = {
+    "long-string": _builtin_document('"%s"' % LONG),
+    "long-integer": _builtin_document(LONG),
+    "deep-nesting": '{"schema": "ncwb/1", "objects": %s%s}'
+                    % ("[" * 100000, "]" * 100000),
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("name", sorted(RAW_DOCUMENTS))
+def test_oversized_literals_and_nesting_exit_two(tmp_path, optimize, name):
+    # a 5000-digit integer, in a string or bare, is past Python's limit on
+    # integer-string conversion, and the nesting past its recursion limit
+    path = tmp_path / "ws.json"
+    path.write_text(RAW_DOCUMENTS[name])
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "check", str(path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("param", [LONG, "3\n", "\u0663"],
+                         ids=["long", "trailing-newline", "arabic-indic-3"])
+def test_builtin_parameter_outside_ascii_digits_exits_two(optimize, param):
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "builtin", "truncated_poly",
+                          param], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 # a document larger than one stdout buffer, and one that fits in it
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 @pytest.mark.parametrize("argv", [["builtin", "truncated_poly", "6"],

@@ -41,12 +41,16 @@ def test_parse_rational_accepts_ints_and_fraction_strings():
     assert parse_rational("3/4", "t") == Fraction(3, 4)
     assert parse_rational("-7/2", "t") == Fraction(-7, 2)
     assert parse_rational("5", "t") == Fraction(5)
+    assert parse_rational("9" * 4000, "t") == 10 ** 4000 - 1
     assert format_rational(Fraction(-7, 2)) == "-7/2"
 
 
 def test_parse_rational_rejects_junk():
+    # int() reads the last five: the first two are past Python's limit on
+    # integer-string conversion, the others not all ASCII digits
     for bad in (True, False, "1.5", "1/0", "0/0", "", "a", "1/2/3", None,
-                [1], " 1", "+3"):
+                [1], " 1", "+3", "9" * 5000, "1/" + "9" * 5000, "3\n",
+                "\u0663", "1/\u0663"):
         with pytest.raises(WorkspaceError):
             parse_rational(bad, "t")
 

@@ -318,9 +318,6 @@ class BimoduleMap:
                                  self.target.dim, self.source.dim,
                                  self.matrix.nrows, self.matrix.ncols))
 
-    def apply(self, m):
-        return self.matrix.apply(m)
-
 
 def check_bimodule_map(alpha: BimoduleMap) -> CheckReport:
     """alpha commutes with both actions, on source basis vectors m0, m1, ...
@@ -397,7 +394,7 @@ class DualBimodule:
                                   self.base.algebra.dim, self.base.dim)
 
     def __repr__(self):
-        return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
+        return "DualBimodule(%s, dim %d)" % (self.side, self.bimodule.dim)
 
 
 def span_action(span: Subspace, shape: tuple, error: str,

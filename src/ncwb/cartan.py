@@ -13,7 +13,9 @@ derivatives on a module.
 
 Pairs and calculi convert into each other through duals: the right dual of
 a calculus bimodule acts by X -> <X, d(.)>, and a pair induces a calculus
-valued in the left dual of N.
+valued in the left dual of N.  On a pair that passes check_cartan that
+induced d is a derivation, so spanning_kernel_diagnostic closes the
+differentials under the left action of the dual alone.
 
 The co-universal pair is the right dual of the universal one-forms.  It is
 built in closed form: X_u is {D in End(A) : D(1) = 0}, with X_D acting as
@@ -211,24 +213,27 @@ def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
     matrix K_j, column t X_t(e_j), in the left dual of N: the n x p
     matrices E with E L_i = l_i E, whose actions are f.E = E R_f and
     E.g = r_g E (R_f the right action of N, r_g right multiplication on
-    A).  It is spanned by differentials when the K_j generate that dual,
-    so this closes the K_j under those n + n factors inside all n x p
-    matrices and compares the dimension of the closure with that of the
-    dual, n p less the rank of the intertwiner_rows constraints.  Neither
-    the dual bimodule nor the calculus is built.
+    A).  It is spanned by differentials when the K_j generate that dual.
+    The induced d is a derivation: d(fg)(X) = X(fg) = X(f) g + (X.f)(g)
+    = (df.g)(X) + (f.dg)(X) by twisted Leibniz.  So, as for any Leibniz
+    calculus, A.dA.A = A.dA, and this closes the K_j under the n factors
+    E -> E R_f alone, inside all n x p matrices, and compares the
+    dimension of the closure with that of the dual, n p less the rank of
+    the intertwiner_rows constraints.  Neither the dual bimodule nor the
+    calculus is built.
 
-    Precondition: the algebra and the bimodule are lawful, which the
-    report's law gate ensures; the left dual is then closed under its
-    actions, so the closure of the K_j in Q^(n p) is their closure in the
-    dual.  The K_j and the constraints come from _evaluations, so a K_j
-    outside the dual raises InvariantError, as in calculus_from_pair.  The
-    action kernel is trivial when the p operators X_t are independent.
+    Precondition: the pair passes check_cartan and its algebra and
+    bimodule are lawful, which the report's law gate ensures; the left
+    dual is then a bimodule closed under its actions, so the closure of
+    the K_j in Q^(n p) is A.dA in the dual.  The K_j and the constraints
+    come from _evaluations, so a K_j outside the dual raises
+    InvariantError, as in calculus_from_pair.  The action kernel is
+    trivial when the p operators X_t are independent.
     """
     a, nb = p.algebra, p.bimodule
     n, m = a.dim, nb.dim
     evals, constraints = _evaluations(p)
-    closure = closure_under_maps(evals, nb.right, shape=(n, m),
-                                 left=a.rmul)
+    closure = closure_under_maps(evals, nb.right, shape=(n, m))
     return SpanKernelDiagnostic(
         spanned=closure.dim == n * m - rank(constraints),
         kernel_trivial=rank(Matrix.from_int_rows(
@@ -248,7 +253,6 @@ class CoUniversalPair(CartanPair):
                  action, read: Matrix):
         super().__init__(universal.algebra, dual.bimodule, action,
                          source_calculus=universal, dual=dual)
-        self.universal = universal
         self.read = read
 
 

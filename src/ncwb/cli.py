@@ -1,9 +1,10 @@
 """Command line front end: check, derive, report, builtin.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
-usage error, or a document that could not be written because the reader of
-stdout closed it early (a broken pipe; the rest of the output is dropped
-silently).  Documents go to stdout (or -o), human summaries to stderr,
+usage error, or a document that could not be written: the reader of stdout
+closed it early (a broken pipe; the rest of the output is dropped
+silently), the -o path cannot be written, or a value has more digits than
+str() converts.  Documents go to stdout (or -o), human summaries to stderr,
 so derived output stays byte-stable and scriptable.
 
 derive runs from one table, _DERIVE, of each kind's input, law gate and
@@ -32,6 +33,7 @@ from .workspace import (
     SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
     bimodule_decl, calculus_decl, canonical_parts, canonical_text,
     cartan_pair_decl, load_workspace, matrix_rows, parse_rational,
+    too_many_digits,
 )
 
 MAX_WORD_LEN_DEFAULT = 4
@@ -41,13 +43,13 @@ def _max_word_len() -> int:
     raw = os.environ.get("NCWB_MAX_WORD_LEN", "")
     if not raw:
         return MAX_WORD_LEN_DEFAULT
-    try:
-        v = int(raw)
-    except ValueError:
+    # ASCII [0-9]+ only: int() also takes " 3", "+3" and other digits
+    if not (raw.isascii() and raw.isdigit()):
         raise WorkspaceError("NCWB_MAX_WORD_LEN must be an integer")
-    if not 1 <= v <= 8:
+    digits = raw.lstrip("0")
+    if len(digits) != 1 or not "1" <= digits <= "8":
         raise WorkspaceError("NCWB_MAX_WORD_LEN must lie in 1..8")
-    return v
+    return int(digits)
 
 
 def _findings_json(rep: CheckReport):
@@ -95,11 +97,20 @@ def cmd_check(args) -> int:
 
 def _emit(args, doc: dict, summary: str) -> int:
     parts = canonical_parts(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+        else:
+            sys.stdout.writelines(parts)
+    except BrokenPipeError:
+        raise
+    except OSError as e:
+        raise WorkspaceError("cannot write %s: %s"
+                             % (args.output or "stdout", e.strerror))
+    except ValueError:
+        # str() of a matrix entry, formatted as it is written
+        raise too_many_digits("output")
     sys.stderr.write(summary + "\n")
     return 0
 
@@ -123,7 +134,7 @@ def _dual_doc(m, name: str) -> tuple:
     return {"schema": SCHEMA, "objects": {
         "algebra": algebra_decl(m.algebra),
         "dual": bimodule_decl(d.bimodule, "algebra"),
-    }}, "right dual of %s: dim %d" % (name, d.dim)
+    }}, "right dual of %s: dim %d" % (name, d.bimodule.dim)
 
 
 def _on_module(make, key: str, decl, summary: str):

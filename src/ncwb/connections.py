@@ -51,9 +51,6 @@ class Connection:
         self.tensor = tensor
         self.matrix = matrix
 
-    def apply(self, xi):
-        return self.matrix.apply(xi)
-
     def __repr__(self):
         return "Connection(E dim %d, target dim %d)" % (
             self.module.dim, self.tensor.module.dim)

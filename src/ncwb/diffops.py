@@ -223,9 +223,7 @@ def normal_form(w: FreeWord) -> FreeWord:
     letter to the left, so rewriting terminates; mu is unchanged because
     the moves come from the pair laws.
     """
-    out = FreeWord(w.pair)
-    out.terms = _canonical(w.pair, w.terms, push_actions=True)
-    return out
+    return FreeWord(w.pair, _canonical(w.pair, w.terms, push_actions=True))
 
 
 def generate_diffop_algebra(pair: CartanPair) -> Subspace:
@@ -297,13 +295,8 @@ class RelationSearch:
         return Subspace.from_rules(len(self.words), self.rules)
 
     def freeword(self, pair: CartanPair, coeffs) -> FreeWord:
-        terms = {}
-        for c, w in zip(coeffs, self.words):
-            if c != 0:
-                terms[w] = frac(c)
-        fw = FreeWord(pair)
-        fw.terms = terms
-        return fw
+        return FreeWord(pair, {w: frac(c) for c, w in zip(coeffs, self.words)
+                               if c != 0})
 
 
 def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:

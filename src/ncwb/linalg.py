@@ -23,8 +23,8 @@ without kron, null_rules reads the canonical null space off any rows in
 one reduction with the column order reversed (kernel passes it a
 matrix's rows as they are), affine_solutions reads a particular solution
 from one elimination of (m | b) and hands its reduced rows to
-null_rules, closure_under_maps closes a span of matrices under left and
-right factors a level at a time, one product per factor and level, and
+null_rules, closure_under_maps closes a span of matrices under right
+factors a level at a time, one product per factor and level, and
 every row reduction goes through Echelon, which keeps sparse primitive
 integer rows fully reduced after every insert.
 A Subspace holds its reduced echelon basis as the rows of a Matrix, so
@@ -757,35 +757,31 @@ def span_closure(seed: Iterable, step: Callable, ambient_dim: int) -> Subspace:
     return ech.subspace()
 
 
-def closure_under_maps(seed: Matrix, maps: Sequence[Matrix] = (),
-                       shape: Optional[tuple] = None,
-                       left: Sequence[Matrix] = (),
+def closure_under_maps(seed: Matrix, maps: Sequence[Matrix], shape: tuple,
                        dims: Optional[list] = None) -> Subspace:
     """Smallest subspace containing the rows of seed and stable under the
     given linear maps.
 
-    Each row is an r x c matrix E read row-major, shape = (r, c); by
-    default shape is (1, seed.ncols), so a row is a row vector.  A matrix
-    m in maps (c x c) acts on the right, E -> E m, and a matrix l in left
-    (r x r) on the left, E -> l E.
+    Each row is an r x c matrix E read row-major, shape = (r, c), and a
+    matrix m in maps (c x c) acts on the right, E -> E m; a row vector is
+    the shape (1, c).
 
     Stability under a linear map only needs to be checked on spanning
     vectors, so the span grows a level at a time: the matrices that grew
-    it at the last level are stacked, one above the other (k r x c) for
-    the right factors and side by side (r x k c) for the left factors,
-    and each factor takes all of them at once, one product per factor and
+    it at the last level are stacked one above the other (k r x c), and
+    each factor takes all of them at once, one product per factor and
     level.  A row's denominator does not change its span, so each is
     inserted by its integer numerators.  dims, if given, receives the
     dimension of the span after each level that grew it, the seed being
     level 0.
     """
-    r, c = shape if shape is not None else (1, seed.ncols)
+    r, c = shape
     if r * c != seed.ncols:
         raise ValueError("rows of %d entries are not %dx%d matrices"
                          % (seed.ncols, r, c))
     ech = Echelon(seed.ncols)
     # every row dict here holds its columns in increasing order, so the
-    # stacks below are built with sorted rows
+    # stack below is built with sorted rows
     level = [dict(row) for row in seed.int_rows()[1]]
     while True:
         grown = [row for row in level if ech.insert_int(row)]
@@ -793,33 +789,16 @@ def closure_under_maps(seed: Matrix, maps: Sequence[Matrix] = (),
             return ech.subspace()
         if dims is not None:
             dims.append(ech.dim)
+        # row g r + i of the stack is row i of the g-th matrix
+        tall = [[] for _ in range(len(grown) * r)]
+        for g, row in enumerate(grown):
+            for k, x in row.items():
+                i, j = divmod(k, c)
+                tall[g * r + i].append((j, x))
+        tall = Matrix._of(len(tall), c, 1, tuple(map(tuple, tall)))
         level = []
-        if maps:
-            # row g r + i of the tall stack is row i of the g-th matrix
-            tall = [[] for _ in range(len(grown) * r)]
-            for g, row in enumerate(grown):
-                for k, x in row.items():
-                    i, j = divmod(k, c)
-                    tall[g * r + i].append((j, x))
-            tall = Matrix._of(len(tall), c, 1, tuple(map(tuple, tall)))
-            for m in maps:
-                rows = (tall @ m).int_rows()[1]
-                level.extend({i * c + j: x for i in range(r)
-                              for j, x in rows[g * r + i]}
-                             for g in range(len(grown)))
-        if left:
-            # columns g c .. g c + c - 1 of the wide stack are the g-th
-            # matrix
-            wide = [[] for _ in range(r)]
-            for g, row in enumerate(grown):
-                for k, x in row.items():
-                    i, j = divmod(k, c)
-                    wide[i].append((g * c + j, x))
-            wide = Matrix._of(r, len(grown) * c, 1, tuple(map(tuple, wide)))
-            for m in left:
-                out = [{} for _ in grown]
-                for i, row in enumerate((m @ wide).int_rows()[1]):
-                    for k, x in row:
-                        g, j = divmod(k, c)
-                        out[g][i * c + j] = x
-                level.extend(out)
+        for m in maps:
+            rows = (tall @ m).int_rows()[1]
+            level.extend({i * c + j: x for i in range(r)
+                          for j, x in rows[g * r + i]}
+                         for g in range(len(grown)))

@@ -52,16 +52,25 @@ def parse_rational(v, where: str) -> Fraction:
         try:
             num, den = int(num), int(den or 1)
         except ValueError:
-            raise WorkspaceError("%s: an integer of more than %d digits"
-                                 % (where, sys.get_int_max_str_digits()))
+            raise too_many_digits(where)
         if den == 0:
             raise WorkspaceError("%s: zero denominator in %r" % (where, v))
         return Fraction(num, den)
     raise WorkspaceError("%s: expected a rational, got %r" % (where, v))
 
 
+def too_many_digits(where: str) -> WorkspaceError:
+    """The refusal of an integer of more digits than Python converts
+    between int and str (4300 by default), in input or output."""
+    return WorkspaceError("%s: an integer of more than %d digits"
+                          % (where, sys.get_int_max_str_digits()))
+
+
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise too_many_digits("output")
 
 
 def _vector_from(data, length: int, where: str):
@@ -96,7 +105,6 @@ class WorkspaceObject:
     name: str
     kind: str
     obj: object
-    declared: bool                 # False for builtin expansion children
     params: tuple = ()             # builtin rows remember their parameters
 
 
@@ -242,9 +250,9 @@ def _expand_builtin(ws, name, decl, where):
         bundle = builtin(bname, params)
     except ValueError as e:
         raise WorkspaceError("%s: %s" % (where, e))
-    ws.add(WorkspaceObject(name, "builtin", bundle, True, params))
+    ws.add(WorkspaceObject(name, "builtin", bundle, params))
     for child, kind, obj in bundle.members():
-        ws.add(WorkspaceObject("%s.%s" % (name, child), kind, obj, False))
+        ws.add(WorkspaceObject("%s.%s" % (name, child), kind, obj))
 
 
 _BUILDERS = {
@@ -322,7 +330,7 @@ def parse_workspace(text: str) -> Workspace:
                 _expand_builtin(ws, name, decl, where)
             else:
                 obj = _BUILDERS[kind](ws, decl, where)
-                ws.add(WorkspaceObject(name, kind, obj, True))
+                ws.add(WorkspaceObject(name, kind, obj))
     ordered = {}
     for name, kind, decl, where in order:
         ordered[name] = ws.objects[name]

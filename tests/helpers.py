@@ -349,7 +349,7 @@ def co_universal_factorization_by_solve(p, cu) -> CoUniversalFactorization:
         rep.extend(check_bimodule_map(phi_map))
         for t in range(pn):
             xt = tuple(1 if s == t else 0 for s in range(pn))
-            if cu.action_of(phi_map.apply(xt)) != p.action[t]:
+            if cu.action_of(phi_map.matrix.apply(xt)) != p.action[t]:
                 rep.add("factorization-equation", (t,))
         if hom.dim != 0:
             rep.add("factorization-uniqueness", (),
@@ -452,6 +452,25 @@ def left_linear_pairs(draw, algebras):
     entry = st.sampled_from((0, 0, 0, 1, -1))
     d = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
     return CartanPair(a, Bimodule.regular(a), [lm @ d for lm in a.lmul])
+
+
+@st.composite
+def leibniz_calculi(draw, calculi):
+    """One of the given calculi, optionally summed with an inner calculus
+    d f = u f - f u on the regular bimodule for a drawn u, after unimodular
+    basis changes of the algebra and of the one-forms.  Every draw is a
+    Leibniz calculus; a zero u leaves the regular summand unreached."""
+    c = draw(st.sampled_from(calculi))
+    a = c.algebra
+    if draw(st.booleans()):
+        u = [draw(st.sampled_from((0, 0, 1, -1, 2))) for _ in range(a.dim)]
+        inner = inner_calculus(a, u)
+        c = DifferentialCalculus(
+            a, direct_sum(c.bimodule, inner.bimodule),
+            Matrix(list(c.d.rows) + list(inner.d.rows), ncols=a.dim))
+    change = BasisChange(draw(unimodular_matrices(a.dim)),
+                         draw(unimodular_matrices(c.bimodule.dim)))
+    return change.calculus(c, change.algebra(a))
 
 
 class BasisChange:
@@ -835,27 +854,25 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
     a = c.algebra
     cols = []
     for j in range(c.bimodule.dim):
-        ev = Matrix.from_cols([md.eval_mats[t].col(j) for t in range(md.dim)],
-                              nrows=a.dim)
+        ev = Matrix.from_cols([e.col(j) for e in md.eval_mats], nrows=a.dim)
         coords = coords_dense(ld.span, ev.flatten())
         if coords is None:
             raise InvariantError("the evaluation at module vector %d is not "
                                  "left linear" % j)
         cols.append(coords)
-    kappa_mat = Matrix.from_cols(cols, nrows=ld.dim)
+    kappa_mat = Matrix.from_cols(cols, nrows=ld.bimodule.dim)
     kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)
     r = rank(kappa_mat)
     return ReflexiveRoundtrip(
         kappa=kappa,
         injective=(r == c.bimodule.dim),
-        surjective=(r == ld.dim),
+        surjective=(r == ld.bimodule.dim),
         intertwines=(kappa_mat @ c.d == derived.d),
         map_report=check_bimodule_map(kappa),
         derived=derived)
 
 
-from ncwb.calculus import is_spanned_by_differential  # noqa: E402
-from ncwb.cartan import SpanKernelDiagnostic  # noqa: E402
+from ncwb.cartan import SpanKernelDiagnostic, _evaluations  # noqa: E402
 
 
 def action_kernel(p) -> Subspace:
@@ -864,13 +881,47 @@ def action_kernel(p) -> Subspace:
                                        p.algebra.dim ** 2))
 
 
+# The spanned-by-differentials verdicts with no law: the generated
+# sub-bimodule is closed under both actions, a vector at a time.  On a
+# Leibniz calculus, or a pair that passes check_cartan, the package reads
+# the same verdict from one side.
+
+def spanned_by_differential_on_both_sides(c) -> bool:
+    """Do the d(e_j) generate the bimodule under both of its actions?"""
+    m = c.bimodule
+    closure = closure_by_vectors(c.d.transpose().rows,
+                                 [x.apply for x in m.left + m.right], m.dim)
+    return closure.dim == m.dim
+
+
+def spanning_kernel_diagnostic_on_both_sides(p) -> SpanKernelDiagnostic:
+    """spanning_kernel_diagnostic closing the evaluation matrices K_j
+    under both actions of the left dual, E -> E R_f and E -> r_g E,
+    inside all n x p matrices."""
+    n, m = p.algebra.dim, p.bimodule.dim
+    evals, constraints = _evaluations(p)
+
+    def times(x, on_left):
+        def image(v):
+            e = Matrix.from_flat(v, n, m)
+            return (x @ e if on_left else e @ x).flatten()
+        return image
+
+    closure = closure_by_vectors(
+        evals.rows, [times(x, False) for x in p.bimodule.right]
+        + [times(x, True) for x in p.algebra.rmul], n * m)
+    return SpanKernelDiagnostic(
+        spanned=closure.dim == n * m - rank(constraints),
+        kernel_trivial=action_kernel(p).dim == 0)
+
+
 def spanning_kernel_diagnostic_by_left_dual(p) -> SpanKernelDiagnostic:
     """spanning_kernel_diagnostic through the induced calculus: build the
     left dual, read the evaluations into its coordinates and close the
-    images of d under the dual's actions."""
+    images of d under both of the dual's actions."""
     calc, _ = calculus_from_pair(p)
     return SpanKernelDiagnostic(
-        spanned=is_spanned_by_differential(calc),
+        spanned=spanned_by_differential_on_both_sides(calc),
         kernel_trivial=action_kernel(p).dim == 0)
 
 
@@ -1276,8 +1327,8 @@ def connection_decl(conn, calculus_ref: str) -> dict:
 
 def declared_names(ws: Workspace) -> list:
     """The names the workspace file declares, in load order, without the
-    dotted children of its builtins."""
-    return [n for n, wo in ws.objects.items() if wo.declared]
+    dotted children of its builtins: a declared name holds no dot."""
+    return [n for n in ws.objects if "." not in n]
 
 
 def builtin_decl(bundle, params=()) -> dict:

@@ -90,14 +90,14 @@ def test_criterion_02_regular_dual_is_the_algebra():
             a = bundle(name).algebra
             m = bundle(name).bimodules["regular"]
             d = right_dual(m)
-            assert d.dim == a.dim
+            assert d.bimodule.dim == a.dim
             ident = Matrix.from_cols(
-                [d.eval_mats[t].apply(a.unit) for t in range(d.dim)],
+                [d.eval_mats[t].apply(a.unit) for t in range(d.bimodule.dim)],
                 nrows=a.dim)
             alpha = BimoduleMap(d.bimodule, m, ident)
             assert check_bimodule_map(alpha).ok, name
             assert rank(ident) == a.dim, name
-            for t in range(d.dim):
+            for t in range(d.bimodule.dim):
                 ft = ident.col(t)
                 for s in range(a.dim):
                     product = a.rmul[s].apply(ft)
@@ -174,10 +174,10 @@ def test_criterion_05_transpose_preserves_bimodule_maps():
                     alpha = BimoduleMap(m, n_, mat)
                     assert check_bimodule_map(alpha).ok
                     tr = transpose(alpha, dm, dn_)
-                    assert tr.matrix.nrows == dm.dim
-                    assert tr.matrix.ncols == dn_.dim
+                    assert tr.matrix.nrows == dm.bimodule.dim
+                    assert tr.matrix.ncols == dn_.bimodule.dim
                     assert check_bimodule_map(tr).ok, name
-                    for k in range(dn_.dim):
+                    for k in range(dn_.bimodule.dim):
                         composite = dn_.eval_mats[k] @ mat
                         again = dm.eval_of(tr.matrix.col(k))
                         assert composite == again, (name, k)
@@ -313,7 +313,7 @@ def test_criterion_09_connections_contract_lawfully():
                 assert check_covariant_axioms(conn, p).ok, (name, rank_)
                 t = conn.tensor
                 e = conn.module
-                for s in range(d.dim):
+                for s in range(d.bimodule.dim):
                     cols = []
                     for r in range(c.bimodule.dim):
                         block = e.left_of(d.eval_mats[s].col(r))

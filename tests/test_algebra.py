@@ -131,7 +131,7 @@ def test_zero_bimodule():
     a = dual_numbers()
     z = Bimodule.zero(a)
     assert check_bimodule(z).ok
-    assert right_dual(z).dim == 0 and left_dual(z).dim == 0
+    assert right_dual(z).bimodule.dim == 0 and left_dual(z).bimodule.dim == 0
 
 
 @pytest.mark.parametrize("make", ALL_ALGEBRAS)
@@ -139,7 +139,7 @@ def test_right_dual_of_regular_is_the_algebra(make):
     a = make()
     reg = Bimodule.regular(a)
     d = right_dual(reg)
-    assert d.dim == a.dim
+    assert d.bimodule.dim == a.dim
     assert check_bimodule(d.bimodule).ok
     # evaluation at 1 identifies the dual with A itself
     iso = BimoduleMap(d.bimodule, reg,
@@ -148,8 +148,8 @@ def test_right_dual_of_regular_is_the_algebra(make):
     assert check_bimodule_map(iso).ok
     assert rank(iso.matrix) == a.dim
     # under that identification the pairing is plain multiplication
-    for k in range(d.dim):
-        xk = tuple(1 if t == k else 0 for t in range(d.dim))
+    for k in range(d.bimodule.dim):
+        xk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
         fk = iso.matrix.col(k)
         for j in range(a.dim):
             ej = tuple(1 if t == j else 0 for t in range(a.dim))
@@ -159,7 +159,7 @@ def test_right_dual_of_regular_is_the_algebra(make):
 def test_left_dual_of_regular_is_the_algebra():
     a = matrix_2()
     d = left_dual(Bimodule.regular(a))
-    assert d.dim == a.dim
+    assert d.bimodule.dim == a.dim
     assert check_bimodule(d.bimodule).ok
 
 
@@ -170,8 +170,8 @@ def test_dual_actions_match_twisting_formulas():
     d = right_dual(reg)
     for i in range(a.dim):
         ei = tuple(1 if t == i else 0 for t in range(a.dim))
-        for k in range(d.dim):
-            xk = tuple(1 if t == k else 0 for t in range(d.dim))
+        for k in range(d.bimodule.dim):
+            xk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
             fx = act_left(d.bimodule, ei, xk)
             xg = act_right(d.bimodule, xk, ei)
             for j in range(a.dim):
@@ -235,12 +235,12 @@ def test_transpose_on_dual_numbers_regular():
     at = transpose(alpha, d, d)
     assert check_bimodule_map(at).ok
     # defining property of the dual map, on all basis pairs
-    for k in range(d.dim):
-        yk = tuple(1 if t == k else 0 for t in range(d.dim))
+    for k in range(d.bimodule.dim):
+        yk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
         for j in range(a.dim):
             ej = tuple(1 if t == j else 0 for t in range(a.dim))
-            lhs = d.eval_of(at.apply(yk)).apply(ej)
-            rhs = d.eval_of(yk).apply(alpha.apply(ej))
+            lhs = d.eval_of(at.matrix.apply(yk)).apply(ej)
+            rhs = d.eval_of(yk).apply(alpha.matrix.apply(ej))
             assert lhs == rhs
 
 
@@ -250,7 +250,7 @@ def test_transpose_of_identity():
     d = right_dual(reg)
     ident = BimoduleMap(reg, reg, Matrix.identity(a.dim))
     at = transpose(ident, d, d)
-    assert at.matrix == Matrix.identity(d.dim)
+    assert at.matrix == Matrix.identity(d.bimodule.dim)
 
 
 def test_transpose_rejects_non_map():
@@ -270,7 +270,7 @@ def test_direct_sum_bimodule():
     assert s.dim == 2 and check_bimodule(s).ok
     s2 = direct_sum(reg, reg)
     assert s2.dim == 4 and check_bimodule(s2).ok
-    assert right_dual(s2).dim == 2 * a.dim
+    assert right_dual(s2).bimodule.dim == 2 * a.dim
 
 
 @pytest.mark.parametrize("make", [dual_numbers, matrix_2])

@@ -14,8 +14,9 @@ from ncwb.reporting import InvariantError
 
 from helpers import (
     BasisChange, direct_sum, dual_numbers, inner_calculus, kahler_dual_numbers,
-    kahler_truncated, matrix_2, quantum_plane, theta_z2,
-    truncated_polynomials, unimodular_matrices, universal_calculus_by_kron,
+    kahler_truncated, leibniz_calculi, matrix_2, quantum_plane,
+    spanned_by_differential_on_both_sides, theta_z2, truncated_polynomials,
+    unimodular_matrices, universal_calculus_by_kron,
     universal_uniqueness_by_solve, upper_triangular_2, z2_group_algebra,
     zero_calculus,
 )
@@ -122,6 +123,52 @@ def test_zero_calculus_spans_trivially():
     assert is_spanned_by_differential(c)
     phi, rep = factor_through_universal(c)
     assert rep.ok and phi.matrix.nrows == 0
+
+
+def assert_spanned_verdict_matches_both_sides(c):
+    # A.dA is the generated bimodule only under the laws
+    assert check_bimodule(c.bimodule).ok and check_leibniz(c).ok
+    spanned = is_spanned_by_differential(c)
+    assert spanned == spanned_by_differential_on_both_sides(c)
+    return spanned
+
+
+@pytest.mark.parametrize("name", [name for name in BUILTIN_NAMES
+                                  if builtin(name).calculus is not None])
+def test_spanned_verdict_matches_both_sides_on_builtin_calculi(name):
+    assert_spanned_verdict_matches_both_sides(builtin(name).calculus)
+
+
+@pytest.mark.parametrize("make", [
+    dual_numbers, z2_group_algebra, upper_triangular_2, matrix_2,
+    lambda: truncated_polynomials(3), lambda: truncated_polynomials(5)],
+    ids=["dual_numbers", "z2", "ut2", "m2", "trunc3", "trunc5"])
+def test_spanned_verdict_matches_both_sides_on_universal_calculi(make):
+    # Omega_u = A.du(A), so every universal calculus is spanned
+    assert assert_spanned_verdict_matches_both_sides(
+        universal_calculus(make()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(leibniz_calculi([kahler_dual_numbers(), kahler_truncated(4),
+                        theta_z2(),
+                        inner_calculus(upper_triangular_2(), (1, 0, 0)),
+                        inner_calculus(matrix_2(), (1, 0, 0, 0)),
+                        universal_calculus(dual_numbers())]))
+def test_spanned_verdict_matches_both_sides_on_drawn_calculi(c):
+    assert_spanned_verdict_matches_both_sides(c)
+
+
+def test_spanned_verdict_needs_the_leibniz_law():
+    # d(e12) = e11 and d = 0 elsewhere on the regular bimodule of matrix_2:
+    # e11 generates M_2 as a bimodule, but its left multiples are the
+    # first column only
+    a = matrix_2()
+    c = DifferentialCalculus(a, Bimodule.regular(a),
+                             Matrix([[0, 1, 0, 0]] + [[0] * 4] * 3))
+    assert not check_leibniz(c).ok
+    assert spanned_by_differential_on_both_sides(c)
+    assert not is_spanned_by_differential(c)
 
 
 # ---- closed forms against the generic routes ---------------------------

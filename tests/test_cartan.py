@@ -10,7 +10,7 @@ from ncwb.algebra import (
 from ncwb.calculus import check_leibniz, factor_through_universal, \
     universal_calculus
 from ncwb.cartan import (
-    CartanPair, calculus_from_pair, check_cartan,
+    CartanPair, SpanKernelDiagnostic, calculus_from_pair, check_cartan,
     co_universal_factorization, co_universal_pair, pair_from_calculus,
     spanning_kernel_diagnostic,
 )
@@ -25,6 +25,7 @@ from helpers import (
     action_kernel, direct_sum, left_linear_pairs, naive_derivative_pair,
     random_action_pairs,
     reflexive_roundtrip, spanning_kernel_diagnostic_by_left_dual,
+    spanning_kernel_diagnostic_on_both_sides,
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
     dual_span_by_reelimination, dual_numbers, inner_calculus,
     kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,
@@ -139,9 +140,23 @@ def test_padding_with_zero_generator_flips_both_diagnostics():
 
 
 def assert_diagnostic_matches_the_left_dual_route(p):
+    # the one-sided closure holds on a pair that passes check_cartan; the
+    # oracle closes under both actions of the dual
+    assert check_cartan(p).ok
     new = spanning_kernel_diagnostic(p)
     assert new == spanning_kernel_diagnostic_by_left_dual(p)
     return new
+
+
+def two_sided_verdict(p):
+    """The verdict, or the refusal, of the two-sided closures, which need
+    no pair law: in all n x p matrices and in the left dual's
+    coordinates."""
+    verdict = diagnostic_or_refusal(spanning_kernel_diagnostic_on_both_sides,
+                                    p)
+    assert verdict == diagnostic_or_refusal(
+        spanning_kernel_diagnostic_by_left_dual, p)
+    return verdict
 
 
 @pytest.mark.parametrize("case", list(BUILTIN_NAMES)
@@ -177,33 +192,48 @@ def diagnostic_or_refusal(route, p):
     naive_derivative_pair(5)], ids=["naive-4", "naive-3", "naive-5"])
 def test_spanning_diagnostic_matches_the_left_dual_route_without_leibniz(p):
     # left linear fields that break twisted Leibniz: the induced map is no
-    # derivation, so its images need both actions to span
+    # derivation, so its images need both actions to span, and only the
+    # two-sided routes apply
     assert not check_cartan(p).ok
-    assert_diagnostic_matches_the_left_dual_route(p)
+    assert isinstance(two_sided_verdict(p), SpanKernelDiagnostic)
 
 
-@pytest.mark.parametrize("d", [
-    # the images of d span under the left actions of the dual alone
-    [[0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 0]],
-    # under the right actions alone
-    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 0, 0]],
+@pytest.mark.parametrize("d, one_sided", [
+    # the images of d span under the left factors E -> r_g E alone, the
+    # right action of the dual
+    ([[0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 0]], False),
+    # under the right factors E -> E R_f alone, the dual's left action
+    ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 0, 0]], True),
     # under both together only
-    [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+    ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]], False),
 ], ids=["left", "right", "both"])
-def test_spanning_diagnostic_needs_both_actions_without_leibniz(d):
-    # X_t = l(e_t) D on the regular bimodule of matrix_2
+def test_spanning_diagnostic_needs_both_actions_without_leibniz(d,
+                                                                one_sided):
+    # X_t = l(e_t) D on the regular bimodule of matrix_2.  Without twisted
+    # Leibniz the induced map is no derivation, and the package's closure
+    # under the dual's left action alone misses the span in two cases
     a = matrix_2()
     p = CartanPair(a, Bimodule.regular(a),
                    [lm @ Matrix(d) for lm in a.lmul])
     assert not check_cartan(p).ok
-    assert assert_diagnostic_matches_the_left_dual_route(p).spanned
+    assert two_sided_verdict(p).spanned
+    assert spanning_kernel_diagnostic(p).spanned is one_sided
+
+
+def assert_lawless_diagnostic(p):
+    """The two-sided routes agree; the package gives their refusal, and
+    their verdict too when the pair passes check_cartan."""
+    verdict = two_sided_verdict(p)
+    if isinstance(verdict, str) or check_cartan(p).ok:
+        assert diagnostic_or_refusal(spanning_kernel_diagnostic, p) \
+            == verdict
 
 
 @settings(max_examples=40, deadline=None)
 @given(left_linear_pairs([builtin(name).algebra for name in BUILTIN_NAMES
                           if builtin(name).algebra.dim <= 4]))
 def test_spanning_diagnostic_on_left_linear_fields(p):
-    assert_diagnostic_matches_the_left_dual_route(p)
+    assert_lawless_diagnostic(p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,8 +242,7 @@ def test_spanning_diagnostic_on_left_linear_fields(p):
 def test_spanning_diagnostic_matches_the_left_dual_route_on_drawn_fields(p):
     # lawless fields over a lawful algebra and bimodule: the same verdicts
     # or the same refusal
-    assert diagnostic_or_refusal(spanning_kernel_diagnostic, p) \
-        == diagnostic_or_refusal(spanning_kernel_diagnostic_by_left_dual, p)
+    assert_lawless_diagnostic(p)
 
 
 def test_spanning_diagnostic_matches_the_left_dual_route_on_the_padded_pair():
@@ -233,6 +262,8 @@ def test_spanning_diagnostic_names_an_evaluation_that_is_not_left_linear():
         spanning_kernel_diagnostic(p)
     with pytest.raises(InvariantError, match=message):
         spanning_kernel_diagnostic_by_left_dual(p)
+    with pytest.raises(InvariantError, match=message):
+        spanning_kernel_diagnostic_on_both_sides(p)
 
 
 def test_co_universal_pair_dual_numbers():
@@ -277,7 +308,7 @@ def test_factorization_composite_action_matches():
     fact = co_universal_factorization(p, couniv=cu)
     for t in range(p.bimodule.dim):
         xt = tuple(1 if s == t else 0 for s in range(p.bimodule.dim))
-        assert cu.action_of(fact.phi.apply(xt)) == p.action[t]
+        assert cu.action_of(fact.phi.matrix.apply(xt)) == p.action[t]
 
 
 # ---- closed forms against the generic routes ---------------------------
@@ -417,7 +448,7 @@ def test_dual_span_is_the_reduced_span_of_its_evaluations(name):
         duals += [right_dual(m), left_dual(m)]
     for d in duals:
         assert d.span == dual_span_by_reelimination(d)
-        assert d.span.dim == d.dim == len(d.eval_mats)
+        assert d.span.dim == d.bimodule.dim == len(d.eval_mats)
         assert tuple(e.flatten() for e in d.eval_mats) == d.span.basis
 
 

@@ -141,8 +141,8 @@ def test_z2_co_universal_dimension():
     # the universal one-forms are 2 dimensional and free over one
     # generator, so the dual is a copy of the algebra
     cu = co_universal_pair(builtin("group_algebra_z2").algebra)
-    assert cu.universal.bimodule.dim == 2
-    assert cu.dual.dim == 2
+    assert cu.source_calculus.bimodule.dim == 2
+    assert cu.dual.bimodule.dim == 2
 
 
 def test_parameter_validation():

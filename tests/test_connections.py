@@ -417,7 +417,7 @@ odd = Connection(c, x_kills, tensor_over_A(c.bimodule, x_kills),
 def add_twice():
     ws = Workspace()
     for _ in range(2):
-        ws.add(WorkspaceObject("A", "algebra", a, True))
+        ws.add(WorkspaceObject("A", "algebra", a))
 
 
 cases = {
@@ -478,7 +478,7 @@ cases = {
     "left-of-length": lambda: reg.left_of((1,)),
     "workspace-add": add_twice,
     "connection-decl": lambda: connection_decl(odd, "calculus"),
-    "decl-kind": lambda: _decl_for(WorkspaceObject("A", "spline", a, True),
+    "decl-kind": lambda: _decl_for(WorkspaceObject("A", "spline", a),
                                    {}),
     "left-linear": lambda: calculus_from_pair(CartanPair(
         a, reg, (Matrix.zeros(2, 2), Matrix([[0, 0], [0, 1]])))),
@@ -585,6 +585,48 @@ def test_every_module_level_definition_of_the_package_is_read():
                    if name.rpartition(".")[2] not in read
                    and not name.endswith("_fixture")]
     assert unread == []
+
+
+def _delegations(tree):
+    """(line, "Class.method") for each non-dunder method whose whole body,
+    past a docstring, returns the same-named member of one of its
+    attributes, called or not: return self.x.name(...) in a method name."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for m in node.body:
+            if not isinstance(m, ast.FunctionDef) \
+                    or m.name.startswith("__") and m.name.endswith("__"):
+                continue
+            body = m.body
+            if isinstance(body[0], ast.Expr) \
+                    and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.Call):
+                value = value.func
+            if isinstance(value, ast.Attribute) and value.attr == m.name \
+                    and isinstance(value.value, ast.Attribute) \
+                    and isinstance(value.value.value, ast.Name) \
+                    and value.value.value.id == "self":
+                yield m.lineno, "%s.%s" % (node.name, m.name)
+
+
+def test_no_method_of_the_package_only_delegates_to_an_attribute():
+    # a method that returns self.x.name for its own name adds a second
+    # spelling of one member; callers read self.x.name instead.
+    # DualBimodule.dim stays while bench/tests/test_bench.py reads it: the
+    # benchmark's files change only with the benchmark
+    root = pathlib.Path(ncwb.linalg.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _delegations(tree)
+                  if name != "DualBimodule.dim"]
+    assert found == []
 
 
 def test_package_source_imports_only_what_it_uses():

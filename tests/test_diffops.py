@@ -205,6 +205,19 @@ def test_relations_zero_action_pair():
         assert any(kind == "m" for kind, _ in w)
 
 
+@pytest.mark.parametrize("name", ["dual_numbers", "truncated_poly"])
+def test_relation_words_are_canonical(name):
+    # the words f * X... of the search start with the unit letter too;
+    # as word combinations it drops out, as in every FreeWord
+    pair = builtin(name).pair
+    unit = ("a", pair.algebra.unit_index)
+    rs = find_relations(pair, max_len=3)
+    for b in rs.space().basis:
+        fw = rs.freeword(pair, b)
+        assert fw == FreeWord(pair, fw.terms)
+        assert not any(unit in w for w in fw.terms)
+
+
 def test_relation_vectors_actually_vanish():
     for pair in (dn_pair(), quantum_plane_pair()):
         rs = find_relations(pair, max_len=3)

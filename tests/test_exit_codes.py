@@ -231,3 +231,47 @@ def test_reader_closed_early_exits_two_without_traceback(optimize, argv):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert "Exception ignored" not in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_output_path_that_cannot_be_written_exits_two(tmp_path, optimize,
+                                                         where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" \
+        else tmp_path
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "builtin", "group_algebra_z2",
+                          "-o", str(path)], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot write %s: " % path)
+    assert r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+def test_a_value_too_long_to_write_exits_two(optimize):
+    # q of 4000 digits is read, but q^2 in the products has more digits
+    # than str() converts
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "builtin", "quantum_plane_trunc",
+                          "7" * 4000, "3"], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: output: an integer of more than %d " \
+        "digits\n" % sys.get_int_max_str_digits()
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("name, what", [("Q.regular", "dual"),
+                                        ("Q.pair", "diffops")])
+def test_a_derived_value_too_long_to_write_exits_two(tmp_path, capsys, name,
+                                                     what):
+    # q of 2200 digits is read, but q^2 in the algebra's products (dual)
+    # and the operators' entries (diffops, formatted as they are written)
+    # have more digits than str() converts
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"schema": "ncwb/1", "objects": {"Q": {
+        "kind": "builtin", "builtin": "quantum_plane_trunc",
+        "params": ["7" * 2200, "3"]}}}))
+    assert main(["derive", str(path), name, what]) == 2
+    assert capsys.readouterr().err == "error: output: an integer of more " \
+        "than %d digits\n" % sys.get_int_max_str_digits()

@@ -112,11 +112,14 @@ def test_span_closure_idempotent():
 def test_closure_under_maps():
     # the maps act on row vectors: e0 shift^T = e1, e1 shift^T = e2
     shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    s = closure_under_maps(Matrix([[1, 0, 0]]), [shift.transpose()])
+    s = closure_under_maps(Matrix([[1, 0, 0]]), [shift.transpose()],
+                           shape=(1, 3))
     assert s.dim == 3
-    assert closure_under_maps(Matrix([[0, 0, 1]]), [shift.transpose()]) \
+    assert closure_under_maps(Matrix([[0, 0, 1]]), [shift.transpose()],
+                              shape=(1, 3)) \
         == Subspace.from_vectors(3, [(0, 0, 1)])
-    assert closure_under_maps(Matrix.zeros(0, 3), [shift]).is_zero()
+    assert closure_under_maps(Matrix.zeros(0, 3), [shift],
+                              shape=(1, 3)).is_zero()
 
 
 @settings(max_examples=80, deadline=None)
@@ -126,32 +129,29 @@ def test_closure_under_maps_matches_the_vector_worklist(w, nseed, nmaps,
     seed = draw_matrix(data, nseed, w)
     maps = [draw_matrix(data, w, w) for _ in range(nmaps)]
     # v m for a row vector v is m^T applied to v
-    assert closure_under_maps(seed, maps) == closure_by_vectors(
-        seed.rows, [m.transpose().apply for m in maps], w)
+    assert closure_under_maps(seed, maps, shape=(1, w)) \
+        == closure_by_vectors(seed.rows, [m.transpose().apply for m in maps],
+                              w)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
-       st.integers(0, 2), st.integers(0, 2), st.data())
+       st.integers(0, 3), st.data())
 def test_closure_under_matrix_factors_matches_the_vector_worklist(
-        r, c, nseed, nright, nleft, data):
-    # each row is an r x c matrix E, mapped to E m and to l E
+        r, c, nseed, nright, data):
+    # each row is an r x c matrix E, mapped to E m
     seed = draw_matrix(data, nseed, r * c)
     right = [draw_matrix(data, c, c) for _ in range(nright)]
-    left = [draw_matrix(data, r, r) for _ in range(nleft)]
 
-    def times(m, on_left):
+    def times(m):
         def image(v):
-            e = Matrix.from_flat(v, r, c)
-            return (m @ e if on_left else e @ m).flatten()
+            return (Matrix.from_flat(v, r, c) @ m).flatten()
         return image
 
     dims = []
-    closure = closure_under_maps(seed, right, shape=(r, c), left=left,
-                                 dims=dims)
+    closure = closure_under_maps(seed, right, shape=(r, c), dims=dims)
     assert closure == closure_by_vectors(
-        seed.rows, [times(m, False) for m in right]
-        + [times(m, True) for m in left], r * c)
+        seed.rows, [times(m) for m in right], r * c)
     # the dimension after each level that grew the span
     assert dims == sorted(set(dims))
     assert dims[-1:] == ([closure.dim] if closure.dim else [])
@@ -167,10 +167,11 @@ def test_closure_under_maps_records_the_dimension_of_each_level():
     # e0 -> e1 -> e2 one level at a time; the zero seed grows nothing
     shift = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     dims = []
-    closure_under_maps(Matrix([[1, 0, 0]]), [shift], dims=dims)
+    closure_under_maps(Matrix([[1, 0, 0]]), [shift], shape=(1, 3),
+                       dims=dims)
     assert dims == [1, 2, 3]
     dims = []
-    closure_under_maps(Matrix.zeros(1, 3), [shift], dims=dims)
+    closure_under_maps(Matrix.zeros(1, 3), [shift], shape=(1, 3), dims=dims)
     assert dims == []
 
 

@@ -110,7 +110,9 @@ def test_report_on_a_declared_workspace_builds_no_large_construction(
         assert (code, digest(out)) == (0, MATRIX_2_REPORT_SHA256[fmt])
 
 
-@pytest.mark.parametrize("value", ["0", "9", "-1", "lots", "4.0"])
+# int() reads the last three: ASCII [0-9]+ is the only form taken
+@pytest.mark.parametrize("value", ["0", "9", "-1", "lots", "4.0", " 3", "+3",
+                                   "\u0663"])
 def test_report_refuses_a_word_length_outside_the_range(
         all_builtins, monkeypatch, constructions_refused, value):
     monkeypatch.setenv("NCWB_MAX_WORD_LEN", value)

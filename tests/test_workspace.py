@@ -166,7 +166,6 @@ def test_export_lists_only_declared_objects():
         "dn", "dn.algebra", "dn.regular", "dn.calculus_module",
         "dn.calculus", "dn.pair_module", "dn.pair"}
     assert declared_names(ws) == ["dn"]
-    assert not ws.get("dn.pair").declared
     text = export_workspace(ws)
     exported = json.loads(text)["objects"]
     assert list(exported) == ["dn"]

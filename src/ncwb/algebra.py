@@ -33,7 +33,7 @@ from .linalg import (
     Echelon, Matrix, Subspace, block_combination, column_blocks, hstack,
     intertwiner_rows, kernel, kron, linear_combination, vector,
 )
-from .reporting import CheckReport, InvariantError
+from .reporting import CheckReport, InvariantError, format_rational
 
 
 def format_element(names: Sequence[str], coords) -> str:
@@ -43,13 +43,13 @@ def format_element(names: Sequence[str], coords) -> str:
         if c == 0:
             continue
         if name == "1":
-            parts.append(str(c))
+            parts.append(format_rational(c))
         elif c == 1:
             parts.append(name)
         elif c == -1:
             parts.append("-" + name)
         else:
-            parts.append("%s*%s" % (c, name))
+            parts.append("%s*%s" % (format_rational(c), name))
     if not parts:
         return "0"
     out = parts[0]
@@ -203,7 +203,8 @@ def _first_difference(lhs: Matrix, rhs: Matrix) -> str:
     s = (lhs - rhs).nonzero_cols()[0]
     for r, (x, y) in enumerate(zip(lhs.col(s), rhs.col(s))):
         if x != y:
-            return "on m%d, coordinate m%d: %s != %s" % (s, r, x, y)
+            return "on m%d, coordinate m%d: %s != %s" % (
+                s, r, format_rational(x), format_rational(y))
 
 
 def _differing_blocks(lhs: Matrix, rhs: Matrix, width: int) -> list:

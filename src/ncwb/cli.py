@@ -4,8 +4,9 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
 usage error, or a document that could not be written: the reader of stdout
 closed it early (a broken pipe; the rest of the output is dropped
 silently), the -o path cannot be written, or a value has more digits than
-str() converts.  Documents go to stdout (or -o), human summaries to stderr,
-so derived output stays byte-stable and scriptable.
+str() converts, in a document or a finding.  An -o document that fails
+part way is removed.  Documents go to stdout (or -o), human summaries to
+stderr, so derived output stays byte-stable and scriptable.
 
 derive runs from one table, _DERIVE, of each kind's input, law gate and
 document build; builtin writes the bundle's ExampleBundle.members.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from .algebra import right_dual
@@ -37,6 +39,11 @@ from .workspace import (
 )
 
 MAX_WORD_LEN_DEFAULT = 4
+
+# bytes an -o document is buffered in before each write: canonical_parts
+# yields one piece per matrix row, and a write per row costs more than
+# the document's formatting
+OUTPUT_BUFFER = 1 << 18
 
 
 def _max_word_len() -> int:
@@ -95,12 +102,31 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _write_file(path: str, parts) -> None:
+    """Write parts to path through one OUTPUT_BUFFER-byte buffer.  A
+    failure once the file is open removes it after it is closed, so no
+    partial document is left behind; a path that is not a regular file
+    (/dev/null, a FIFO) is left alone."""
+    fh = open(path, "w", encoding="utf-8", buffering=OUTPUT_BUFFER)
+    regular = False
+    try:
+        with fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            fh.writelines(parts)
+    except BaseException:
+        if regular:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise
+
+
 def _emit(args, doc: dict, summary: str) -> int:
     parts = canonical_parts(doc)
     try:
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.writelines(parts)
+            _write_file(args.output, parts)
         else:
             sys.stdout.writelines(parts)
     except BrokenPipeError:

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .calculus import DifferentialCalculus
 from .cartan import CartanPair, pair_law_sides
-from .reporting import CheckReport, InvariantError
+from .reporting import CheckReport, InvariantError, format_rational
 
 
 class Connection:
@@ -86,7 +86,8 @@ def _d_tensor(c: DifferentialCalculus, t: TensorProductOverA) -> list:
 
 def _mismatch(lhs, rhs) -> str:
     """The coordinates where two vectors differ, as 'k: lhs vs rhs'."""
-    return ", ".join("%d: %s vs %s" % (k, x, y)
+    return ", ".join("%d: %s vs %s" % (k, format_rational(x),
+                                       format_rational(y))
                      for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
 
 

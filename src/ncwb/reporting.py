@@ -1,8 +1,34 @@
-"""Check reports: every verifier returns findings with concrete witnesses."""
+"""Check reports: every verifier returns findings with concrete witnesses.
+
+The errors that end a command are here too, and format_rational, the one
+text of a rational value in findings and documents: it refuses a value of
+more digits than str() converts as an output error, not a traceback.
+"""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+
+class WorkspaceError(Exception):
+    """Malformed input: bad JSON, bad shapes, dangling references; or a
+    document that cannot be written."""
+
+
+def too_many_digits(where: str) -> WorkspaceError:
+    """The refusal of an integer of more digits than Python converts
+    between int and str (4300 by default), in input or output."""
+    return WorkspaceError("%s: an integer of more than %d digits"
+                          % (where, sys.get_int_max_str_digits()))
+
+
+def format_rational(x) -> str:
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise too_many_digits("output")
 
 
 class InvariantError(Exception):

@@ -29,15 +29,12 @@ from .calculus import DifferentialCalculus
 from .cartan import CartanPair
 from .catalog import builtin
 from .connections import Connection
+from .reporting import WorkspaceError, format_rational, too_many_digits
 
 SCHEMA = "ncwb/1"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-class WorkspaceError(Exception):
-    """Malformed input: bad JSON, bad shapes, dangling references."""
 
 
 def parse_rational(v, where: str) -> Fraction:
@@ -57,20 +54,6 @@ def parse_rational(v, where: str) -> Fraction:
             raise WorkspaceError("%s: zero denominator in %r" % (where, v))
         return Fraction(num, den)
     raise WorkspaceError("%s: expected a rational, got %r" % (where, v))
-
-
-def too_many_digits(where: str) -> WorkspaceError:
-    """The refusal of an integer of more digits than Python converts
-    between int and str (4300 by default), in input or output."""
-    return WorkspaceError("%s: an integer of more than %d digits"
-                          % (where, sys.get_int_max_str_digits()))
-
-
-def format_rational(x) -> str:
-    try:
-        return str(Fraction(x))
-    except ValueError:
-        raise too_many_digits("output")
 
 
 def _vector_from(data, length: int, where: str):

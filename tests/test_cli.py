@@ -140,6 +140,35 @@ def test_derive_relations_bytes_are_pinned(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out).hexdigest() == RELATIONS_SHA256[spec]
 
 
+# (builtin, member, what, NCWB_MAX_WORD_LEN): documents smaller than the
+# -o buffer, and at length 4 (1.5 MB) several buffers long
+OUTPUT_CASES = {
+    "relations-2": ("matrix_2", "pair", "relations", "2"),
+    "relations-4": ("matrix_2", "pair", "relations", "4"),
+    "couniversal": ("dual_numbers", "algebra", "couniversal", "4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_file_bytes_match_stdout(tmp_path, capsys, monkeypatch, case):
+    from ncwb.cli import OUTPUT_BUFFER
+    name, member, what, max_len = OUTPUT_CASES[case]
+    path = str(tmp_path / "ws.json")
+    out_path = tmp_path / "out.json"
+    assert main(["builtin", name, "-o", path]) == 0
+    monkeypatch.setenv("NCWB_MAX_WORD_LEN", max_len)
+    assert main(["derive", path, member, what, "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["derive", path, member, what]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert out_path.read_bytes() == out
+    if case == "relations-4":
+        assert len(out) > 4 * OUTPUT_BUFFER
+        assert hashlib.sha256(out).hexdigest() == RELATIONS_SHA256[name]
+    else:
+        assert len(out) < OUTPUT_BUFFER
+
+
 def test_report_bytes_are_pinned_at_fifteen_dimensions(tmp_path):
     # quantum_plane_trunc(2, 4) has n = 15, with 210 universal one-forms
     # and co-universal fields: far beyond the builtins of criterion 11

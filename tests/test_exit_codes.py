@@ -5,6 +5,7 @@ in a traceback, with or without python -O."""
 import copy
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -261,17 +262,82 @@ def test_a_value_too_long_to_write_exits_two(optimize):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("name, what", [("Q.regular", "dual"),
-                                        ("Q.pair", "diffops")])
-def test_a_derived_value_too_long_to_write_exits_two(tmp_path, capsys, name,
-                                                     what):
-    # q of 2200 digits is read, but q^2 in the algebra's products (dual)
-    # and the operators' entries (diffops, formatted as they are written)
-    # have more digits than str() converts
+def _long_q_workspace(tmp_path):
+    """quantum_plane_trunc at degree 3 with a q of 2200 digits: q is read,
+    but q^2 has more digits than str() converts."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({"schema": "ncwb/1", "objects": {"Q": {
         "kind": "builtin", "builtin": "quantum_plane_trunc",
         "params": ["7" * 2200, "3"]}}}))
-    assert main(["derive", str(path), name, what]) == 2
+    return str(path)
+
+
+@pytest.mark.parametrize("name, what", [("Q.regular", "dual"),
+                                        ("Q.pair", "diffops")])
+def test_a_derived_value_too_long_to_write_exits_two(tmp_path, capsys, name,
+                                                     what):
+    # q^2 is in the algebra's products (dual) and in the operators'
+    # entries (diffops, formatted as they are written)
+    assert main(["derive", _long_q_workspace(tmp_path), name, what]) == 2
+    assert capsys.readouterr().err == "error: output: an integer of more " \
+        "than %d digits\n" % sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_document_that_fails_mid_write_leaves_no_file(tmp_path, optimize,
+                                                        existing):
+    # the diffops document fails part way, at the first entry of q^2
+    ws = _long_q_workspace(tmp_path)
+    out = tmp_path / "d.json"
+    if existing:
+        out.write_text("an earlier document\n")
+    r = subprocess.run([sys.executable] + optimize
+                       + ["-m", "ncwb.cli", "derive", ws, "Q.pair", "diffops",
+                          "-o", str(out)], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: output: an integer of more than %d " \
+        "digits\n" % sys.get_int_max_str_digits()
+    assert not out.exists()
+
+
+def test_a_document_that_fails_mid_write_leaves_a_fifo_in_place(tmp_path,
+                                                                capsys):
+    # only a regular file is removed: the reader of a FIFO has the partial
+    # document already, and the FIFO itself is not the output's to remove
+    ws = _long_q_workspace(tmp_path)
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["derive", ws, "Q.pair", "diffops", "-o", str(fifo)]) == 2
+        assert os.read(reader, 1 << 16).startswith(b"{")
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().err.startswith("error: output: ")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["check", "pair"], ["check", "pair_module"], ["report"],
+    ["report", "--format", "json"], ["derive", "pair", "calculus"],
+    ["derive", "pair", "factorization"]], ids=" ".join)
+def test_a_finding_with_a_value_too_long_to_print_exits_two(
+        tmp_path, capsys, exports, argv):
+    # every non-zero entry of pair_module's actions and of the pair's
+    # field becomes a q of 3000 digits: the action-product and
+    # twisted-Leibniz findings hold q^2, which has more digits than str()
+    # converts
+    doc = copy.deepcopy(exports["dual_numbers"])
+    q = "7" * 3000
+    objects = doc["objects"]
+    for decl, key in ((objects["pair_module"], "left"),
+                      (objects["pair_module"], "right"),
+                      (objects["pair"], "action")):
+        decl[key] = [[[x if x == "0" else q for x in row] for row in m]
+                     for m in decl[key]]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
     assert capsys.readouterr().err == "error: output: an integer of more " \
         "than %d digits\n" % sys.get_int_max_str_digits()

@@ -5,7 +5,9 @@ law [X, f] = X(f) holds on the nose.  On the truncated quantum plane
 (y x = q x y) the two-sided module structure of the fields is genuinely
 noncommutative: the commutator law acquires an explicit violating
 witness, while the one-sided push-through rule X f = X(f) + (X.f)
-continues to hold exactly on the same witness.
+continues to hold exactly on the same witness.  The two differ by the
+bimodule commutator: the defect [X, l_f] - l(X(f)) is the action of
+X.f - f.X, which is what report reads its commutation findings from.
 """
 
 from ncwb.catalog import builtin
@@ -36,6 +38,13 @@ def main():
         print("\npush-through rule on the witness (f=%s, X_%d): %s"
               % (a.basis_names[i], t,
                  "holds exactly" if push == twisted else "broken"))
+        defect = push - a.lmul[i] @ p.action[t] \
+            - a.left_mult_matrix(p.action[t].col(i))
+        commutator = p.action_of([r - l for r, l in zip(
+            p.bimodule.right[i].col(t), p.bimodule.left[i].col(t))])
+        print("defect = action of X_%d.%s - %s.X_%d: %s"
+              % (t, a.basis_names[i], a.basis_names[i], t,
+                 "holds exactly" if defect == commutator else "broken"))
 
 
 if __name__ == "__main__":

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
-    Echelon, Matrix, Subspace, block_combination, column_blocks, hstack,
-    intertwiner_rows, kernel, kron, linear_combination, vector,
+    Echelon, Matrix, Subspace, block_combination, blockwise_product,
+    column_blocks, hstack, intertwiner_rows, kernel, kron,
+    linear_combination, vector,
 )
 from .reporting import CheckReport, InvariantError, format_rational
 
@@ -240,7 +241,6 @@ def check_bimodule(m: Bimodule) -> CheckReport:
     n, d = a.dim, m.dim
     names = a.basis_names
     big_l, big_r = hstack(m.left, d), hstack(m.right, d)
-    i_n = Matrix.identity(n)
     found = []
     for i in range(n):
         for j, lhs, rhs in _differing_blocks(
@@ -258,7 +258,8 @@ def check_bimodule(m: Bimodule) -> CheckReport:
                               names[i], names[j], names[i], names[j],
                               _first_difference(lhs, rhs))))
         for i, lhs, rhs in _differing_blocks(
-                big_l @ kron(i_n, m.right[j]), m.right[j] @ big_l, d):
+                blockwise_product(big_l, m.right[j], n), m.right[j] @ big_l,
+                d):
             found.append(((i, j, 2), "action-commutation",
                           "%s.(m.%s) != (%s.m).%s %s" % (
                               names[i], names[j], names[i], names[j],
@@ -405,8 +406,8 @@ def span_action(span: Subspace, shape: tuple, error: str,
     read row-major, over its canonical basis; shape is (r, c).
 
     flat(L X) = flat(X) (L^T (x) I_c) is one block_combination of the
-    span's basis rows, and flat(X R) = flat(X) (I_r (x) R) one product
-    with a kron factor.  Subspace.coords_int reads the coordinates of all
+    span's basis rows, and flat(X R) = flat(X) (I_r (x) R) one
+    blockwise_product.  Subspace.coords_int reads the coordinates of all
     the images at once and certifies them: an image outside the span
     raises InvariantError(error).
     """
@@ -414,7 +415,7 @@ def span_action(span: Subspace, shape: tuple, error: str,
     if right is None:
         images = block_combination(span.matrix, left.transpose(), c)
     else:
-        images = span.matrix @ kron(Matrix.identity(r), right)
+        images = blockwise_product(span.matrix, right, r)
     coords, _ = span.coords_int(images)
     if coords is None:
         raise InvariantError(error)
@@ -473,8 +474,8 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
         raise ValueError("a %s dual and a %s dual have no transpose map"
                          % (source_dual.side, target_dual.side))
     # flat(Y alpha) = flat(Y) (I (x) alpha) for every Y at once
-    images = target_dual.span.matrix @ kron(
-        Matrix.identity(alpha.source.algebra.dim), alpha.matrix)
+    images = blockwise_product(target_dual.span.matrix, alpha.matrix,
+                               alpha.source.algebra.dim)
     c, _ = source_dual.span.coords_int(images)
     if c is None:
         raise ValueError("composite is not a module map; transpose "

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Matrix, Subspace, hstack, kernel, kron, rank
+from .linalg import Matrix, Subspace, blockwise_product, hstack, kernel, \
+    kron, rank
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, check_bimodule_map, span_action,
 )
@@ -61,10 +62,9 @@ def check_leibniz(c: DifferentialCalculus) -> CheckReport:
     rep = CheckReport("calculus")
     a, m = c.algebra, c.bimodule
     big_r = hstack(m.right, m.dim)
-    i_n = Matrix.identity(a.dim)
     for i, di in enumerate(c.d.transpose().row_matrices(m.dim, 1)):
         lhs = c.d @ a.lmul[i]
-        rhs = m.left[i] @ c.d + big_r @ kron(i_n, di)
+        rhs = m.left[i] @ c.d + blockwise_product(big_r, di, a.dim)
         for j in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
             rep.add("leibniz", (i, j), "d(%s*%s)" % (
                 a.basis_names[i], a.basis_names[j]))

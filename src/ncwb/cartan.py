@@ -32,13 +32,14 @@ cli._report_object).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Echelon, Matrix, Subspace, block_combination, closure_under_maps,
-    column_blocks, hstack, intertwiner_rows, is_zero_vector, kernel, kron,
-    linear_combination, rank,
+    Echelon, Matrix, Subspace, block_combination, blockwise_product,
+    closure_under_maps, column_blocks, hstack, intertwiner_rows,
+    is_zero_vector, kernel, linear_combination, rank,
 )
 from .algebra import (
     Algebra, Bimodule, BimoduleMap, DualBimodule, check_bimodule_map,
@@ -81,11 +82,27 @@ class CartanPair:
 
     def field_values(self) -> list:
         """K_0, ..., K_{n-1}, the n x m matrices whose column t is
-        X_t(e_i), read off the columns of the actions."""
-        acols = [x.transpose().int_rows() for x in self.action]
-        return [Matrix.from_int_cols([(den, rows[i]) for den, rows in acols],
-                                     self.algebra.dim)
-                for i in range(self.algebra.dim)]
+        X_t(e_i): the rows of _flat_field_values."""
+        return self._flat_field_values().row_matrices(self.algebra.dim,
+                                                      self.bimodule.dim)
+
+    def _flat_field_values(self) -> Matrix:
+        """The n x n m matrix whose row i is K_i read row-major, entry
+        r m + t X_t(e_i)[r], built in one pass over the actions' integer
+        rows."""
+        n, m = self.algebra.dim, self.bimodule.dim
+        den = math.lcm(*(x.int_rows()[0] for x in self.action))
+        # rows[i][r]: row r of K_i, in increasing t
+        rows = [[[] for _ in range(n)] for _ in range(n)]
+        for t, x in enumerate(self.action):
+            d, xrows = x.int_rows()
+            s = den // d
+            for r, xrow in enumerate(xrows):
+                c = r * m + t
+                for i, v in xrow:
+                    rows[i][r].append((c, v * s))
+        return Matrix.from_int_rows(
+            [(den, [e for kr in k for e in kr]) for k in rows], n * m)
 
     def __repr__(self):
         return "CartanPair(bimodule dim %d over %r)" % (
@@ -113,10 +130,9 @@ def pair_law_sides(p: CartanPair, fields, module_left):
     nb = p.bimodule
     width = module_left[0].nrows
     big_d, big_e = hstack(fields, width), hstack(module_left, width)
-    i_m = Matrix.identity(nb.dim)
     for i, (ei, ki) in enumerate(zip(module_left, p.field_values())):
         yield (block_combination(big_d, nb.left[i], width), ei @ big_d,
-               big_d @ kron(i_m, ei),
+               blockwise_product(big_d, ei, nb.dim),
                block_combination(big_e, ki, width)
                + block_combination(big_d, nb.right[i], width))
 
@@ -162,7 +178,7 @@ def pair_from_calculus(c: DifferentialCalculus) -> CartanPair:
     d = right_dual(c.bimodule)
     n = c.algebra.dim
     # flat(E d) = flat(E) (I (x) d) for every evaluation matrix E at once
-    action = (d.span.matrix @ kron(Matrix.identity(n), c.d)).row_matrices(n, n)
+    action = blockwise_product(d.span.matrix, c.d, n).row_matrices(n, n)
     return CartanPair(c.algebra, d.bimodule, action,
                       source_calculus=c, dual=d)
 
@@ -170,16 +186,16 @@ def pair_from_calculus(c: DifferentialCalculus) -> CartanPair:
 def _evaluations(p: CartanPair) -> tuple:
     """(evals, constraints): row j of evals is K_j flat, column t of K_j
     X_t(e_j), and the null space of the constraints, E L_i = l_i E on
-    n x p matrices E, is the left dual of N.  The first K_j outside it is
-    not left linear and raises InvariantError."""
+    n x p matrices E, as the rows intertwiner_rows gives them, is the
+    left dual of N.  The first K_j outside it is not left linear and
+    raises InvariantError."""
     a, nb = p.algebra, p.bimodule
     n, m = a.dim, nb.dim
-    constraints = Matrix.from_int_rows(
-        [row for i in range(n)
-         for row in intertwiner_rows(nb.left[i], a.lmul[i])], n * m)
-    evals = Matrix.from_int_rows([k.flat_int() for k in p.field_values()],
-                                 n * m)
-    bad = (constraints @ evals.transpose()).nonzero_cols()
+    constraints = [row for i in range(n)
+                   for row in intertwiner_rows(nb.left[i], a.lmul[i])]
+    evals = p._flat_field_values()
+    bad = (Matrix.from_int_rows(constraints, n * m)
+           @ evals.transpose()).nonzero_cols()
     if bad:
         raise InvariantError("the evaluation of the action at %s is not "
                              "left linear" % a.basis_names[bad[0]])
@@ -229,13 +245,27 @@ def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
     come from _evaluations, so a K_j outside the dual raises
     InvariantError, as in calculus_from_pair.  The action kernel is
     trivial when the p operators X_t are independent.
+
+    The rank of the constraints stops early.  Each K_j lies in the dual,
+    as _evaluations certifies, and E -> E R_f keeps the dual when the two
+    actions of N commute, the action-commutation law of check_bimodule:
+    E R_f L_i = E L_i R_f = l_i E R_f.  So the closure lies in the null
+    space of the constraints, their rank is at most n p - dim(closure),
+    and the elimination stops once it reaches that bound: spanned exactly
+    when it does.
     """
     a, nb = p.algebra, p.bimodule
     n, m = a.dim, nb.dim
     evals, constraints = _evaluations(p)
     closure = closure_under_maps(evals, nb.right, shape=(n, m))
+    bound = n * m - closure.dim
+    ech = Echelon(n * m)
+    for _, row in constraints:
+        if ech.dim == bound:
+            break
+        ech.insert_int(row)
     return SpanKernelDiagnostic(
-        spanned=closure.dim == n * m - rank(constraints),
+        spanned=ech.dim == bound,
         kernel_trivial=rank(Matrix.from_int_rows(
             [x.flat_int() for x in p.action], n * n)) == m)
 
@@ -275,7 +305,7 @@ def co_universal_pair(a: Algebra,
     D(g 1) - D(g) 1 = 0.  So each one lies in {D(1) = 0}, and its
     coordinates are one linear read of its flattened matrix, a read that
     is zero on every L_{D(g)}.  With the D's flat as the rows of one
-    matrix, each action is that matrix times a kron factor, read at once.
+    matrix, each action is one product of that matrix, read at once.
     """
     u = universal if universal is not None else universal_calculus(a)
     n, k = a.dim, u.bimodule.dim
@@ -322,12 +352,12 @@ def co_universal_pair(a: Algebra,
     # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
     # of m.  So D.g is read as D o L_g alone.  flat(L D) = flat(D)
     # (L^T (x) I) and flat(D R) = flat(D) (I (x) R) map every D at once.
-    i_n = Matrix.identity(n)
     dual = DualBimodule(u.bimodule, "right", Bimodule(
         a, len(pivots),
         [read @ block_combination(dflat, li.transpose(), n).transpose()
          for li in a.lmul],
-        [read @ (dflat @ kron(i_n, li)).transpose() for li in a.lmul]), span)
+        [read @ blockwise_product(dflat, li, n).transpose()
+         for li in a.lmul]), span)
     return CoUniversalPair(u, dual, dflat.scale(-1).row_matrices(n, n),
                            read=read)
 

@@ -27,7 +27,7 @@ from .cartan import (
 )
 from .catalog import builtin as catalog_builtin, law_checks
 from .connections import check_covariant_axioms
-from .diffops import check_ccr, find_relations, \
+from .diffops import ccr_from_laws, find_relations, \
     generate_diffop_algebra, order_filtration, word_count
 from .linalg import ONE
 from .reporting import CheckReport, InvariantError
@@ -319,6 +319,20 @@ def _report_object(wo, checks_by_id, max_len):
     vacuum-reproduction at i when l_i(1) = e_i 1 != e_i, the right-unit
     finding of check_algebra at i.  Both checks pass on a pair that gets
     this analysis, so 1 is a vacuum there.
+
+    Commutation.  With X = [X_0 | ... | X_{m-1}], L_i and R_i the actions
+    of e_i on N and K_i the n x m matrix whose column t is X_t(e_i),
+    diffops.check_ccr compares X (I_m (x) l_i) - l_i X, whose block t is
+    [X_t, l_i], with [l_0 | ... | l_{n-1}] (K_i (x) I_n), whose block t
+    is l(X_t(e_i)).  The two pair laws, as cartan.pair_law_sides writes
+    them out, are X (I_m (x) l_i) = [l] (K_i (x) I_n) + X (R_i (x) I_n),
+    twisted Leibniz, and X (L_i (x) I_n) = l_i X, action linearity.  So
+    the defect is X (R_i (x) I_n) - X (L_i (x) I_n) = X ((R_i - L_i) (x)
+    I_n): its block t is X_{X_t.e_i - e_i.X_t}, the action of the
+    bimodule commutator.  A central e_i (L_i = R_i) has no defect, and a
+    commutator witness (i, t) needs column t of L_i - R_i non-zero, a
+    centrality witness.  diffops.ccr_from_laws reads check_ccr's findings
+    off this identity, one block_combination per non-central e_i.
     """
     info = []
     analysis = {}
@@ -348,7 +362,7 @@ def _report_object(wo, checks_by_id, max_len):
                     % ("yes" if spanned else "no"))
         info.append("factors through the universal calculus: yes")
     elif kind == "cartan_pair" and ok:
-        ccr = check_ccr(obj)
+        ccr = ccr_from_laws(obj)
         diag = spanning_kernel_diagnostic(obj)
         # the order filtration gives the relation count at every length
         # and, on a lawful pair, the operator algebra's dimension as its

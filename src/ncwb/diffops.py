@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import Matrix, Subspace, block_combination, \
-    closure_under_maps, frac, hstack, is_zero_vector, kron, \
+    blockwise_product, closure_under_maps, frac, hstack, is_zero_vector, \
     linear_combination, null_rules
 from .cartan import CartanPair
 from .reporting import CheckReport
@@ -359,36 +359,68 @@ def check_ccr(pair: CartanPair) -> CheckReport:
     is X_t(e_i), the commutators with l_i are one identity,
     X (I_m (x) l_i) - l_i X = [l_0 | ... | l_{n-1}] (K_i (x) I_n), whose
     block t is [X_t, l_i] = l(X_t(e_i)); centrality on e_i compares the
-    columns of L_i and R_i.  The findings are listed by (i, t)."""
+    columns of L_i and R_i.  The findings are listed by (i, t).  This is
+    exact on any pair; report reads the same findings off the pair laws
+    with ccr_from_laws (the proof is in cli._report_object)."""
     rep = CheckReport("canonical commutation")
     a = pair.algebra
     nb = pair.bimodule
     n, m = a.dim, nb.dim
     big_x, big_l = hstack(pair.action, n), hstack(a.lmul, n)
-    i_m = Matrix.identity(m)
     for i, (li, ki) in enumerate(zip(a.lmul, pair.field_values())):
-        central = set((nb.left[i] - nb.right[i]).nonzero_cols())
-        comm = big_x @ kron(i_m, li) - li @ big_x
-        expect = block_combination(big_l, ki, n)
-        # the first column of each block t where the defect is non-zero
-        first = {}
-        if comm != expect:
-            defect = comm - expect
-            for col in defect.nonzero_cols():
-                first.setdefault(col // n, col)
-        for t in sorted(central | set(first)):
-            if t in central:
-                rep.add("centrality", (i, t),
-                        "%s.X%d != X%d.%s" % (a.basis_names[i], t, t,
-                                              a.basis_names[i]))
-            if t in first:
-                col = first[t]
-                rep.add("commutator", (i, t),
-                        "([X%d, l(%s)] - l(X%d(%s)))(%s) = %s" % (
-                            t, a.basis_names[i], t, a.basis_names[i],
-                            a.basis_names[col - t * n],
-                            a.format(defect.col(col))))
+        central = (nb.left[i] - nb.right[i]).nonzero_cols()
+        comm = blockwise_product(big_x, li, m) - li @ big_x
+        _add_ccr_findings(rep, a, i, central,
+                          comm - block_combination(big_l, ki, n))
     return rep
+
+
+def ccr_from_laws(pair: CartanPair) -> CheckReport:
+    """check_ccr's report on a pair that passes check_cartan, read off the
+    pair laws: there the commutator defect at e_i is
+
+        X (I_m (x) l_i) - l_i X - [l_0 | ... | l_{n-1}] (K_i (x) I_n)
+          = X ((R_i - L_i) (x) I_n),
+
+    whose block t is the action of X_t.e_i - e_i.X_t.  So an e_i with
+    L_i = R_i has no finding, every commutator witness is a centrality
+    witness, and the defect is one block_combination per other e_i.  The
+    proof is in cli._report_object; on a pair that breaks a pair law only
+    check_ccr is exact."""
+    rep = CheckReport("canonical commutation")
+    a = pair.algebra
+    nb = pair.bimodule
+    big_x = hstack(pair.action, a.dim)
+    for i, (li, ri) in enumerate(zip(nb.left, nb.right)):
+        if li != ri:
+            diff = ri - li
+            _add_ccr_findings(rep, a, i, diff.nonzero_cols(),
+                              block_combination(big_x, diff, a.dim))
+    return rep
+
+
+def _add_ccr_findings(rep: CheckReport, a, i: int, central,
+                      defect: Matrix) -> None:
+    """The findings at e_i, by t: centrality for each t in central, the
+    columns where L_i and R_i differ, and commutator where block t of the
+    commutator defect is non-zero, read at its first non-zero column."""
+    n = a.dim
+    first = {}
+    for col in defect.nonzero_cols():
+        first.setdefault(col // n, col)
+    central = set(central)
+    for t in sorted(central | set(first)):
+        if t in central:
+            rep.add("centrality", (i, t),
+                    "%s.X%d != X%d.%s" % (a.basis_names[i], t, t,
+                                          a.basis_names[i]))
+        if t in first:
+            col = first[t]
+            rep.add("commutator", (i, t),
+                    "([X%d, l(%s)] - l(X%d(%s)))(%s) = %s" % (
+                        t, a.basis_names[i], t, a.basis_names[i],
+                        a.basis_names[col - t * n],
+                        a.format(defect.col(col))))
 
 
 def fock_check(pair: CartanPair) -> CheckReport:

@@ -12,10 +12,10 @@ stored rows and build no dense row.
 
 Each idea has one routine: linear_combination sums scaled matrices,
 block_combination multiplies a row of blocks [B_0 | ... | B_{n-1}] by
-c (x) I without forming that factor, so a law on basis pairs is one
-identity of stacked matrices per basis vector, and with kron for the
-factors I (x) R, flat(L X R) = flat(X) (L^T (x) R) makes an action on a
-space of matrices one product with its basis rows, hstack and column_blocks
+c (x) I and blockwise_product by I (x) R, neither forming the factor, so
+a law on basis pairs is one identity of stacked matrices per basis
+vector, and, as flat(L X R) = flat(X) (L^T (x) R), an action on a space
+of matrices is one such product with its basis rows, hstack and column_blocks
 stack and cut such rows, Subspace.coords_int, the one coordinate read
 (a vector is a one-row matrix), reads and certifies all the rows of a
 matrix at once, intertwiner_rows writes out the system X A = B X
@@ -346,9 +346,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i,k),(j,l) -> (i*b.nrows+k, j*b.ncols+l).
 
     Row-major flattening turns X -> a X b into a product: flat(a X b) =
-    flat(X) kron(a^T, b).  Products with I (x) b use it; a product with
-    c (x) I goes through block_combination, which never forms the
-    factor.
+    flat(X) kron(a^T, b).  A product with I (x) b goes through
+    blockwise_product and one with c (x) I through block_combination,
+    neither of which forms the factor.
     """
     da, arows = a.int_rows()
     db, brows = b.int_rows()
@@ -379,6 +379,31 @@ def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
         out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
                    if acc else ())
     return Matrix._of(m.nrows, c.ncols * width, dm * dc, tuple(out))
+
+
+def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
+    """m (I_count (x) b) for m a row of count blocks, each b.nrows columns
+    wide: block j of the result is block j of m times b.  The factor is
+    never formed; like @, each row accumulates in integers over the
+    non-zero pairs."""
+    q, w = b.nrows, b.ncols
+    if m.ncols != count * q:
+        raise ValueError("shape mismatch: %s is not a row of %d blocks of "
+                         "width %d" % (m, count, q))
+    dm, mrows = m.int_rows()
+    db, brows = b.int_rows()
+    out = []
+    for r in mrows:
+        acc = {}
+        for col, x in r:
+            k, s = divmod(col, q)
+            base = k * w
+            for j, y in brows[s]:
+                t = base + j
+                acc[t] = acc.get(t, 0) + x * y
+        out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
+                   if acc else ())
+    return Matrix._of(m.nrows, count * w, dm * db, tuple(out))
 
 
 def column_blocks(m: Matrix, width: int) -> list:

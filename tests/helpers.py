@@ -821,6 +821,16 @@ def direct_sum(m: Bimodule, n: Bimodule) -> Bimodule:
                     tuple(block(a, b) for a, b in zip(m.right, n.right)))
 
 
+def padded_pair() -> CartanPair:
+    """The dual numbers' Kahler pair plus a field acting by zero."""
+    p = pair_from_calculus(kahler_dual_numbers())
+    a = p.algebra
+    one, zero = Matrix([[1]]), Matrix([[0]])
+    trivial = Bimodule(a, 1, (one, zero), (one, zero))
+    return CartanPair(a, direct_sum(p.bimodule, trivial),
+                      (p.action[0], Matrix.zeros(2, 2)))
+
+
 def is_normal_form_word(word) -> bool:
     seen_m = False
     for kind, _ in word:
@@ -873,6 +883,7 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
 
 
 from ncwb.cartan import SpanKernelDiagnostic, _evaluations  # noqa: E402
+from ncwb.linalg import closure_under_maps  # noqa: E402
 
 
 def action_kernel(p) -> Subspace:
@@ -911,8 +922,25 @@ def spanning_kernel_diagnostic_on_both_sides(p) -> SpanKernelDiagnostic:
         evals.rows, [times(x, False) for x in p.bimodule.right]
         + [times(x, True) for x in p.algebra.rmul], n * m)
     return SpanKernelDiagnostic(
-        spanned=closure.dim == n * m - rank(constraints),
+        spanned=closure.dim == n * m - constraint_rank(p, constraints),
         kernel_trivial=action_kernel(p).dim == 0)
+
+
+def constraint_rank(p, constraints) -> int:
+    """The full rank of the left dual's constraints, as _evaluations
+    gives them, in one elimination with no early stop."""
+    n, m = p.algebra.dim, p.bimodule.dim
+    return rank(Matrix.from_int_rows(constraints, n * m))
+
+
+def spanning_by_full_rank(p) -> tuple:
+    """(closure dim, constraint rank) of spanning_kernel_diagnostic, both
+    computed in full: the pair's calculus is spanned by differentials
+    when closure dim == n m - constraint rank."""
+    n, m = p.algebra.dim, p.bimodule.dim
+    evals, constraints = _evaluations(p)
+    closure = closure_under_maps(evals, p.bimodule.right, shape=(n, m))
+    return closure.dim, constraint_rank(p, constraints)
 
 
 def spanning_kernel_diagnostic_by_left_dual(p) -> SpanKernelDiagnostic:

@@ -22,9 +22,10 @@ from ncwb.linalg import Matrix
 from ncwb.reporting import InvariantError
 
 from helpers import (
-    action_kernel, direct_sum, left_linear_pairs, naive_derivative_pair,
-    random_action_pairs,
-    reflexive_roundtrip, spanning_kernel_diagnostic_by_left_dual,
+    action_kernel, left_linear_pairs, naive_derivative_pair,
+    padded_pair, random_action_pairs,
+    reflexive_roundtrip, spanning_by_full_rank,
+    spanning_kernel_diagnostic_by_left_dual,
     spanning_kernel_diagnostic_on_both_sides,
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
     dual_span_by_reelimination, dual_numbers, inner_calculus,
@@ -121,16 +122,6 @@ def test_action_kernel_trivial_for_dual_numbers():
     assert diag.spanned and diag.kernel_trivial
 
 
-def padded_pair() -> CartanPair:
-    """The dual numbers' Kahler pair plus a field acting by zero."""
-    p = pair_from_calculus(kahler_dual_numbers())
-    a = p.algebra
-    one, zero = Matrix([[1]]), Matrix([[0]])
-    trivial = Bimodule(a, 1, (one, zero), (one, zero))
-    return CartanPair(a, direct_sum(p.bimodule, trivial),
-                      (p.action[0], Matrix.zeros(2, 2)))
-
-
 def test_padding_with_zero_generator_flips_both_diagnostics():
     padded = padded_pair()
     assert check_cartan(padded).ok
@@ -198,7 +189,9 @@ def test_spanning_diagnostic_matches_the_left_dual_route_without_leibniz(p):
     assert isinstance(two_sided_verdict(p), SpanKernelDiagnostic)
 
 
-@pytest.mark.parametrize("d, one_sided", [
+# (D, whether the dual's left action alone spans) for the fields
+# X_t = l(e_t) D on the regular bimodule of matrix_2
+NEEDS_BOTH_ACTIONS = pytest.mark.parametrize("d, one_sided", [
     # the images of d span under the left factors E -> r_g E alone, the
     # right action of the dual
     ([[0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 0]], False),
@@ -207,14 +200,21 @@ def test_spanning_diagnostic_matches_the_left_dual_route_without_leibniz(p):
     # under both together only
     ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]], False),
 ], ids=["left", "right", "both"])
+
+
+def left_linear_matrix_2_pair(d) -> CartanPair:
+    a = matrix_2()
+    return CartanPair(a, Bimodule.regular(a),
+                      [lm @ Matrix(d) for lm in a.lmul])
+
+
+@NEEDS_BOTH_ACTIONS
 def test_spanning_diagnostic_needs_both_actions_without_leibniz(d,
                                                                 one_sided):
-    # X_t = l(e_t) D on the regular bimodule of matrix_2.  Without twisted
-    # Leibniz the induced map is no derivation, and the package's closure
-    # under the dual's left action alone misses the span in two cases
-    a = matrix_2()
-    p = CartanPair(a, Bimodule.regular(a),
-                   [lm @ Matrix(d) for lm in a.lmul])
+    # Without twisted Leibniz the induced map is no derivation, and the
+    # package's closure under the dual's left action alone misses the
+    # span in two cases
+    p = left_linear_matrix_2_pair(d)
     assert not check_cartan(p).ok
     assert two_sided_verdict(p).spanned
     assert spanning_kernel_diagnostic(p).spanned is one_sided
@@ -264,6 +264,49 @@ def test_spanning_diagnostic_names_an_evaluation_that_is_not_left_linear():
         spanning_kernel_diagnostic_by_left_dual(p)
     with pytest.raises(InvariantError, match=message):
         spanning_kernel_diagnostic_on_both_sides(p)
+
+
+def assert_early_stop_matches_the_full_rank(p):
+    """The rank of the constraints, stopped at n p - dim(closure), gives
+    the verdict of the full rank, and the full rank never exceeds that
+    bound; an evaluation outside the left dual is refused by both."""
+    try:
+        closure_dim, full_rank = spanning_by_full_rank(p)
+    except InvariantError as e:
+        with pytest.raises(InvariantError) as refused:
+            spanning_kernel_diagnostic(p)
+        assert str(refused.value) == str(e)
+        return
+    bound = p.algebra.dim * p.bimodule.dim - closure_dim
+    assert full_rank <= bound
+    assert spanning_kernel_diagnostic(p).spanned is (full_rank == bound)
+
+
+@pytest.mark.parametrize("case", list(BUILTIN_NAMES)
+                         + ["truncated_poly 6", "quantum_plane_trunc 2 3"])
+def test_spanning_early_stop_matches_the_full_rank_on_builtins(case):
+    name, *params = case.split()
+    assert_early_stop_matches_the_full_rank(
+        builtin(name, tuple(int(x) for x in params)).pair)
+
+
+@NEEDS_BOTH_ACTIONS
+def test_spanning_early_stop_matches_the_full_rank_without_leibniz(
+        d, one_sided):
+    assert_early_stop_matches_the_full_rank(left_linear_matrix_2_pair(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(left_linear_pairs([builtin(name).algebra for name in BUILTIN_NAMES
+                          if builtin(name).algebra.dim <= 4]))
+def test_spanning_early_stop_matches_the_full_rank_on_left_linear_fields(p):
+    assert_early_stop_matches_the_full_rank(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_action_pairs(SMALL_PAIRS))
+def test_spanning_early_stop_matches_the_full_rank_on_drawn_fields(p):
+    assert_early_stop_matches_the_full_rank(p)
 
 
 def test_co_universal_pair_dual_numbers():

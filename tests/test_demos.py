@@ -36,3 +36,14 @@ def test_universal_factorization_demo_matches_the_transpose():
     verdicts = [line.strip() for line in r.stdout.splitlines()
                 if line.strip().startswith("Phi == transpose(phi):")]
     assert verdicts == ["Phi == transpose(phi): True"] * len(derived)
+
+
+def test_quantum_plane_demo_reads_each_defect_off_the_bimodule_commutator():
+    r = run_demo("quantum_plane_commutators.py")
+    assert r.returncode == 0, r.stderr
+    witnesses = [line for line in r.stdout.splitlines()
+                 if line.strip().startswith("commutator at")]
+    verdicts = [line for line in r.stdout.splitlines()
+                if line.startswith("defect = action of")]
+    assert witnesses and len(verdicts) == len(witnesses)
+    assert all(line.endswith(": holds exactly") for line in verdicts)

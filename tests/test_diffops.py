@@ -11,21 +11,22 @@ from hypothesis import given, settings, strategies as st
 from ncwb.algebra import Bimodule
 from ncwb.cartan import CartanPair, check_cartan, pair_from_calculus
 from ncwb.catalog import (
-    BUILTIN_NAMES, builtin, naive_derivative_fixture,
+    BUILTIN_NAMES, MAX_PARAM, builtin, naive_derivative_fixture,
     vacuum_violation_fixture,
 )
 from ncwb.diffops import (
-    FreeWord, check_ccr, evaluate_mu, find_relations, fock_check,
-    format_word_sum, generate_diffop_algebra, normal_form,
+    FreeWord, ccr_from_laws, check_ccr, evaluate_mu, find_relations,
+    fock_check, format_word_sum, generate_diffop_algebra, normal_form,
 )
 from ncwb.linalg import Matrix, kernel
 
 from helpers import (
     coords_dense, diffop_algebra_by_pairs, is_normal_form_word, kahler_dual_numbers,
     kahler_truncated, kernel_by_reelimination, naive_derivative_pair,
-    quantum_plane_pair, theta_z2, transported_pairs, word_columns,
-    word_index, zero_action_pair_z2,
+    padded_pair, quantum_plane_pair, theta_z2, transported_pairs,
+    word_columns, word_index, zero_action_pair_z2,
 )
+from test_cartan import SMALL_PAIRS, all_calculi
 
 
 def dn_pair():
@@ -324,6 +325,74 @@ def test_ccr_quantum_plane_witness():
     lhs = (p.action[1] @ a.lmul[1] - a.lmul[1] @ p.action[1]).col(1)
     rhs = a.left_mult_matrix(p.action[1].col(1)).col(1)
     assert tuple(x - y for x, y in zip(lhs, rhs)) == (0, 0, 0, 0, 0, 1)
+
+
+# every builtin over its documented parameters, quantum_plane_trunc at
+# three values of q
+CCR_BUILTINS = [
+    (name, ()) for name in BUILTIN_NAMES
+    if name not in ("truncated_poly", "quantum_plane_trunc")] + [
+    ("truncated_poly", (k,)) for k in range(2, MAX_PARAM + 1)] + [
+    ("quantum_plane_trunc", (q, deg)) for q in (2, -1, Fraction(1, 2))
+    for deg in range(2, MAX_PARAM + 1)]
+
+# the pairs the calculi induce and the padded pair, which has a field
+# acting by zero
+DERIVED_PAIRS = [pair_from_calculus(c) for c in all_calculi()] \
+    + [padded_pair()]
+
+LAWFUL_PAIRS = pytest.mark.parametrize(
+    "pair", [builtin(name, params).pair for name, params in CCR_BUILTINS]
+    + DERIVED_PAIRS,
+    ids=["-".join([name] + [str(v) for v in params])
+         for name, params in CCR_BUILTINS]
+    + ["derived-%d" % k for k in range(len(DERIVED_PAIRS) - 1)]
+    + ["padded"])
+
+
+def findings(rep):
+    return [(f.law, f.witness, f.detail) for f in rep.findings]
+
+
+def assert_ccr_from_laws_is_check_ccr(pair):
+    assert check_cartan(pair).ok
+    assert findings(ccr_from_laws(pair)) == findings(check_ccr(pair))
+
+
+def assert_ccr_defect_is_the_commutator_action(pair):
+    # [X_t, l_i] - l(X_t(e_i)) = X_{X_t.e_i - e_i.X_t}, one (i, t) at a
+    # time, with the generic products
+    assert check_cartan(pair).ok
+    a, nb = pair.algebra, pair.bimodule
+    for i, li in enumerate(a.lmul):
+        for t, x in enumerate(pair.action):
+            defect = x @ li - li @ x - a.left_mult_matrix(x.col(i))
+            commutator = [r - l for r, l in zip(nb.right[i].col(t),
+                                                nb.left[i].col(t))]
+            assert defect == pair.action_of(commutator), (i, t)
+
+
+@LAWFUL_PAIRS
+def test_ccr_from_laws_gives_the_report_of_check_ccr(pair):
+    assert_ccr_from_laws_is_check_ccr(pair)
+
+
+@LAWFUL_PAIRS
+def test_ccr_defect_is_the_action_of_the_bimodule_commutator(pair):
+    assert_ccr_defect_is_the_commutator_action(pair)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs(SMALL_PAIRS))
+def test_ccr_from_laws_gives_the_report_of_check_ccr_after_basis_change(
+        pair):
+    assert_ccr_from_laws_is_check_ccr(pair)
+
+
+@settings(max_examples=15, deadline=None)
+@given(transported_pairs(SMALL_PAIRS))
+def test_ccr_defect_is_the_commutator_action_after_basis_change(pair):
+    assert_ccr_defect_is_the_commutator_action(pair)
 
 
 def test_fock_conditions():

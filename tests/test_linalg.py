@@ -10,8 +10,8 @@ import pytest
 
 from ncwb.linalg import (
     Echelon, Matrix, Subspace, affine_solutions, block_combination,
-    column_blocks, frac, hstack, intertwiner_rows, kernel, kron,
-    linear_combination, null_rules, rank, solve, span_closure,
+    blockwise_product, column_blocks, frac, hstack, intertwiner_rows,
+    kernel, kron, linear_combination, null_rules, rank, solve, span_closure,
     closure_under_maps, restrict_to_kernel, vector,
 )
 
@@ -193,6 +193,27 @@ def test_block_combination_is_the_product_with_the_kron_factor(nr, k, j, w,
 def test_block_combination_checks_its_shape():
     with pytest.raises(ValueError):
         block_combination(Matrix.zeros(2, 5), Matrix.identity(2), 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.data())
+def test_blockwise_product_is_the_product_with_the_kron_factor(nr, k, q, w,
+                                                              data):
+    # zero-width blocks included: a bimodule of dimension 0 gives them
+    m, b = draw_matrix(data, nr, k * q), draw_matrix(data, q, w)
+    got = blockwise_product(m, b, k)
+    assert (got.nrows, got.ncols) == (nr, k * w)
+    assert got == m @ kron(Matrix.identity(k), b)
+    if q and w:
+        for mb, gb in zip(column_blocks(m, q), column_blocks(got, w)):
+            assert gb == mb @ b
+
+
+def test_blockwise_product_checks_its_shape():
+    with pytest.raises(ValueError, match="^shape mismatch: Matrix\\(2x5\\) is "
+                       "not a row of 2 blocks of width 2$"):
+        blockwise_product(Matrix.zeros(2, 5), Matrix.identity(2), 2)
 
 
 def test_restrict_to_kernel():

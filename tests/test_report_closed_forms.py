@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -172,8 +173,23 @@ def constructions_refused(monkeypatch):
                 monkeypatch.setattr(module, attr, refuse)
 
 
+@pytest.fixture
+def generic_commutation_refused(monkeypatch):
+    """diffops.check_ccr and linalg.kron get a stand-in that fails the test
+    when called, under every name a module of the package holds for them:
+    report reads the commutation findings off the pair laws, and no law
+    check forms a kron factor."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("report ran check_ccr or formed a kron factor")
+    for name, module in list(sys.modules.items()):
+        if name == "ncwb" or name.startswith("ncwb."):
+            for attr in ("check_ccr", "kron"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
 def test_report_on_all_builtins_builds_no_universal_construction(
-        tmp_path, constructions_refused):
+        tmp_path, constructions_refused, generic_commutation_refused):
     # the workspace of criterion 11, its objects in BUILTIN_NAMES order
     objects = {name: {"kind": "builtin", "builtin": name,
                       "params": list(PARAMS.get(name, ()))}
@@ -190,7 +206,7 @@ def test_report_on_all_builtins_builds_no_universal_construction(
 
 
 def test_report_on_a_declared_workspace_builds_no_universal_construction(
-        tmp_path, constructions_refused):
+        tmp_path, constructions_refused, generic_commutation_refused):
     path = str(tmp_path / "m2.json")
     assert run(["builtin", "matrix_2", "-o", path])[0] == 0
     for fmt in ("text", "json"):

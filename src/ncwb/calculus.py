@@ -16,7 +16,8 @@ from typing import Optional
 from .linalg import Matrix, Subspace, blockwise_product, hstack, kernel, \
     kron, rank
 from .algebra import (
-    Algebra, Bimodule, BimoduleMap, check_bimodule_map, span_action,
+    Algebra, Bimodule, BimoduleMap, check_bimodule_map, format_element,
+    span_action,
 )
 from .reporting import CheckReport, InvariantError
 
@@ -58,16 +59,23 @@ def check_leibniz(c: DifferentialCalculus) -> CheckReport:
 
     With N = [R_0 | ... | R_{n-1}], the pairs (i, j) for one i are the
     columns j of one identity, d l_i = L_i d + N (I_n (x) d e_i): column j
-    of N (I_n (x) d e_i) is R_j d(e_i)."""
+    of N (I_n (x) d e_i) is R_j d(e_i).  A finding gives the defect
+    d(e_i e_j) - d(e_i).e_j - e_i.d(e_j) over the module basis m0, m1,
+    ..."""
     rep = CheckReport("calculus")
     a, m = c.algebra, c.bimodule
+    names = ["m%d" % r for r in range(m.dim)]
     big_r = hstack(m.right, m.dim)
     for i, di in enumerate(c.d.transpose().row_matrices(m.dim, 1)):
         lhs = c.d @ a.lmul[i]
         rhs = m.left[i] @ c.d + blockwise_product(big_r, di, a.dim)
-        for j in [] if lhs == rhs else (lhs - rhs).nonzero_cols():
-            rep.add("leibniz", (i, j), "d(%s*%s)" % (
-                a.basis_names[i], a.basis_names[j]))
+        if lhs == rhs:
+            continue
+        defect = lhs - rhs
+        for j in defect.nonzero_cols():
+            rep.add("leibniz", (i, j), "d(%s*%s) defect %s" % (
+                a.basis_names[i], a.basis_names[j],
+                format_element(names, defect.col(j))))
     return rep
 
 

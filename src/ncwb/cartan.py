@@ -19,9 +19,9 @@ differentials under the left action of the dual alone.
 
 The co-universal pair is the right dual of the universal one-forms.  It is
 built in closed form: X_u is {D in End(A) : D(1) = 0}, with X_D acting as
--D, f.D = L_f o D and D.g = D o L_g - L_{D(g)}, each read into coordinates
-by one linear map.  The generic route, right_dual of the universal
-bimodule, stays only as a test oracle.
+-D, and its actions are read at the pivots of its reduced basis, f.X from
+l_f E and X.g from E L^u_g (E the evaluation matrix of X).  The generic
+route, right_dual of the universal bimodule, stays only as a test oracle.
 Factorization of an arbitrary pair through X_u is a coordinate read-off
 of its action.  co_universal_factorization, and so derive factorization,
 reports its existence, never assumes it.  report states it instead: it
@@ -293,19 +293,27 @@ def co_universal_pair(a: Algebra,
 
     Every right module map Omega_u -> A is X_D(sum w_ij e_i (x) e_j) =
     sum w_ij D(e_i) e_j for exactly one D in End(A) with D(1) = 0, so X_u
-    is {D : D(1) = 0}, of dimension n(n-1).  X_D acts on A as
-    f -> X_D(du f) = -D(f), and the bimodule actions become f.D = L_f o D
-    and D.g = D o L_g - L_{D(g)}.  The evaluation matrices of the X_D over
-    a basis of {D(1) = 0} are row reduced to the canonical basis that
-    right_dual(universal.bimodule) gives; that generic route is kept only
-    as a test oracle.
+    is {D : D(1) = 0}, of dimension n(n-1), and X_D acts on A as
+    f -> X_D(du f) = D(1) f - D(f) 1 = -D(f) once the unit is a right
+    unit, which is checked first.  The evaluation matrices of the X_D over
+    a basis of {D(1) = 0} are row reduced to the canonical basis E_k that
+    right_dual(universal.bimodule) gives, the test oracle; read maps
+    flat(D) to the coordinates of X_D, for co_universal_factorization.
 
-    Both products kill 1 once the unit is a right unit, which is checked
-    first: (L_f o D)(1) = f D(1) = 0 and (D o L_g - L_{D(g)})(1) =
-    D(g 1) - D(g) 1 = 0.  So each one lies in {D(1) = 0}, and its
-    coordinates are one linear read of its flattened matrix, a read that
-    is zero on every L_{D(g)}.  With the D's flat as the rows of one
-    matrix, each action is one product of that matrix, read at once.
+    The actions are read at the pivots.  The basis is reduced, so the
+    coordinates of an X in the span are the entries of its n x k
+    evaluation matrix at the pivots (a_t, c_t).  Under the laws that the
+    derive gate of couniversal and of factorization checks (check_algebra:
+    A associative and unital), the right dual's actions (f.X)(w) = f X(w)
+    and (X.g)(w) = X(g.w) give right module maps again, so they stay in
+    the span, which holds them all: f.X evaluates to l_f E, as
+    f (X(w) h) = (f X(w)) h, and X.g to E L^u_g with L^u_g =
+    universal.bimodule.left[g], as g.(w.h) = (g.w).h.  So coordinate t of
+    f.X_k is sum_b l_f[a_t][b] E_k[b][c_t] and that of X_k.g is
+    sum_b E_k[a_t][b] L^u_g[b][c_t]: each action is a selector times the
+    basis, no image formed.  In terms of D these are f.D = L_f o D and
+    D.g = D o L_g - L_{D(g)}, and read gives D.g as D o L_g alone, as it
+    kills every L_h: X_{L_h}(w) = h m(w) = 0 on the one-forms.
     """
     u = universal if universal is not None else universal_calculus(a)
     n, k = a.dim, u.bimodule.dim
@@ -347,17 +355,19 @@ def co_universal_pair(a: Algebra,
     read = Matrix.from_int_cols(
         [(de, {row_of[pc]: x for pc, x in flat.items() if pc in row_of})
          for de, flat in (e.flat_int() for e in evals)], len(pivots))
-    # D.g = D o L_g - L_{D(g)}, but the read kills every left
-    # multiplication: on an associative algebra X_{L_h}(w) =
-    # sum w_ij (h e_i) e_j = h m(w) = 0 for w in the one-forms, the kernel
-    # of m.  So D.g is read as D o L_g alone.  flat(L D) = flat(D)
-    # (L^T (x) I) and flat(D R) = flat(D) (I (x) R) map every D at once.
+    # row t of a selector weighs entry (b, c_t) by l_f[a_t][b], or entry
+    # (a_t, b) by L^u_g[b][c_t]; times the basis, it reads coordinate t
+    at = [divmod(pc, k) for pc in pivots]
+    basis_t = span.matrix.transpose()
     dual = DualBimodule(u.bimodule, "right", Bimodule(
         a, len(pivots),
-        [read @ block_combination(dflat, li.transpose(), n).transpose()
-         for li in a.lmul],
-        [read @ blockwise_product(dflat, li, n).transpose()
-         for li in a.lmul]), span)
+        [Matrix.from_int_rows([(d, [(b * k + c, x) for b, x in lrows[r]])
+                               for r, c in at], nk) @ basis_t
+         for d, lrows in (li.int_rows() for li in a.lmul)],
+        [Matrix.from_int_rows([(d, [(r * k + b, x) for b, x in cols[c]])
+                               for r, c in at], nk) @ basis_t
+         for d, cols in (lu.transpose().int_rows()
+                         for lu in u.bimodule.left)]), span)
     return CoUniversalPair(u, dual, dflat.scale(-1).row_matrices(n, n),
                            read=read)
 

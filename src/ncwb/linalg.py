@@ -6,9 +6,12 @@ positive common denominator over the sparse integer numerators of each
 row, reduced, so equal matrices are stored identically.  Dense entries are
 coerced once, at construction; rows, col, cols and flatten are views
 built on request, and flat_int is the sparse flat read that
-Echelon.insert_int takes.  @ is Gustavson's row-wise product; it,
-Matrix.apply and linear_combination accumulate Python ints over the
-stored rows and build no dense row.
+Echelon.insert_int takes.  @ is Gustavson's row-wise product; it and the
+block kernels below sum each row of Python ints in a dict, sorted at the
+end, or, when _dense_rows expects the row to touch at least half its
+width, in a dense list read in order (the sparse accumulator of Gilbert,
+Moler and Schreiber).  Matrix.apply and linear_combination accumulate
+over the stored rows and build no dense row.
 
 Each idea has one routine: linear_combination sums scaled matrices,
 block_combination multiplies a row of blocks [B_0 | ... | B_{n-1}] by
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple
@@ -100,6 +103,15 @@ def _sparse_vector(v) -> tuple:
     """(den, {j: num}) for the non-zero entries of an exact vector."""
     den, (row,) = _sparse((v,))
     return den, dict(row)
+
+
+def _dense_rows(arows, brows, width: int) -> bool:
+    """Whether the rows of a product a b, or of a block product with b the
+    small factor, are summed in a dense list rather than a dict: when
+    nnz(a)/rows(a) times nnz(b)/rows(b), the mean number of pairs summed
+    into one row, reaches half the output width."""
+    return 2 * sum(map(len, arows)) * sum(map(len, brows)) \
+        >= width * len(arows) * len(brows)
 
 
 def is_zero_vector(v) -> bool:
@@ -256,22 +268,31 @@ class Matrix:
         """Gustavson's row-wise product: row r of the result accumulates
         x times row k of other for each non-zero x = self[r][k], in
         integers over the product of the denominators, so the work is the
-        number of non-zero pairs."""
+        number of non-zero pairs, plus the width for a dense work row."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %s @ %s" % (self, other))
         da, arows = self._int
         db, brows = other._int
+        w = other.ncols
+        dense = _dense_rows(arows, brows, w)
         out = []
         for r in arows:
-            acc = {}
-            for k, x in r:
-                for j, y in brows[k]:
-                    acc[j] = acc.get(j, 0) + x * y
-            out.append(tuple(sorted((j, v) for j, v in acc.items() if v))
-                       if acc else ())
-        return Matrix._of(self.nrows, other.ncols, da * db, tuple(out))
+            if dense:
+                acc = [0] * w
+                for k, x in r:
+                    for j, y in brows[k]:
+                        acc[j] += x * y
+                out.append(tuple(compress(enumerate(acc), acc)))
+            else:
+                acc = {}
+                for k, x in r:
+                    for j, y in brows[k]:
+                        acc[j] = acc.get(j, 0) + x * y
+                out.append(tuple(sorted((j, v) for j, v in acc.items() if v))
+                           if acc else ())
+        return Matrix._of(self.nrows, w, da * db, tuple(out))
 
     def _plus(self, other, sign: int) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -362,48 +383,69 @@ def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
     """m (c (x) I_width) for m a row of c.nrows blocks, each width
     columns wide: block j of the result is sum_k c[k][j] times block k of
     m.  The factor is never formed; like @, each row accumulates in
-    integers over the non-zero pairs."""
+    integers over the non-zero pairs, in the work row _dense_rows picks."""
     if m.ncols != c.nrows * width:
         raise ValueError("shape mismatch: %s is not a row of %d blocks of "
                          "width %d" % (m, c.nrows, width))
     dm, mrows = m.int_rows()
     dc, crows = c.int_rows()
+    w = c.ncols * width
+    dense = _dense_rows(mrows, crows, w)
     out = []
     for r in mrows:
-        acc = {}
-        for col, x in r:
-            k, s = divmod(col, width)
-            for j, y in crows[k]:
-                t = j * width + s
-                acc[t] = acc.get(t, 0) + x * y
-        out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
-                   if acc else ())
-    return Matrix._of(m.nrows, c.ncols * width, dm * dc, tuple(out))
+        if dense:
+            acc = [0] * w
+            for col, x in r:
+                k, s = divmod(col, width)
+                for j, y in crows[k]:
+                    acc[j * width + s] += x * y
+            out.append(tuple(compress(enumerate(acc), acc)))
+        else:
+            acc = {}
+            for col, x in r:
+                k, s = divmod(col, width)
+                for j, y in crows[k]:
+                    t = j * width + s
+                    acc[t] = acc.get(t, 0) + x * y
+            out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
+                       if acc else ())
+    return Matrix._of(m.nrows, w, dm * dc, tuple(out))
 
 
 def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
     """m (I_count (x) b) for m a row of count blocks, each b.nrows columns
     wide: block j of the result is block j of m times b.  The factor is
     never formed; like @, each row accumulates in integers over the
-    non-zero pairs."""
+    non-zero pairs, in the work row _dense_rows picks."""
     q, w = b.nrows, b.ncols
     if m.ncols != count * q:
         raise ValueError("shape mismatch: %s is not a row of %d blocks of "
                          "width %d" % (m, count, q))
     dm, mrows = m.int_rows()
     db, brows = b.int_rows()
+    width = count * w
+    dense = _dense_rows(mrows, brows, width)
     out = []
     for r in mrows:
-        acc = {}
-        for col, x in r:
-            k, s = divmod(col, q)
-            base = k * w
-            for j, y in brows[s]:
-                t = base + j
-                acc[t] = acc.get(t, 0) + x * y
-        out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
-                   if acc else ())
-    return Matrix._of(m.nrows, count * w, dm * db, tuple(out))
+        if dense:
+            acc = [0] * width
+            for col, x in r:
+                k, s = divmod(col, q)
+                base = k * w
+                for j, y in brows[s]:
+                    acc[base + j] += x * y
+            out.append(tuple(compress(enumerate(acc), acc)))
+        else:
+            acc = {}
+            for col, x in r:
+                k, s = divmod(col, q)
+                base = k * w
+                for j, y in brows[s]:
+                    t = base + j
+                    acc[t] = acc.get(t, 0) + x * y
+            out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
+                       if acc else ())
+    return Matrix._of(m.nrows, width, dm * db, tuple(out))
 
 
 def column_blocks(m: Matrix, width: int) -> list:

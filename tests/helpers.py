@@ -210,13 +210,14 @@ def zero_action_pair_z2() -> CartanPair:
 # ---- generic routes kept as oracles for the closed forms ---------------
 
 from ncwb.algebra import (  # noqa: E402
-    BimoduleMap, bimodule_map_space, check_bimodule_map, right_dual,
+    BimoduleMap, bimodule_map_space, check_bimodule_map, left_dual,
+    right_dual,
 )
 from ncwb.calculus import UniversalCalculus  # noqa: E402
 from ncwb.cartan import CoUniversalFactorization  # noqa: E402
 from ncwb.linalg import (  # noqa: E402
-    ZERO, Subspace, is_zero_vector, kernel, kron, restrict_to_kernel, solve,
-    span_closure,
+    ZERO, Subspace, is_zero_vector, kernel, kron, linear_combination,
+    restrict_to_kernel, solve, span_closure,
 )
 from ncwb.reporting import CheckReport  # noqa: E402
 
@@ -433,12 +434,18 @@ def transported_pairs(draw, pairs):
 @st.composite
 def random_action_pairs(draw, pairs):
     """One of the given pairs' algebra and bimodule with fields drawn at
-    random, almost never lawful."""
+    random, almost never lawful, but action linear at every e_j: each
+    evaluation K_j, column t X_t(e_j), is a drawn combination of the
+    basis of the left dual of the bimodule, so the fields pass the
+    left-linearity gate of cartan._evaluations."""
     base = draw(st.sampled_from(pairs))
-    n = base.algebra.dim
+    n, m = base.algebra.dim, base.bimodule.dim
+    basis = left_dual(base.bimodule).eval_mats
     entry = st.sampled_from((0, 0, 0, 1, -1, 2))
-    acts = [Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
-            for _ in range(base.bimodule.dim)]
+    evals = [linear_combination([draw(entry) for _ in basis], basis, n, m)
+             for _ in range(n)]
+    acts = [Matrix.from_cols([k.col(t) for k in evals], nrows=n)
+            for t in range(m)]
     return CartanPair(base.algebra, base.bimodule, acts)
 
 
@@ -1067,7 +1074,7 @@ def dense_linear_combination(coeffs, terms, nrows, ncols) -> DenseMatrix:
 
 import itertools  # noqa: E402
 
-from ncwb.algebra import _first_difference  # noqa: E402
+from ncwb.algebra import _first_difference, format_element  # noqa: E402
 from ncwb.diffops import _word_operator  # noqa: E402
 
 
@@ -1124,7 +1131,6 @@ def word_columns(pair, max_len: int):
 # ---- per-pair checkers and the vector closure, kept as oracles ---------
 
 from ncwb.connections import _mismatch, _pair_matches  # noqa: E402
-from ncwb.linalg import linear_combination  # noqa: E402
 
 
 def check_algebra_by_pairs(a) -> CheckReport:
@@ -1196,6 +1202,7 @@ def check_leibniz_by_pairs(c) -> CheckReport:
     """check_leibniz one basis pair at a time, three applies per pair."""
     rep = CheckReport("calculus")
     a = c.algebra
+    names = ["m%d" % r for r in range(c.bimodule.dim)]
     dcols = cols(c.d)
     for i in range(a.dim):
         di = dcols[i]
@@ -1205,8 +1212,9 @@ def check_leibniz_by_pairs(c) -> CheckReport:
                 c.bimodule.right[j].apply(di),
                 c.bimodule.left[i].apply(dcols[j])))
             if lhs != rhs:
-                rep.add("leibniz", (i, j), "d(%s*%s)" % (
-                    a.basis_names[i], a.basis_names[j]))
+                rep.add("leibniz", (i, j), "d(%s*%s) defect %s" % (
+                    a.basis_names[i], a.basis_names[j],
+                    format_element(names, [x - y for x, y in zip(lhs, rhs)])))
     return rep
 
 

@@ -22,7 +22,7 @@ from ncwb.linalg import Matrix
 from ncwb.reporting import InvariantError
 
 from helpers import (
-    action_kernel, left_linear_pairs, naive_derivative_pair,
+    BasisChange, action_kernel, left_linear_pairs, naive_derivative_pair,
     padded_pair, random_action_pairs,
     reflexive_roundtrip, spanning_by_full_rank,
     spanning_kernel_diagnostic_by_left_dual,
@@ -30,7 +30,8 @@ from helpers import (
     co_universal_factorization_by_solve, co_universal_pair_by_right_dual,
     dual_span_by_reelimination, dual_numbers, inner_calculus,
     kahler_dual_numbers, kahler_truncated, matrix_2, theta_z2,
-    transported_pairs, upper_triangular_2, z2_group_algebra, zero_calculus,
+    transported_pairs, unimodular_matrices, upper_triangular_2,
+    z2_group_algebra, zero_calculus,
 )
 
 # builtin pairs over algebras of dimension <= 4, for basis-change draws
@@ -399,6 +400,23 @@ def test_missing_factorization_matches_oracle(make):
 @settings(max_examples=15, deadline=None)
 @given(transported_pairs(SMALL_PAIRS))
 def test_closed_forms_match_oracle_after_basis_change(p):
+    assert check_cartan(p).ok
+    assert_closed_forms_match_oracle(p.algebra, [p])
+
+
+@pytest.mark.parametrize("name,params", [("truncated_poly", (5,)),
+                                         ("matrix_2", ())],
+                         ids=["truncated_poly-5", "matrix_2"])
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_closed_forms_match_oracle_on_dense_copies(name, params, data):
+    # unimodular basis changes of the algebras the benchmark transports,
+    # at its sizes: the actions read at the pivots of dense evaluation
+    # matrices are the right dual's
+    p = builtin(name, params).pair
+    change = BasisChange(data.draw(unimodular_matrices(p.algebra.dim)),
+                         data.draw(unimodular_matrices(p.bimodule.dim)))
+    p = change.pair(p, change.algebra(p.algebra))
     assert check_cartan(p).ok
     assert_closed_forms_match_oracle(p.algebra, [p])
 

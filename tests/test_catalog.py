@@ -197,6 +197,9 @@ def test_unit_differential_fixture():
     rep = check_leibniz(unit_differential_fixture())
     assert not rep.ok
     assert (0, 0) in [f.witness for f in rep.findings]
+    # d(1) = m0, so d(1*1) - d(1).1 - 1.d(1) = -m0, named
+    assert [str(f) for f in rep.findings] \
+        == ["leibniz at (0,0): d(1*1) defect -m0"]
 
 
 def test_vacuum_violation_fixture():

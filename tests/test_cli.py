@@ -56,7 +56,7 @@ def test_check_reports_leibniz_witness(tmp_path, capsys):
     assert main(["check", path]) == 1
     out = capsys.readouterr().out
     assert "bad: leibniz 1 finding(s)" in out
-    assert "leibniz at (0,0)" in out
+    assert "leibniz at (0,0): d(1*1) defect -m0" in out
 
 
 def test_check_unknown_object_is_usage_error(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from ncwb.linalg import (
-    Echelon, Matrix, Subspace, affine_solutions, block_combination,
+    Echelon, Matrix, Subspace, _dense_rows, affine_solutions,
+    block_combination,
     blockwise_product, column_blocks, frac, hstack, intertwiner_rows,
     kernel, kron, linear_combination, null_rules, rank, solve, span_closure,
     closure_under_maps, restrict_to_kernel, vector,
@@ -214,6 +215,87 @@ def test_blockwise_product_checks_its_shape():
     with pytest.raises(ValueError, match="^shape mismatch: Matrix\\(2x5\\) is "
                        "not a row of 2 blocks of width 2$"):
         blockwise_product(Matrix.zeros(2, 5), Matrix.identity(2), 2)
+
+
+# ---- the two work-row accumulators of the product kernels -------------
+
+nonzero_rationals = st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=6).filter(bool).map(F)
+
+# the drawn output width and inner dimension per accumulator: at most two
+# non-zeros a row on both sides and an output width of 9 or more keep a
+# product on the dict path; a left factor with no zero and a right one at
+# least half non-zero put it on the dense path, at any width
+REGIMES = {"dict": dict(sparse=True, width=(9, 40), inner=(1, 40)),
+           "dense": dict(sparse=False, width=(1, 40), inner=(1, 6))}
+
+
+def draw_operand(data, nr, nc, regime, left):
+    """nr x nc over mixed denominators: for "dict" at most two non-zeros a
+    row; for "dense" no zero on the left, at most nc // 2 on the right."""
+    cols = st.integers(0, max(nc - 1, 0))
+    rows = []
+    for _ in range(nr):
+        if REGIMES[regime]["sparse"]:
+            hits = data.draw(st.dictionaries(cols, nonzero_rationals,
+                                             max_size=min(nc, 2)))
+            rows.append([hits.get(j, 0) for j in range(nc)])
+            continue
+        row = data.draw(st.lists(nonzero_rationals, min_size=nc,
+                                 max_size=nc))
+        zeros = set() if left else data.draw(st.sets(cols,
+                                                     max_size=nc // 2))
+        rows.append([0 if j in zeros else x for j, x in enumerate(row)])
+    return Matrix(rows, ncols=nc)
+
+
+def assert_on_the_path(regime, a, b, width):
+    assert _dense_rows(a.int_rows()[1], b.int_rows()[1], width) \
+        is (regime == "dense")
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_product_matches_the_fraction_reference_on_both_paths(regime, nr,
+                                                              data):
+    inner = data.draw(st.integers(*REGIMES[regime]["inner"]))
+    w = data.draw(st.integers(*REGIMES[regime]["width"]))
+    a = draw_operand(data, nr, inner, regime, left=True)
+    b = draw_operand(data, inner, w, regime, left=False)
+    assert_on_the_path(regime, a, b, w)
+    assert a @ b == matmul_dense(a, b)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_block_kernels_match_the_kron_factor_on_both_paths(regime, nr, k,
+                                                           width, data):
+    # block_combination: k blocks of width columns times c (x) I_width;
+    # blockwise_product: j blocks of k columns times I_j (x) b.  Either
+    # output is j blocks of width columns
+    lo, hi = REGIMES[regime]["width"]
+    j = data.draw(st.integers(-(-lo // width), hi // width))
+    m = draw_operand(data, nr, k * width, regime, left=True)
+    c = draw_operand(data, k, j, regime, left=False)
+    assert_on_the_path(regime, m, c, j * width)
+    factor = kron(c, Matrix.identity(width))
+    assert block_combination(m, c, width) == m @ factor \
+        == matmul_dense(m, factor)
+    m = draw_operand(data, nr, j * k, regime, left=True)
+    b = draw_operand(data, k, width, regime, left=False)
+    assert_on_the_path(regime, m, b, j * width)
+    factor = kron(Matrix.identity(j), b)
+    assert blockwise_product(m, b, j) == m @ factor \
+        == matmul_dense(m, factor)
+
+
+def test_a_dense_work_row_keeps_its_non_zero_entries_in_order():
+    # the row cancels at columns 0 and 2
+    a, b = Matrix([[1, 1]]), Matrix([[1, 2, F(1, 2)], [-1, 0, F(-1, 2)]])
+    assert _dense_rows(a.int_rows()[1], b.int_rows()[1], 3)
+    assert (a @ b).int_rows() == (1, (((1, 2),),))
 
 
 def test_restrict_to_kernel():

@@ -275,12 +275,12 @@ class Matrix:
             raise ValueError("shape mismatch: %s @ %s" % (self, other))
         da, arows = self._int
         db, brows = other._int
-        w = other.ncols
-        dense = _dense_rows(arows, brows, w)
+        ncols = other.ncols
+        dense = _dense_rows(arows, brows, ncols)
         out = []
         for r in arows:
             if dense:
-                acc = [0] * w
+                acc = [0] * ncols
                 for k, x in r:
                     for j, y in brows[k]:
                         acc[j] += x * y
@@ -292,7 +292,7 @@ class Matrix:
                         acc[j] = acc.get(j, 0) + x * y
                 out.append(tuple(sorted((j, v) for j, v in acc.items() if v))
                            if acc else ())
-        return Matrix._of(self.nrows, w, da * db, tuple(out))
+        return Matrix._of(self.nrows, ncols, da * db, tuple(out))
 
     def _plus(self, other, sign: int) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -389,12 +389,12 @@ def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
                          "width %d" % (m, c.nrows, width))
     dm, mrows = m.int_rows()
     dc, crows = c.int_rows()
-    w = c.ncols * width
-    dense = _dense_rows(mrows, crows, w)
+    ncols = c.ncols * width
+    dense = _dense_rows(mrows, crows, ncols)
     out = []
     for r in mrows:
         if dense:
-            acc = [0] * w
+            acc = [0] * ncols
             for col, x in r:
                 k, s = divmod(col, width)
                 for j, y in crows[k]:
@@ -409,7 +409,7 @@ def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
                     acc[t] = acc.get(t, 0) + x * y
             out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
                        if acc else ())
-    return Matrix._of(m.nrows, w, dm * dc, tuple(out))
+    return Matrix._of(m.nrows, ncols, dm * dc, tuple(out))
 
 
 def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
@@ -423,12 +423,12 @@ def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
                          "width %d" % (m, count, q))
     dm, mrows = m.int_rows()
     db, brows = b.int_rows()
-    width = count * w
-    dense = _dense_rows(mrows, brows, width)
+    ncols = count * w
+    dense = _dense_rows(mrows, brows, ncols)
     out = []
     for r in mrows:
         if dense:
-            acc = [0] * width
+            acc = [0] * ncols
             for col, x in r:
                 k, s = divmod(col, q)
                 base = k * w
@@ -445,7 +445,7 @@ def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
                     acc[t] = acc.get(t, 0) + x * y
             out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
                        if acc else ())
-    return Matrix._of(m.nrows, width, dm * db, tuple(out))
+    return Matrix._of(m.nrows, ncols, dm * db, tuple(out))
 
 
 def column_blocks(m: Matrix, width: int) -> list:

@@ -89,7 +89,7 @@ class CartanPair:
     def _flat_field_values(self) -> Matrix:
         """The n x n m matrix whose row i is K_i read row-major, entry
         r m + t X_t(e_i)[r], built in one pass over the actions' integer
-        rows."""
+        rows, sorted and over one denominator: Matrix's stored form."""
         n, m = self.algebra.dim, self.bimodule.dim
         den = math.lcm(*(x.int_rows()[0] for x in self.action))
         # rows[i][r]: row r of K_i, in increasing t
@@ -101,8 +101,8 @@ class CartanPair:
                 c = r * m + t
                 for i, v in xrow:
                     rows[i][r].append((c, v * s))
-        return Matrix.from_int_rows(
-            [(den, [e for kr in k for e in kr]) for k in rows], n * m)
+        return Matrix._of(n, n * m, den, tuple(
+            tuple(e for kr in k for e in kr) for k in rows))
 
     def __repr__(self):
         return "CartanPair(bimodule dim %d over %r)" % (

@@ -6,12 +6,13 @@ positive common denominator over the sparse integer numerators of each
 row, reduced, so equal matrices are stored identically.  Dense entries are
 coerced once, at construction; rows, col, cols and flatten are views
 built on request, and flat_int is the sparse flat read that
-Echelon.insert_int takes.  @ is Gustavson's row-wise product; it and the
-block kernels below sum each row of Python ints in a dict, sorted at the
-end, or, when _dense_rows expects the row to touch at least half its
-width, in a dense list read in order (the sparse accumulator of Gilbert,
-Moler and Schreiber).  Matrix.apply and linear_combination accumulate
-over the stored rows and build no dense row.
+Echelon.insert_int takes.  One row kernel, _row_products, serves @ and
+the block kernels below: Gustavson's row-wise product, each row of Python
+ints summed in a dict, sorted at the end, or, when _dense_rows expects
+the row to touch at least half its width, in a dense list read in order
+(the sparse accumulator of Gilbert, Moler and Schreiber); a block kernel
+builds its factor's rows only at the columns its left factor uses.
+Matrix.apply and linear_combination accumulate over the stored rows.
 
 Each idea has one routine: linear_combination sums scaled matrices,
 block_combination multiplies a row of blocks [B_0 | ... | B_{n-1}] by
@@ -106,12 +107,34 @@ def _sparse_vector(v) -> tuple:
 
 
 def _dense_rows(arows, brows, width: int) -> bool:
-    """Whether the rows of a product a b, or of a block product with b the
-    small factor, are summed in a dense list rather than a dict: when
-    nnz(a)/rows(a) times nnz(b)/rows(b), the mean number of pairs summed
-    into one row, reaches half the output width."""
+    """Whether _row_products sums the rows of a product a b, or of a block
+    product with b the small factor, in a dense list rather than a dict:
+    when nnz(a)/rows(a) times nnz(b)/rows(b), the mean number of pairs
+    summed into one row, reaches half the output width."""
     return 2 * sum(map(len, arows)) * sum(map(len, brows)) \
         >= width * len(arows) * len(brows)
+
+
+def _row_products(arows, brows, ncols: int, dense: bool) -> tuple:
+    """The rows of a product: row r sums x times brows[k], a sparse row of
+    width ncols, over (k, x) in arows[r], in a dict or, if dense, a list,
+    so the work is the non-zero pairs, plus the width of a dense row."""
+    out = []
+    for r in arows:
+        if dense:
+            acc = [0] * ncols
+            for k, x in r:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+            out.append(tuple(compress(enumerate(acc), acc)))
+        else:
+            acc = {}
+            for k, x in r:
+                for j, y in brows[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(tuple(sorted(compress(acc.items(), acc.values())))
+                       if acc else ())
+    return tuple(out)
 
 
 def is_zero_vector(v) -> bool:
@@ -265,10 +288,9 @@ class Matrix:
         return tuple(Fraction(s, dm * dv) if s else ZERO for s in sums)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Gustavson's row-wise product: row r of the result accumulates
-        x times row k of other for each non-zero x = self[r][k], in
-        integers over the product of the denominators, so the work is the
-        number of non-zero pairs, plus the width for a dense work row."""
+        """Gustavson's row-wise product, row k of other read at each
+        non-zero self[r][k], in integers over the product of the
+        denominators."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -276,23 +298,8 @@ class Matrix:
         da, arows = self._int
         db, brows = other._int
         ncols = other.ncols
-        dense = _dense_rows(arows, brows, ncols)
-        out = []
-        for r in arows:
-            if dense:
-                acc = [0] * ncols
-                for k, x in r:
-                    for j, y in brows[k]:
-                        acc[j] += x * y
-                out.append(tuple(compress(enumerate(acc), acc)))
-            else:
-                acc = {}
-                for k, x in r:
-                    for j, y in brows[k]:
-                        acc[j] = acc.get(j, 0) + x * y
-                out.append(tuple(sorted((j, v) for j, v in acc.items() if v))
-                           if acc else ())
-        return Matrix._of(self.nrows, ncols, da * db, tuple(out))
+        return Matrix._of(self.nrows, ncols, da * db, _row_products(
+            arows, brows, ncols, _dense_rows(arows, brows, ncols)))
 
     def _plus(self, other, sign: int) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -368,8 +375,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
     Row-major flattening turns X -> a X b into a product: flat(a X b) =
     flat(X) kron(a^T, b).  A product with I (x) b goes through
-    blockwise_product and one with c (x) I through block_combination,
-    neither of which forms the factor.
+    blockwise_product and one with c (x) I through block_combination: the
+    row kernel of @, fed the factor's rows at the columns in use only.
     """
     da, arows = a.int_rows()
     db, brows = b.int_rows()
@@ -382,41 +389,28 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def block_combination(m: Matrix, c: Matrix, width: int) -> Matrix:
     """m (c (x) I_width) for m a row of c.nrows blocks, each width
     columns wide: block j of the result is sum_k c[k][j] times block k of
-    m.  The factor is never formed; like @, each row accumulates in
-    integers over the non-zero pairs, in the work row _dense_rows picks."""
+    m.  Column k width + s of m reads row k of c spread to the columns
+    j width + s, built only at the columns m uses: no factor is formed."""
     if m.ncols != c.nrows * width:
         raise ValueError("shape mismatch: %s is not a row of %d blocks of "
                          "width %d" % (m, c.nrows, width))
     dm, mrows = m.int_rows()
     dc, crows = c.int_rows()
     ncols = c.ncols * width
-    dense = _dense_rows(mrows, crows, ncols)
-    out = []
-    for r in mrows:
-        if dense:
-            acc = [0] * ncols
-            for col, x in r:
-                k, s = divmod(col, width)
-                for j, y in crows[k]:
-                    acc[j * width + s] += x * y
-            out.append(tuple(compress(enumerate(acc), acc)))
-        else:
-            acc = {}
-            for col, x in r:
-                k, s = divmod(col, width)
-                for j, y in crows[k]:
-                    t = j * width + s
-                    acc[t] = acc.get(t, 0) + x * y
-            out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
-                       if acc else ())
-    return Matrix._of(m.nrows, ncols, dm * dc, tuple(out))
+    spread = {col: [] for r in mrows for col, _ in r}
+    for col, row in spread.items():
+        k, s = divmod(col, width)
+        for j, y in crows[k]:
+            row.append((j * width + s, y))
+    return Matrix._of(m.nrows, ncols, dm * dc, _row_products(
+        mrows, spread, ncols, _dense_rows(mrows, crows, ncols)))
 
 
 def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
     """m (I_count (x) b) for m a row of count blocks, each b.nrows columns
-    wide: block j of the result is block j of m times b.  The factor is
-    never formed; like @, each row accumulates in integers over the
-    non-zero pairs, in the work row _dense_rows picks."""
+    wide: block j of the result is block j of m times b.  Column k q + s
+    of m reads row s of b shifted by k b.ncols, built only at the columns
+    m uses: no factor is formed."""
     q, w = b.nrows, b.ncols
     if m.ncols != count * q:
         raise ValueError("shape mismatch: %s is not a row of %d blocks of "
@@ -424,28 +418,13 @@ def blockwise_product(m: Matrix, b: Matrix, count: int) -> Matrix:
     dm, mrows = m.int_rows()
     db, brows = b.int_rows()
     ncols = count * w
-    dense = _dense_rows(mrows, brows, ncols)
-    out = []
-    for r in mrows:
-        if dense:
-            acc = [0] * ncols
-            for col, x in r:
-                k, s = divmod(col, q)
-                base = k * w
-                for j, y in brows[s]:
-                    acc[base + j] += x * y
-            out.append(tuple(compress(enumerate(acc), acc)))
-        else:
-            acc = {}
-            for col, x in r:
-                k, s = divmod(col, q)
-                base = k * w
-                for j, y in brows[s]:
-                    t = base + j
-                    acc[t] = acc.get(t, 0) + x * y
-            out.append(tuple(sorted((t, v) for t, v in acc.items() if v))
-                       if acc else ())
-    return Matrix._of(m.nrows, ncols, dm * db, tuple(out))
+    shifted = {col: [] for r in mrows for col, _ in r}
+    for col, row in shifted.items():
+        k, s = divmod(col, q)
+        for j, y in brows[s]:
+            row.append((k * w + j, y))
+    return Matrix._of(m.nrows, ncols, dm * db, _row_products(
+        mrows, shifted, ncols, _dense_rows(mrows, brows, ncols)))
 
 
 def column_blocks(m: Matrix, width: int) -> list:

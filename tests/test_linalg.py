@@ -178,17 +178,20 @@ def test_closure_under_maps_records_the_dimension_of_each_level():
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-       st.integers(1, 3), st.data())
+       st.integers(0, 3), st.data())
 def test_block_combination_is_the_product_with_the_kron_factor(nr, k, j, w,
                                                               data):
+    # zero-width blocks included, as for blockwise_product
     m, c = draw_matrix(data, nr, k * w), draw_matrix(data, k, j)
     got = block_combination(m, c, w)
+    assert (got.nrows, got.ncols) == (nr, j * w)
     assert got == m @ kron(c, Matrix.identity(w))
-    assert hstack(column_blocks(got, w), nr) == got
-    blocks = column_blocks(m, w)
-    assert len(blocks) == k and hstack(blocks, nr) == m
-    for b, cj in zip(column_blocks(got, w), cols(c)):
-        assert b == linear_combination(cj, blocks, nr, w)
+    if w:
+        assert hstack(column_blocks(got, w), nr) == got
+        blocks = column_blocks(m, w)
+        assert len(blocks) == k and hstack(blocks, nr) == m
+        for b, cj in zip(column_blocks(got, w), cols(c)):
+            assert b == linear_combination(cj, blocks, nr, w)
 
 
 def test_block_combination_checks_its_shape():
@@ -219,9 +222,6 @@ def test_blockwise_product_checks_its_shape():
 
 # ---- the two work-row accumulators of the product kernels -------------
 
-nonzero_rationals = st.fractions(min_value=-4, max_value=4,
-                                 max_denominator=6).filter(bool).map(F)
-
 # the drawn output width and inner dimension per accumulator: at most two
 # non-zeros a row on both sides and an output width of 9 or more keep a
 # product on the dict path; a left factor with no zero and a right one at
@@ -231,21 +231,28 @@ REGIMES = {"dict": dict(sparse=True, width=(9, 40), inner=(1, 40)),
 
 
 def draw_operand(data, nr, nc, regime, left):
-    """nr x nc over mixed denominators: for "dict" at most two non-zeros a
-    row; for "dense" no zero on the left, at most nc // 2 on the right."""
+    """nr x nc, each row non-zero integers over its own drawn denominator
+    up to 6, entries at most 4 in size, so denominators mix within and
+    across rows: for "dict" at most two non-zeros a row; for "dense" no
+    zero on the left, at most nc // 2 on the right."""
     cols = st.integers(0, max(nc - 1, 0))
     rows = []
     for _ in range(nr):
+        den = data.draw(st.integers(1, 6))
+        # the non-zero numerators in [-4 den, 4 den], mapped, not filtered:
+        # a filter that misses three times drops the whole example, the
+        # widest most often
+        nums = st.integers(-4 * den, 4 * den - 1).map(lambda x: x + (x >= 0))
         if REGIMES[regime]["sparse"]:
-            hits = data.draw(st.dictionaries(cols, nonzero_rationals,
+            hits = data.draw(st.dictionaries(cols, nums,
                                              max_size=min(nc, 2)))
-            rows.append([hits.get(j, 0) for j in range(nc)])
+            rows.append([F(hits.get(j, 0), den) for j in range(nc)])
             continue
-        row = data.draw(st.lists(nonzero_rationals, min_size=nc,
-                                 max_size=nc))
+        row = data.draw(st.lists(nums, min_size=nc, max_size=nc))
         zeros = set() if left else data.draw(st.sets(cols,
                                                      max_size=nc // 2))
-        rows.append([0 if j in zeros else x for j, x in enumerate(row)])
+        rows.append([0 if j in zeros else F(x, den)
+                     for j, x in enumerate(row)])
     return Matrix(rows, ncols=nc)
 
 
@@ -295,6 +302,16 @@ def test_a_dense_work_row_keeps_its_non_zero_entries_in_order():
     # the row cancels at columns 0 and 2
     a, b = Matrix([[1, 1]]), Matrix([[1, 2, F(1, 2)], [-1, 0, F(-1, 2)]])
     assert _dense_rows(a.int_rows()[1], b.int_rows()[1], 3)
+    assert (a @ b).int_rows() == (1, (((1, 2),),))
+
+
+def test_a_dict_work_row_drops_its_cancelled_entries():
+    # the factors above, b's last column moved to 11 of 12: the row
+    # cancels at columns 0 and 11
+    a = Matrix([[1, 1]])
+    b = Matrix.from_int_rows([(2, {0: 2, 1: 4, 11: 1}), (2, {0: -2, 11: -1})],
+                             12)
+    assert not _dense_rows(a.int_rows()[1], b.int_rows()[1], 12)
     assert (a @ b).int_rows() == (1, (((1, 2),),))
 
 

@@ -10,14 +10,27 @@ stderr, so derived output stays byte-stable and scriptable.
 
 derive runs from one table, _DERIVE, of each kind's input, law gate and
 document build; builtin writes the bundle's ExampleBundle.members.
+
+The command line is read from one table too, _COMMANDS, with argparse's
+grammar and messages: a long option by any unique prefix (--form json),
+--opt=value and -oVALUE, the last of a repeated option wins; options may
+come anywhere and -- ends them; positionals are filled one run of them
+between options at a time, so in builtin b -o x 1 the 1 is unrecognized.
+-h/--help prints help laid out as argparse lays it out and exits 0.  Two
+readings differ from argparse's.  A token that starts with - and a digit
+is a positional, so builtin quantum_plane_trunc -1/2 2 takes q = -1/2
+(argparse took -1/2 for an unknown option, though it took -1).  Only the
+first -- is dropped: argparse dropped the first -- among each
+positional's arguments, so derive f n -- -- read what as [] and failed
+with a traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .algebra import right_dual
 from .calculus import is_spanned_by_differential, universal_calculus
@@ -465,40 +478,302 @@ def cmd_builtin(args) -> int:
     return _emit(args, doc, summary)
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="ncwb",
-        description="Exact checks and derivations for algebras, calculi, "
-                    "vector-field pairs, operator algebras and connections.")
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (handler, help, positionals, options), in the order usage
+# lists them.  A positional is (name, arity, choices): arity 1, "?" (at
+# most one) or "*" (any number).  An option is (flags, dest, choices,
+# default) and takes one value.  -h/--help belongs to every command and
+# to the top level.
+_OUTPUT = (("-o", "--output"), "output", None, None)
+_COMMANDS = {
+    "check": (cmd_check, "run axiom checkers over a workspace",
+              (("file", 1, None), ("name", "?", None)), ()),
+    "derive": (cmd_derive, "compute a derived object",
+               (("file", 1, None), ("name", 1, None),
+                ("what", 1, tuple(_DERIVE))), (_OUTPUT,)),
+    "report": (cmd_report, "full pipeline report", (("file", 1, None),),
+               ((("--format",), "format", ("text", "json"), "text"),)),
+    "builtin": (cmd_builtin, "export a builtin bundle",
+                (("bundle", 1, None), ("params", "*", None)), (_OUTPUT,)),
+}
 
-    c = sub.add_parser("check", help="run axiom checkers over a workspace")
-    c.add_argument("file")
-    c.add_argument("name", nargs="?", default=None)
-    c.set_defaults(func=cmd_check)
 
-    d = sub.add_parser("derive", help="compute a derived object")
-    d.add_argument("file")
-    d.add_argument("name")
-    d.add_argument("what", choices=tuple(_DERIVE))
-    d.add_argument("-o", "--output", default=None)
-    d.set_defaults(func=cmd_derive)
+def _say(stream, text: str) -> None:
+    """Write help or a usage error; like argparse, drop it if the stream
+    is gone or closed."""
+    try:
+        stream.write(text)
+    except (AttributeError, OSError):
+        pass
 
-    r = sub.add_parser("report", help="full pipeline report")
-    r.add_argument("file")
-    r.add_argument("--format", choices=("text", "json"), default="text")
-    r.set_defaults(func=cmd_report)
 
-    b = sub.add_parser("builtin", help="export a builtin bundle")
-    b.add_argument("bundle")
-    b.add_argument("params", nargs="*")
-    b.add_argument("-o", "--output", default=None)
-    b.set_defaults(func=cmd_builtin)
-    return p
+def _metavar(name: str, choices) -> str:
+    return "{%s}" % ",".join(choices) if choices else name
+
+
+def _wrap(parts, indent: str, width: int, prefix=None) -> list:
+    """parts joined by spaces into lines of at most width columns, each
+    after indent; the first after prefix instead, if one is given."""
+    lines, line = [], []
+    size = len(indent if prefix is None else prefix) - 1
+    for part in parts:
+        if line and size + 1 + len(part) > width:
+            lines.append(indent + " ".join(line))
+            line, size = [], len(indent) - 1
+        line.append(part)
+        size += len(part) + 1
+    if line:
+        lines.append(indent + " ".join(line))
+    if prefix is not None:
+        lines[0] = lines[0][len(indent):]
+    return lines
+
+
+def _help_text(command, full: bool) -> str:
+    """The usage of one parser (command None for the top level), and with
+    full its whole -h text, laid out as argparse lays them out for the
+    terminal's width."""
+    import shutil
+    width = shutil.get_terminal_size().columns - 2
+    rows = () if command is None else _COMMANDS[command][3]
+    flags = ["[-h]"] + ["[%s %s]" % (fl[0], _metavar(dest.upper(), ch))
+                        for fl, dest, ch, _ in rows]
+    options = [(2, "-h, --help", "show this help message and exit")] + [
+        (2, ", ".join("%s %s" % (f, _metavar(dest.upper(), ch)) for f in fl),
+         None) for fl, dest, ch, _ in rows]
+    if command is None:
+        prog = "ncwb"
+        positionals = [(2, "{%s}" % ",".join(_COMMANDS), None)] + [
+            (4, name, row[1]) for name, row in _COMMANDS.items()]
+        usage = [positionals[0][1], "..."]
+    else:
+        prog = "ncwb " + command
+        positionals = [(2, _metavar(name, ch), None)
+                       for name, _, ch in _COMMANDS[command][2]]
+        usage = [{1: "%s", "?": "[%s]", "*": "[%s ...]"}[arity]
+                 % _metavar(name, ch)
+                 for name, arity, ch in _COMMANDS[command][2]]
+    text = " ".join([prog] + flags + usage)
+    prefix = "usage: "
+    # argparse wraps a long usage as options after prog, then positionals
+    # on lines of their own; a prog over 3/4 of the width gets a line too
+    if len(prefix) + len(text) <= width:
+        lines = [text]
+    elif len(prefix) + len(prog) <= 0.75 * width:
+        indent = " " * (len(prefix) + len(prog) + 1)
+        lines = (_wrap([prog] + flags, indent, width, prefix)
+                 + _wrap(usage, indent, width))
+    else:
+        indent = " " * len(prefix)
+        lines = _wrap(flags + usage, indent, width)
+        if len(lines) > 1:
+            lines = _wrap(flags, indent, width) + _wrap(usage, indent, width)
+        lines = [prog] + lines
+    text = prefix + "\n".join(lines) + "\n"
+    if not full:
+        return text
+    import textwrap
+    items = positionals + options
+    # the help column: two past the widest item, but at most 24
+    position = min(max(len(inv) for _, inv, _ in items) + 4,
+                   min(24, max(width - 20, 4)))
+
+    def item(indent, inv, what):
+        head = " " * indent + inv
+        if not what:
+            return head + "\n"
+        room = position - indent - 2
+        lines = textwrap.wrap(what, max(width - position, 11))
+        if len(inv) <= room:
+            head = head.ljust(indent + room) + "  " + lines.pop(0)
+        return "".join([head + "\n"] + [" " * position + line + "\n"
+                                        for line in lines])
+    text += "\n"
+    if command is None:
+        text += textwrap.fill(
+            "Exact checks and derivations for algebras, calculi, vector-field"
+            " pairs, operator algebras and connections.", max(width, 11)) \
+            + "\n\n"
+    return (text + "positional arguments:\n"
+            + "".join(item(*i) for i in positionals)
+            + "\noptions:\n" + "".join(item(*i) for i in options))
+
+
+def _error(command, message: str):
+    """argparse's usage error: the usage and the reason on stderr, exit 2."""
+    _say(sys.stderr, _help_text(command, False) + "%s: error: %s\n"
+         % ("ncwb" if command is None else "ncwb " + command, message))
+    raise SystemExit(2)
+
+
+def _check_choice(command, name: str, value, choices) -> None:
+    if choices is not None and value not in choices:
+        _error(command, "argument %s: invalid choice: %r (choose from %s)"
+               % (name, value, ", ".join(map(repr, choices))))
+
+
+def _flags(command) -> dict:
+    """flag -> its option row (None for -h/--help) in one parser, in
+    argparse's order: the help flags first."""
+    flags = {"-h": None, "--help": None}
+    for opt in () if command is None else _COMMANDS[command][3]:
+        flags.update(dict.fromkeys(opt[0], opt))
+    return flags
+
+
+def _read(command, flags: dict, tokens) -> list:
+    """Each token as argparse classifies it: "A" a positional, "-" the
+    first "--" (every token after it is "A"), else (flag, its explicit
+    value or None), flag None for an option this parser lacks."""
+    kinds = []
+    for k, tok in enumerate(tokens):
+        if tok == "--":
+            return kinds + ["-"] + ["A"] * (len(tokens) - k - 1)
+        kinds.append(_read_token(command, flags, tok))
+    return kinds
+
+
+def _read_token(command, flags: dict, tok: str):
+    if tok[:1] != "-" or tok == "-":
+        return "A"
+    if tok in flags:
+        return tok, None
+    # a number is a positional: argparse reads -5 and -.5 so (but -1/2 as
+    # an option); here every token that starts with - and a digit is one
+    if tok[1].isdecimal() or (tok[1] == "."
+                              and tok[2:].removesuffix("\n").isdecimal()):
+        return "A"
+    name, eq, value = tok.partition("=")
+    if eq and name in flags:
+        return name, value
+    if tok[1] != "-":
+        # a short flag and its value in one token, -oX
+        hits = [(tok[:2], tok[2:])] if tok[:2] in flags else []
+    else:
+        # a long flag by a unique prefix, --out or --out=X
+        hits = [(f, value if eq else None) for f in flags
+                if f.startswith(name)]
+    if len(hits) > 1:
+        _error(command, "ambiguous option: %s could match %s"
+               % (tok, ", ".join(f for f, _ in hits)))
+    if hits:
+        return hits[0]
+    # argparse reads a token with a space in it as a positional
+    return "A" if " " in tok else (None, None)
+
+
+def _take_option(command, flags, tokens, kinds, i, ns, extras) -> int:
+    """Apply the option at tokens[i], with its value; the index after
+    them.  An option this parser lacks is unrecognized."""
+    flag, value = kinds[i]
+    if flag is None:
+        extras.append(tokens[i])
+        return i + 1
+    taken = []
+    while flags[flag] is None and value is not None:
+        # -h takes no value: -hX reads X as more short flags, as argparse
+        # does
+        if flag[1] == "-" or "-" + value[:1] not in flags:
+            _error(command, "argument -h/--help: ignored explicit "
+                            "argument %r" % value)
+        taken.append(None)
+        flag, value = "-" + value[0], value[1:] or None
+    opt = flags[flag]
+    stop = i + 1
+    if opt is not None and value is None:
+        if stop == len(tokens) or kinds[stop] != "A":
+            _error(command, "argument %s: expected one argument"
+                   % "/".join(opt[0]))
+        value = tokens[stop]
+        stop += 1
+    for opt in taken + [opt]:
+        if opt is None:
+            _say(sys.stdout, _help_text(command, True))
+            raise SystemExit(0)
+        _check_choice(command, "/".join(opt[0]), value, opt[2])
+        setattr(ns, opt[1], value)
+    return stop
+
+
+def _fill(command, pending: list, run, kinds, ns, extras) -> list:
+    """Fill positionals from one run of tokens between options, as
+    argparse does: the most leading pending positionals the run's
+    arguments satisfy, each taking all it can that leaves one argument
+    for every required positional after it.  Only the first "--" is
+    dropped; tokens left over are unrecognized.  The positionals still
+    pending."""
+    args = [tok for tok, kind in zip(run, kinds) if kind == "A"]
+    need = [arity == 1 for _, arity, _ in pending]
+    n = len(pending)
+    while sum(need[:n]) > len(args):
+        n -= 1
+    used = 0
+    for k, (name, arity, choices) in enumerate(pending[:n]):
+        room = len(args) - used - sum(need[k + 1:n])
+        values = args[used:used + (room if arity == "*" else min(room, 1))]
+        used += len(values)
+        for v in values:
+            _check_choice(command, name, v, choices)
+        setattr(ns, name, values if arity == "*"
+                else values[0] if values else None)
+    # the run's tokens up to the last argument taken, and a "--" after it
+    end = 0
+    while used:
+        used -= kinds[end] == "A"
+        end += 1
+    if n and end < len(run) and kinds[end] == "-":
+        end += 1
+    extras.extend(run[end:])
+    return pending[n:]
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The command line read as argparse read it (see the module
+    docstring): a namespace with command, func and the command's
+    positionals and options.  -h/--help writes the help and exits 0; a
+    usage error writes the usage and the reason to stderr and exits 2."""
+    ns = SimpleNamespace(command=None)
+    extras = []
+    flags = _flags(None)
+    kinds = _read(None, flags, argv)
+    i = 0
+    while i < len(argv) and type(kinds[i]) is tuple:
+        i = _take_option(None, flags, argv, kinds, i, ns, extras)
+    if i == len(argv) or kinds[i] == "-" and i + 1 == len(argv):
+        _error(None, "the following arguments are required: command")
+    command = ns.command = argv[i]
+    _check_choice(None, "command", command, _COMMANDS)
+    func, _, positionals, options = _COMMANDS[command]
+    ns.func = func
+    for name, _, _ in positionals:
+        setattr(ns, name, None)
+    for _, dest, _, default in options:
+        setattr(ns, dest, default)
+    tokens = argv[i + 1:]
+    flags = _flags(command)
+    kinds = _read(command, flags, tokens)
+    pending = list(positionals)
+    i = 0
+    while True:
+        j = i
+        while j < len(tokens) and type(kinds[j]) is not tuple:
+            j += 1
+        pending = _fill(command, pending, tokens[i:j], kinds[i:j], ns,
+                        extras)
+        if j == len(tokens):
+            break
+        i = _take_option(command, flags, tokens, kinds, j, ns, extras)
+    # argparse names a "*" positional with no default as missing too
+    missing = [name for name, arity, _ in pending if arity != "?"]
+    if missing:
+        _error(command, "the following arguments are required: %s"
+               % ", ".join(missing))
+    if extras:
+        _error(None, "unrecognized arguments: %s" % " ".join(extras))
+    return ns
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1415,3 +1415,46 @@ from ncwb.catalog import BUILTIN_NAMES, builtin  # noqa: E402
 def all_builtins() -> list:
     """Every builtin at default parameters."""
     return [builtin(name) for name in BUILTIN_NAMES]
+
+
+# ---- the argparse command line, as an oracle for the table parser -------
+
+import argparse  # noqa: E402
+
+from ncwb.cli import (  # noqa: E402
+    _DERIVE, cmd_builtin, cmd_check, cmd_derive, cmd_report,
+)
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    """The argparse parser ncwb's command line was read with before its
+    table parser, kept as that parser's oracle."""
+    p = argparse.ArgumentParser(
+        prog="ncwb",
+        description="Exact checks and derivations for algebras, calculi, "
+                    "vector-field pairs, operator algebras and connections.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("check", help="run axiom checkers over a workspace")
+    c.add_argument("file")
+    c.add_argument("name", nargs="?", default=None)
+    c.set_defaults(func=cmd_check)
+
+    d = sub.add_parser("derive", help="compute a derived object")
+    d.add_argument("file")
+    d.add_argument("name")
+    d.add_argument("what", choices=tuple(_DERIVE))
+    d.add_argument("-o", "--output", default=None)
+    d.set_defaults(func=cmd_derive)
+
+    r = sub.add_parser("report", help="full pipeline report")
+    r.add_argument("file")
+    r.add_argument("--format", choices=("text", "json"), default="text")
+    r.set_defaults(func=cmd_report)
+
+    b = sub.add_parser("builtin", help="export a builtin bundle")
+    b.add_argument("bundle")
+    b.add_argument("params", nargs="*")
+    b.add_argument("-o", "--output", default=None)
+    b.set_defaults(func=cmd_builtin)
+    return p

@@ -16,9 +16,11 @@ grammar and messages: a long option by any unique prefix (--form json),
 --opt=value and -oVALUE, the last of a repeated option wins; options may
 come anywhere and -- ends them; positionals are filled one run of them
 between options at a time, so in builtin b -o x 1 the 1 is unrecognized.
--h/--help prints help laid out as argparse lays it out and exits 0.  Two
-readings differ from argparse's.  A token that starts with - and a digit
-is a positional, so builtin quantum_plane_trunc -1/2 2 takes q = -1/2
+-h/--help prints the help and exits 0.  Help and usage text are
+argparse's own, from parsers _argparser builds from _COMMANDS only when
+one is printed, so no run that succeeds imports argparse.  Two readings
+differ from argparse's.  A token that starts with - and a digit is a
+positional, so builtin quantum_plane_trunc -1/2 2 takes q = -1/2
 (argparse took -1/2 for an unknown option, though it took -1).  Only the
 first -- is dropped: argparse dropped the first -- among each
 positional's arguments, so derive f n -- -- read what as [] and failed
@@ -137,16 +139,17 @@ def _write_file(path: str, parts) -> None:
 
 def _emit(args, doc: dict, summary: str) -> int:
     parts = canonical_parts(doc)
+    path = args.output
     try:
-        if args.output:
-            _write_file(args.output, parts)
+        if path is not None:
+            _write_file(path, parts)
         else:
             sys.stdout.writelines(parts)
     except BrokenPipeError:
         raise
     except OSError as e:
-        raise WorkspaceError("cannot write %s: %s"
-                             % (args.output or "stdout", e.strerror))
+        raise WorkspaceError("cannot write %s: %s" % (
+            "stdout" if path is None else path, e.strerror))
     except ValueError:
         # str() of a matrix entry, formatted as it is written
         raise too_many_digits("output")
@@ -506,102 +509,32 @@ def _say(stream, text: str) -> None:
         pass
 
 
-def _metavar(name: str, choices) -> str:
-    return "{%s}" % ",".join(choices) if choices else name
-
-
-def _wrap(parts, indent: str, width: int, prefix=None) -> list:
-    """parts joined by spaces into lines of at most width columns, each
-    after indent; the first after prefix instead, if one is given."""
-    lines, line = [], []
-    size = len(indent if prefix is None else prefix) - 1
-    for part in parts:
-        if line and size + 1 + len(part) > width:
-            lines.append(indent + " ".join(line))
-            line, size = [], len(indent) - 1
-        line.append(part)
-        size += len(part) + 1
-    if line:
-        lines.append(indent + " ".join(line))
-    if prefix is not None:
-        lines[0] = lines[0][len(indent):]
-    return lines
-
-
-def _help_text(command, full: bool) -> str:
-    """The usage of one parser (command None for the top level), and with
-    full its whole -h text, laid out as argparse lays them out for the
-    terminal's width."""
-    import shutil
-    width = shutil.get_terminal_size().columns - 2
-    rows = () if command is None else _COMMANDS[command][3]
-    flags = ["[-h]"] + ["[%s %s]" % (fl[0], _metavar(dest.upper(), ch))
-                        for fl, dest, ch, _ in rows]
-    options = [(2, "-h, --help", "show this help message and exit")] + [
-        (2, ", ".join("%s %s" % (f, _metavar(dest.upper(), ch)) for f in fl),
-         None) for fl, dest, ch, _ in rows]
-    if command is None:
-        prog = "ncwb"
-        positionals = [(2, "{%s}" % ",".join(_COMMANDS), None)] + [
-            (4, name, row[1]) for name, row in _COMMANDS.items()]
-        usage = [positionals[0][1], "..."]
-    else:
-        prog = "ncwb " + command
-        positionals = [(2, _metavar(name, ch), None)
-                       for name, _, ch in _COMMANDS[command][2]]
-        usage = [{1: "%s", "?": "[%s]", "*": "[%s ...]"}[arity]
-                 % _metavar(name, ch)
-                 for name, arity, ch in _COMMANDS[command][2]]
-    text = " ".join([prog] + flags + usage)
-    prefix = "usage: "
-    # argparse wraps a long usage as options after prog, then positionals
-    # on lines of their own; a prog over 3/4 of the width gets a line too
-    if len(prefix) + len(text) <= width:
-        lines = [text]
-    elif len(prefix) + len(prog) <= 0.75 * width:
-        indent = " " * (len(prefix) + len(prog) + 1)
-        lines = (_wrap([prog] + flags, indent, width, prefix)
-                 + _wrap(usage, indent, width))
-    else:
-        indent = " " * len(prefix)
-        lines = _wrap(flags + usage, indent, width)
-        if len(lines) > 1:
-            lines = _wrap(flags, indent, width) + _wrap(usage, indent, width)
-        lines = [prog] + lines
-    text = prefix + "\n".join(lines) + "\n"
-    if not full:
-        return text
-    import textwrap
-    items = positionals + options
-    # the help column: two past the widest item, but at most 24
-    position = min(max(len(inv) for _, inv, _ in items) + 4,
-                   min(24, max(width - 20, 4)))
-
-    def item(indent, inv, what):
-        head = " " * indent + inv
-        if not what:
-            return head + "\n"
-        room = position - indent - 2
-        lines = textwrap.wrap(what, max(width - position, 11))
-        if len(inv) <= room:
-            head = head.ljust(indent + room) + "  " + lines.pop(0)
-        return "".join([head + "\n"] + [" " * position + line + "\n"
-                                        for line in lines])
-    text += "\n"
-    if command is None:
-        text += textwrap.fill(
-            "Exact checks and derivations for algebras, calculi, vector-field"
-            " pairs, operator algebras and connections.", max(width, 11)) \
-            + "\n\n"
-    return (text + "positional arguments:\n"
-            + "".join(item(*i) for i in positionals)
-            + "\noptions:\n" + "".join(item(*i) for i in options))
+def _argparser(command):
+    """argparse's parser of one command (None for the top level), built
+    from _COMMANDS.  It only formats help and usage: _parse reads argv."""
+    import argparse
+    top = argparse.ArgumentParser(
+        prog="ncwb",
+        description="Exact checks and derivations for algebras, calculi, "
+                    "vector-field pairs, operator algebras and connections.")
+    sub = top.add_subparsers(dest="command", required=True)
+    parsers = {None: top}
+    for name, (_, what, positionals, options) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=what)
+        for arg, arity, choices in positionals:
+            p.add_argument(arg, nargs=None if arity == 1 else arity,
+                           choices=choices)
+        for flags, dest, choices, default in options:
+            p.add_argument(*flags, dest=dest, choices=choices,
+                           default=default)
+    return parsers[command]
 
 
 def _error(command, message: str):
-    """argparse's usage error: the usage and the reason on stderr, exit 2."""
-    _say(sys.stderr, _help_text(command, False) + "%s: error: %s\n"
-         % ("ncwb" if command is None else "ncwb " + command, message))
+    """argparse's usage error: the usage and the reason on stderr, exit 2.
+    Not argparse's error(), which writes to stdout if stderr is None."""
+    p = _argparser(command)
+    _say(sys.stderr, p.format_usage() + "%s: error: %s\n" % (p.prog, message))
     raise SystemExit(2)
 
 
@@ -687,7 +620,7 @@ def _take_option(command, flags, tokens, kinds, i, ns, extras) -> int:
         stop += 1
     for opt in taken + [opt]:
         if opt is None:
-            _say(sys.stdout, _help_text(command, True))
+            _say(sys.stdout, _argparser(command).format_help())
             raise SystemExit(0)
         _check_choice(command, "/".join(opt[0]), value, opt[2])
         setattr(ns, opt[1], value)

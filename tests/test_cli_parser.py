@@ -1,13 +1,17 @@
 """The command line parser against the argparse parser it replaced.
 
 helpers.oracle_parser is the argparse parser ncwb read its command line
-with before; ncwb.cli._parse reads the same grammar from one table.  Both
-are run on the same argv and must agree on the exit code, the parsed
-attributes and every byte written, except for the two documented
-readings (see the ncwb.cli module docstring): a token that starts with -
-and a digit is always a positional, and a -- after the first is an
-ordinary argument.  The oracle is given a plain word in place of each such
-token, which is how the new parser reads it.
+with before; ncwb.cli._parse reads the same grammar from one table and
+composes every error reason itself, and only the help and usage text come
+from argparse, through parsers ncwb.cli._argparser builds from the same
+table when one is printed.  Both are run on the same argv and must agree
+on the exit code, the parsed attributes and every byte written, except
+for the two documented readings (see the ncwb.cli module docstring): a
+token that starts with - and a digit is always a positional, and a --
+after the first is an ordinary argument.  The oracle is given a plain
+word in place of each such token, which is how the new parser reads it.
+Help and usage errors must also drop what a closed or missing stream
+cannot take, and no run that succeeds may import argparse.
 """
 
 import contextlib
@@ -31,7 +35,7 @@ VOCABULARY = COMMANDS + [
     "frobnicate", "ws.json", "a.json", "qp", "dual", "relations", "bogus",
     "-o", "-oX", "--output", "--out", "--output=X", "--format", "--form",
     "--format=json", "--form=xml", "json", "text", "xml", "-h", "--help",
-    "--he", "-ho", "--", "-", "-1", "-1/2", "1/2", "-.5", "-x", "--=x",
+    "--he", "-ho", "--", "-", "-1", "-1/2", "1/2", "-.5", "-x", "--=x", "",
 ]
 
 
@@ -162,23 +166,60 @@ def test_a_second_separator_is_an_ordinary_argument(capsys):
     assert args.params == ["1", "--"]
 
 
+class BrokenPipe:
+    """A stream whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("state", [None, BrokenPipe()], ids=["none", "pipe"])
+@pytest.mark.parametrize("argv,code,stream", [
+    (["-h"], 0, "stdout"), (["derive", "-h"], 0, "stdout"),
+    (["builtin", "b", "-o", "x", "1"], 2, "stderr"),
+], ids=["help", "derive-help", "usage-error"])
+def test_help_and_usage_errors_drop_what_a_gone_stream_cannot_take(
+        monkeypatch, argv, code, stream, state):
+    # argparse's error() writes the usage to stdout when stderr is None,
+    # and print_help() writes to stderr when stdout is None: neither may
+    # happen here
+    other = io.StringIO()
+    monkeypatch.setattr(sys, stream, state)
+    monkeypatch.setattr(sys, "stderr" if stream == "stdout" else "stdout",
+                        other)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert other.getvalue() == ""
+
+
 def test_report_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
     # argparse imports gettext, which imports locale the first time
-    # argparse asks it for a message; parsing the command line from the
-    # table keeps all three out of a report run
+    # argparse asks it for a message; only help and usage errors build an
+    # argparse parser, so no run that succeeds loads any of the three
     objects = {name: {"kind": "builtin", "builtin": name}
                for name in BUILTIN_NAMES}
     objects["truncated_poly"]["params"] = [4]
     objects["quantum_plane_trunc"]["params"] = [2, 2]
     path = tmp_path / "all.json"
     path.write_text(json.dumps({"schema": SCHEMA, "objects": objects}))
-    probe = ("import sys\n"
+    out = tmp_path / "out.json"
+    probe = ("import json, sys\n"
              "from ncwb.cli import main\n"
-             "code = main(['report', sys.argv[1]])\n"
+             "code = main(json.loads(sys.argv[1]))\n"
              "sys.stdout.flush()\n"
              "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
              "sys.stderr.write('%d %s\\n' % (code, sorted(loaded)))\n")
-    r = subprocess.run([sys.executable, "-c", probe, str(path)],
-                       capture_output=True, text=True)
-    assert r.stderr.splitlines()[-1] == "0 []", r.stderr
-    assert r.stdout.rstrip().endswith("result: ok")
+    runs = {}
+    for argv in (["report", path], ["check", path],
+                 ["derive", path, "dual_numbers.pair", "relations", "-o", out],
+                 ["builtin", "dual_numbers", "-o", out]):
+        argv = list(map(str, argv))
+        r = runs[argv[0]] = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argv)],
+            capture_output=True, text=True)
+        assert r.stderr.splitlines()[-1] == "0 []", (argv, r.stderr)
+    assert runs["report"].stdout.rstrip().endswith("result: ok")
+    assert "dual_numbers.pair: cartan ok" in runs["check"].stdout
+    assert runs["builtin"].stdout == runs["derive"].stdout == ""
+    assert json.loads(out.read_text())["schema"] == SCHEMA

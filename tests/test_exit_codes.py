@@ -249,6 +249,22 @@ def test_an_output_path_that_cannot_be_written_exits_two(tmp_path, optimize,
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [["builtin", "dual_numbers"],
+                                  ["derive", "ws.json", "D.algebra",
+                                   "universal"]], ids=["builtin", "derive"])
+def test_an_empty_output_path_exits_two(tmp_path, monkeypatch, capsys, argv):
+    # -o "" names a path that cannot be opened, as an unset $OUT in
+    # -o "$OUT" does; it is not a request for stdout
+    monkeypatch.chdir(tmp_path)
+    objects = {"D": {"kind": "builtin", "builtin": "dual_numbers"}}
+    (tmp_path / "ws.json").write_text(
+        json.dumps({"schema": "ncwb/1", "objects": objects}))
+    assert main(argv + ["-o", ""]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: cannot write : No such file or "
+                              "directory\n")
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 def test_a_value_too_long_to_write_exits_two(optimize):
     # q of 4000 digits is read, but q^2 in the products has more digits

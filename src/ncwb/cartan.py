@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
-    Echelon, Matrix, Subspace, block_combination, blockwise_product,
+    Echelon, Matrix, block_combination, blockwise_product,
     closure_under_maps, column_blocks, hstack, intertwiner_rows,
     is_zero_vector, kernel, linear_combination, rank,
 )
@@ -297,7 +297,10 @@ def co_universal_pair(a: Algebra,
     f -> X_D(du f) = D(1) f - D(f) 1 = -D(f) once the unit is a right
     unit, which is checked first.  The evaluation matrices of the X_D over
     a basis of {D(1) = 0} are row reduced to the canonical basis E_k that
-    right_dual(universal.bimodule) gives, the test oracle; read maps
+    right_dual(universal.bimodule) gives, the test oracle; D -> X_D is
+    injective when they keep the dimension of {D(1) = 0}.  The field of
+    E_k = X_D, f -> X_D(du f) = -D(f), is read off du as E_k du, as in
+    pair_from_calculus, so no D goes through the elimination.  read maps
     flat(D) to the coordinates of X_D, for co_universal_factorization.
 
     The actions are read at the pivots.  The basis is reduced, so the
@@ -329,38 +332,26 @@ def co_universal_pair(a: Algebra,
     _, (unit,) = Matrix((a.unit,)).int_rows()
     dspace = kernel(Matrix.from_int_rows(
         [(1, [(m * n + i, x) for i, x in unit]) for m in range(n)], n * n))
-    # eliminate (X_D | D) together: the left parts come out as the
-    # canonical evaluation basis, the right parts as its D's
-    ech = Echelon(nk + n * n)
+    ech = Echelon(nk)
     for dv in dspace.matrix.int_rows()[1]:
-        de, xd = linear_combination([x for _, x in dv],
-                                    [evals[j] for j, _ in dv], n, k).flat_int()
-        xd.update((nk + j, x * de) for j, x in dv)
-        ech.insert_int(xd)
-    pivots = ech.pivots
-    if pivots and pivots[-1] >= nk:
+        ech.insert_int(linear_combination(
+            [x for _, x in dv], [evals[j] for j, _ in dv], n, k).flat_int()[1])
+    if ech.dim != dspace.dim:
         raise InvariantError("D -> X_D is not injective on {D : D(1) = 0}")
-    rows = [(r[pc], r) for r, pc in zip(ech.rows, pivots)]
-    # every pivot lies in the left parts, so they are reduced already
-    span = Subspace(Matrix.from_int_rows(
-        [(p, {j: x for j, x in r.items() if j < nk}) for p, r in rows], nk),
-        pivots)
-    dflat = Matrix.from_int_rows(
-        [(p, {j - nk: x for j, x in r.items() if j >= nk}) for p, r in rows],
-        n * n)
+    span = ech.subspace()
     # the coordinates of X_D are the entries of its evaluation at the
     # pivots, linear in flat(D): column m*n + i of read holds those of X_E
     # for E the matrix unit e_i -> e_m
-    row_of = {pc: t for t, pc in enumerate(pivots)}
+    row_of = {pc: t for t, pc in enumerate(span.pivots)}
     read = Matrix.from_int_cols(
         [(de, {row_of[pc]: x for pc, x in flat.items() if pc in row_of})
-         for de, flat in (e.flat_int() for e in evals)], len(pivots))
+         for de, flat in (e.flat_int() for e in evals)], span.dim)
     # row t of a selector weighs entry (b, c_t) by l_f[a_t][b], or entry
     # (a_t, b) by L^u_g[b][c_t]; times the basis, it reads coordinate t
-    at = [divmod(pc, k) for pc in pivots]
+    at = [divmod(pc, k) for pc in span.pivots]
     basis_t = span.matrix.transpose()
     dual = DualBimodule(u.bimodule, "right", Bimodule(
-        a, len(pivots),
+        a, span.dim,
         [Matrix.from_int_rows([(d, [(b * k + c, x) for b, x in lrows[r]])
                                for r, c in at], nk) @ basis_t
          for d, lrows in (li.int_rows() for li in a.lmul)],
@@ -368,8 +359,9 @@ def co_universal_pair(a: Algebra,
                                for r, c in at], nk) @ basis_t
          for d, cols in (lu.transpose().int_rows()
                          for lu in u.bimodule.left)]), span)
-    return CoUniversalPair(u, dual, dflat.scale(-1).row_matrices(n, n),
-                           read=read)
+    # field t acts as f -> E_t du(f), all at once as in pair_from_calculus
+    action = blockwise_product(span.matrix, u.d, n).row_matrices(n, n)
+    return CoUniversalPair(u, dual, action, read=read)
 
 
 @dataclass

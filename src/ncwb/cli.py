@@ -45,7 +45,7 @@ from .connections import check_covariant_axioms
 from .diffops import ccr_from_laws, find_relations, \
     generate_diffop_algebra, order_filtration, word_count
 from .linalg import ONE
-from .reporting import CheckReport, InvariantError
+from .reporting import CheckReport, InvariantError, with_article
 from .workspace import (
     SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
     bimodule_decl, calculus_decl, canonical_parts, canonical_text,
@@ -266,8 +266,8 @@ def cmd_derive(args) -> int:
     what = args.what
     expected, gated, build = _DERIVE[what]
     if kind != expected:
-        raise WorkspaceError("derive %s needs a %s, but %r is a %s"
-                             % (what, expected, args.name, kind))
+        raise WorkspaceError("derive %s needs %s, but %r is %s" % (
+            what, with_article(expected), args.name, with_article(kind)))
     if gated:
         failed = [rep for k, o in _law_subjects(kind, obj)
                   for rep in law_checks(k, o).values() if not rep.ok]

@@ -24,6 +24,11 @@ def too_many_digits(where: str) -> WorkspaceError:
                           % (where, sys.get_int_max_str_digits()))
 
 
+def with_article(kind: str) -> str:
+    """kind after its indefinite article: "a bimodule", "an algebra"."""
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
+
+
 def format_rational(x) -> str:
     try:
         return str(Fraction(x))

@@ -9,7 +9,8 @@ reference.
 
 Loading only enforces shapes and reference integrity; mathematical laws
 are the business of the checkers, so a broken table still loads and can
-then be reported on.
+then be reported on.  Writing gives json's own indented text, with the
+SparseRows and WordList tables spliced into it (canonical_parts).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import Matrix
 from .algebra import Algebra, Bimodule, LeftModule, tensor_over_A
@@ -29,7 +29,8 @@ from .calculus import DifferentialCalculus
 from .cartan import CartanPair
 from .catalog import builtin
 from .connections import Connection
-from .reporting import WorkspaceError, format_rational, too_many_digits
+from .reporting import (WorkspaceError, format_rational, too_many_digits,
+                        with_article)
 
 SCHEMA = "ncwb/1"
 
@@ -118,8 +119,8 @@ class Workspace:
                                  % (where, name))
         wo = self.objects[name]
         if wo.kind != kind:
-            raise WorkspaceError("%s: %r is a %s, expected a %s"
-                                 % (where, name, wo.kind, kind))
+            raise WorkspaceError("%s: %r is %s, expected %s" % (
+                where, name, with_article(wo.kind), with_article(kind)))
         return wo.obj
 
 
@@ -341,8 +342,10 @@ def algebra_decl(a: Algebra) -> dict:
     return {
         "kind": "algebra",
         "basis": list(a.basis_names),
-        "products": [[vector_strings(a.sc[i][j]) for j in range(a.dim)]
-                     for i in range(a.dim)],
+        # formatted now: a value too long to write is refused before output
+        "products": [SparseRows(a.dim, [[(k, format_rational(x))
+                                         for k, x in enumerate(v) if x]
+                                        for v in row]) for row in a.sc],
         "unit": vector_strings(a.unit),
     }
 
@@ -380,10 +383,10 @@ def cartan_pair_decl(p: CartanPair, algebra_ref: str,
 @dataclass(frozen=True)
 class SparseRows:
     """A list of rows of width exact values each, written as JSON lists of
-    their strings: rows[k] holds (column, value) pairs in increasing column
-    for its non-zero cells, and every other cell reads "0".  A relation
-    basis is W entries wide with a handful of them non-zero, so the writer
-    copies the zeros from one all-"0" row text."""
+    their strings: rows[k] holds (column, cell) pairs in increasing column
+    for its non-zero cells, a cell a value or its text, and every other cell
+    reads "0".  A relation basis is W entries wide with a handful of them
+    non-zero, so the writer copies the zeros from one all-"0" row text."""
     width: int
     rows: Sequence
 
@@ -391,10 +394,10 @@ class SparseRows:
 @dataclass(frozen=True)
 class WordList:
     """A list of words, each written as the JSON list of its letters:
-    letters is the table of the distinct letters, each a JSON value without
-    dicts, and words[w] lists the positions in that table of the letters
-    of word w.  A relation search has W words over n + p letters, so the
-    writer formats each letter once and copies its text."""
+    letters is the table of the distinct letters, each a JSON value, and
+    words[w] lists the positions in that table of the letters of word w.
+    A relation search has W words over n + p letters, so the writer
+    formats each letter once and copies its text."""
     letters: Sequence
     words: Sequence
 
@@ -412,84 +415,50 @@ def canonical_parts(doc: dict):
     string.
 
     Documents hold dicts with string keys, lists, tuples, strings, ints,
-    bools, None, SparseRows and WordList.  The stdlib's indenting encoder
-    is pure Python; this writer quotes with its C string encoder and
-    formats a value with no dict, SparseRows or WordList inside as one
-    string.
+    bools, None, SparseRows and WordList.  json formats each value with no
+    SparseRows or WordList inside as one piece; the dicts and lists that
+    hold one are walked here, and a SparseRows or WordList splices its
+    cells into text that json formatted once.
     """
     yield from _json_parts(doc, "\n")
     yield "\n"
 
 
-def _inline_text(o, nl: str) -> Optional[str]:
-    """The JSON text of o when it is a scalar (string, None, bool, int) or
-    a list or tuple of such values, nested to any depth; None when o holds
-    anything else.  nl is a newline plus the indent of the line o starts
-    on."""
-    if isinstance(o, str):
-        return _quote(o)
+def _dumps(o, nl: str) -> str:
+    """json's indented text of o on a line that nl (a newline plus its
+    indent) starts: ensure_ascii escapes every newline inside a string,
+    so each newline of the text is a line break."""
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _holds_table(o) -> bool:
+    """Whether o is or holds a SparseRows or a WordList."""
+    if isinstance(o, dict):
+        return any(map(_holds_table, o.values()))
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        texts = []
-        for x in o:
-            # strings and ints, the usual entries, without a call
-            if isinstance(x, str):
-                text = _quote(x)
-            elif type(x) is int:
-                text = int.__repr__(x)
-            else:
-                text = _inline_text(x, inner)
-                if text is None:
-                    return None
-            texts.append(text)
-        return "[" + inner + ("," + inner).join(texts) + nl + "]"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    return None
+        return any(map(_holds_table, o))
+    return isinstance(o, (SparseRows, WordList))
 
 
 def _json_parts(o, nl: str):
     """o's JSON text in pieces; nl is a newline plus the indent of the line
-    o starts on.  A value without dicts, SparseRows or WordList inside is
-    one piece."""
-    text = _inline_text(o, nl)
-    if text is not None:
-        yield text
-    elif isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(o):
-            if not isinstance(k, str):
-                raise TypeError("JSON keys must be str, not %r" % (k,))
-            yield sep + _quote(k) + ": "
-            yield from _json_parts(o[k], inner)
-            sep = "," + inner
-        yield nl + "}"
-    elif isinstance(o, SparseRows):
+    o starts on.  A value without SparseRows or WordList inside is one
+    piece.  A key of a dict walked here that is not a string raises
+    TypeError in _quote."""
+    if isinstance(o, SparseRows):
         yield from _sparse_rows_parts(o, nl)
     elif isinstance(o, WordList):
         yield from _word_list_parts(o, nl)
-    elif isinstance(o, (list, tuple)):
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in o:
-            yield sep
-            yield from _json_parts(x, inner)
-            sep = "," + inner
-        yield nl + "]"
+    elif not _holds_table(o):
+        yield _dumps(o, nl)
     else:
-        raise TypeError("%r is not JSON serializable" % (o,))
+        keyed, inner = isinstance(o, dict), nl + "  "
+        sep = ("{" if keyed else "[") + inner
+        for k in sorted(o) if keyed else range(len(o)):
+            yield (sep + _quote(k) + ": ") if keyed else sep
+            yield from _json_parts(o[k], inner)
+            sep = "," + inner
+        yield nl + ("}" if keyed else "]")
 
 
 def _sparse_rows_parts(o: SparseRows, nl: str):
@@ -500,11 +469,7 @@ def _sparse_rows_parts(o: SparseRows, nl: str):
         return
     inner = nl + "  "
     cell = inner + "  "
-    if o.width:
-        zeros = "[" + cell + ("," + cell).join(repeat('"0"', o.width)) \
-            + inner + "]"
-    else:
-        zeros = "[]"
+    zeros = _dumps(["0"] * o.width, inner)
     first, step = 1 + len(cell), 4 + len(cell)
     sep = "[" + inner
     for row in o.rows:
@@ -532,13 +497,10 @@ def _word_list_parts(o: WordList, nl: str):
         return
     inner = nl + "  "
     cell = inner + "  "
-    texts = [_inline_text(x, cell) for x in o.letters]
+    texts = [_dumps(x, cell) for x in o.letters]
     sep, join, close = "[" + inner, "," + cell, inner + "]"
     for word in o.words:
-        if word:
-            yield sep + "[" + cell + join.join([texts[k] for k in word]) \
-                + close
-        else:
-            yield sep + "[]"
+        yield sep + ("[" + cell + join.join([texts[k] for k in word])
+                     + close if word else "[]")
         sep = "," + inner
     yield nl + "]"

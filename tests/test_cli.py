@@ -360,6 +360,19 @@ def test_derive_kind_mismatch_is_input_error(tmp_path, capsys):
     assert "needs a cartan_pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,what,message", [
+    ("dn.regular", "universal",
+     "derive universal needs an algebra, but 'dn.regular' is a bimodule"),
+    ("dn.algebra", "dual",
+     "derive dual needs a bimodule, but 'dn.algebra' is an algebra"),
+])
+def test_derive_kind_mismatch_writes_each_article(tmp_path, capsys, name,
+                                                  what, message):
+    path = write_ws(tmp_path, dn_objects())
+    assert main(["derive", path, name, what]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_derive_pair_output_is_self_contained(tmp_path, capsys):
     path = write_ws(tmp_path, dn_objects())
     out_path = tmp_path / "pair.json"

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import check_bimodule
 from ncwb.cartan import check_cartan
-from ncwb.catalog import builtin
+from ncwb.catalog import BUILTIN_NAMES, builtin
 from ncwb.connections import check_connection, trivial_connection
 from ncwb.diffops import find_relations
 from ncwb.linalg import ONE
 from ncwb.workspace import (
     SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
     bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl,
-    format_rational, parse_rational, parse_workspace,
+    format_rational, parse_rational, parse_workspace, vector_strings,
 )
 
 from helpers import connection_decl, declared_names, export_workspace
@@ -242,6 +242,19 @@ def test_canonical_text_is_order_insensitive():
     assert canonical_text(d1).endswith("\n")
 
 
+@pytest.mark.parametrize("obj,key,ref,message", [
+    ("Om", "algebra", "M", "'M' is a bimodule, expected an algebra"),
+    ("Om", "module", "A", "'A' is an algebra, expected a bimodule"),
+])
+def test_a_reference_of_the_wrong_kind_names_both_kinds(obj, key, ref,
+                                                        message):
+    doc = dn_doc()
+    doc["objects"][obj][key] = ref
+    with pytest.raises(WorkspaceError) as e:
+        parse_workspace(canonical_text(doc))
+    assert str(e.value) == "object %r: %s" % (obj, message)
+
+
 def test_notes_field_is_tolerated():
     doc = dn_doc()
     doc["objects"]["A"]["notes"] = "base ring of the example"
@@ -337,6 +350,8 @@ def test_sparse_rows_out_of_order_or_range_are_refused(rows):
 def sparse_rows(draw):
     width = draw(st.integers(0, 6))
     values = st.fractions(max_denominator=50).filter(bool)
+    # a cell is a value or its text, as in an algebra's products table
+    values = st.one_of(values, values.map(format_rational))
     rows = []
     for _ in range(draw(st.integers(0, 4))):
         cols = sorted(draw(st.sets(st.integers(0, width - 1)))) \
@@ -352,6 +367,25 @@ def test_sparse_rows_are_the_stdlib_encoding_of_dense_rows(rows, depth):
     for k in range(depth):
         doc, dense = {"k%d" % k: [doc, 1]}, {"k%d" % k: [dense, 1]}
     assert canonical_text({"d": doc}) == stdlib_text({"d": dense})
+
+
+def dense_algebra_decl(a) -> dict:
+    """An algebra's declaration with its products as the dense table of
+    the strings of every cell."""
+    return {"kind": "algebra", "basis": list(a.basis_names),
+            "products": [[vector_strings(v) for v in row] for row in a.sc],
+            "unit": vector_strings(a.unit)}
+
+
+@pytest.mark.parametrize("name,params",
+                         [(name, ()) for name in BUILTIN_NAMES]
+                         + [("quantum_plane_trunc", (Fraction(-1, 3), 5)),
+                            ("quantum_plane_trunc", (2, 6))],
+                         ids=lambda v: str(v))
+def test_products_tables_write_as_the_dense_table(name, params):
+    a = builtin(name, params).algebra
+    assert canonical_text({"A": algebra_decl(a)}) \
+        == stdlib_text({"A": dense_algebra_decl(a)})
 
 
 def word_texts(words: WordList) -> list:

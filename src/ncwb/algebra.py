@@ -26,7 +26,6 @@ solve once per distinct block: on A^r, one copy of A instead of r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
@@ -301,24 +300,19 @@ class LeftModule:
         return "LeftModule(dim %d over %r)" % (self.dim, self.algebra)
 
 
-@dataclass
 class BimoduleMap:
     """Linear map source -> target intended to intertwine both actions."""
-    source: Bimodule
-    target: Bimodule
-    matrix: Matrix
 
-    def __post_init__(self):
-        if self.source.algebra is not self.target.algebra:
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
+        if source.algebra is not target.algebra:
             raise ValueError("a bimodule map needs bimodules over one "
                              "algebra")
-        if self.matrix.nrows != self.target.dim \
-                or self.matrix.ncols != self.source.dim:
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("a map from dimension %d to %d needs a %dx%d "
                              "matrix, not %dx%d" % (
-                                 self.source.dim, self.target.dim,
-                                 self.target.dim, self.source.dim,
-                                 self.matrix.nrows, self.matrix.ncols))
+                                 source.dim, target.dim, target.dim,
+                                 source.dim, matrix.nrows, matrix.ncols))
+        self.source, self.target, self.matrix = source, target, matrix
 
 
 def check_bimodule_map(alpha: BimoduleMap) -> CheckReport:
@@ -542,14 +536,16 @@ def block_sum(ambient_dim: int, parts: Iterable) -> Subspace:
                     [pc for pc, _, _ in picked])
 
 
-@dataclass
 class TensorProductOverA:
     """M (x)_A E: quotient of the plain tensor product by balancing."""
-    factors: tuple
-    module: LeftModule
-    projection: Matrix     # ambient (M x E) coords -> quotient coords
-    lift: Matrix           # section of projection
-    relations: Subspace
+
+    def __init__(self, factors: tuple, module: LeftModule,
+                 projection: Matrix, lift: Matrix, relations: Subspace):
+        self.factors = factors
+        self.module = module
+        self.projection = projection   # ambient (M x E) -> quotient coords
+        self.lift = lift               # section of projection
+        self.relations = relations
 
 
 def tensor_over_A(m: Bimodule, e: LeftModule) -> TensorProductOverA:

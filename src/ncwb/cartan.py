@@ -33,7 +33,6 @@ cli._report_object).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
@@ -214,10 +213,13 @@ def calculus_from_pair(p: CartanPair):
     return DifferentialCalculus(p.algebra, ld.bimodule, c.transpose()), ld
 
 
-@dataclass
 class SpanKernelDiagnostic:
-    spanned: bool
-    kernel_trivial: bool
+    def __init__(self, spanned: bool, kernel_trivial: bool):
+        self.spanned, self.kernel_trivial = spanned, kernel_trivial
+
+    def __eq__(self, other):
+        return isinstance(other, SpanKernelDiagnostic) \
+            and vars(self) == vars(other)
 
 
 def spanning_kernel_diagnostic(p: CartanPair) -> SpanKernelDiagnostic:
@@ -364,14 +366,13 @@ def co_universal_pair(a: Algebra,
     return CoUniversalPair(u, dual, action, read=read)
 
 
-@dataclass
 class CoUniversalFactorization:
     """The bimodule map Phi: N -> X_u with action = action_u o Phi."""
-    phi: Optional[BimoduleMap]
-    exists: bool
-    unique: bool
-    homogeneous_dim: int
-    report: CheckReport
+
+    def __init__(self, phi: Optional[BimoduleMap], exists: bool,
+                 unique: bool, homogeneous_dim: int, report: CheckReport):
+        self.phi, self.exists, self.unique = phi, exists, unique
+        self.homogeneous_dim, self.report = homogeneous_dim, report
 
 
 def co_universal_factorization(p: CartanPair,

@@ -11,7 +11,6 @@ deliberately broken objects used to prove the checkers can reject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -36,16 +35,14 @@ LAW_CHECKERS = {
 }
 
 
-@dataclass
 class ExampleBundle:
-    name: str
-    algebra: Algebra
-    bimodules: dict = field(default_factory=dict)
-    calculus: Optional[DifferentialCalculus] = None
-    pair: Optional[CartanPair] = None
-    notes: str = ""
-    # id(member) -> {label: CheckReport}, filled in by _validated
-    verdicts: dict = field(default_factory=dict)
+    def __init__(self, name: str, algebra: Algebra, bimodules: dict,
+                 calculus: Optional[DifferentialCalculus] = None,
+                 pair: Optional[CartanPair] = None, notes: str = ""):
+        self.name, self.algebra, self.bimodules = name, algebra, bimodules
+        self.calculus, self.pair, self.notes = calculus, pair, notes
+        # id(member) -> {label: CheckReport}, filled in by _validated
+        self.verdicts = {}
 
     def members(self) -> list:
         """(name, kind, object) for each piece, in the order check and
@@ -130,9 +127,10 @@ def _truncated_poly(n: int) -> ExampleBundle:
 
 
 def _dual_numbers() -> ExampleBundle:
-    return replace(_truncated_poly(2), name="dual_numbers",
-                   notes="numbers 1 + eps with eps^2 = 0; one-form module "
-                         "kills x")
+    t = _truncated_poly(2)
+    return ExampleBundle(
+        "dual_numbers", t.algebra, t.bimodules, t.calculus, t.pair,
+        notes="numbers 1 + eps with eps^2 = 0; one-form module kills x")
 
 
 def _group_algebra_z2() -> ExampleBundle:

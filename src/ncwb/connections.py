@@ -15,7 +15,6 @@ fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
@@ -194,14 +193,13 @@ def trivial_connection(c: DifferentialCalculus, rank_: int = 1) -> Connection:
     return Connection(c, e, t, mat)
 
 
-@dataclass
 class ConnectionSpace:
     """Affine solution set of the connection Leibniz constraint."""
-    tensor: TensorProductOverA
-    exists: bool
-    particular: Optional[Connection]
-    homogeneous: Subspace       # flattened maps E -> M (x)_A E
 
+    def __init__(self, tensor: TensorProductOverA, exists: bool,
+                 particular: Optional[Connection], homogeneous: Subspace):
+        self.tensor, self.exists, self.particular = tensor, exists, particular
+        self.homogeneous = homogeneous   # flattened maps E -> M (x)_A E
 
 
 def connection_space(c: DifferentialCalculus, e: LeftModule) -> ConnectionSpace:

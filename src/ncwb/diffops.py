@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -270,7 +269,6 @@ def word_count(pair: CartanPair, max_len: int) -> int:
     return pair.algebra.dim * sum(p ** k for k in range(max_len))
 
 
-@dataclass
 class RelationSearch:
     """Kernel of mu on the span of short normal-form words, held sparsely.
 
@@ -285,10 +283,13 @@ class RelationSearch:
     theirs.  len(rules) is the number of relations; space() stores the
     same basis as a Subspace.
     """
-    words: tuple            # coordinate order of the word span
-    rules: tuple            # one (f, ((q, c), ...)) per relation
-    max_len: int
-    letters: tuple          # the n algebra, then the p module letters
+
+    def __init__(self, words: tuple, rules: tuple, max_len: int,
+                 letters: tuple):
+        self.words = words        # coordinate order of the word span
+        self.rules = rules        # one (f, ((q, c), ...)) per relation
+        self.max_len = max_len
+        self.letters = letters    # the n algebra, then the p module letters
 
     def space(self) -> Subspace:
         """The relations as a subspace of Q^W, canonical basis."""

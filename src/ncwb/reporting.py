@@ -8,7 +8,6 @@ more digits than str() converts as an output error, not a traceback.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -44,12 +43,20 @@ class InvariantError(Exception):
     """
 
 
-@dataclass(frozen=True)
 class Finding:
     """One violated law, with the basis indices that witness it."""
-    law: str
-    witness: tuple
-    detail: str = ""
+
+    def __init__(self, law: str, witness: tuple, detail: str = ""):
+        self.law, self.witness, self.detail = law, witness, detail
+
+    def __eq__(self, other):
+        return isinstance(other, Finding) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.law, self.witness, self.detail))
+
+    def __repr__(self):
+        return "Finding(%r, %r, %r)" % (self.law, self.witness, self.detail)
 
     def __str__(self):
         w = ",".join(str(x) for x in self.witness)
@@ -59,10 +66,16 @@ class Finding:
         return s
 
 
-@dataclass
 class CheckReport:
-    subject: str
-    findings: list = field(default_factory=list)
+    def __init__(self, subject: str):
+        self.subject = subject
+        self.findings = []
+
+    def __eq__(self, other):
+        return isinstance(other, CheckReport) and vars(self) == vars(other)
+
+    def __repr__(self):
+        return "CheckReport(%r, %r)" % (self.subject, self.findings)
 
     @property
     def ok(self) -> bool:

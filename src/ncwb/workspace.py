@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
@@ -84,12 +83,10 @@ def vector_strings(v):
     return [format_rational(x) for x in v]
 
 
-@dataclass
 class WorkspaceObject:
-    name: str
-    kind: str
-    obj: object
-    params: tuple = ()             # builtin rows remember their parameters
+    def __init__(self, name: str, kind: str, obj, params: tuple = ()):
+        self.name, self.kind, self.obj = name, kind, obj
+        self.params = params       # builtin rows remember their parameters
 
 
 class Workspace:
@@ -380,26 +377,26 @@ def cartan_pair_decl(p: CartanPair, algebra_ref: str,
     }
 
 
-@dataclass(frozen=True)
 class SparseRows:
     """A list of rows of width exact values each, written as JSON lists of
     their strings: rows[k] holds (column, cell) pairs in increasing column
     for its non-zero cells, a cell a value or its text, and every other cell
     reads "0".  A relation basis is W entries wide with a handful of them
     non-zero, so the writer copies the zeros from one all-"0" row text."""
-    width: int
-    rows: Sequence
+
+    def __init__(self, width: int, rows: Sequence):
+        self.width, self.rows = width, rows
 
 
-@dataclass(frozen=True)
 class WordList:
     """A list of words, each written as the JSON list of its letters:
     letters is the table of the distinct letters, each a JSON value, and
     words[w] lists the positions in that table of the letters of word w.
     A relation search has W words over n + p letters, so the writer
     formats each letter once and copies its text."""
-    letters: Sequence
-    words: Sequence
+
+    def __init__(self, letters: Sequence, words: Sequence):
+        self.letters, self.words = letters, words
 
 
 def canonical_text(doc: dict) -> str:
@@ -469,7 +466,8 @@ def _sparse_rows_parts(o: SparseRows, nl: str):
         return
     inner = nl + "  "
     cell = inner + "  "
-    zeros = _dumps(["0"] * o.width, inner)
+    zeros = ("[" + cell + ("," + cell).join(['"0"'] * o.width) + inner
+             + "]") if o.width else "[]"
     first, step = 1 + len(cell), 4 + len(cell)
     sep = "[" + inner
     for row in o.rows:

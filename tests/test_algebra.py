@@ -207,6 +207,16 @@ def test_bimodule_map_space_dual_numbers():
             BimoduleMap(reg, reg, Matrix.from_flat(b, 2, 2))).ok
 
 
+def test_mis_shaped_bimodule_maps_are_refused_with_their_reason():
+    reg = Bimodule.regular(dual_numbers())
+    with pytest.raises(ValueError, match="^a map from dimension 2 to 2 "
+                       "needs a 2x2 matrix, not 3x2$"):
+        BimoduleMap(reg, reg, Matrix.zeros(3, 2))
+    with pytest.raises(ValueError, match="^a bimodule map needs bimodules "
+                       "over one algebra$"):
+        BimoduleMap(Bimodule.regular(matrix_2()), reg, Matrix.zeros(2, 4))
+
+
 def test_bimodule_map_space_matrix_algebra_is_scalars():
     a = matrix_2()
     reg = Bimodule.regular(a)

@@ -52,6 +52,14 @@ def same_algebra(a, b):
     return a.dim == b.dim and a.sc == b.sc and a.unit == b.unit
 
 
+def test_dual_numbers_is_its_own_bundle():
+    dual, line = builtin("dual_numbers"), builtin("truncated_poly", (2,))
+    assert dual.name == "dual_numbers" and line.name == "truncated_poly"
+    assert dual.notes.startswith("numbers 1 + eps")
+    assert dual.verdicts is not line.verdicts
+    assert set(dual.verdicts) == {id(obj) for _, _, obj in dual.members()}
+
+
 def test_tables_match_independent_transcriptions():
     cases = [
         ("dual_numbers", (), helpers.dual_numbers()),

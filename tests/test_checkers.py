@@ -17,6 +17,7 @@ from ncwb.catalog import (
 from ncwb.connections import check_covariant_axioms, trivial_connection
 from ncwb.diffops import check_ccr
 from ncwb.linalg import Matrix
+from ncwb.reporting import CheckReport, Finding
 
 from helpers import (
     BasisChange, check_algebra_by_pairs, check_bimodule_by_pairs,
@@ -43,6 +44,22 @@ def same_report(kind, *args):
     rep = check(*args)
     assert rep == oracle(*args)
     return rep
+
+
+def test_check_reports_keep_their_own_findings():
+    first, second = CheckReport("x"), CheckReport("x")
+    assert first == second and first.findings is not second.findings
+    first.add("law", [0, 1], "detail")
+    assert second.findings == [] and first != second
+    second.add("law", (0, 1), "detail")
+    assert first == second and first != CheckReport("y")
+
+
+def test_equal_findings_are_equal_and_hash_alike():
+    f, g = Finding("law", (0, 1), "detail"), Finding("law", (0, 1), "detail")
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != Finding("law", (0, 1)) and f != Finding("law", (1, 0),
+                                                        "detail")
 
 
 def algebra_checks(a):

@@ -196,7 +196,9 @@ def test_help_and_usage_errors_drop_what_a_gone_stream_cannot_take(
 def test_report_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
     # argparse imports gettext, which imports locale the first time
     # argparse asks it for a message; only help and usage errors build an
-    # argparse parser, so no run that succeeds loads any of the three
+    # argparse parser, so no run that succeeds loads any of the three.
+    # The records are plain classes, so no run loads dataclasses, nor the
+    # inspect that dataclasses imports
     objects = {name: {"kind": "builtin", "builtin": name}
                for name in BUILTIN_NAMES}
     objects["truncated_poly"]["params"] = [4]
@@ -208,7 +210,8 @@ def test_report_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
              "from ncwb.cli import main\n"
              "code = main(json.loads(sys.argv[1]))\n"
              "sys.stdout.flush()\n"
-             "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+             "loaded = {'argparse', 'gettext', 'locale', 'dataclasses',\n"
+             "          'inspect'} & set(sys.modules)\n"
              "sys.stderr.write('%d %s\\n' % (code, sorted(loaded)))\n")
     runs = {}
     for argv in (["report", path], ["check", path],
@@ -223,3 +226,12 @@ def test_report_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
     assert "dual_numbers.pair: cartan ok" in runs["check"].stdout
     assert runs["builtin"].stdout == runs["derive"].stdout == ""
     assert json.loads(out.read_text())["schema"] == SCHEMA
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = ("import sys\n"
+             "import ncwb.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", probe],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr

@@ -363,10 +363,24 @@ def sparse_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows(), st.integers(0, 3))
 def test_sparse_rows_are_the_stdlib_encoding_of_dense_rows(rows, depth):
+    assert_nested_stdlib_encoding(rows, depth)
+
+
+def assert_nested_stdlib_encoding(rows: SparseRows, depth: int):
     doc, dense = rows, dense_rows(rows)
     for k in range(depth):
         doc, dense = {"k%d" % k: [doc, 1]}, {"k%d" % k: [dense, 1]}
     assert canonical_text({"d": doc}) == stdlib_text({"d": dense})
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("width", [0, 1, 1364])
+def test_wide_sparse_rows_are_the_stdlib_encoding(width, depth):
+    # 1364 is the word count of matrix_2 at length 5
+    cols = sorted({0, width // 2, width - 1}) if width else []
+    rows = [(), tuple((j, Fraction(-3, 7 + j)) for j in cols),
+            ((width - 1, 1),) if width else ()]
+    assert_nested_stdlib_encoding(SparseRows(width, rows), depth)
 
 
 def dense_algebra_decl(a) -> dict:

@@ -34,7 +34,7 @@ def main():
         fact = co_universal_factorization(b.pair, cu)
         print("  Phi exists %s, unique %s, free directions %d"
               % (fact.exists, fact.unique, fact.homogeneous_dim))
-        expected = transpose(phi, cu.dual, b.pair.dual)
+        expected = transpose(phi, cu.bimodule, b.pair.bimodule)
         print("  Phi == transpose(phi):",
               fact.phi.matrix == expected.matrix)
 

@@ -9,7 +9,7 @@ exhaustively on basis vectors; linearity does the rest.
 Duals of a bimodule are taken inside Hom(M, A): the right dual consists of
 right module maps, the left dual of left module maps.  A dual element is
 stored as its evaluation matrix, a linear map from module coordinates to
-algebra coordinates, and the dual carries its own bimodule structure
+algebra coordinates, and the dual is itself a bimodule, its actions
 transported through evaluation.  span_action reads each transported
 action, X -> L X or X -> X R on the span of those matrices, into
 coordinates; the universal one-forms of calculus are read through it too.
@@ -162,29 +162,46 @@ def _check_actions(side: str, mats: tuple, algebra: Algebra, dim: int):
                              % (side, i, m.nrows, m.ncols, dim, dim))
 
 
-class Bimodule:
+class LeftModule:
+    """Left module: one action matrix per algebra basis vector."""
+
+    def __init__(self, algebra: Algebra, dim: int, left: Sequence[Matrix]):
+        self.algebra = algebra
+        self.dim = dim
+        self.left = tuple(left)
+        _check_actions("left", self.left, algebra, dim)
+
+    @staticmethod
+    def free(a: Algebra, rank_: int) -> "LeftModule":
+        """A^rank with componentwise left multiplication: each action is
+        block diagonal, rank copies of the left multiplication."""
+        i_r = Matrix.identity(rank_)
+        return LeftModule(a, a.dim * rank_, [kron(i_r, lm) for lm in a.lmul])
+
+    def left_of(self, f) -> Matrix:
+        return linear_combination(f, self.left, self.dim, self.dim)
+
+    def __repr__(self):
+        return "LeftModule(dim %d over %r)" % (self.dim, self.algebra)
+
+
+class Bimodule(LeftModule):
     """Bimodule over an algebra: left[i], right[i] act for basis vector e_i."""
 
     def __init__(self, algebra: Algebra, dim: int, left: Sequence[Matrix],
                  right: Sequence[Matrix]):
-        self.algebra = algebra
-        self.dim = dim
-        self.left = tuple(left)
+        super().__init__(algebra, dim, left)
         self.right = tuple(right)
-        _check_actions("left", self.left, algebra, dim)
         _check_actions("right", self.right, algebra, dim)
 
-    @classmethod
-    def regular(cls, a: Algebra) -> "Bimodule":
-        return cls(a, a.dim, a.lmul, a.rmul)
+    @staticmethod
+    def regular(a: Algebra) -> "Bimodule":
+        return Bimodule(a, a.dim, a.lmul, a.rmul)
 
-    @classmethod
-    def zero(cls, a: Algebra) -> "Bimodule":
+    @staticmethod
+    def zero(a: Algebra) -> "Bimodule":
         z = Matrix((), ncols=0)
-        return cls(a, 0, (z,) * a.dim, (z,) * a.dim)
-
-    def left_of(self, f) -> Matrix:
-        return linear_combination(f, self.left, self.dim, self.dim)
+        return Bimodule(a, 0, (z,) * a.dim, (z,) * a.dim)
 
     def right_of(self, f) -> Matrix:
         return linear_combination(f, self.right, self.dim, self.dim)
@@ -277,29 +294,6 @@ def check_bimodule(m: Bimodule) -> CheckReport:
     return rep
 
 
-class LeftModule:
-    """Left module: one action matrix per algebra basis vector."""
-
-    def __init__(self, algebra: Algebra, dim: int, left: Sequence[Matrix]):
-        self.algebra = algebra
-        self.dim = dim
-        self.left = tuple(left)
-        _check_actions("left", self.left, algebra, dim)
-
-    @classmethod
-    def free(cls, a: Algebra, rank_: int) -> "LeftModule":
-        """A^rank with componentwise left multiplication: each action is
-        block diagonal, rank copies of the left multiplication."""
-        i_r = Matrix.identity(rank_)
-        return cls(a, a.dim * rank_, [kron(i_r, lm) for lm in a.lmul])
-
-    def left_of(self, f) -> Matrix:
-        return linear_combination(f, self.left, self.dim, self.dim)
-
-    def __repr__(self):
-        return "LeftModule(dim %d over %r)" % (self.dim, self.algebra)
-
-
 class BimoduleMap:
     """Linear map source -> target intended to intertwine both actions."""
 
@@ -347,7 +341,7 @@ def bimodule_map_space(m: Bimodule, n: Bimodule) -> Subspace:
     return kernel(Matrix.from_int_rows(rows, n.dim * m.dim))
 
 
-class DualBimodule:
+class DualBimodule(Bimodule):
     """Dual of a bimodule inside Hom(M, A).
 
     side 'right': right module maps X(m.g) = X(m) g, carrying
@@ -356,14 +350,14 @@ class DualBimodule:
         (f.X.g)(m) = X(m.f) g.
 
     The dual is built from span, the canonical subspace of the flattened
-    (row-major) evaluation matrices: basis element k is span.basis[k],
-    stored as its evaluation matrix eval_mats[k], mapping module coordinates
-    to algebra coordinates.  A canonical basis is independent, so nothing
-    is eliminated here.
+    (row-major) evaluation matrices, and its two actions over that basis:
+    basis element k is span.basis[k], stored as its evaluation matrix
+    eval_mats[k], mapping module coordinates to algebra coordinates.  A
+    canonical basis is independent, so nothing is eliminated here.
     """
 
-    def __init__(self, base: Bimodule, side: str, bimodule: Bimodule,
-                 span: Subspace):
+    def __init__(self, base: Bimodule, side: str, span: Subspace,
+                 left: Sequence[Matrix], right: Sequence[Matrix]):
         if side not in ("right", "left"):
             raise ValueError("a dual is taken on the right or the left, "
                              "not %r" % (side,))
@@ -372,25 +366,18 @@ class DualBimodule:
             raise ValueError("evaluation matrices on a bimodule of "
                              "dimension %d flatten into Q^%d, not Q^%d"
                              % (md, n * md, span.ambient_dim))
-        if span.dim != bimodule.dim:
-            raise ValueError("%d evaluation matrices for a dual bimodule of "
-                             "dimension %d" % (span.dim, bimodule.dim))
+        super().__init__(base.algebra, span.dim, left, right)
         self.base = base
         self.side = side
-        self.bimodule = bimodule
         self.span = span
         self.eval_mats = tuple(span.matrix.row_matrices(n, md))
-
-    @property
-    def dim(self) -> int:
-        return self.bimodule.dim
 
     def eval_of(self, xcoords) -> Matrix:
         return linear_combination(xcoords, self.eval_mats,
                                   self.base.algebra.dim, self.base.dim)
 
     def __repr__(self):
-        return "DualBimodule(%s, dim %d)" % (self.side, self.bimodule.dim)
+        return "DualBimodule(%s, dim %d)" % (self.side, self.dim)
 
 
 def span_action(span: Subspace, shape: tuple, error: str,
@@ -439,7 +426,7 @@ def _dual(m: Bimodule, side: str) -> DualBimodule:
         # (f.X)(m) = X(m.f) and (X.g)(m) = X(m) g
         left = [span_action(sol, (n, md), error, right=rm) for rm in m.right]
         right = [span_action(sol, (n, md), error, left=rm) for rm in a.rmul]
-    return DualBimodule(m, side, Bimodule(a, sol.dim, left, right), sol)
+    return DualBimodule(m, side, sol, left, right)
 
 
 def right_dual(m: Bimodule) -> DualBimodule:
@@ -474,8 +461,7 @@ def transpose(alpha: BimoduleMap, source_dual: DualBimodule,
     if c is None:
         raise ValueError("composite is not a module map; transpose "
                          "undefined")
-    return BimoduleMap(target_dual.bimodule, source_dual.bimodule,
-                       c.transpose())
+    return BimoduleMap(target_dual, source_dual, c.transpose())
 
 
 def invariant_blocks(mats: Iterable[Matrix], n: int) -> list:

@@ -54,8 +54,7 @@ class CartanPair:
     """action[t] is the operator of the t-th basis vector of the bimodule."""
 
     def __init__(self, algebra: Algebra, bimodule: Bimodule, action,
-                 source_calculus: Optional[DifferentialCalculus] = None,
-                 dual: Optional[DualBimodule] = None):
+                 source_calculus: Optional[DifferentialCalculus] = None):
         if bimodule.algebra is not algebra:
             raise ValueError("the bimodule of a pair must be over its "
                              "algebra")
@@ -70,10 +69,9 @@ class CartanPair:
             if m.nrows != n or m.ncols != n:
                 raise ValueError("action %d is %dx%d on an algebra of "
                                  "dimension %d" % (t, m.nrows, m.ncols, n))
-        # the calculus and right dual the pair comes from, if any:
-        # covariant_derivative contracts connections through them
+        # the calculus the pair comes from, if any; the bimodule is then
+        # its right dual, which covariant_derivative contracts through
         self.source_calculus = source_calculus
-        self.dual = dual
 
     def action_of(self, xcoords) -> Matrix:
         return linear_combination(xcoords, self.action, self.algebra.dim,
@@ -178,8 +176,7 @@ def pair_from_calculus(c: DifferentialCalculus) -> CartanPair:
     n = c.algebra.dim
     # flat(E d) = flat(E) (I (x) d) for every evaluation matrix E at once
     action = blockwise_product(d.span.matrix, c.d, n).row_matrices(n, n)
-    return CartanPair(c.algebra, d.bimodule, action,
-                      source_calculus=c, dual=d)
+    return CartanPair(c.algebra, d, action, source_calculus=c)
 
 
 def _evaluations(p: CartanPair) -> tuple:
@@ -210,7 +207,7 @@ def calculus_from_pair(p: CartanPair):
     """
     ld = left_dual(p.bimodule)
     c, _ = ld.span.coords_int(_evaluations(p)[0])
-    return DifferentialCalculus(p.algebra, ld.bimodule, c.transpose()), ld
+    return DifferentialCalculus(p.algebra, ld, c.transpose()), ld
 
 
 class SpanKernelDiagnostic:
@@ -283,8 +280,8 @@ class CoUniversalPair(CartanPair):
 
     def __init__(self, universal: UniversalCalculus, dual: DualBimodule,
                  action, read: Matrix):
-        super().__init__(universal.algebra, dual.bimodule, action,
-                         source_calculus=universal, dual=dual)
+        super().__init__(universal.algebra, dual, action,
+                         source_calculus=universal)
         self.read = read
 
 
@@ -352,15 +349,15 @@ def co_universal_pair(a: Algebra,
     # (a_t, b) by L^u_g[b][c_t]; times the basis, it reads coordinate t
     at = [divmod(pc, k) for pc in span.pivots]
     basis_t = span.matrix.transpose()
-    dual = DualBimodule(u.bimodule, "right", Bimodule(
-        a, span.dim,
+    dual = DualBimodule(
+        u.bimodule, "right", span,
         [Matrix.from_int_rows([(d, [(b * k + c, x) for b, x in lrows[r]])
                                for r, c in at], nk) @ basis_t
          for d, lrows in (li.int_rows() for li in a.lmul)],
         [Matrix.from_int_rows([(d, [(r * k + b, x) for b, x in cols[c]])
                                for r, c in at], nk) @ basis_t
          for d, cols in (lu.transpose().int_rows()
-                         for lu in u.bimodule.left)]), span)
+                         for lu in u.bimodule.left)])
     # field t acts as f -> E_t du(f), all at once as in pair_from_calculus
     action = blockwise_product(span.matrix, u.d, n).row_matrices(n, n)
     return CoUniversalPair(u, dual, action, read=read)

@@ -175,8 +175,8 @@ def _dual_doc(m, name: str) -> tuple:
     d = right_dual(m)
     return {"schema": SCHEMA, "objects": {
         "algebra": algebra_decl(m.algebra),
-        "dual": bimodule_decl(d.bimodule, "algebra"),
-    }}, "right dual of %s: dim %d" % (name, d.bimodule.dim)
+        "dual": bimodule_decl(d, "algebra"),
+    }}, "right dual of %s: dim %d" % (name, d.dim)
 
 
 def _on_module(make, key: str, decl, summary: str):

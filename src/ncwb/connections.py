@@ -64,7 +64,8 @@ def contraction_matrix(dual: DualBimodule, t: TensorProductOverA,
     right module map; checked below rather than trusted.
     """
     m, e = t.factors
-    if dual.side != "right" or dual.base is not m:
+    if not (isinstance(dual, DualBimodule) and dual.side == "right"
+            and dual.base is m):
         raise ValueError("contraction needs the right dual of the tensor "
                          "product's first factor")
     ev = dual.eval_of(xcoords)
@@ -114,8 +115,6 @@ def check_connection(conn: Connection) -> CheckReport:
 
 
 def _pair_matches(conn: Connection, pair: CartanPair) -> bool:
-    if pair.dual is None or pair.dual.side != "right":
-        return False
     if pair.source_calculus is conn.calculus:
         return True
     c = pair.source_calculus
@@ -130,7 +129,8 @@ def covariant_derivative(conn: Connection, pair: CartanPair,
     nabla."""
     if not _pair_matches(conn, pair):
         raise ValueError("pair is not derived from the connection's calculus")
-    return contraction_matrix(pair.dual, conn.tensor, xcoords) @ conn.matrix
+    return contraction_matrix(pair.bimodule, conn.tensor,
+                              xcoords) @ conn.matrix
 
 
 def check_covariant_axioms(conn: Connection, pair: CartanPair) -> CheckReport:

@@ -284,11 +284,9 @@ class RelationSearch:
     same basis as a Subspace.
     """
 
-    def __init__(self, words: tuple, rules: tuple, max_len: int,
-                 letters: tuple):
+    def __init__(self, words: tuple, rules: tuple, letters: tuple):
         self.words = words        # coordinate order of the word span
         self.rules = rules        # one (f, ((q, c), ...)) per relation
-        self.max_len = max_len
         self.letters = letters    # the n algebra, then the p module letters
 
     def space(self) -> Subspace:
@@ -348,8 +346,7 @@ def find_relations(pair: CartanPair, max_len: int = 4) -> RelationSearch:
                 for c, x in op_row:
                     b, j = divmod(c, n)
                     rows[r * n + j][first + b] = x * s
-    return RelationSearch(tuple(words), null_rules(len(words), rows),
-                          max_len, letters)
+    return RelationSearch(tuple(words), null_rules(len(words), rows), letters)
 
 
 def check_ccr(pair: CartanPair) -> CheckReport:

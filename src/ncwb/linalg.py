@@ -625,10 +625,6 @@ class Subspace:
         return cls(Matrix.from_int_rows(rows, ambient_dim),
                    [f for f, _ in rules])
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.zeros(0, ambient_dim), ())
-
     @property
     def basis(self) -> tuple:
         return self.matrix.rows

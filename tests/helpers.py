@@ -309,8 +309,8 @@ def universal_uniqueness_by_solve(c, u) -> int:
 def co_universal_pair_by_right_dual(a, u) -> CartanPair:
     """The right dual of the universal one-forms acting by X -> X(du .)."""
     d = right_dual(u.bimodule)
-    return CartanPair(a, d.bimodule, tuple(e @ u.d for e in d.eval_mats),
-                      source_calculus=u, dual=d)
+    return CartanPair(a, d, tuple(e @ u.d for e in d.eval_mats),
+                      source_calculus=u)
 
 
 def co_universal_factorization_by_solve(p, cu) -> CoUniversalFactorization:
@@ -584,8 +584,7 @@ def dual_by_basis_loop(m, side: str) -> DualBimodule:
             rcols.append(express(rimg))
         left_mats.append(Matrix.from_cols(lcols, nrows=sol.dim))
         right_mats.append(Matrix.from_cols(rcols, nrows=sol.dim))
-    return DualBimodule(m, side, Bimodule(a, sol.dim, left_mats, right_mats),
-                        sol)
+    return DualBimodule(m, side, sol, left_mats, right_mats)
 
 
 def rref(m):
@@ -867,7 +866,7 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
     """
     p = pair_from_calculus(c)
     derived, ld = calculus_from_pair(p)
-    md = p.dual
+    md = p.bimodule
     a = c.algebra
     cols = []
     for j in range(c.bimodule.dim):
@@ -877,13 +876,13 @@ def reflexive_roundtrip(c) -> ReflexiveRoundtrip:
             raise InvariantError("the evaluation at module vector %d is not "
                                  "left linear" % j)
         cols.append(coords)
-    kappa_mat = Matrix.from_cols(cols, nrows=ld.bimodule.dim)
-    kappa = BimoduleMap(c.bimodule, ld.bimodule, kappa_mat)
+    kappa_mat = Matrix.from_cols(cols, nrows=ld.dim)
+    kappa = BimoduleMap(c.bimodule, ld, kappa_mat)
     r = rank(kappa_mat)
     return ReflexiveRoundtrip(
         kappa=kappa,
         injective=(r == c.bimodule.dim),
-        surjective=(r == ld.bimodule.dim),
+        surjective=(r == ld.dim),
         intertwines=(kappa_mat @ c.d == derived.d),
         map_report=check_bimodule_map(kappa),
         derived=derived)

@@ -90,14 +90,14 @@ def test_criterion_02_regular_dual_is_the_algebra():
             a = bundle(name).algebra
             m = bundle(name).bimodules["regular"]
             d = right_dual(m)
-            assert d.bimodule.dim == a.dim
+            assert d.dim == a.dim
             ident = Matrix.from_cols(
-                [d.eval_mats[t].apply(a.unit) for t in range(d.bimodule.dim)],
+                [d.eval_mats[t].apply(a.unit) for t in range(d.dim)],
                 nrows=a.dim)
-            alpha = BimoduleMap(d.bimodule, m, ident)
+            alpha = BimoduleMap(d, m, ident)
             assert check_bimodule_map(alpha).ok, name
             assert rank(ident) == a.dim, name
-            for t in range(d.bimodule.dim):
+            for t in range(d.dim):
                 ft = ident.col(t)
                 for s in range(a.dim):
                     product = a.rmul[s].apply(ft)
@@ -127,7 +127,7 @@ def test_criterion_04_couniversal_factorization_is_the_transpose():
         count = 0
         for name in BUILTIN_NAMES:
             p = bundle(name).pair
-            if p.source_calculus is None or p.dual is None:
+            if p.source_calculus is None:
                 continue
             count += 1
             u = universal_calculus(p.algebra)
@@ -142,7 +142,7 @@ def test_criterion_04_couniversal_factorization_is_the_transpose():
             phi, rep = factor_through_universal(p.source_calculus,
                                                 universal=u)
             assert rep.ok, name
-            expected = transpose(phi, cu.dual, p.dual)
+            expected = transpose(phi, cu.bimodule, p.bimodule)
             assert fact.phi.matrix == expected.matrix, name
         assert count >= 4
 
@@ -174,10 +174,10 @@ def test_criterion_05_transpose_preserves_bimodule_maps():
                     alpha = BimoduleMap(m, n_, mat)
                     assert check_bimodule_map(alpha).ok
                     tr = transpose(alpha, dm, dn_)
-                    assert tr.matrix.nrows == dm.bimodule.dim
-                    assert tr.matrix.ncols == dn_.bimodule.dim
+                    assert tr.matrix.nrows == dm.dim
+                    assert tr.matrix.ncols == dn_.dim
                     assert check_bimodule_map(tr).ok, name
-                    for k in range(dn_.bimodule.dim):
+                    for k in range(dn_.dim):
                         composite = dn_.eval_mats[k] @ mat
                         again = dm.eval_of(tr.matrix.col(k))
                         assert composite == again, (name, k)
@@ -306,14 +306,14 @@ def test_criterion_09_connections_contract_lawfully():
         for name in calculus_names():
             c = bundle(name).calculus
             p = derived_pair(name)
-            d = p.dual
+            d = p.bimodule
             for rank_ in (1, 2):
                 conn = trivial_connection(c, rank_)
                 assert check_connection(conn).ok, (name, rank_)
                 assert check_covariant_axioms(conn, p).ok, (name, rank_)
                 t = conn.tensor
                 e = conn.module
-                for s in range(d.bimodule.dim):
+                for s in range(d.dim):
                     cols = []
                     for r in range(c.bimodule.dim):
                         block = e.left_of(d.eval_mats[s].col(r))

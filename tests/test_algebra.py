@@ -131,7 +131,7 @@ def test_zero_bimodule():
     a = dual_numbers()
     z = Bimodule.zero(a)
     assert check_bimodule(z).ok
-    assert right_dual(z).bimodule.dim == 0 and left_dual(z).bimodule.dim == 0
+    assert right_dual(z).dim == 0 and left_dual(z).dim == 0
 
 
 @pytest.mark.parametrize("make", ALL_ALGEBRAS)
@@ -139,17 +139,17 @@ def test_right_dual_of_regular_is_the_algebra(make):
     a = make()
     reg = Bimodule.regular(a)
     d = right_dual(reg)
-    assert d.bimodule.dim == a.dim
-    assert check_bimodule(d.bimodule).ok
+    assert d.dim == a.dim
+    assert check_bimodule(d).ok
     # evaluation at 1 identifies the dual with A itself
-    iso = BimoduleMap(d.bimodule, reg,
+    iso = BimoduleMap(d, reg,
                       Matrix.from_cols([e.apply(a.unit) for e in d.eval_mats],
                                        nrows=a.dim))
     assert check_bimodule_map(iso).ok
     assert rank(iso.matrix) == a.dim
     # under that identification the pairing is plain multiplication
-    for k in range(d.bimodule.dim):
-        xk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
+    for k in range(d.dim):
+        xk = tuple(1 if t == k else 0 for t in range(d.dim))
         fk = iso.matrix.col(k)
         for j in range(a.dim):
             ej = tuple(1 if t == j else 0 for t in range(a.dim))
@@ -159,8 +159,8 @@ def test_right_dual_of_regular_is_the_algebra(make):
 def test_left_dual_of_regular_is_the_algebra():
     a = matrix_2()
     d = left_dual(Bimodule.regular(a))
-    assert d.bimodule.dim == a.dim
-    assert check_bimodule(d.bimodule).ok
+    assert d.dim == a.dim
+    assert check_bimodule(d).ok
 
 
 def test_dual_actions_match_twisting_formulas():
@@ -170,10 +170,10 @@ def test_dual_actions_match_twisting_formulas():
     d = right_dual(reg)
     for i in range(a.dim):
         ei = tuple(1 if t == i else 0 for t in range(a.dim))
-        for k in range(d.bimodule.dim):
-            xk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
-            fx = act_left(d.bimodule, ei, xk)
-            xg = act_right(d.bimodule, xk, ei)
+        for k in range(d.dim):
+            xk = tuple(1 if t == k else 0 for t in range(d.dim))
+            fx = act_left(d, ei, xk)
+            xg = act_right(d, xk, ei)
             for j in range(a.dim):
                 ej = tuple(1 if t == j else 0 for t in range(a.dim))
                 lhs = d.eval_of(fx).apply(ej)
@@ -193,8 +193,8 @@ def test_dual_actions_match_the_per_basis_loop_on_builtins(name):
         for side, dual in (("right", right_dual), ("left", left_dual)):
             got, ref = dual(m), dual_by_basis_loop(m, side)
             assert got.span == ref.span
-            assert got.bimodule.left == ref.bimodule.left
-            assert got.bimodule.right == ref.bimodule.right
+            assert got.left == ref.left
+            assert got.right == ref.right
 
 
 def test_bimodule_map_space_dual_numbers():
@@ -245,8 +245,8 @@ def test_transpose_on_dual_numbers_regular():
     at = transpose(alpha, d, d)
     assert check_bimodule_map(at).ok
     # defining property of the dual map, on all basis pairs
-    for k in range(d.bimodule.dim):
-        yk = tuple(1 if t == k else 0 for t in range(d.bimodule.dim))
+    for k in range(d.dim):
+        yk = tuple(1 if t == k else 0 for t in range(d.dim))
         for j in range(a.dim):
             ej = tuple(1 if t == j else 0 for t in range(a.dim))
             lhs = d.eval_of(at.matrix.apply(yk)).apply(ej)
@@ -260,7 +260,7 @@ def test_transpose_of_identity():
     d = right_dual(reg)
     ident = BimoduleMap(reg, reg, Matrix.identity(a.dim))
     at = transpose(ident, d, d)
-    assert at.matrix == Matrix.identity(d.bimodule.dim)
+    assert at.matrix == Matrix.identity(d.dim)
 
 
 def test_transpose_rejects_non_map():
@@ -280,7 +280,7 @@ def test_direct_sum_bimodule():
     assert s.dim == 2 and check_bimodule(s).ok
     s2 = direct_sum(reg, reg)
     assert s2.dim == 4 and check_bimodule(s2).ok
-    assert right_dual(s2).bimodule.dim == 2 * a.dim
+    assert right_dual(s2).dim == 2 * a.dim
 
 
 @pytest.mark.parametrize("make", [dual_numbers, matrix_2])

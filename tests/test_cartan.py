@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncwb.algebra import (
-    Algebra, Bimodule, check_bimodule, left_dual, right_dual,
+    Algebra, Bimodule, DualBimodule, check_bimodule, left_dual, right_dual,
     transpose,
 )
 from ncwb.calculus import check_leibniz, factor_through_universal, \
@@ -62,7 +62,7 @@ def test_dual_numbers_pair_is_x_ddx():
     assert p.bimodule.dim == 1
     # X(w) = x, so X acts as x d/dx: kills 1, fixes x
     assert p.action[0] == Matrix([[0, 0], [0, 1]])
-    assert p.dual.eval_mats[0] == Matrix([[0], [1]])
+    assert p.bimodule.eval_mats[0] == Matrix([[0], [1]])
 
 
 def test_z2_theta_pair_action():
@@ -341,7 +341,7 @@ def test_derived_pairs_factor_through_co_universal(c):
     # the factor is the transpose of the universal factorization map
     phi, frep = factor_through_universal(c, universal=u)
     assert frep.ok
-    phi_t = transpose(phi, cu.dual, p.dual)
+    phi_t = transpose(phi, cu.bimodule, p.bimodule)
     assert fact.phi.matrix == phi_t.matrix
 
 
@@ -366,7 +366,7 @@ def assert_closed_forms_match_oracle(a, pairs):
     u = universal_calculus(a)
     cu = co_universal_pair(a, u)
     ref = co_universal_pair_by_right_dual(a, u)
-    assert cu.dual.eval_mats == ref.dual.eval_mats
+    assert cu.bimodule.eval_mats == ref.bimodule.eval_mats
     assert cu.bimodule.left == ref.bimodule.left
     assert cu.bimodule.right == ref.bimodule.right
     assert cu.action == ref.action
@@ -504,13 +504,33 @@ def builtin_bimodules(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_dual_span_is_the_reduced_span_of_its_evaluations(name):
-    duals = [co_universal_pair(builtin(name).algebra).dual]
+    duals = [co_universal_pair(builtin(name).algebra).bimodule]
     for m in builtin_bimodules(name):
         duals += [right_dual(m), left_dual(m)]
     for d in duals:
         assert d.span == dual_span_by_reelimination(d)
-        assert d.span.dim == d.bimodule.dim == len(d.eval_mats)
+        assert d.span.dim == d.dim == len(d.eval_mats)
         assert tuple(e.flatten() for e in d.eval_mats) == d.span.basis
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_derived_pairs_and_calculi_hold_their_duals_as_bimodules(name):
+    # a derived pair's bimodule is the right dual of its calculus, and a
+    # derived calculus' bimodule the left dual of its pair: one object each
+    b = builtin(name)
+    if b.calculus is not None:
+        d = pair_from_calculus(b.calculus).bimodule
+        assert isinstance(d, DualBimodule) and d.side == "right"
+        assert d.base is b.calculus.bimodule
+        assert check_bimodule(d).ok
+    calc, ld = calculus_from_pair(b.pair)
+    assert calc.bimodule is ld
+    assert isinstance(ld, DualBimodule) and ld.side == "left"
+    assert ld.base is b.pair.bimodule
+    cu = co_universal_pair(b.algebra)
+    assert isinstance(cu.bimodule, DualBimodule)
+    assert cu.bimodule.side == "right"
+    assert cu.bimodule.base is cu.source_calculus.bimodule
 
 
 def test_evaluation_outside_the_left_dual_names_the_basis_element():

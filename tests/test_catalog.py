@@ -129,7 +129,7 @@ def test_derived_pairs_carry_their_calculus():
         if b.name in ("group_algebra_z2", "quantum_plane_trunc"):
             continue
         assert b.pair.source_calculus is b.calculus
-        assert b.pair.dual is not None
+        assert b.pair.bimodule.base is b.calculus.bimodule
 
 
 def test_full_pipeline_on_every_calculus_bundle():
@@ -150,7 +150,7 @@ def test_z2_co_universal_dimension():
     # generator, so the dual is a copy of the algebra
     cu = co_universal_pair(builtin("group_algebra_z2").algebra)
     assert cu.source_calculus.bimodule.dim == 2
-    assert cu.dual.bimodule.dim == 2
+    assert cu.bimodule.dim == 2
 
 
 def test_parameter_validation():

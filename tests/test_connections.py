@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncwb.linalg
-from ncwb.algebra import Bimodule, LeftModule, tensor_over_A
+from ncwb.algebra import Bimodule, DualBimodule, LeftModule, tensor_over_A
 from ncwb.calculus import universal_calculus
 from ncwb.cartan import CartanPair, pair_from_calculus
 from ncwb.catalog import BUILTIN_NAMES, broken_connection_fixture, builtin
@@ -61,7 +61,7 @@ def test_contract_unit_tensor_is_pairing():
     conn = trivial_connection(c, 1)
     pair = pair_from_calculus(c)
     t = simple_tensor(conn.tensor, (1,), (1, 0))     # w (x) 1
-    got = contraction_matrix(pair.dual, conn.tensor, (1,)).apply(t)
+    got = contraction_matrix(pair.bimodule, conn.tensor, (1,)).apply(t)
     assert tuple(got) == (0, 1)                      # <X0, w> = x
 
 
@@ -69,17 +69,17 @@ def test_contract_zero():
     c = kahler_dual_numbers()
     conn = trivial_connection(c, 1)
     pair = pair_from_calculus(c)
-    assert all(x == 0 for x in
-               contraction_matrix(pair.dual, conn.tensor, (1,)).apply((0,)))
+    cm = contraction_matrix(pair.bimodule, conn.tensor, (1,))
+    assert all(x == 0 for x in cm.apply((0,)))
 
 
 def test_contraction_kills_relations():
     for c in all_calculi():
         e = LeftModule.free(c.algebra, 2)
         t = tensor_over_A(c.bimodule, e)
-        dual = pair_from_calculus(c).dual
-        for s in range(dual.bimodule.dim):
-            x = tuple(1 if k == s else 0 for k in range(dual.bimodule.dim))
+        dual = pair_from_calculus(c).bimodule
+        for s in range(dual.dim):
+            x = tuple(1 if k == s else 0 for k in range(dual.dim))
             cm = contraction_matrix(dual, t, x)     # asserts balancing inside
             assert cm.nrows == e.dim and cm.ncols == t.module.dim
 
@@ -367,15 +367,34 @@ def test_action_linearity_finding_on_a_planted_left_action():
     good = pair_from_calculus(c)
     nb = good.bimodule
     ident = Matrix.identity(nb.dim)
-    planted = CartanPair(c.algebra, Bimodule(c.algebra, nb.dim,
-                                             (ident, ident), nb.right),
-                         good.action, source_calculus=c, dual=good.dual)
+    planted = CartanPair(c.algebra, DualBimodule(nb.base, "right", nb.span,
+                                                 (ident, ident), nb.right),
+                         good.action, source_calculus=c)
     rep = assert_covariant_axioms_match_oracle(conn, planted)
     linearity = [str(f) for f in rep.findings
                  if f.law == "action-linearity"]
     assert linearity == [
         "action-linearity at (1,0,1): nabla_(x.X_0)(xi_1) != "
         "x.nabla_X_0(xi_1) at module coordinates 1: 1 vs 0"]
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                  if builtin(n).calculus is not None])
+def test_a_plain_bimodule_naming_a_calculus_is_refused(name):
+    # a pair that names its calculus contracts through its bimodule, which
+    # must then be that calculus' right dual: a plain Bimodule with the
+    # same actions is refused with ValueError, not AttributeError
+    b = builtin(name)
+    c, nb = b.calculus, b.pair.bimodule
+    plain = CartanPair(c.algebra, Bimodule(c.algebra, nb.dim, nb.left,
+                                           nb.right),
+                       b.pair.action, source_calculus=c)
+    conn = trivial_connection(c, 1)
+    x0 = tuple(int(t == 0) for t in range(nb.dim))
+    with pytest.raises(ValueError, match="right dual of the tensor"):
+        covariant_derivative(conn, plain, x0)
+    with pytest.raises(ValueError, match="right dual of the tensor"):
+        check_covariant_axioms(conn, plain)
 
 
 # ---- input validation without assert -----------------------------------
@@ -394,7 +413,7 @@ from ncwb.catalog import builtin, unit_differential_fixture
 from ncwb.connections import (
     Connection, contraction_matrix, trivial_connection)
 from ncwb.diffops import FreeWord, evaluate_mu, find_relations
-from ncwb.linalg import Echelon, Matrix, Subspace, restrict_to_kernel
+from ncwb.linalg import Echelon, Matrix, restrict_to_kernel
 from ncwb.reporting import InvariantError
 from ncwb.workspace import Workspace, WorkspaceObject
 from helpers import _decl_for, connection_decl, direct_sum
@@ -409,6 +428,7 @@ reg, m2_reg = Bimodule.regular(a), Bimodule.regular(m2)
 twin = unit_differential_fixture().algebra
 i1, i2, i3 = (Matrix.identity(n) for n in (1, 2, 3))
 x_kills = LeftModule(a, 1, (i1, Matrix.zeros(1, 1)))
+z0 = (Matrix.zeros(0, 0),) * 2
 odd = Connection(c, x_kills, tensor_over_A(c.bimodule, x_kills),
                  Matrix.zeros(tensor_over_A(c.bimodule, x_kills).module.dim,
                               1))
@@ -431,7 +451,7 @@ cases = {
     "contraction-side": lambda: contraction_matrix(
         left_dual(c.bimodule), conn.tensor, (1,)),
     "contraction-base": lambda: contraction_matrix(
-        pair_from_calculus(c).dual, other.tensor, (1,)),
+        pair_from_calculus(c).bimodule, other.tensor, (1,)),
     "rank": lambda: trivial_connection(c, -1),
     "matrix-ragged": lambda: Matrix([[1, 2], [3]]),
     "matrix-ncols": lambda: Matrix([[1, 2]], ncols=3),
@@ -443,7 +463,7 @@ cases = {
     "matmul": lambda: Matrix([[1, 2]]) @ Matrix([[1, 2]]),
     "add": lambda: Matrix([[1, 2]]) + Matrix([[1, 2, 3]]),
     "echelon-insert": lambda: Echelon(2).insert((1, 2, 3)),
-    "restrict": lambda: restrict_to_kernel(Subspace.zero(2),
+    "restrict": lambda: restrict_to_kernel(Echelon(2).subspace(),
                                            Matrix([[1, 2, 3]])),
     "max-len": lambda: find_relations(builtin("dual_numbers").pair, 0),
     "algebra-empty": lambda: Algebra((), (), ()),
@@ -462,9 +482,10 @@ cases = {
         BimoduleMap(reg, reg, i2), right_dual(m2_reg), right_dual(reg)),
     "transpose-side": lambda: transpose(
         BimoduleMap(reg, reg, i2), left_dual(reg), right_dual(reg)),
-    "dual-side": lambda: DualBimodule(reg, "middle", reg, Subspace.zero(4)),
-    "dual-ambient": lambda: DualBimodule(reg, "right", reg, Subspace.zero(3)),
-    "dual-dim": lambda: DualBimodule(reg, "right", reg, Subspace.zero(4)),
+    "dual-side": lambda: DualBimodule(
+        reg, "middle", Echelon(4).subspace(), z0, z0),
+    "dual-ambient": lambda: DualBimodule(
+        reg, "right", Echelon(3).subspace(), z0, z0),
     "calculus-algebra": lambda: DifferentialCalculus(m2, reg, i2),
     "calculus-shape": lambda: DifferentialCalculus(a, reg, Matrix.zeros(2, 3)),
     "pair-algebra": lambda: CartanPair(m2, reg, (i2, i2)),
@@ -514,7 +535,7 @@ def test_invalid_input_raises_value_error(flags):
             "bimodule-shape", "direct-sum", "left-module", "bimodule-map",
             "map-algebras", "universal-algebra", "couniversal-algebra",
             "map-space", "transpose-base", "transpose-side", "dual-side",
-            "dual-ambient", "dual-dim", "calculus-algebra", "calculus-shape",
+            "dual-ambient", "calculus-algebra", "calculus-shape",
             "pair-algebra", "pair-count", "pair-shape", "word-mul",
             "word-add", "mu", "left-mult-length", "left-of-length", "workspace-add", "connection-decl",
             "decl-kind")] + ["left-linear InvariantError"]
@@ -587,6 +608,45 @@ def test_every_module_level_definition_of_the_package_is_read():
     assert unread == []
 
 
+def _class_reads(node, owner, read):
+    """Add (class, name) to read for each X.name or pkg.X.name read below
+    node, and (owner, name) for each cls.name inside the class owner."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) \
+                and isinstance(child.ctx, ast.Load):
+            base = child.value
+            if isinstance(base, ast.Name):
+                read.add((owner if base.id == "cls" else base.id, child.attr))
+            elif isinstance(base, ast.Attribute):
+                read.add((base.attr, child.attr))
+        _class_reads(child, child.name if isinstance(child, ast.ClassDef)
+                     else owner, read)
+
+
+def test_every_class_and_static_method_of_the_package_is_read_by_its_class():
+    # the test above counts a method read when any attribute of its name
+    # is, so a class or static method nothing calls hides behind a
+    # namesake.  These are read as ClassName.name, or cls.name inside
+    # their class, in src, bench or demos
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    read = set()
+    for part in ("src", "bench", "demos"):
+        for path in sorted((repo / part).rglob("*.py")):
+            _class_reads(ast.parse(path.read_text(encoding="utf-8"),
+                                   str(path)), None, read)
+    unread = []
+    for path in sorted((repo / "src" / "ncwb").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        unread += ["%s:%d %s.%s" % (path.name, m.lineno, node.name, m.name)
+                   for node in tree.body if isinstance(node, ast.ClassDef)
+                   for m in node.body if isinstance(m, ast.FunctionDef)
+                   and any(isinstance(d, ast.Name)
+                           and d.id in ("classmethod", "staticmethod")
+                           for d in m.decorator_list)
+                   and (node.name, m.name) not in read]
+    assert unread == []
+
+
 def _delegations(tree):
     """(line, "Class.method") for each non-dunder method whose whole body,
     past a docstring, returns the same-named member of one of its
@@ -616,16 +676,13 @@ def _delegations(tree):
 
 def test_no_method_of_the_package_only_delegates_to_an_attribute():
     # a method that returns self.x.name for its own name adds a second
-    # spelling of one member; callers read self.x.name instead.
-    # DualBimodule.dim stays while bench/tests/test_bench.py reads it: the
-    # benchmark's files change only with the benchmark
+    # spelling of one member; callers read self.x.name instead
     root = pathlib.Path(ncwb.linalg.__file__).parent
     found = []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += ["%s:%d %s" % (path.name, line, name)
-                  for line, name in _delegations(tree)
-                  if name != "DualBimodule.dim"]
+                  for line, name in _delegations(tree)]
     assert found == []
 
 

@@ -1,6 +1,5 @@
 """The demos run to completion and print what they promise."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -10,15 +9,12 @@ import pytest
 from ncwb.catalog import BUILTIN_NAMES, builtin
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
-SRC = DEMOS.parent / "src"
 
 
 def run_demo(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    # conftest.py puts src on the demo's PYTHONPATH
     return subprocess.run([sys.executable, str(DEMOS / name)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))

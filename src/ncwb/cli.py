@@ -5,8 +5,10 @@ usage error, or a document that could not be written: the reader of stdout
 closed it early (a broken pipe; the rest of the output is dropped
 silently), the -o path cannot be written, or a value has more digits than
 str() converts, in a document or a finding.  An -o document that fails
-part way is removed.  Documents go to stdout (or -o), human summaries to
-stderr, so derived output stays byte-stable and scriptable.
+part way is removed, and an existing -o file of the user's own is
+replaced by a new file rather than truncated.  Documents go to stdout (or
+-o), human summaries to stderr, so derived output stays byte-stable and
+scriptable.
 
 derive runs from one table, _DERIVE, of each kind's input, law gate and
 document build; builtin writes the bundle's ExampleBundle.members.
@@ -117,16 +119,41 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _unlink_own_file(path: str):
+    """The permission bits of path, once it is unlinked, if it is a
+    regular file (not a symlink) of one link that the effective user owns
+    and may write; otherwise None, and path is left as it is."""
+    try:
+        st = os.lstat(path)
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and st.st_uid == os.geteuid() and os.access(path, os.W_OK)):
+            return None
+        os.unlink(path)
+    except OSError:
+        return None
+    return stat.S_IMODE(st.st_mode)
+
+
 def _write_file(path: str, parts) -> None:
-    """Write parts to path through one OUTPUT_BUFFER-byte buffer.  A
-    failure once the file is open removes it after it is closed, so no
-    partial document is left behind; a path that is not a regular file
-    (/dev/null, a FIFO) is left alone."""
-    fh = open(path, "w", encoding="utf-8", buffering=OUTPUT_BUFFER)
+    """Write parts to path through one OUTPUT_BUFFER-byte buffer.
+
+    An existing file that _unlink_own_file takes is replaced: it is
+    unlinked and a new file with its permission bits is created, so the
+    old data is neither truncated nor flushed to disk first.  Any other
+    path is written in place: a symlink's target, a file with another
+    link, another user's file, /dev/null, a FIFO; a path that cannot be
+    written in place is refused as before.  A failure once the file is
+    open removes it after it is closed, so no partial document is left
+    behind; a path that is not a regular file is left alone."""
+    mode = _unlink_own_file(path)
+    fh = open(path, "w" if mode is None else "x", encoding="utf-8",
+              buffering=OUTPUT_BUFFER)
     regular = False
     try:
         with fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.writelines(parts)
     except BaseException:
         if regular:

@@ -159,9 +159,6 @@ class FreeWord:
     def __neg__(self) -> "FreeWord":
         return (-1) * self
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 

@@ -9,16 +9,20 @@ reference.
 
 Loading only enforces shapes and reference integrity; mathematical laws
 are the business of the checkers, so a broken table still loads and can
-then be reported on.  Writing gives json's own indented text, with the
+then be reported on.  Cells are read through one table per document from
+cell text to value (_Cells), so a document costs a parse per distinct
+cell text, not per cell.  Writing gives json's own indented text, with the
 SparseRows and WordList tables spliced into it (canonical_parts).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
@@ -56,19 +60,55 @@ def parse_rational(v, where: str) -> Fraction:
     raise WorkspaceError("%s: expected a rational, got %r" % (where, v))
 
 
-def _vector_from(data, length: int, where: str):
-    if not isinstance(data, list) or len(data) != length:
-        raise WorkspaceError("%s: expected a list of %d rationals"
-                             % (where, length))
-    return tuple(parse_rational(v, where) for v in data)
+class _Cells:
+    """The cells of one document, read as exact values.  A cell is looked
+    up by its text in a table of the cells read so far, so a "0" costs one
+    lookup; a miss goes through parse_rational with its where, and only a
+    string that parsed joins the table, at most CELL_TABLE of them.  The
+    rows of a matrix are read straight into Matrix's stored form."""
 
+    CELL_TABLE = 1 << 16
 
-def _matrix_from(data, nrows: int, ncols: int, where: str) -> Matrix:
-    if not isinstance(data, list) or len(data) != nrows:
-        raise WorkspaceError("%s: expected %d matrix rows" % (where, nrows))
-    rows = tuple(_vector_from(r, ncols, "%s row %d" % (where, i))
-                 for i, r in enumerate(data))
-    return Matrix(rows, ncols=ncols)
+    def __init__(self):
+        self.values = {"0": 0}     # cell text -> int, or Fraction if not
+
+    def _value(self, cell, where: str):
+        try:
+            return self.values[cell]
+        except (KeyError, TypeError):
+            pass
+        x = parse_rational(cell, where)
+        if x.denominator == 1:
+            x = x.numerator
+        # str keys only: True == 1 and hash(True) == hash(1), so a key 1
+        # would be found for the cell True
+        if cell.__class__ is str and len(self.values) < self.CELL_TABLE:
+            self.values[cell] = x
+        return x
+
+    def vector(self, data, length: int, where: str) -> list:
+        """The values of a JSON list of length rationals: ints, and
+        Fractions where not integral."""
+        if not isinstance(data, list) or len(data) != length:
+            raise WorkspaceError("%s: expected a list of %d rationals"
+                                 % (where, length))
+        try:
+            return list(map(self.values.__getitem__, data))
+        except (KeyError, TypeError):
+            return [self._value(cell, where) for cell in data]
+
+    def matrix(self, data, nrows: int, ncols: int, where: str) -> Matrix:
+        if not isinstance(data, list) or len(data) != nrows:
+            raise WorkspaceError("%s: expected %d matrix rows"
+                                 % (where, nrows))
+        rows = [tuple(compress(enumerate(xs), xs)) for xs in (
+            self.vector(r, ncols, "%s row %d" % (where, i))
+            for i, r in enumerate(data))]
+        den = math.lcm(*(x.denominator for r in rows for _, x in r))
+        if den != 1:
+            rows = [tuple((j, x.numerator * (den // x.denominator))
+                          for j, x in r) for r in rows]
+        return Matrix._of(nrows, ncols, den, tuple(rows))
 
 
 def matrix_rows(m: Matrix) -> "SparseRows":
@@ -128,7 +168,7 @@ def _check_keys(decl, allowed, where: str):
                              % (where, ", ".join(sorted(extra))))
 
 
-def _build_algebra(ws, decl, where):
+def _build_algebra(ws, cells, decl, where):
     _check_keys(decl, ("basis", "products", "unit"), where)
     basis = decl.get("basis")
     if not isinstance(basis, list) or not basis \
@@ -139,16 +179,17 @@ def _build_algebra(ws, decl, where):
     if not isinstance(prods, list) or len(prods) != n \
             or any(not isinstance(row, list) or len(row) != n for row in prods):
         raise WorkspaceError("%s: products must be an %dx%d table" % (where, n, n))
-    sc = [[_vector_from(prods[i][j], n, "%s products[%d][%d]" % (where, i, j))
+    sc = [[cells.vector(prods[i][j], n,
+                        "%s products[%d][%d]" % (where, i, j))
            for j in range(n)] for i in range(n)]
-    unit = _vector_from(decl.get("unit"), n, "%s unit" % where)
+    unit = cells.vector(decl.get("unit"), n, "%s unit" % where)
     try:
         return Algebra(basis, sc, unit)
     except ValueError as e:
         raise WorkspaceError("%s: %s" % (where, e))
 
 
-def _build_bimodule(ws, decl, where):
+def _build_bimodule(ws, cells, decl, where):
     _check_keys(decl, ("algebra", "dim", "left", "right"), where)
     a = ws._ref(decl, "algebra", "algebra", where)
     dim = decl.get("dim")
@@ -161,7 +202,7 @@ def _build_bimodule(ws, decl, where):
             raise WorkspaceError("%s: %s needs one matrix per algebra basis "
                                  "vector" % (where, side))
         mats[side] = tuple(
-            _matrix_from(data[i], dim, dim, "%s %s[%d]" % (where, side, i))
+            cells.matrix(data[i], dim, dim, "%s %s[%d]" % (where, side, i))
             for i in range(a.dim))
     try:
         return Bimodule(a, dim, mats["left"], mats["right"])
@@ -169,17 +210,17 @@ def _build_bimodule(ws, decl, where):
         raise WorkspaceError("%s: %s" % (where, e))
 
 
-def _build_calculus(ws, decl, where):
+def _build_calculus(ws, cells, decl, where):
     _check_keys(decl, ("algebra", "module", "d"), where)
     a = ws._ref(decl, "algebra", "algebra", where)
     m = ws._ref(decl, "module", "bimodule", where)
     if m.algebra is not a:
         raise WorkspaceError("%s: module is over a different algebra" % where)
-    d = _matrix_from(decl.get("d"), m.dim, a.dim, "%s d" % where)
+    d = cells.matrix(decl.get("d"), m.dim, a.dim, "%s d" % where)
     return DifferentialCalculus(a, m, d)
 
 
-def _build_cartan_pair(ws, decl, where):
+def _build_cartan_pair(ws, cells, decl, where):
     _check_keys(decl, ("algebra", "module", "action"), where)
     a = ws._ref(decl, "algebra", "algebra", where)
     m = ws._ref(decl, "module", "bimodule", where)
@@ -189,13 +230,13 @@ def _build_cartan_pair(ws, decl, where):
     if not isinstance(data, list) or len(data) != m.dim:
         raise WorkspaceError("%s: action needs one matrix per module basis "
                              "vector" % where)
-    acts = tuple(_matrix_from(data[t], a.dim, a.dim,
+    acts = tuple(cells.matrix(data[t], a.dim, a.dim,
                               "%s action[%d]" % (where, t))
                  for t in range(m.dim))
     return CartanPair(a, m, acts)
 
 
-def _build_connection(ws, decl, where):
+def _build_connection(ws, cells, decl, where):
     _check_keys(decl, ("calculus", "rank", "matrix"), where)
     c = ws._ref(decl, "calculus", "calculus", where)
     rank_ = decl.get("rank")
@@ -212,7 +253,7 @@ def _build_connection(ws, decl, where):
                                  "rationals" % (where, i, width))
     q = rank_ and rank_ * tensor_over_A(
         c.bimodule, LeftModule.free(c.algebra, 1)).module.dim
-    mat = _matrix_from(data, q, width, "%s matrix" % where)
+    mat = cells.matrix(data, q, width, "%s matrix" % where)
     e = LeftModule.free(c.algebra, rank_)
     return Connection(c, e, tensor_over_A(c.bimodule, e), mat)
 
@@ -302,7 +343,7 @@ def parse_workspace(text: str) -> Workspace:
         if not isinstance(kind, str) or kind not in _KIND_LEVEL:
             raise WorkspaceError("%s: unknown kind %r" % (where, kind))
         order.append((name, kind, decl, where))
-    ws = Workspace()
+    ws, cells = Workspace(), _Cells()
     for level in range(4):
         for name, kind, decl, where in order:
             if _KIND_LEVEL[kind] != level:
@@ -310,7 +351,7 @@ def parse_workspace(text: str) -> Workspace:
             if kind == "builtin":
                 _expand_builtin(ws, name, decl, where)
             else:
-                obj = _BUILDERS[kind](ws, decl, where)
+                obj = _BUILDERS[kind](ws, cells, decl, where)
                 ws.add(WorkspaceObject(name, kind, obj))
     ordered = {}
     for name, kind, decl, where in order:

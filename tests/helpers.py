@@ -1342,6 +1342,25 @@ from ncwb.workspace import (  # noqa: E402
 )
 
 
+def cells_vector(data, length: int, where: str) -> tuple:
+    """The vector a JSON row of cells declares, each cell read on its own
+    by parse_rational, with the shape message of the workspace reader: the
+    oracle for that reader, as cells_matrix is for its matrices."""
+    from ncwb.workspace import WorkspaceError, parse_rational
+    if not isinstance(data, list) or len(data) != length:
+        raise WorkspaceError("%s: expected a list of %d rationals"
+                             % (where, length))
+    return tuple(parse_rational(v, where) for v in data)
+
+
+def cells_matrix(data, nrows: int, ncols: int, where: str) -> Matrix:
+    from ncwb.workspace import WorkspaceError
+    if not isinstance(data, list) or len(data) != nrows:
+        raise WorkspaceError("%s: expected %d matrix rows" % (where, nrows))
+    return Matrix([cells_vector(r, ncols, "%s row %d" % (where, i))
+                   for i, r in enumerate(data)], ncols=ncols)
+
+
 def cols(m: Matrix) -> list:
     """The columns of m, each a tuple of Fractions."""
     return list(m.transpose().rows)

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -167,6 +170,114 @@ def test_output_file_bytes_match_stdout(tmp_path, capsys, monkeypatch, case):
         assert hashlib.sha256(out).hexdigest() == RELATIONS_SHA256[name]
     else:
         assert len(out) < OUTPUT_BUFFER
+
+
+# ---- -o over an existing file ---------------------------------------------
+
+def test_an_existing_output_file_is_replaced_by_the_fresh_bytes(
+        tmp_path, capsys, monkeypatch):
+    ws = str(tmp_path / "ws.json")
+    assert main(["builtin", "matrix_2", "-o", ws]) == 0
+    monkeypatch.setenv("NCWB_MAX_WORD_LEN", "4")
+    argv = ["derive", ws, "pair", "relations"]
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    assert main(argv + ["-o", str(fresh)]) == 0
+    old.write_bytes(b"an earlier, longer document\n" * 100000)
+    with open(old, "rb") as reader:
+        assert main(argv + ["-o", str(old)]) == 0
+        # replaced, not truncated: the open file still holds the old bytes
+        assert reader.read(11) == b"an earlier,"
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert old.read_bytes() == fresh.read_bytes() \
+        == capsys.readouterr().out.encode("ascii")
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664])
+def test_a_replaced_output_file_keeps_its_mode(tmp_path, capsys, mode):
+    path = tmp_path / "d.json"
+    path.write_text("an earlier document\n")
+    os.chmod(path, mode)
+    umask = os.umask(0o022)     # 0o664 is not what a new file gets
+    try:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def builtin_bytes(capsys, name="dual_numbers") -> str:
+    capsys.readouterr()
+    assert main(["builtin", name]) == 0
+    return capsys.readouterr().out
+
+
+def test_an_output_symlink_stays_a_link_to_its_rewritten_target(tmp_path,
+                                                                capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("an earlier document\n")
+    link.symlink_to(target)
+    assert main(["builtin", "dual_numbers", "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == builtin_bytes(capsys)
+
+
+def test_an_output_file_with_a_second_link_is_written_in_place(tmp_path,
+                                                               capsys):
+    path, other = tmp_path / "d.json", tmp_path / "other.json"
+    path.write_text("an earlier document\n")
+    os.link(path, other)
+    assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+    assert os.path.samefile(path, other)
+    assert path.read_text() == other.read_text() == builtin_bytes(capsys)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a file "
+                    "to another user")
+def test_another_users_output_file_is_written_in_place(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text("an earlier document\n")
+    os.chown(path, 65534, 65534)
+    with open(path) as reader:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+        assert reader.read() == builtin_bytes(capsys)
+    assert os.stat(path).st_uid == 65534
+
+
+# runs ncwb as an unprivileged user: root writes any file, so as root the
+# child gives up root once ncwb is imported
+AS_A_USER = """import os, sys
+from ncwb.cli import main
+if os.geteuid() == 0:
+    os.setgid(65534)
+    os.setuid(65534)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_read_only_output_file_exits_two_and_is_left_alone():
+    # in a directory anyone may write, so that only the write-permission
+    # test keeps the file from being unlinked; not under tmp_path, whose
+    # parents the unprivileged user cannot enter
+    where = tempfile.mkdtemp()
+    try:
+        os.chmod(where, 0o777)
+        path = os.path.join(where, "d.json")
+        with open(path, "w") as fh:
+            fh.write("an earlier document\n")
+        if os.geteuid() == 0:
+            os.chown(path, 65534, 65534)
+        os.chmod(path, 0o444)
+        r = subprocess.run([sys.executable, "-c", AS_A_USER, "builtin",
+                            "dual_numbers", "-o", path],
+                           capture_output=True, text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: cannot write %s: Permission denied\n" % path)
+        with open(path) as fh:
+            assert fh.read() == "an earlier document\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o444
+    finally:
+        shutil.rmtree(where)
 
 
 def test_report_bytes_are_pinned_at_fifteen_dimensions(tmp_path):

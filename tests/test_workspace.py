@@ -1,23 +1,28 @@
 """Workspace files: strict parsing, canonical export, round trips."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncwb.algebra import check_bimodule
 from ncwb.cartan import check_cartan
 from ncwb.catalog import BUILTIN_NAMES, builtin
+from ncwb.cli import main
 from ncwb.connections import check_connection, trivial_connection
 from ncwb.diffops import find_relations
-from ncwb.linalg import ONE
+from ncwb.linalg import ONE, Matrix
 from ncwb.workspace import (
-    SCHEMA, SparseRows, WordList, WorkspaceError, algebra_decl,
+    SCHEMA, SparseRows, WordList, WorkspaceError, _Cells, algebra_decl,
     bimodule_decl, calculus_decl, canonical_text, cartan_pair_decl,
     format_rational, parse_rational, parse_workspace, vector_strings,
 )
 
-from helpers import connection_decl, declared_names, export_workspace
+from helpers import (cells_matrix, cells_vector, connection_decl,
+                     declared_names, export_workspace)
 
 from fractions import Fraction
 
@@ -432,3 +437,102 @@ def test_word_list_letters_equal_as_values_keep_their_own_text():
     assert canonical_text({"w": words}) \
         == stdlib_text({"w": word_texts(words)})
 
+
+# ---- the cell reader against parse_rational + Matrix --------------------
+
+LIMIT = sys.get_int_max_str_digits()
+# texts that read as the same value in several spellings, texts that are
+# refused, and values a parsed document cannot hold (floats, None, lists)
+CELL_TEXTS = ("0", "-0", "0/5", "007", "-007", "1/1", "2/4", "-3/6", "1",
+              "-1", "5/3", "1/0", "0/0", "-0/0", "1.5", "", "+1", " 1",
+              "1/2/3", "x", "9" * LIMIT, "-" + "9" * LIMIT, "1/" + "9" * LIMIT,
+              "9" * (LIMIT + 1), "1/" + "9" * (LIMIT + 1))
+CELL_VALUES = (True, False, 1.5, -0.0, None, [], [1], {}, 10 ** LIMIT - 1,
+               10 ** LIMIT)
+cells = st.one_of(st.sampled_from(CELL_TEXTS), st.sampled_from(CELL_VALUES),
+                  st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(-99, 99).map(str),
+                  st.fractions(max_denominator=12).map(str))
+
+
+def cell_outcome(read, *args):
+    """What read(*args) gives: its value, or the WorkspaceError message."""
+    try:
+        out = read(*args)
+    except WorkspaceError as e:
+        return "refused", str(e)
+    if isinstance(out, Matrix):
+        den, rows = out.int_rows()
+        assert all(x.__class__ is int for row in rows for _, x in row)
+        return out.nrows, out.ncols, den, rows
+    if isinstance(out, list):   # the reader's: an integral value is an int
+        assert not any(x.__class__ is Fraction and x.denominator == 1
+                       for x in out)
+    return tuple(out)
+
+
+@st.composite
+def cell_tables(draw):
+    """A declared matrix's cells: nrows rows of ncols cells, and now and
+    then one row of the wrong length or a row that is not a list."""
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    data = draw(st.lists(st.lists(cells, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if data and draw(st.integers(0, 9)) == 0:
+        data[draw(st.integers(0, nrows - 1))] = draw(st.sampled_from(
+            [[], ["0"] * (ncols + 1), "0", None]))
+    return data, nrows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cell_tables(), min_size=1, max_size=4))
+# True == 1 and hash(True) == hash(1): a bare 1 read first must not let
+# True be read as 1; a refused text is refused again, in its own row
+@example([([[1, 0], [0, True]], 2, 2)])
+@example([([["1/0"]], 1, 1), ([["0"], ["1/0"]], 2, 1)])
+def test_the_cell_reader_reads_what_parse_rational_and_matrix_read(tables):
+    # one reader for all the tables, as one document shares its table of
+    # cell texts between its matrices: a text read for one matrix is found
+    # for the next, and a refused one is refused again, with its own where
+    reader = _Cells()
+    for k, (data, nrows, ncols) in enumerate(tables):
+        where = "table %d" % k
+        assert cell_outcome(reader.matrix, data, nrows, ncols, where) \
+            == cell_outcome(cells_matrix, data, nrows, ncols, where)
+        for i, row in enumerate(data):
+            assert cell_outcome(reader.vector, row, ncols, where) \
+                == cell_outcome(cells_vector, row, ncols, where)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["1/0", "0/0", True, 1.5, "9" * (LIMIT + 1)]),
+       st.data())
+def test_a_refused_cell_keeps_its_message_and_exit_two(tmp_path_factory,
+                                                       cell, data):
+    # a cell of the declared pair bimodule's left[1], written as a
+    # document: a float is refused by the JSON reader, every other cell by
+    # the cell reader with the oracle's message
+    doc = json.loads(canonical_text(dn_doc()))
+    table = doc["objects"]["P"]["left"][1]
+    r = data.draw(st.integers(0, len(table) - 1))
+    table[r][data.draw(st.integers(0, len(table[r]) - 1))] = cell
+    path = tmp_path_factory.mktemp("cell") / "ws.json"
+    path.write_text(json.dumps(doc))
+    if isinstance(cell, float):
+        message = "float literal '1.5' is not allowed; use p/q strings"
+    else:
+        message = cell_outcome(cells_matrix, table, len(table), len(table),
+                               "object 'P' left[1]")[1]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["check", str(path)]) == 2
+    assert err.getvalue() == "error: %s\n" % message
+
+
+def test_the_cell_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(_Cells, "CELL_TABLE", 8)
+    reader = _Cells()
+    row = [str(k) for k in range(20)]
+    assert reader.vector(row, 20, "t") == list(range(20))
+    assert reader.vector(row, 20, "t") == list(range(20))
+    assert len(reader.values) == 8

@@ -120,39 +120,53 @@ def cmd_check(args) -> int:
 
 
 def _unlink_own_file(path: str):
-    """The permission bits of path, once it is unlinked, if it is a
-    regular file (not a symlink) of one link that the effective user owns
-    and may write; otherwise None, and path is left as it is."""
+    """The lstat of path, once it is unlinked, if it is a regular file
+    (not a symlink) of one link, in the effective user's own user and
+    group, that the user may write and that has no extended attribute (an
+    ACL is one) the new file would lose; otherwise None, and path is left
+    as it is."""
     try:
         st = os.lstat(path)
         if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                and st.st_uid == os.geteuid() and os.access(path, os.W_OK)):
+                and st.st_uid == os.geteuid() and st.st_gid == os.getegid()
+                and os.access(path, os.W_OK) and hasattr(os, "listxattr")
+                and not os.listxattr(path, follow_symlinks=False)):
             return None
         os.unlink(path)
     except OSError:
         return None
-    return stat.S_IMODE(st.st_mode)
+    return st
 
 
 def _write_file(path: str, parts) -> None:
     """Write parts to path through one OUTPUT_BUFFER-byte buffer.
 
     An existing file that _unlink_own_file takes is replaced: it is
-    unlinked and a new file with its permission bits is created, so the
-    old data is neither truncated nor flushed to disk first.  Any other
-    path is written in place: a symlink's target, a file with another
-    link, another user's file, /dev/null, a FIFO; a path that cannot be
-    written in place is refused as before.  A failure once the file is
-    open removes it after it is closed, so no partial document is left
-    behind; a path that is not a regular file is left alone."""
-    mode = _unlink_own_file(path)
-    fh = open(path, "w" if mode is None else "x", encoding="utf-8",
-              buffering=OUTPUT_BUFFER)
+    unlinked and a new file is created with its permission bits and its
+    group, so the old data is neither truncated nor flushed to disk first.
+    Any other path is written in place: a symlink's target, a file with
+    another link, a file of another user's or group's, a file with an
+    extended attribute, /dev/null, a FIFO; a path that cannot be written
+    in place is refused as before.  A failure once the file is open
+    removes it after it is closed, so no partial document is left behind;
+    a path that is not a regular file is left alone."""
+    old = _unlink_own_file(path)
+    if old is None:
+        fh = open(path, "w", encoding="utf-8", buffering=OUTPUT_BUFFER)
+    else:
+        # created with the old bits, which the umask can only narrow, so
+        # no one the old file kept out can open the new one
+        mode = stat.S_IMODE(old.st_mode)
+        fh = open(path, "x", encoding="utf-8", buffering=OUTPUT_BUFFER,
+                  opener=lambda p, flags: os.open(p, flags, mode))
     regular = False
     try:
         with fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            if mode is not None:
+            st = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(st.st_mode)
+            if old is not None:
+                if st.st_gid != old.st_gid:     # a set-group-ID directory
+                    os.fchown(fh.fileno(), -1, old.st_gid)
                 os.fchmod(fh.fileno(), mode)
             fh.writelines(parts)
     except BaseException:

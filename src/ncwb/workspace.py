@@ -18,7 +18,6 @@ SparseRows and WordList tables spliced into it (canonical_parts).
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -64,13 +63,13 @@ class _Cells:
     """The cells of one document, read as exact values.  A cell is looked
     up by its text in a table of the cells read so far, so a "0" costs one
     lookup; a miss goes through parse_rational with its where, and only a
-    string that parsed joins the table, at most CELL_TABLE of them.  The
-    rows of a matrix are read straight into Matrix's stored form."""
-
-    CELL_TABLE = 1 << 16
+    string that parsed joins the table, which lives as long as one
+    parse_workspace call.  Until a cell reads as a Fraction, a matrix is
+    built from the non-zeros of its rows alone."""
 
     def __init__(self):
         self.values = {"0": 0}     # cell text -> int, or Fraction if not
+        self.integral = True       # no cell read so far was a Fraction
 
     def _value(self, cell, where: str):
         try:
@@ -80,9 +79,11 @@ class _Cells:
         x = parse_rational(cell, where)
         if x.denominator == 1:
             x = x.numerator
+        else:
+            self.integral = False
         # str keys only: True == 1 and hash(True) == hash(1), so a key 1
         # would be found for the cell True
-        if cell.__class__ is str and len(self.values) < self.CELL_TABLE:
+        if cell.__class__ is str:
             self.values[cell] = x
         return x
 
@@ -101,14 +102,12 @@ class _Cells:
         if not isinstance(data, list) or len(data) != nrows:
             raise WorkspaceError("%s: expected %d matrix rows"
                                  % (where, nrows))
-        rows = [tuple(compress(enumerate(xs), xs)) for xs in (
-            self.vector(r, ncols, "%s row %d" % (where, i))
-            for i, r in enumerate(data))]
-        den = math.lcm(*(x.denominator for r in rows for _, x in r))
-        if den != 1:
-            rows = [tuple((j, x.numerator * (den // x.denominator))
-                          for j, x in r) for r in rows]
-        return Matrix._of(nrows, ncols, den, tuple(rows))
+        rows = [self.vector(r, ncols, "%s row %d" % (where, i))
+                for i, r in enumerate(data)]
+        if not self.integral:
+            return Matrix(rows, ncols=ncols)
+        return Matrix.from_int_rows(
+            [(1, compress(enumerate(xs), xs)) for xs in rows], ncols)
 
 
 def matrix_rows(m: Matrix) -> "SparseRows":

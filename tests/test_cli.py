@@ -206,6 +206,87 @@ def test_a_replaced_output_file_keeps_its_mode(tmp_path, capsys, mode):
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
+def test_a_replacing_output_file_is_created_with_the_old_mode(tmp_path,
+                                                             monkeypatch):
+    # the new file never has wider bits than the old one, not even
+    # between its creation and the fchmod
+    path = tmp_path / "d.json"
+    path.write_text("an earlier document\n")
+    os.chmod(path, 0o600)
+    created, os_open = [], os.open
+
+    def recording_open(p, flags, *args, **kw):
+        fd = os_open(p, flags, *args, **kw)
+        if flags & os.O_CREAT:
+            created.append(stat.S_IMODE(os.fstat(fd).st_mode))
+        return fd
+
+    monkeypatch.setattr(os, "open", recording_open)
+    umask = os.umask(0o022)
+    try:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert created == [0o600]
+
+
+def other_group():
+    """A group the user may give a file that is not the effective group:
+    any group for root, else a supplementary one; None if there is none."""
+    if os.geteuid() == 0:
+        return 65534 if os.getegid() != 65534 else 65533
+    return next((g for g in os.getgroups() if g != os.getegid()), None)
+
+
+@pytest.mark.skipif(other_group() is None, reason="the user has no second "
+                    "group to give a file")
+def test_an_output_file_of_another_group_is_written_in_place(tmp_path,
+                                                             capsys):
+    path = tmp_path / "d.json"
+    path.write_text("an earlier document\n")
+    os.chown(path, -1, other_group())
+    os.chmod(path, 0o640)
+    with open(path) as reader:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+        assert reader.read() == builtin_bytes(capsys)
+    st = os.stat(path)
+    assert (st.st_gid, stat.S_IMODE(st.st_mode)) == (other_group(), 0o640)
+
+
+@pytest.mark.skipif(other_group() is None, reason="the user has no second "
+                    "group to give a directory")
+def test_a_replaced_output_file_keeps_its_group_in_a_setgid_directory(
+        tmp_path):
+    # a new file in a set-group-ID directory takes the directory's group
+    where = tmp_path / "shared"
+    where.mkdir()
+    os.chown(where, -1, other_group())
+    os.chmod(where, 0o2775)
+    path = where / "d.json"
+    path.write_text("an earlier document\n")
+    os.chown(path, -1, os.getegid())
+    os.chmod(path, 0o640)
+    with open(path) as reader:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+        assert reader.read() == "an earlier document\n"    # replaced
+    st = os.stat(path)
+    assert (st.st_gid, stat.S_IMODE(st.st_mode)) == (os.getegid(), 0o640)
+
+
+def test_an_output_file_with_an_extended_attribute_is_written_in_place(
+        tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text("an earlier document\n")
+    try:
+        os.setxattr(path, "user.ncwb", b"kept")
+    except (AttributeError, OSError) as e:
+        pytest.skip("no user extended attributes here: %s" % e)
+    with open(path) as reader:
+        assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
+        assert reader.read() == builtin_bytes(capsys)
+    assert os.getxattr(path, "user.ncwb") == b"kept"
+
+
 def builtin_bytes(capsys, name="dual_numbers") -> str:
     capsys.readouterr()
     assert main(["builtin", name]) == 0

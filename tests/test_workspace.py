@@ -528,11 +528,3 @@ def test_a_refused_cell_keeps_its_message_and_exit_two(tmp_path_factory,
         assert main(["check", str(path)]) == 2
     assert err.getvalue() == "error: %s\n" % message
 
-
-def test_the_cell_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(_Cells, "CELL_TABLE", 8)
-    reader = _Cells()
-    row = [str(k) for k in range(20)]
-    assert reader.vector(row, 20, "t") == list(range(20))
-    assert reader.vector(row, 20, "t") == list(range(20))
-    assert len(reader.values) == 8

@@ -142,8 +142,9 @@ def _write_file(path: str, parts) -> None:
     """Write parts to path through one OUTPUT_BUFFER-byte buffer.
 
     An existing file that _unlink_own_file takes is replaced: it is
-    unlinked and a new file is created with its permission bits and its
-    group, so the old data is neither truncated nor flushed to disk first.
+    unlinked and a new file is created for the owner alone, then given the
+    old group and permission bits, so the old data is neither truncated
+    nor flushed to disk first.
     Any other path is written in place: a symlink's target, a file with
     another link, a file of another user's or group's, a file with an
     extended attribute, /dev/null, a FIFO; a path that cannot be written
@@ -154,11 +155,11 @@ def _write_file(path: str, parts) -> None:
     if old is None:
         fh = open(path, "w", encoding="utf-8", buffering=OUTPUT_BUFFER)
     else:
-        # created with the old bits, which the umask can only narrow, so
-        # no one the old file kept out can open the new one
+        # created with the owner's bits alone, so no one else can open it
+        # before it has the old group and bits
         mode = stat.S_IMODE(old.st_mode)
         fh = open(path, "x", encoding="utf-8", buffering=OUTPUT_BUFFER,
-                  opener=lambda p, flags: os.open(p, flags, mode))
+                  opener=lambda p, flags: os.open(p, flags, mode & 0o700))
     regular = False
     try:
         with fh:

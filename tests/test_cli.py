@@ -206,13 +206,13 @@ def test_a_replaced_output_file_keeps_its_mode(tmp_path, capsys, mode):
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
-def test_a_replacing_output_file_is_created_with_the_old_mode(tmp_path,
-                                                             monkeypatch):
-    # the new file never has wider bits than the old one, not even
-    # between its creation and the fchmod
+def test_a_replacing_output_file_is_created_for_its_owner_alone(tmp_path,
+                                                               monkeypatch):
+    # no one but the owner can open the new file before it has the old
+    # file's group and bits
     path = tmp_path / "d.json"
     path.write_text("an earlier document\n")
-    os.chmod(path, 0o600)
+    os.chmod(path, 0o640)
     created, os_open = [], os.open
 
     def recording_open(p, flags, *args, **kw):
@@ -228,6 +228,7 @@ def test_a_replacing_output_file_is_created_with_the_old_mode(tmp_path,
     finally:
         os.umask(umask)
     assert created == [0o600]
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
 
 def other_group():
@@ -318,7 +319,7 @@ def test_an_output_file_with_a_second_link_is_written_in_place(tmp_path,
 def test_another_users_output_file_is_written_in_place(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text("an earlier document\n")
-    os.chown(path, 65534, 65534)
+    os.chown(path, 65534, -1)   # only the user: the group is root's own
     with open(path) as reader:
         assert main(["builtin", "dual_numbers", "-o", str(path)]) == 0
         assert reader.read() == builtin_bytes(capsys)
